@@ -44,9 +44,6 @@ class PackedPaths:
     def n_paths(self) -> int:
         return len(self.offsets) - 1
 
-    def jump_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
 
 def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
     if not paths:
@@ -81,55 +78,70 @@ def _padded(arr: np.ndarray, pad: float) -> np.ndarray:
     return np.concatenate([arr, [pad]])
 
 
-def flow_map_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
-                   substep_scale: float = FLOW_SUBSTEP_SCALE) -> np.ndarray:
-    """Vectorized time-u flow of sigma from y (fixed per-element substeps)."""
+def _rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) on arrays, elementwise in h.
+
+    t = None marks an autonomous f: it is called as f(None, y) and no time
+    arithmetic is done. Kept apart from flow_engine.rk4_step so that the
+    scalar solvers stay an independent reference for these engines.
+    """
+    if t is None:
+        t_mid = t_end = None
+    else:
+        t_mid, t_end = t + 0.5 * h, t + h
+    k1 = f(t, y)
+    k2 = f(t_mid, y + 0.5 * h * k1)
+    k3 = f(t_mid, y + 0.5 * h * k2)
+    k4 = f(t_end, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
+                substep_scale: float, sensitivity: bool
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vectorized time-u flow of sigma from y (fixed per-element substeps).
+
+    Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
+    sigma'(phi) * u over the same stages, read off the stage states as they
+    are evaluated; otherwise it is None and sigma' is never called.
+    """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
     n = np.maximum(8, np.ceil(np.abs(u) / substep_scale)).astype(np.int64)
     ds = 1.0 / n
     phi = y.copy()
-    sig = sigma.value
+    sig, sig_dot = sigma.value, sigma.derivative
+    acc = np.zeros_like(phi) if sensitivity else None
+    stages = []
+
+    def f(_, p):
+        if sensitivity:
+            stages.append(sig_dot(p) * u)
+        return sig(p) * u
+
     for s in range(int(n.max())):
         active = s < n
-        k1 = sig(phi) * u
-        k2 = sig(phi + 0.5 * ds * k1) * u
-        k3 = sig(phi + 0.5 * ds * k2) * u
-        k4 = sig(phi + ds * k3) * u
-        step = (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi = np.where(active, phi + step, phi)
-    return phi
+        phi_new = _rk4_step(f, None, phi, ds)
+        if sensitivity:
+            d1, d2, d3, d4 = stages
+            stages.clear()
+            acc = np.where(active, acc + (ds / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
+                           acc)
+        phi = np.where(active, phi_new, phi)
+    return phi, acc
+
+
+def flow_map_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
+                   substep_scale: float = FLOW_SUBSTEP_SCALE) -> np.ndarray:
+    """Vectorized time-u flow of sigma from y (fixed per-element substeps)."""
+    return _flow_array(sigma, y, u, substep_scale, sensitivity=False)[0]
 
 
 def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
                            substep_scale: float = FLOW_SUBSTEP_SCALE
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (phi(y, u), log phi_x(y, u)) along the flow."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = np.maximum(8, np.ceil(np.abs(u) / substep_scale)).astype(np.int64)
-    ds = 1.0 / n
-    phi = y.copy()
-    acc = np.zeros_like(phi)
-    sig, sig_dot = sigma.value, sigma.derivative
-    for s in range(int(n.max())):
-        active = s < n
-        k1p = sig(phi) * u
-        k1a = sig_dot(phi) * u
-        p2 = phi + 0.5 * ds * k1p
-        k2p = sig(p2) * u
-        k2a = sig_dot(p2) * u
-        p3 = phi + 0.5 * ds * k2p
-        k3p = sig(p3) * u
-        k3a = sig_dot(p3) * u
-        p4 = phi + ds * k3p
-        k4p = sig(p4) * u
-        k4a = sig_dot(p4) * u
-        phi_new = phi + (ds / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        acc_new = acc + (ds / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        phi = np.where(active, phi_new, phi)
-        acc = np.where(active, acc_new, acc)
-    return phi, acc
+    return _flow_array(sigma, y, u, substep_scale, sensitivity=True)
 
 
 class _CellWalker:
@@ -181,14 +193,15 @@ class _CellWalker:
             advance(None, k, tau, dt)
 
 
-def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch."""
+def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
+    """Terminal Y of the random ODE Y' = rhs(Y, drift * t, J_t, B_t) across the
+    batch, J the running jump sum and B the Brownian skeleton. The driver's
+    parts arrive unsummed, so each right-hand side fixes its own summation
+    order."""
     walker = _CellWalker(packed)
     y = np.full(packed.n_paths, float(x0))
     jrun = np.zeros(packed.n_paths)
     drift = packed.drift_rate
-    a_val = a.value
 
     def advance(idx, k, tau, dt):
         nonlocal y
@@ -198,13 +211,9 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
             yy, jr = y[idx], jrun[idx]
 
         def f(t, u):
-            return a_val(u + drift * t + jr + walker.brown_at(k, t, idx))
+            return rhs(u, drift * t, jr, walker.brown_at(k, t, idx))
 
-        k1 = f(tau, yy)
-        k2 = f(tau + 0.5 * dt, yy + 0.5 * dt * k1)
-        k3 = f(tau + 0.5 * dt, yy + 0.5 * dt * k2)
-        k4 = f(tau + dt, yy + dt * k3)
-        out = yy + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out = _rk4_step(f, tau, yy, dt)
         if idx is None:
             y = out
         else:
@@ -215,8 +224,16 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
 
     with np.errstate(over="ignore", invalid="ignore"):
         walker.sweep(advance, apply_jump)
-    x_term = y + packed.z_terminal
-    return x_term, y
+    return y
+
+
+def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch."""
+    a_val = a.value
+    y = _random_ode_terminals(packed, x0,
+                              lambda u, dz, jr, b: a_val(u + dz + jr + b))
+    return y + packed.z_terminal, y
 
 
 def marcus_terminals(a: ScalarField, sigma: DiffusionField,
@@ -260,39 +277,11 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
 def doss_terminals(a: ScalarField, sigma: DiffusionField,
                    packed: PackedPaths, x0: float) -> np.ndarray:
     """Doss-Sussmann terminal values: vectorized random ODE then final flow."""
-    walker = _CellWalker(packed)
-    y = np.full(packed.n_paths, float(x0))
-    jrun = np.zeros(packed.n_paths)
-    drift = packed.drift_rate
     a_val = a.value
 
-    def b(yy, zz):
-        phi, acc = flow_sensitivity_array(sigma, yy, zz)
+    def b(u, dz, jr, br):
+        phi, acc = flow_sensitivity_array(sigma, u, dz + jr + br)
         return a_val(phi) * np.exp(-acc)
 
-    def advance(idx, k, tau, dt):
-        nonlocal y
-        if idx is None:
-            yy, jr = y, jrun
-        else:
-            yy, jr = y[idx], jrun[idx]
-
-        def f(t, u):
-            return b(u, drift * t + jr + walker.brown_at(k, t, idx))
-
-        k1 = f(tau, yy)
-        k2 = f(tau + 0.5 * dt, yy + 0.5 * dt * k1)
-        k3 = f(tau + 0.5 * dt, yy + 0.5 * dt * k2)
-        k4 = f(tau + dt, yy + dt * k3)
-        out = yy + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if idx is None:
-            y = out
-        else:
-            y[idx] = out
-
-    def apply_jump(idx, sizes):
-        jrun[idx] += sizes
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        walker.sweep(advance, apply_jump)
+    y = _random_ode_terminals(packed, x0, b)
     return flow_map_array(sigma, y, packed.z_terminal)

@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failures beyond the
 failure-fraction limit, 3 I/O error. LEVYREG_THREADS sets the default for
---threads.
+--threads; the thread count is recorded in summary.json, runs are
+single-threaded.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_engine import ScalarField
+from .flow_engine import ScalarField, rk4_step
 
 #: Asymptotic two-sample KS coefficient at the 1% level.
 KS_COEFF_1PCT = 1.628
@@ -161,9 +161,6 @@ class KdeCurve:
     bandwidth: float
     degenerate: bool = False
 
-    def to_csv_rows(self):
-        return list(zip(self.x.tolist(), self.density.tolist()))
-
 
 _DEGENERATE = KdeCurve(x=np.empty(0), density=np.empty(0),
                        bandwidth=0.0, degenerate=True)
@@ -206,15 +203,11 @@ def deterministic_skeleton(a: ScalarField, d: float, x0: float, t: float,
     x = float(x0)
     a_val = a.value
 
-    def f(u):
+    def f(_, u):
         return a_val(u) + d
 
     for _ in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(f, None, x, h)
     return x
 
 

@@ -49,13 +49,21 @@ class ScalarField:
 
     def validate(self, lo: float, hi: float, n: int = 101) -> None:
         """Probe-grid check that `derivative` really differentiates `value`."""
-        for x in np.linspace(lo, hi, n):
-            h = 1e-5 * (1.0 + abs(x))
-            fd = (self.value(x + h) - self.value(x - h)) / (2.0 * h)
-            d = self.derivative(x)
-            if abs(fd - d) > 1e-6 * (1.0 + abs(d)):
-                raise ValueError(
-                    f"derivative mismatch at x={x}: finite diff {fd}, stated {d}")
+        probe_derivative(self, lo, hi, n)
+
+
+def probe_derivative(field, lo: float, hi: float, n: int = 101) -> np.ndarray:
+    """Probe-grid check that `field.derivative` really differentiates
+    `field.value` on [lo, hi]; returns the probe grid."""
+    grid = np.linspace(lo, hi, n)
+    for x in grid:
+        h = 1e-5 * (1.0 + abs(x))
+        fd = (field.value(x + h) - field.value(x - h)) / (2.0 * h)
+        d = field.derivative(x)
+        if abs(fd - d) > 1e-6 * (1.0 + abs(d)):
+            raise ValueError(
+                f"derivative mismatch at x={x}: finite diff {fd}, stated {d}")
+    return grid
 
 
 def default_step(horizon: float) -> float:
@@ -75,6 +83,58 @@ def segment_knots(path: LevyPath) -> np.ndarray:
 def substep_count(length: float, step: float) -> int:
     """Even number of RK4 substeps covering `length` at granularity <= step."""
     return 2 * max(1, math.ceil(length / (2.0 * step)))
+
+
+def _substeps(t0: float, t1: float, n: int):
+    h = (t1 - t0) / n
+    t = t0
+    for i in range(1, n + 1):
+        t_next = t1 if i == n else t0 + i * h
+        yield t, t_next, h
+        t = t_next
+
+
+def grid_segments(path: LevyPath, step: float):
+    """Walk the jump-aligned grid of `path` segment by segment.
+
+    Yields (t0, t1, base, slope, size, substeps) per segment [t0, t1]: there
+    the driver is Z_t = drift * t + base + slope * t, `size` is the jump at t1
+    (None if there is none) and `substeps` yields the (t, t_next, h) RK4
+    substeps covering the segment, the last ending exactly at t1.
+    """
+    brown = path.brownian
+    jump_at = {float(t): float(s)
+               for t, s in zip(path.jump_times, path.jump_sizes)}
+    knots = segment_knots(path)
+    jump_sum = 0.0
+    for t0, t1 in zip(knots[:-1], knots[1:]):
+        if brown is None:
+            b0 = slope = 0.0
+        else:
+            b0 = float(brown.value(t0))
+            slope = (float(brown.value(t1)) - b0) / (t1 - t0)
+        base = jump_sum + b0 - slope * t0
+        size = jump_at.get(t1)
+        yield t0, t1, base, slope, size, _substeps(t0, t1, substep_count(t1 - t0, step))
+        if size is not None:
+            jump_sum += size
+
+
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) from t to t + h.
+
+    t = None marks an autonomous f: it is called as f(None, y) and no time
+    arithmetic is done. y may be a float or a numpy array.
+    """
+    if t is None:
+        t_mid = t_end = None
+    else:
+        t_mid, t_end = t + 0.5 * h, t + h
+    k1 = f(t, y)
+    k2 = f(t_mid, y + 0.5 * h * k1)
+    k3 = f(t_mid, y + 0.5 * h * k2)
+    k4 = f(t_end, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -116,14 +176,6 @@ class FlowSolution:
         return rows
 
 
-def _rk4_step(f, t: float, y: float, h: float) -> float:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
                      step: float | None = None) -> FlowSolution:
     """RK4 solution of Y' = a(Y + Z_t) on the jump-aligned grid; X = Y + Z."""
@@ -133,44 +185,26 @@ def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
         raise ValueError("step must be > 0")
     a_val = a.value
     drift = path.drift_rate
-    brown = path.brownian
-    jump_at = {float(t): float(s)
-               for t, s in zip(path.jump_times, path.jump_sizes)}
-    knots = segment_knots(path)
 
     times = [0.0]
     ys = [float(x0)]
     xs = [float(x0)]
     records = []
     y = float(x0)
-    jump_sum = 0.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        b0 = float(brown.value(t0)) if brown is not None else 0.0
-        if brown is not None:
-            slope = (float(brown.value(t1)) - b0) / (t1 - t0)
-        else:
-            slope = 0.0
-        base = jump_sum + b0 - slope * t0
-
+    for t0, t1, base, slope, size, substeps in grid_segments(path, step):
         def f(t, u):
             return a_val(u + drift * t + base + slope * t)
 
-        n = substep_count(t1 - t0, step)
-        h = (t1 - t0) / n
-        t = t0
-        for i in range(n):
-            y = _rk4_step(f, t, y, h)
-            t = t1 if i == n - 1 else t0 + (i + 1) * h
+        for t, t_next, h in substeps:
+            y = rk4_step(f, t, y, h)
             if not math.isfinite(y):
                 raise SolverBlowUp(
-                    f"state became non-finite near t={t}", last_good_time=t0)
-            times.append(t)
+                    f"state became non-finite near t={t_next}", last_good_time=t0)
+            times.append(t_next)
             ys.append(y)
-            xs.append(y + drift * t + base + slope * t)
-        if t1 in jump_at:
-            size = jump_at[t1]
+            xs.append(y + drift * t_next + base + slope * t_next)
+        if size is not None:
             x_left = xs[-1]
-            jump_sum += size
             x_right = x_left + size
             times.append(t1)
             ys.append(y)
@@ -205,37 +239,16 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
         step = default_step(path.horizon)
     a_val, a_dot = a.value, a.derivative
     drift = path.drift_rate
-    brown = path.brownian
-    knots = segment_knots(path)
-    jump_sum = 0.0
-    jump_at = {float(t): float(s)
-               for t, s in zip(path.jump_times, path.jump_sizes)}
-    y, u = float(x0), 1.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        b0 = float(brown.value(t0)) if brown is not None else 0.0
-        slope = ((float(brown.value(t1)) - b0) / (t1 - t0)) if brown is not None else 0.0
-        base = jump_sum + b0 - slope * t0
-
+    state = np.array([float(x0), 1.0])
+    for _, _, base, slope, _, substeps in grid_segments(path, step):
         def f(t, state):
             yv, uv = state
             x = yv + drift * t + base + slope * t
             return np.array([a_val(x), a_dot(x) * uv])
 
-        n = substep_count(t1 - t0, step)
-        h = (t1 - t0) / n
-        state = np.array([y, u])
-        t = t0
-        for i in range(n):
-            k1 = f(t, state)
-            k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = f(t + h, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = t1 if i == n - 1 else t0 + (i + 1) * h
-        y, u = float(state[0]), float(state[1])
-        if t1 in jump_at:
-            jump_sum += jump_at[t1]
-    return u
+        for t, _, h in substeps:
+            state = rk4_step(f, t, state, h)
+    return float(state[1])
 
 
 def jump_time_derivative(a: ScalarField, solution: FlowSolution,

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import ScalarField, segment_knots, substep_count
+from .flow_engine import ScalarField, default_step, grid_segments, probe_derivative, rk4_step
 from .path_sampler import LevyPath
 
 #: Substeps for the unit-time jump flow: max(8, ceil(|u| / 0.05)).
@@ -42,13 +42,7 @@ class DiffusionField:
     min_abs: float | None = None
 
     def validate(self, lo: float, hi: float, n: int = 101) -> None:
-        for x in np.linspace(lo, hi, n):
-            h = 1e-5 * (1.0 + abs(x))
-            fd = (self.value(x + h) - self.value(x - h)) / (2.0 * h)
-            d = self.derivative(x)
-            if abs(fd - d) > 1e-6 * (1.0 + abs(d)):
-                raise ValueError(
-                    f"derivative mismatch at x={x}: finite diff {fd}, stated {d}")
+        for x in probe_derivative(self, lo, hi, n):
             if self.min_abs is not None and abs(self.value(x)) < self.min_abs:
                 raise ValueError(f"|sigma({x})| falls below the declared min_abs")
 
@@ -57,21 +51,35 @@ def flow_substeps(u: float) -> int:
     return max(8, math.ceil(abs(u) / FLOW_SUBSTEP_SCALE))
 
 
-def _flow_once(sigma_val, y: float, u: float, n: int) -> float:
-    """n RK4 steps of dphi/ds = sigma(phi) * u over s in [0, 1]."""
+def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,
+               sensitivity: bool = False) -> tuple[float, float]:
+    """n RK4 steps of dphi/ds = sigma(phi) * u over s in [0, 1].
+
+    Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
+    sigma'(phi) * u over the same stages, read off the stage states as they
+    are evaluated; otherwise it stays 0.0 and sigma' is never called.
+    """
+    sig, sig_dot = sigma.value, sigma.derivative
     ds = 1.0 / n
-    phi = y
+    stages = []
+
+    def f(_, p):
+        if sensitivity:
+            stages.append(sig_dot(p) * u)
+        return sig(p) * u
+
+    phi, acc = y, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            k1 = sigma_val(phi) * u
-            k2 = sigma_val(phi + 0.5 * ds * k1) * u
-            k3 = sigma_val(phi + 0.5 * ds * k2) * u
-            k4 = sigma_val(phi + ds * k3) * u
-            phi = phi + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi = rk4_step(f, None, phi, ds)
             if not math.isfinite(phi):
                 raise FlowDivergence(
                     f"jump flow diverged: start {y}, size {u}")
-    return phi
+            if sensitivity:
+                d1, d2, d3, d4 = stages
+                acc = acc + (ds / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                stages.clear()
+    return phi, acc
 
 
 def jump_flow_phi(sigma: DiffusionField, y: float, u: float,
@@ -86,9 +94,9 @@ def jump_flow_phi(sigma: DiffusionField, y: float, u: float,
     if u == 0.0:
         return float(y)
     n = flow_substeps(u)
-    coarse = _flow_once(sigma.value, y, u, n)
+    coarse, _ = _flow_once(sigma, y, u, n)
     for _ in range(_MAX_FLOW_DOUBLINGS):
-        fine = _flow_once(sigma.value, y, u, 2 * n)
+        fine, _ = _flow_once(sigma, y, u, 2 * n)
         err = abs(fine - coarse) / 15.0
         if err <= tol * max(1.0, abs(fine)):
             return fine + (fine - coarse) / 15.0
@@ -108,24 +116,8 @@ def flow_with_sensitivity(sigma: DiffusionField, y: float, u: float,
         return float(y), 0.0
     if n is None:
         n = flow_substeps(u)
-    sig, sig_dot = sigma.value, sigma.derivative
-    ds = 1.0 / n
-    phi, acc = float(y), 0.0
-
-    def f(state):
-        p, _ = state
-        return np.array([sig(p) * u, sig_dot(p) * u])
-
-    state = np.array([phi, acc])
-    for _ in range(n):
-        k1 = f(state)
-        k2 = f(state + 0.5 * ds * k1)
-        k3 = f(state + 0.5 * ds * k2)
-        k4 = f(state + ds * k3)
-        state = state + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(state[0]):
-            raise FlowDivergence(f"jump flow diverged: start {y}, size {u}")
-    return float(state[0]), float(state[1])
+    phi, acc = _flow_once(sigma, float(y), u, n, sensitivity=True)
+    return float(phi), float(acc)
 
 
 def marcus_remainder_rho(sigma: DiffusionField, y: float, z: float,
@@ -152,62 +144,40 @@ class MarcusTrajectory:
         """(time, x_left, x_right, size) rows, matching FlowSolution."""
         return tuple((t, pre, post, size) for t, pre, size, post in self.jump_log)
 
-    def to_csv_rows(self):
-        return [(float(t), float(pre), float(size), float(post))
-                for t, pre, size, post in self.jump_log]
-
 
 def marcus_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
                  x0: float, step: float | None = None,
                  phi_tol: float = 1e-10) -> MarcusTrajectory:
     """Solve the Marcus equation along one driver realization."""
     if step is None:
-        step = path.horizon / 4096.0
+        step = default_step(path.horizon)
     if step <= 0.0:
         raise ValueError("step must be > 0")
     a_val, sig = a.value, sigma.value
     drift = path.drift_rate
-    brown = path.brownian
-    jump_at = {float(t): float(s)
-               for t, s in zip(path.jump_times, path.jump_sizes)}
-    knots = segment_knots(path)
+    use_heun = path.brownian is not None
+
+    def F(_, u):
+        return a_val(u) + drift * sig(u)
 
     times = [0.0]
     xs = [float(x0)]
     log = []
     x = float(x0)
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        n = substep_count(t1 - t0, step)
-        h = (t1 - t0) / n
-        if brown is not None:
-            slope = (float(brown.value(t1)) - float(brown.value(t0))) / (t1 - t0)
-        else:
-            slope = 0.0
-        use_heun = brown is not None
-
-        def F(u):
-            return a_val(u) + drift * sig(u)
-
-        t = t0
-        for i in range(n):
+    for _, t1, _, slope, size, substeps in grid_segments(path, step):
+        for t, t_next, h in substeps:
             if use_heun:
                 db = slope * h
-                fx, sx = F(x), sig(x)
+                fx, sx = F(None, x), sig(x)
                 xp = x + fx * h + sx * db
-                x = x + 0.5 * h * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
+                x = x + 0.5 * h * (fx + F(None, xp)) + 0.5 * db * (sx + sig(xp))
             else:
-                k1 = F(x)
-                k2 = F(x + 0.5 * h * k1)
-                k3 = F(x + 0.5 * h * k2)
-                k4 = F(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = rk4_step(F, None, x, h)
             if not math.isfinite(x):
                 raise FlowDivergence(f"trajectory diverged near t={t}")
-            t = t1 if i == n - 1 else t0 + (i + 1) * h
-            times.append(t)
+            times.append(t_next)
             xs.append(x)
-        if t1 in jump_at:
-            size = jump_at[t1]
+        if size is not None:
             try:
                 post = jump_flow_phi(sigma, x, size, phi_tol)
             except FlowDivergence as exc:

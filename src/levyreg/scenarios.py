@@ -19,8 +19,8 @@ Each scenario is a self-contained demonstration at desk scale:
   and the Marcus integrator produce the same terminal law.
 
 Replicas are independent work items: replica i draws from RngStream(seed, i)
-no matter how work is chunked or threaded, so (config, seed) pins every
-output byte except the wall-time field.
+no matter how work is chunked, so (config, seed) pins every output byte
+except the wall-time and thread-count fields.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +132,7 @@ def _json_safe(value):
 
 
 def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
-                seed: int, threads: int = 1, brownian_cells: int | None = None,
+                seed: int, brownian_cells: int | None = None,
                 accept=None, stream_offset: int = 0,
                 compensate: bool = False) -> list[LevyPath]:
     """Draw n paths, replica i from RngStream(seed, stream_offset + i).
@@ -141,25 +140,19 @@ def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
     `accept` may reject a draw; rejected paths are redrawn from the same
     stream, so the result is a deterministic function of the stream identity.
     """
-    paths: list[LevyPath | None] = [None] * n
-
-    def work(i: int) -> None:
+    paths: list[LevyPath] = []
+    for i in range(n):
         gen = RngStream(seed, stream_offset + i).generator()
         for _ in range(1000):
             p = sample_path(triplet, horizon, trunc, compensate=compensate,
                             gen=gen, brownian_cells=brownian_cells)
             if accept is None or accept(p):
-                paths[i] = p
-                return
-        raise RuntimeError(f"replica {stream_offset + i}: no acceptable path in 1000 draws")
-
-    if threads <= 1:
-        for i in range(n):
-            work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n)))
-    return paths  # type: ignore[return-value]
+                paths.append(p)
+                break
+        else:
+            raise RuntimeError(
+                f"replica {stream_offset + i}: no acceptable path in 1000 draws")
+    return paths
 
 
 def _chunks_by_jumps(paths: list[LevyPath], max_jumps: int):
@@ -218,7 +211,7 @@ def _failure_indices(*arrays: np.ndarray) -> np.ndarray:
     return bad
 
 
-def run_s1(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s1(config: ScenarioConfig) -> ScenarioResult:
     n = config.replicas or 100_000
     cells = config.cells or 256
     x0 = config.x0 if config.x0 is not None else 0.0
@@ -227,7 +220,7 @@ def run_s1(config: ScenarioConfig, threads: int) -> ScenarioResult:
         config, MeasureChoice(kind="atoms", atoms=((1.0, 2.0),)), default_drift=0.3)
     a = _scalar_from(config.drift_field, FieldChoice(
         "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed, threads)
+    paths = sample_many(triplet, config.horizon, trunc, n, config.seed)
     x, z = ode_terminals_chunked(a, paths, cells, x0)
     failed = _failure_indices(x)
     ok = ~failed
@@ -279,7 +272,7 @@ def _s2_field(kind: int, gen: np.random.Generator) -> tuple[ScalarField, str]:
     return f, "arctan-diffusion"
 
 
-def run_s2(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s2(config: ScenarioConfig) -> ScenarioResult:
     n_configs = config.replicas or 100
     step = config.horizon / max(config.cells or 512, 512)
     rel_tol = 1e-4
@@ -352,7 +345,7 @@ def run_s2(config: ScenarioConfig, threads: int) -> ScenarioResult:
                           failed=np.asarray(failed))
 
 
-def run_s3(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s3(config: ScenarioConfig) -> ScenarioResult:
     n = config.replicas or 10_000
     levels = 12
     if config.measure is not None and config.measure.kind == "family":
@@ -376,7 +369,7 @@ def run_s3(config: ScenarioConfig, threads: int) -> ScenarioResult:
         while done < n:
             m = min(chunk, n - done)
             paths = sample_many(trip, config.horizon, cut, m, config.seed,
-                                threads, stream_offset=offset + done)
+                                stream_offset=offset + done)
             x, z = ode_terminals_chunked(a, paths, cells, x0)
             xs.append(x)
             zs.append(z)
@@ -422,7 +415,7 @@ def run_s3(config: ScenarioConfig, threads: int) -> ScenarioResult:
                           terminal_z=z, failed=failed.astype(int))
 
 
-def run_s4(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s4(config: ScenarioConfig) -> ScenarioResult:
     n = config.replicas or 10_000
     levels = 12
     trunc = config.truncation or 2.0 ** (-levels)
@@ -435,7 +428,7 @@ def run_s4(config: ScenarioConfig, threads: int) -> ScenarioResult:
                               sign=-1.0, rate_scale=1.0),
         default_drift=0.0)
     a = _scalar_from(config.drift_field, FieldChoice("constant", {"level": 0.1}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed, threads)
+    paths = sample_many(triplet, config.horizon, trunc, n, config.seed)
     x, z = ode_terminals_chunked(a, paths, cells, x0)
     failed = _failure_indices(x)
     ok = ~failed
@@ -456,7 +449,7 @@ def run_s4(config: ScenarioConfig, threads: int) -> ScenarioResult:
                           terminal_z=z, failed=failed.astype(int))
 
 
-def run_s5(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s5(config: ScenarioConfig) -> ScenarioResult:
     n = config.replicas or 1000
     reps = config.repetitions or 100
     mark_lo = config.mark_low if config.mark_low is not None else 0.1
@@ -478,7 +471,7 @@ def run_s5(config: ScenarioConfig, threads: int) -> ScenarioResult:
     for r in range(reps):
         offset = r * n
         paths = sample_many(triplet, config.horizon, trunc, n, config.seed,
-                            threads, accept=has_two_marked, stream_offset=offset)
+                            accept=has_two_marked, stream_offset=offset)
         if r == 0:
             first_rep_paths = paths
         decomps = [decompose_first_jump(p, mark_lo, mark_hi) for p in paths]
@@ -555,7 +548,7 @@ def _s6_path(gen: np.random.Generator, horizon: float) -> LevyPath:
     return LevyPath(horizon, float(gen.uniform(-0.2, 0.2)), times, sizes)
 
 
-def run_s6(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s6(config: ScenarioConfig) -> ScenarioResult:
     n_configs = config.replicas or 50
     step = config.horizon / (config.cells or 256)
     a_default = make_scalar_field("logistic-slope",
@@ -661,7 +654,7 @@ def run_s6(config: ScenarioConfig, threads: int) -> ScenarioResult:
                           failed=np.asarray(failed))
 
 
-def run_s7(config: ScenarioConfig, threads: int) -> ScenarioResult:
+def run_s7(config: ScenarioConfig) -> ScenarioResult:
     n = config.replicas or 10_000
     trunc = config.truncation or 0.1
     cells = config.cells or 128
@@ -673,7 +666,7 @@ def run_s7(config: ScenarioConfig, threads: int) -> ScenarioResult:
         "logistic-slope", {"low": 0.0, "high": 0.5, "rate": 1.0, "center": 0.0}))
     sigma = _diffusion_from(config.diffusion_field, FieldChoice(
         "logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed, threads,
+    paths = sample_many(triplet, config.horizon, trunc, n, config.seed,
                         brownian_cells=cells)
     packed = pack_paths(paths, cells)
     x_doss = doss_terminals(a, sigma, packed, x0)
@@ -777,12 +770,13 @@ def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) ->
 
 def run_scenario(config: ScenarioConfig, threads: int | None = None,
                  out_dir: str | Path | None = None) -> RunSummary:
-    """Execute a scenario; bit-identical outputs for any thread count."""
+    """Execute a scenario single-threaded; `threads` is only recorded in the
+    summary, so outputs are bit-identical for any thread count."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario id {config.scenario!r}")
     threads = threads if threads is not None else config.threads
     t0 = time.perf_counter()
-    result = SCENARIOS[config.scenario].runner(config, threads)
+    result = SCENARIOS[config.scenario].runner(config)
     wall = time.perf_counter() - t0
     failed_ids = tuple()
     replicas = 0

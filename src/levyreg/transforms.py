@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import ScalarField, segment_knots, substep_count
+from .flow_engine import ScalarField, default_step, grid_segments, rk4_step
 from .marcus import DiffusionField, FlowDivergence, flow_with_sensitivity, jump_flow_phi
 from .path_sampler import LevyPath
 from .quadrature import adaptive_simpson
@@ -207,34 +207,15 @@ def doss_sussman_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
     rule in one dimension for any cadlag driver, Brownian part or not.
     """
     if step is None:
-        step = path.horizon / 4096.0
+        step = default_step(path.horizon)
     drift = path.drift_rate
-    brown = path.brownian
-    jump_at = {float(t): float(s)
-               for t, s in zip(path.jump_times, path.jump_sizes)}
-    knots = segment_knots(path)
     y = float(x0)
-    jump_sum = 0.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        b0 = float(brown.value(t0)) if brown is not None else 0.0
-        slope = ((float(brown.value(t1)) - b0) / (t1 - t0)) if brown is not None else 0.0
-        base = jump_sum + b0 - slope * t0
-
+    for _, _, base, slope, _, substeps in grid_segments(path, step):
         def f(t, u):
             return doss_sussman_drift(a, sigma, u, drift * t + base + slope * t)
 
-        n = substep_count(t1 - t0, step)
-        h = (t1 - t0) / n
-        t = t0
-        for i in range(n):
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for t, _, h in substeps:
+            y = rk4_step(f, t, y, h)
             if not math.isfinite(y):
                 raise FlowDivergence(f"transformed state diverged near t={t}")
-            t = t1 if i == n - 1 else t0 + (i + 1) * h
-        if t1 in jump_at:
-            jump_sum += jump_at[t1]
     return jump_flow_phi(sigma, y, path.terminal, phi_tol)

@@ -52,6 +52,15 @@ class TestFlowArrays:
             assert p == pytest.approx(sp, abs=1e-10)
             assert a_ == pytest.approx(sa, abs=1e-10)
 
+    def test_sensitivity_branch_leaves_phi_bit_identical(self):
+        # small and large |u| mix 8-substep elements with ~100-substep ones
+        rng = np.random.default_rng(5)
+        ys = rng.uniform(-1.0, 1.0, 24)
+        us = np.concatenate([rng.uniform(-0.3, 0.3, 12),
+                             rng.choice([-1.0, 1.0], 12) * rng.uniform(2.0, 6.0, 12)])
+        phi, _ = flow_sensitivity_array(SIGMA, ys, us)
+        assert np.array_equal(flow_map_array(SIGMA, ys, us), phi)
+
 
 class TestOdeTerminals:
     def test_matches_scalar_solver(self):

@@ -7,7 +7,9 @@ from levyreg.flow_engine import ScalarField, solve_random_ode
 from levyreg.marcus import (
     DiffusionField,
     FlowDivergence,
+    _flow_once,
     chain_rule_residual,
+    flow_substeps,
     flow_with_sensitivity,
     jump_flow_phi,
     marcus_remainder_rho,
@@ -56,6 +58,12 @@ class TestJumpFlow:
             lhs = jump_flow_phi(QUAD_SIGMA, jump_flow_phi(QUAD_SIGMA, x, u), v)
             rhs = jump_flow_phi(QUAD_SIGMA, x, u + v)
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+    def test_sensitivity_branch_leaves_phi_bit_identical(self):
+        for y, u in [(0.2, 0.03), (-0.5, 0.7), (0.4, -1.0)]:
+            for n in (flow_substeps(u), 3 * flow_substeps(u)):
+                phi, _ = _flow_once(QUAD_SIGMA, y, u, n)
+                assert phi == flow_with_sensitivity(QUAD_SIGMA, y, u, n)[0]
 
     def test_sensitivity_matches_central_difference(self):
         rng = np.random.default_rng(9)
