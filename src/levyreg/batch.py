@@ -17,32 +17,11 @@ step. Sub-cell work runs on the active subset only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flow_engine import ScalarField
 from .marcus import FLOW_SUBSTEP_SCALE, DiffusionField
-from .path_sampler import LevyPath
-
-
-@dataclass
-class PackedPaths:
-    """Batch of driver realizations on a shared cell grid."""
-
-    horizon: float
-    drift_rate: float
-    n_cells: int
-    edges: np.ndarray            # (C+1,) cell boundaries
-    flat_times: np.ndarray       # all jump times, path-major, each path sorted
-    flat_sizes: np.ndarray
-    offsets: np.ndarray          # (P+1,) slice bounds into the flat arrays
-    brown_edges: np.ndarray | None   # (P, C+1) Brownian values at cell edges
-    z_terminal: np.ndarray       # (P,) exact Z_horizon per path
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.offsets) - 1
+from .path_sampler import LevyPath, PackedPaths
 
 
 def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
@@ -103,7 +82,8 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
 
     Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
     sigma'(phi) * u over the same stages, read off the stage states as they
-    are evaluated; otherwise it is None and sigma' is never called.
+    are evaluated; otherwise it is None and sigma' is never called. A
+    diverging flow comes out inf/nan without a numpy warning.
     """
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -119,15 +99,16 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
             stages.append(sig_dot(p) * u)
         return sig(p) * u
 
-    for s in range(int(n.max())):
-        active = s < n
-        phi_new = _rk4_step(f, None, phi, ds)
-        if sensitivity:
-            d1, d2, d3, d4 = stages
-            stages.clear()
-            acc = np.where(active, acc + (ds / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4),
-                           acc)
-        phi = np.where(active, phi_new, phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(int(n.max())):
+            active = s < n
+            phi_new = _rk4_step(f, None, phi, ds)
+            if sensitivity:
+                d1, d2, d3, d4 = stages
+                stages.clear()
+                acc = np.where(active,
+                               acc + (ds / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4), acc)
+            phi = np.where(active, phi_new, phi)
     return phi, acc
 
 

@@ -82,8 +82,12 @@ def main(argv: list[str] | None = None) -> int:
         threads = _env_threads()
     if threads is None:
         threads = config.threads
-    config = with_overrides(config, seed=args.seed, replicas=args.replicas,
-                            threads=threads, out_dir=args.out)
+    try:
+        config = with_overrides(config, seed=args.seed, replicas=args.replicas,
+                                threads=threads, out_dir=args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         summary = run_scenario(config)
     except (ValueError, RuntimeError) as exc:

@@ -395,13 +395,13 @@ def serialize_config(config: ScenarioConfig) -> str:
 def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
                    replicas: int | None = None, threads: int | None = None,
                    out_dir: str | None = None) -> ScenarioConfig:
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if replicas is not None:
-        updates["replicas"] = replicas
-    if threads is not None:
-        updates["threads"] = threads
-    if out_dir is not None:
-        updates["out_dir"] = out_dir
+    """config with the given keys replaced; numeric overrides pass the same
+    range checks as the document's keys."""
+    updates = {key: value for key, value in (("seed", seed), ("replicas", replicas),
+                                             ("threads", threads), ("out_dir", out_dir))
+               if value is not None}
+    for key, value in updates.items():
+        check = _SCALARS.get(("", key), (None, None))[1]
+        if check is not None and not check(value):
+            raise ConfigError(f"override out of range for {key!r}: {value}")
     return replace(config, **updates) if updates else config

@@ -19,7 +19,7 @@ import numpy as np
 
 from .levy_spec import DensityForm, LevyTriplet, _spec_atoms, total_rate
 from .quadrature import shell_integral
-from .rng import RngStream
+from .rng import RngStream, StreamGenerator
 
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
 DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
@@ -112,6 +112,25 @@ class LevyPath:
         return rows
 
 
+@dataclass
+class PackedPaths:
+    """Batch of driver realizations on a shared cell grid."""
+
+    horizon: float
+    drift_rate: float
+    n_cells: int
+    edges: np.ndarray            # (C+1,) cell boundaries
+    flat_times: np.ndarray       # all jump times, path-major, each path sorted
+    flat_sizes: np.ndarray
+    offsets: np.ndarray          # (P+1,) slice bounds into the flat arrays
+    brown_edges: np.ndarray | None   # (P, C+1) Brownian values at cell edges
+    z_terminal: np.ndarray       # (P,) exact Z_horizon per path
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.offsets) - 1
+
+
 @dataclass(frozen=True)
 class PathDecomposition:
     """Conditioning data: everything except the first marked jump time."""
@@ -177,21 +196,23 @@ def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
 _SIZE_TABLE_CACHE: dict[tuple[DensityForm, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _sample_sizes(spec, trunc: float, n: int, gen: np.random.Generator) -> np.ndarray:
+def _size_sampler(spec, trunc: float):
+    """u -> jump sizes from spec restricted to |z| >= trunc, one per uniform
+    u in [0, 1): inverse CDF of the atom rates or of the density table."""
     atoms = _spec_atoms(spec)
     if atoms is not None:
         kept = [(s, r) for s, r in atoms if abs(s) >= trunc and r > 0.0]
-        sizes = np.array([s for s, _ in kept])
-        rates = np.array([r for _, r in kept])
-        cum = np.cumsum(rates)
-        u = gen.uniform(0.0, cum[-1], size=n)
-        return sizes[np.searchsorted(cum, u, side="right").clip(0, len(kept) - 1)]
+        cum = np.cumsum([r for _, r in kept])
+        total = float(cum[-1])
+        # a draw that rounds up to the total rate lands one past the end: the last atom
+        table = np.array([s for s, _ in kept] + [kept[-1][0]])
+        return lambda u: table[cum.searchsorted(total * u, side="right")]
     key = (spec, trunc)
     if key not in _SIZE_TABLE_CACHE:
         _SIZE_TABLE_CACHE[key] = _density_size_table(spec, trunc)
     xs, cdf = _SIZE_TABLE_CACHE[key]
-    u = gen.uniform(0.0, cdf[-1], size=n)
-    return np.interp(u, cdf, xs)
+    total = float(cdf[-1])
+    return lambda u: np.interp(total * u, cdf, xs)
 
 
 def _dedupe_times(times: np.ndarray) -> np.ndarray:
@@ -202,6 +223,156 @@ def _dedupe_times(times: np.ndarray) -> np.ndarray:
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], np.inf)
     return times
+
+
+def _dedupe_packed(flat_times: np.ndarray, offsets: np.ndarray,
+                   block: int = 1 << 16) -> None:
+    """_dedupe_times, in place, on every path of a packed range.
+
+    Ties are found block by block, so no temporary is as long as the range:
+    a time that does not exceed its predecessor is a tie unless it starts a
+    path.
+    """
+    for lo in range(1, flat_times.size, block):
+        hi = min(lo + block, flat_times.size)
+        drops = np.flatnonzero(flat_times[lo:hi] <= flat_times[lo - 1:hi - 1]) + lo
+        path = np.searchsorted(offsets, drops, side="right") - 1
+        for p in np.unique(path[offsets[path] != drops]):
+            _dedupe_times(flat_times[offsets[p]:offsets[p + 1]])
+
+
+def _jump_capacity(mean_jumps: float) -> int:
+    """Flat-array length for a range expecting mean_jumps jumps in total:
+    six standard deviations of the Poisson total above the mean."""
+    return int(mean_jumps + 6.0 * math.sqrt(mean_jumps)) + 64
+
+
+def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
+    out = np.empty(max(need, 2 * arr.size))
+    out[:used] = arr[:used]
+    return out
+
+
+def driver_drift(triplet: LevyTriplet, trunc: float, compensate: bool) -> float:
+    """Drift of the sampled driver: with `compensate`, the drift less the
+    integral of z over the jumps with trunc < |z| <= 1."""
+    return triplet.drift - (_compensator(triplet.jumps, trunc) if compensate else 0.0)
+
+
+@dataclass(frozen=True)
+class _PathLaw:
+    """One truncated driver law, with everything that does not depend on
+    the replica (rate, compensated drift, size table, Brownian grid)
+    computed once."""
+
+    horizon: float
+    drift: float
+    mean_jumps: float            # rate above trunc times horizon
+    sizes: object                # uniforms -> sizes; None when the rate is 0
+    brownian_variance: float
+    brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
+    brownian_sd: float
+
+    def draw(self, gen: np.random.Generator):
+        """(times, sizes, Brownian values at the grid knots or None) of one path.
+
+        Draw order is fixed (count, times, sizes, Brownian cells) so a
+        stream identity pins the path exactly. Times come out sorted but not
+        yet nudged apart (see _dedupe_times).
+        """
+        n = int(gen.poisson(self.mean_jumps)) if self.sizes is not None else 0
+        if n > 0:
+            # the times' uniforms, then the sizes'; scale * u is the double
+            # gen.uniform(0.0, scale) would give for the same u, and the
+            # in-place h + (-h) * u below is h - h * u exactly
+            u = gen.random(2 * n)
+            times = u[:n]
+            times *= -self.horizon
+            times += self.horizon
+            times.sort()
+            sizes = self.sizes(u[n:])
+        else:
+            times = np.empty(0)
+            sizes = np.empty(0)
+        brown = None
+        if self.brownian_grid is not None:
+            incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
+            brown = np.concatenate([[0.0], np.cumsum(incr)])
+        return times, sizes, brown
+
+    def path(self, gen: np.random.Generator) -> LevyPath:
+        times, sizes, brown = self.draw(gen)
+        brownian = None
+        if brown is not None:
+            brownian = BrownianSkeleton(times=self.brownian_grid, values=brown,
+                                        variance_rate=self.brownian_variance)
+        return LevyPath(self.horizon, self.drift, _dedupe_times(times), sizes, brownian)
+
+    def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
+        """Replicas stream_offset + [0, n) drawn straight into flat arrays."""
+        if n < 1:
+            raise ValueError("need at least one path")
+        streams = StreamGenerator(seed)
+        edges = np.linspace(0.0, self.horizon, cells + 1)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        jump_sums = np.zeros(n)
+        brown_edges = np.empty((n, cells + 1)) if self.brownian_grid is not None \
+            else None
+        flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
+        flat_sizes = np.empty(flat_times.size)
+        pos = 0
+        draw, at = self.draw, streams.at
+        for i in range(n):
+            times, sizes, brown = draw(at(stream_offset + i))
+            k = times.size
+            if k:
+                if pos + k > flat_times.size:
+                    flat_times = _grown(flat_times, pos, pos + k)
+                    flat_sizes = _grown(flat_sizes, pos, pos + k)
+                flat_times[pos:pos + k] = times
+                flat_sizes[pos:pos + k] = sizes
+                jump_sums[i] = sizes.sum()
+                pos += k
+            offsets[i + 1] = pos
+            if brown is not None:
+                brown_edges[i] = np.interp(edges, self.brownian_grid, brown)
+        flat_times = flat_times[:pos]
+        _dedupe_packed(flat_times, offsets)
+        z_term = self.drift * self.horizon + jump_sums
+        if brown_edges is not None:
+            z_term = z_term + brown_edges[:, -1]
+        return PackedPaths(horizon=self.horizon, drift_rate=self.drift, n_cells=cells,
+                           edges=edges, flat_times=flat_times,
+                           flat_sizes=flat_sizes[:pos], offsets=offsets,
+                           brown_edges=brown_edges, z_terminal=z_term)
+
+
+def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
+              compensate: bool, brownian_cells: int | None) -> _PathLaw:
+    if horizon <= 0.0:
+        raise ValueError("horizon must be > 0")
+    if trunc <= 0.0:
+        raise ValueError("truncation level must be > 0")
+    rate = total_rate(triplet.jumps, trunc)
+    if not math.isfinite(rate):
+        raise ValueError("jump rate above truncation is not finite")
+    grid = None
+    sd = 0.0
+    if triplet.brownian_variance > 0.0:
+        cells = brownian_cells if brownian_cells is not None else \
+            max(1, round(DEFAULT_BROWNIAN_CELLS_PER_UNIT * horizon))
+        grid = np.linspace(0.0, horizon, cells + 1)
+        grid.flags.writeable = False
+        sd = math.sqrt(triplet.brownian_variance * (horizon / cells))
+    return _PathLaw(
+        horizon=horizon,
+        drift=driver_drift(triplet, trunc, compensate),
+        mean_jumps=rate * horizon,
+        sizes=_size_sampler(triplet.jumps, trunc) if rate > 0.0 else None,
+        brownian_variance=triplet.brownian_variance,
+        brownian_grid=grid,
+        brownian_sd=sd,
+    )
 
 
 def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
@@ -216,39 +387,50 @@ def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
     (trunc, 1]. Draw order is fixed (count, times, sizes, Brownian cells) so
     a stream identity pins the path exactly.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
-    if trunc <= 0.0:
-        raise ValueError("truncation level must be > 0")
-    rate = total_rate(triplet.jumps, trunc)
-    if not math.isfinite(rate):
-        raise ValueError("jump rate above truncation is not finite")
+    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
     if gen is None:
         if rng is None:
             raise ValueError("need an RngStream or a Generator")
         gen = rng.generator()
-    n = int(gen.poisson(rate * horizon)) if rate > 0.0 else 0
-    if n > 0:
-        times = np.sort(horizon - gen.uniform(0.0, horizon, size=n))
-        times = _dedupe_times(times)
-        sizes = _sample_sizes(triplet.jumps, trunc, n, gen)
-    else:
-        times = np.empty(0)
-        sizes = np.empty(0)
-    drift = triplet.drift - (_compensator(triplet.jumps, trunc) if compensate else 0.0)
-    brownian = None
-    if triplet.brownian_variance > 0.0:
-        cells = brownian_cells if brownian_cells is not None else \
-            max(1, round(DEFAULT_BROWNIAN_CELLS_PER_UNIT * horizon))
-        dt = horizon / cells
-        incr = gen.normal(0.0, math.sqrt(triplet.brownian_variance * dt), size=cells)
-        values = np.concatenate([[0.0], np.cumsum(incr)])
-        brownian = BrownianSkeleton(
-            times=np.linspace(0.0, horizon, cells + 1),
-            values=values,
-            variance_rate=triplet.brownian_variance,
-        )
-    return LevyPath(horizon, drift, times, sizes, brownian)
+    return law.path(gen)
+
+
+def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
+                seed: int, brownian_cells: int | None = None,
+                accept=None, stream_offset: int = 0,
+                compensate: bool = False) -> list[LevyPath]:
+    """Draw n paths, replica i from RngStream(seed, stream_offset + i).
+
+    `accept` may reject a draw; rejected paths are redrawn from the same
+    stream, so the result is a deterministic function of the stream identity.
+    """
+    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
+    streams = StreamGenerator(seed)
+    paths: list[LevyPath] = []
+    for i in range(n):
+        gen = streams.at(stream_offset + i)
+        for _ in range(1000):
+            p = law.path(gen)
+            if accept is None or accept(p):
+                paths.append(p)
+                break
+        else:
+            raise RuntimeError(
+                f"replica {stream_offset + i}: no acceptable path in 1000 draws")
+    return paths
+
+
+def sample_packed(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
+                  seed: int, cells: int, stream_offset: int = 0,
+                  compensate: bool = False,
+                  brownian_cells: int | None = None) -> PackedPaths:
+    """Replicas stream_offset + [0, n) sampled straight into PackedPaths.
+
+    Equal, field by field, to pack_paths(sample_many(...), cells) on the
+    same arguments, without building a LevyPath per replica.
+    """
+    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
+    return law.packed(seed, stream_offset, n, cells)
 
 
 def marked_jump_indices(path: LevyPath, eta: float, upper: float) -> np.ndarray:

@@ -52,13 +52,16 @@ from .marcus import DiffusionField, marcus_solve
 from .path_sampler import (
     LevyPath,
     decompose_first_jump,
+    driver_drift,
     marked_jump_indices,
     reinsert_marked_jump,
     resample_first_jump_time,
+    sample_many,
+    sample_packed,
     sample_path,
     shift_jump_time,
 )
-from .rng import RngStream
+from .rng import RngStream, StreamGenerator
 from .transforms import proportional_solution, reduced_drift, unit_diffusion_transform
 
 #: Replica chunks are sized so a chunk's flat jump arrays stay modest.
@@ -131,54 +134,25 @@ def _json_safe(value):
     return value
 
 
-def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
-                seed: int, brownian_cells: int | None = None,
-                accept=None, stream_offset: int = 0,
-                compensate: bool = False) -> list[LevyPath]:
-    """Draw n paths, replica i from RngStream(seed, stream_offset + i).
-
-    `accept` may reject a draw; rejected paths are redrawn from the same
-    stream, so the result is a deterministic function of the stream identity.
-    """
-    paths: list[LevyPath] = []
-    for i in range(n):
-        gen = RngStream(seed, stream_offset + i).generator()
-        for _ in range(1000):
-            p = sample_path(triplet, horizon, trunc, compensate=compensate,
-                            gen=gen, brownian_cells=brownian_cells)
-            if accept is None or accept(p):
-                paths.append(p)
-                break
-        else:
-            raise RuntimeError(
-                f"replica {stream_offset + i}: no acceptable path in 1000 draws")
-    return paths
+def _sample_and_solve(config: ScenarioConfig, triplet: LevyTriplet, trunc: float,
+                      n: int, cells: int, solve, stream_offset: int = 0,
+                      brownian_cells: int | None = None) -> list[np.ndarray]:
+    """Replicas stream_offset + [0, n) sampled straight into PackedPaths in
+    chunks of about MAX_JUMPS_PER_CHUNK expected jumps; the arrays that
+    solve(packed) returns, each concatenated over the chunks."""
+    mean_jumps = total_rate(triplet.jumps, trunc) * config.horizon
+    per_chunk = max(1, int(MAX_JUMPS_PER_CHUNK // max(1.0, mean_jumps)))
+    parts = [solve(sample_packed(triplet, config.horizon, trunc, min(per_chunk, n - lo),
+                                 config.seed, cells, stream_offset=stream_offset + lo,
+                                 compensate=config.compensate,
+                                 brownian_cells=brownian_cells))
+             for lo in range(0, n, per_chunk)]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _chunks_by_jumps(paths: list[LevyPath], max_jumps: int):
-    start = 0
-    while start < len(paths):
-        stop = start
-        total = 0
-        while stop < len(paths):
-            total += paths[stop].n_jumps
-            stop += 1
-            if total >= max_jumps:
-                break
-        yield start, stop
-        start = stop
-
-
-def ode_terminals_chunked(a: ScalarField, paths: list[LevyPath], cells: int,
-                          x0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(X_horizon, Z_horizon) arrays over many paths, chunked by jump budget."""
-    xs, zs = [], []
-    for lo, hi in _chunks_by_jumps(paths, MAX_JUMPS_PER_CHUNK):
-        packed = pack_paths(paths[lo:hi], cells)
-        x, _ = ode_terminals(a, packed, x0)
-        xs.append(x)
-        zs.append(packed.z_terminal)
-    return np.concatenate(xs), np.concatenate(zs)
+def _ode_solver(a: ScalarField, x0: float):
+    """solve for _sample_and_solve: (X_horizon, Z_horizon) of Y' = a(Y + Z_t)."""
+    return lambda packed: (ode_terminals(a, packed, x0)[0], packed.z_terminal)
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +194,7 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
         config, MeasureChoice(kind="atoms", atoms=((1.0, 2.0),)), default_drift=0.3)
     a = _scalar_from(config.drift_field, FieldChoice(
         "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed)
-    x, z = ode_terminals_chunked(a, paths, cells, x0)
+    x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
     failed = _failure_indices(x)
     ok = ~failed
     batch = SampleBatch(x[ok], label="S1", seed=config.seed)
@@ -229,7 +202,8 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
     threshold = config.threshold if config.threshold is not None \
         else default_threshold(batch.count)
     report = detect_atoms(batch, window, threshold)
-    skeleton = deterministic_skeleton(a, triplet.drift, x0, config.horizon)
+    skeleton = deterministic_skeleton(
+        a, driver_drift(triplet, trunc, config.compensate), x0, config.horizon)
     rate = total_rate(triplet.jumps, trunc)
     p_atom = math.exp(-rate * config.horizon)
     se = math.sqrt(p_atom * (1.0 - p_atom) / batch.count)
@@ -361,22 +335,8 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     a = _scalar_from(config.drift_field, FieldChoice(
         "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 12.0}))
 
-    def pipeline(trip: LevyTriplet, cut: float, offset: int):
-        xs, zs = [], []
-        chunk = max(1, int(MAX_JUMPS_PER_CHUNK
-                           // max(1.0, total_rate(trip.jumps, cut) * config.horizon)))
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            paths = sample_many(trip, config.horizon, cut, m, config.seed,
-                                stream_offset=offset + done)
-            x, z = ode_terminals_chunked(a, paths, cells, x0)
-            xs.append(x)
-            zs.append(z)
-            done += m
-        return np.concatenate(xs), np.concatenate(zs)
-
-    x, z = pipeline(triplet, trunc, 0)
+    solve = _ode_solver(a, x0)
+    x, z = _sample_and_solve(config, triplet, trunc, n, cells, solve)
     failed = _failure_indices(x)
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
@@ -405,7 +365,8 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
                                jumps=MeasureChoice(kind="family", family="dyadic",
                                                    levels=lv).build())
             cut = 2.0 ** (-lv)
-            xs_lv, _ = pipeline(trip, cut, 10_000_000 * lv)
+            xs_lv, _ = _sample_and_solve(config, trip, cut, n, cells, solve,
+                                         stream_offset=10_000_000 * lv)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
                 SampleBatch(xs_lv[ok_lv]), spacing, halfwidth)
@@ -428,8 +389,7 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
                               sign=-1.0, rate_scale=1.0),
         default_drift=0.0)
     a = _scalar_from(config.drift_field, FieldChoice("constant", {"level": 0.1}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed)
-    x, z = ode_terminals_chunked(a, paths, cells, x0)
+    x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
     failed = _failure_indices(x)
     ok = ~failed
     shift = x0 + a.value(x0) * config.horizon
@@ -465,19 +425,21 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
     def has_two_marked(p: LevyPath) -> bool:
         return marked_jump_indices(p, mark_lo, mark_hi).size >= 2
 
+    streams = StreamGenerator(config.seed)
     ks_passes = 0
     all_x, all_z, all_ids = [], [], []
     first_rep_paths: list[LevyPath] = []
     for r in range(reps):
         offset = r * n
         paths = sample_many(triplet, config.horizon, trunc, n, config.seed,
-                            accept=has_two_marked, stream_offset=offset)
+                            accept=has_two_marked, stream_offset=offset,
+                            compensate=config.compensate)
         if r == 0:
             first_rep_paths = paths
         decomps = [decompose_first_jump(p, mark_lo, mark_hi) for p in paths]
         resampled = [
             resample_first_jump_time(
-                d, gen=RngStream(config.seed, offset + i).child(1).generator())
+                d, gen=streams.at(RngStream(config.seed, offset + i).child(1).stream_id))
             for i, d in enumerate(decomps)]
         packed_o = pack_paths(paths, cells)
         packed_r = pack_paths(resampled, cells)
@@ -666,11 +628,11 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         "logistic-slope", {"low": 0.0, "high": 0.5, "rate": 1.0, "center": 0.0}))
     sigma = _diffusion_from(config.diffusion_field, FieldChoice(
         "logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}))
-    paths = sample_many(triplet, config.horizon, trunc, n, config.seed,
-                        brownian_cells=cells)
-    packed = pack_paths(paths, cells)
-    x_doss = doss_terminals(a, sigma, packed, x0)
-    x_marc = marcus_terminals(a, sigma, packed, x0)
+    x_doss, x_marc, z = _sample_and_solve(
+        config, triplet, trunc, n, cells,
+        lambda packed: (doss_terminals(a, sigma, packed, x0),
+                        marcus_terminals(a, sigma, packed, x0), packed.z_terminal),
+        brownian_cells=cells)
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
     stat, crit = two_sample_ks(SampleBatch(x_doss[ok]), SampleBatch(x_marc[ok]))
     failed = (~ok)
@@ -684,7 +646,7 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
     }
     return ScenarioResult(diagnostics=diagnostics,
                           replica_ids=np.arange(n), terminal_x=x_marc,
-                          terminal_z=packed.z_terminal,
+                          terminal_z=z,
                           failed=failed.astype(int))
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,18 @@ class TestMarcusTerminals:
         marc = marcus_terminals(A_FIELD, ones, packed, 0.2)
         ode, _ = ode_terminals(A_FIELD, packed, 0.2)
         assert np.max(np.abs(marc - ode)) < 1e-4
+
+
+def test_diverging_flow_raises_no_numpy_warning():
+    sigma = make_diffusion_field("arctan-diffusion",
+                                 {"amplitude": 1.0, "curvature": 1.0, "center": 0.0})
+    ys = np.linspace(-1.0, 1.0, 9)
+    us = np.full(9, 5.0) * np.where(ys < 0.0, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = flow_map_array(sigma, ys, us)
+        flow_sensitivity_array(sigma, ys, us)
+    assert not np.all(np.isfinite(phi))
 
 
 class TestDossTerminals:

@@ -104,6 +104,13 @@ class TestParseConfig:
         assert (updated.seed, updated.replicas, updated.threads, updated.out_dir) \
             == (5, 20, 4, "/tmp/x")
 
+    @pytest.mark.parametrize("key,value", [("threads", -3), ("threads", 0),
+                                           ("replicas", 0), ("seed", -1)])
+    def test_override_range_error_names_key(self, key, value):
+        config = parse_config("scenario = S2\n")
+        with pytest.raises(ConfigError, match=repr(key)):
+            with_overrides(config, **{key: value})
+
 
 class TestRunSummary:
     def test_json_round_trip(self):
@@ -161,6 +168,21 @@ class TestRunScenarioOutputs:
             s1.pop(key), s8.pop(key)
         assert s1 == s8
 
+    def test_compensate_shifts_no_jump_terminals(self):
+        # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
+        text = "scenario = S1\nreplicas = 2000\nseed = 8\nhorizon = 1.5\n"
+        plain = scenarios_mod.run_s1(parse_config(text))
+        comp = scenarios_mod.run_s1(parse_config(text + "compensate = true\n"))
+        no_jump = plain.terminal_z == 0.3 * 1.5
+        assert no_jump.sum() > 50
+        assert np.allclose(comp.terminal_z[no_jump] - plain.terminal_z[no_jump],
+                           -2.0 * 1.5, rtol=0.0, atol=1e-12)
+        assert np.allclose(comp.terminal_z - plain.terminal_z, -2.0 * 1.5,
+                           rtol=0.0, atol=1e-12)
+        # the no-jump skeleton follows the compensated drift
+        skeleton = comp.diagnostics["skeleton_location"]
+        assert np.allclose(comp.terminal_x[no_jump], skeleton, rtol=0.0, atol=1e-9)
+
     def test_failed_replicas_isolated(self, tmp_path, monkeypatch):
         real = scenarios_mod.ode_terminals
 
@@ -214,3 +236,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["replicas"] == 1000
         assert payload["threads"] == 2
+
+    @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--replicas", "0"),
+                                            ("--seed", "-1")])
+    def test_out_of_range_override_exit_code(self, tmp_path, capsys, flag, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S2\n")
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", str(cfg), "--out", str(out), flag, value])
+        assert code == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (out / "summary.json").exists()

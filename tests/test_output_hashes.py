@@ -1,0 +1,36 @@
+"""Pinned samples.csv bytes for fixed (scenario, seed) pairs.
+
+A change that is meant to leave the outputs alone (a refactor, a faster
+sampler or engine) must keep these sha256 hashes. A change that moves the
+bytes on purpose updates the hash here and says why in CHANGES.md. The hashes
+were recorded with numpy 2.x on x86-64; another numpy build or CPU may round
+the last bit of a field evaluation differently.
+"""
+
+import hashlib
+
+import pytest
+
+from levyreg.config import parse_config
+from levyreg.scenarios import run_scenario
+
+PINNED = {
+    "S1": ("scenario = S1\nseed = 303\nreplicas = 5000\n",
+           "470a44d3fa616ad6544556c505d1208d6e79ceae2fba1f56739fb2d1e6fe87be"),
+    "S3": ("scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n",
+           "66a1e15a48cfef5d53b2a5a5eddfa329950c6616d8bf73f5bb70168ae07ec6ba"),
+    "S4": ("scenario = S4\nseed = 44\nreplicas = 1000\n",
+           "d3fb7deffdde1b9d253bc4964f1f7fa414b9abe6e701f852225be3909dd809f7"),
+    "S5": ("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n",
+           "0785e092ce93e6eceb49fff1b92bc9c26cab2e8c081b360636b6ffa3de8056e3"),
+    "S7": ("scenario = S7\nseed = 808\nreplicas = 1000\ncells = 32\n",
+           "04553c4783256cfcce66266ff9a471953f05758e308fab5d5a6489f1e56fb086"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED))
+def test_samples_csv_hash(scenario, tmp_path):
+    text, expected = PINNED[scenario]
+    run_scenario(parse_config(text), out_dir=tmp_path)
+    got = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
+    assert got == expected

@@ -4,16 +4,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from levyreg import path_sampler
+from levyreg.batch import pack_paths
 from levyreg.levy_spec import DensityForm, FiniteAtomic, LevyTriplet, dyadic_family
 from levyreg.path_sampler import (
     LevyPath,
     NotEnoughMarkedJumps,
+    _dedupe_packed,
+    _dedupe_times,
     decompose_first_jump,
     resample_first_jump_time,
+    sample_many,
+    sample_packed,
     sample_path,
     shift_jump_time,
 )
-from levyreg.rng import RngStream
+from levyreg.rng import RngStream, StreamGenerator
 
 # chi-square 0.999 quantile, 9 degrees of freedom
 CHI2_CRIT_999_DF9 = 27.877
@@ -248,3 +254,159 @@ class TestShiftJumpTime:
             shift_jump_time(path, 0, -0.2)
         with pytest.raises(ValueError):
             shift_jump_time(path, 1, 0.5)
+
+
+PACKED_FIELDS = ("horizon", "drift_rate", "n_cells", "edges", "flat_times", "flat_sizes",
+                 "offsets", "brown_edges", "z_terminal")
+
+
+def assert_packed_equal(got, want):
+    for name in PACKED_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a is not None and np.array_equal(a, b), name
+            assert a.dtype == b.dtype, name
+        else:
+            assert a == b, name
+
+
+class TestStreamGenerator:
+    IDS = list(range(1000)) + [(1 << 48) + i for i in range(500)] + \
+        [(1 << 64) - 1 - i for i in range(500)]
+
+    @staticmethod
+    def draws(gen):
+        # odd int32 counts leave a cached 32-bit half behind in the bit generator
+        return [gen.integers(0, 1000, size=3, dtype=np.int32), gen.poisson(2.0),
+                gen.poisson(8190.0), gen.random(3), gen.uniform(-1.0, 2.5, size=4),
+                gen.normal(0.3, 1.7, size=5), gen.integers(0, 1 << 40, size=3),
+                gen.integers(-5, 5, dtype=np.int32)]
+
+    def test_rekeyed_draws_match_fresh_generators(self):
+        streams = StreamGenerator(303)
+        for sid in self.IDS:
+            got = self.draws(streams.at(sid))
+            want = self.draws(RngStream(303, sid).generator())
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), sid
+
+    def test_same_generator_object(self):
+        streams = StreamGenerator(1)
+        assert streams.at(0) is streams.at(5)
+
+    def test_scaled_random_is_the_uniform_draw(self):
+        # the path draw uses scale * random(), the same double as uniform(0, scale)
+        for sid, scale in enumerate((1.0, 0.37, 2.0, 8190.0, 1e-9, 3e5)):
+            a = RngStream(9, sid).generator().uniform(0.0, scale, size=257)
+            b = scale * RngStream(9, sid).generator().random(257)
+            assert np.array_equal(a, b)
+
+
+class _CoarseUniforms:
+    """Generator stand-in whose uniforms take only 16 values, so jump times tie."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def poisson(self, lam):
+        return self.gen.poisson(lam)
+
+    def random(self, size):
+        return (np.floor(self.gen.random(size) * 16.0) + 0.5) / 16.0
+
+
+class _CoarseStreams(StreamGenerator):
+    def at(self, stream_id):
+        return _CoarseUniforms(super().at(stream_id))
+
+
+class TestSamplePacked:
+    CASES = {
+        "atoms": (LevyTriplet(0.3, FiniteAtomic(((1.0, 2.0), (-0.4, 1.0)))), 1.0, 0.3, 40),
+        "sparse": (LevyTriplet(0.1, FiniteAtomic(((0.5, 0.4),))), 1.0, 0.3, 30),
+        "dyadic": (LevyTriplet(0.0, dyadic_family(12)), 1.0, 2.0 ** -12, 5),
+        "density": (LevyTriplet(0.2, DensityForm(intensity=lambda z: abs(z) ** -1.5)),
+                    1.0, 0.05, 20),
+        "horizon": (LevyTriplet(-0.2, FiniteAtomic(((0.25, 3.0),))), 2.5, 0.1, 20),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("offset", [0, 977])
+    def test_equals_packed_sample_many(self, case, offset):
+        triplet, horizon, trunc, n = self.CASES[case]
+        got = sample_packed(triplet, horizon, trunc, n, 17, 64, stream_offset=offset)
+        want = pack_paths(sample_many(triplet, horizon, trunc, n, 17,
+                                      stream_offset=offset), 64)
+        assert_packed_equal(got, want)
+
+    def test_dyadic_mean_jumps(self):
+        triplet, horizon, trunc, n = self.CASES["dyadic"]
+        got = sample_packed(triplet, horizon, trunc, n, 17, 8)
+        assert got.offsets[-1] == pytest.approx(8190 * n, rel=0.05)
+
+    def test_zero_jump_replicas(self):
+        triplet, horizon, trunc, n = self.CASES["sparse"]
+        got = sample_packed(triplet, horizon, trunc, n, 17, 16)
+        counts = np.diff(got.offsets)
+        assert (counts == 0).sum() >= 5 and counts.sum() > 0
+        assert np.all(got.z_terminal[counts == 0] == 0.1 * horizon)
+
+    def test_no_rate_packs_empty(self):
+        triplet = LevyTriplet(0.4, FiniteAtomic(((1.0, 0.0),)))
+        got = sample_packed(triplet, 1.0, 0.5, 3, 2, 8)
+        want = pack_paths(sample_many(triplet, 1.0, 0.5, 3, 2), 8)
+        assert_packed_equal(got, want)
+        assert got.flat_times.size == 0
+
+    @pytest.mark.parametrize("bcells", [32, 100])
+    def test_brownian(self, bcells):
+        triplet = LevyTriplet(0.1, FiniteAtomic(((0.35, 2.0),)), brownian_variance=0.3)
+        got = sample_packed(triplet, 1.0, 0.1, 12, 5, 32, stream_offset=3,
+                            brownian_cells=bcells)
+        want = pack_paths(sample_many(triplet, 1.0, 0.1, 12, 5, stream_offset=3,
+                                      brownian_cells=bcells), 32)
+        assert_packed_equal(got, want)
+
+    def test_compensated_drift(self):
+        triplet, horizon, trunc, n = self.CASES["atoms"]
+        got = sample_packed(triplet, horizon, trunc, n, 4, 16, compensate=True)
+        want = pack_paths(sample_many(triplet, horizon, trunc, n, 4, compensate=True),
+                          16)
+        assert_packed_equal(got, want)
+        assert got.drift_rate == pytest.approx(0.3 - 2.0 + 0.4)
+
+    def test_tied_jump_times(self, monkeypatch):
+        monkeypatch.setattr(path_sampler, "StreamGenerator", _CoarseStreams)
+        triplet = LevyTriplet(0.0, FiniteAtomic(((0.5, 30.0),)))
+        got = sample_packed(triplet, 1.0, 0.1, 10, 8, 16)
+        want = pack_paths(sample_many(triplet, 1.0, 0.1, 10, 8), 16)
+        assert_packed_equal(got, want)
+        # the coarse uniforms gave ties, and they were nudged apart
+        assert np.unique(got.flat_times).size > np.unique(
+            np.round(got.flat_times, 12)).size
+        for lo, hi in zip(got.offsets[:-1], got.offsets[1:]):
+            assert np.all(np.diff(got.flat_times[lo:hi]) > 0.0)
+
+    def test_flat_arrays_grow_past_capacity(self, monkeypatch):
+        monkeypatch.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
+        triplet, horizon, trunc, n = self.CASES["atoms"]
+        got = sample_packed(triplet, horizon, trunc, n, 6, 16)
+        monkeypatch.undo()
+        assert_packed_equal(got, sample_packed(triplet, horizon, trunc, n, 6, 16))
+
+    def test_rejects_empty_range(self):
+        triplet, horizon, trunc, _ = self.CASES["atoms"]
+        with pytest.raises(ValueError):
+            sample_packed(triplet, horizon, trunc, 0, 1, 16)
+
+
+def test_dedupe_packed_matches_per_path_across_blocks():
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 7, size=60)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    paths = [np.sort(np.round(rng.uniform(0.0, 1.0, k), 1)) + 0.05 for k in counts]
+    flat = np.concatenate(paths)
+    assert any(np.any(np.diff(p) == 0.0) for p in paths)
+    want = np.concatenate([_dedupe_times(p.copy()) for p in paths])
+    _dedupe_packed(flat, offsets, block=5)
+    assert np.array_equal(flat, want)
