@@ -32,7 +32,6 @@ from .flow_engine import (  # noqa: F401
     NonDifferentiablePoint,
     ScalarField,
     flow_derivative_exponential,
-    hitting_time_of_slope,
     jump_time_derivative,
     solve_random_ode,
 )
@@ -49,7 +48,6 @@ from .transforms import (  # noqa: F401
     AssumptionHViolation,
     Diffeomorphism,
     doss_sussman_solve,
-    phi_inverse_psi,
     proportional_solution,
     reduced_drift,
     unit_diffusion_transform,
@@ -59,8 +57,6 @@ from .diagnostics import (  # noqa: F401
     SampleBatch,
     detect_atoms,
     deterministic_skeleton,
-    drift_jump_events,
-    kde,
     lattice_concentration,
     two_sample_ks,
 )

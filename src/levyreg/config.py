@@ -109,7 +109,6 @@ class ScenarioConfig:
     threshold: float | None = None
     spacing: float | None = None
     halfwidth: float | None = None
-    eta: float | None = None
     mark_low: float | None = None
     mark_high: float | None = None
     out_dir: str | None = None
@@ -144,7 +143,6 @@ _SCALARS = {
     ("diagnostics", "threshold"): ("float", lambda v: 0.0 < v < 1.0),
     ("diagnostics", "spacing"): ("float", lambda v: v > 0.0),
     ("diagnostics", "halfwidth"): ("float", lambda v: v > 0.0),
-    ("diagnostics", "eta"): ("float", lambda v: v > 0.0),
     ("diagnostics", "mark_low"): ("float", lambda v: v > 0.0),
     ("diagnostics", "mark_high"): ("float", lambda v: v > 0.0),
     ("output", "dir"): ("str", None),
@@ -255,10 +253,7 @@ def parse_config(text: str) -> ScenarioConfig:
             (atom_rows[i]["size"], atom_rows[i]["rate"]) for i in sorted(atom_rows)))
     fam_keys = {k for (s, k) in values if s == "measure.family"}
     den_keys = {k for (s, k) in values if s == "measure.density"}
-    if fam_keys and measure is not None or (fam_keys and den_keys):
-        raise ConfigError("give at most one of [measure.atom.*], [measure.family], "
-                          "[measure.density]")
-    if den_keys and measure is not None:
+    if sum(map(bool, (atom_rows, fam_keys, den_keys))) > 1:
         raise ConfigError("give at most one of [measure.atom.*], [measure.family], "
                           "[measure.density]")
     if fam_keys:
@@ -314,7 +309,6 @@ def parse_config(text: str) -> ScenarioConfig:
         threshold=values.get(("diagnostics", "threshold")),
         spacing=values.get(("diagnostics", "spacing")),
         halfwidth=values.get(("diagnostics", "halfwidth")),
-        eta=values.get(("diagnostics", "eta")),
         mark_low=values.get(("diagnostics", "mark_low")),
         mark_high=values.get(("diagnostics", "mark_high")),
         out_dir=values.get(("output", "dir")),
@@ -378,8 +372,7 @@ def serialize_config(config: ScenarioConfig) -> str:
                 emit(k, choice.params[k])
     diag = [("window", config.window), ("threshold", config.threshold),
             ("spacing", config.spacing), ("halfwidth", config.halfwidth),
-            ("eta", config.eta), ("mark_low", config.mark_low),
-            ("mark_high", config.mark_high)]
+            ("mark_low", config.mark_low), ("mark_high", config.mark_high)]
     if any(v is not None for _, v in diag):
         lines.append("")
         lines.append("[diagnostics]")

@@ -4,8 +4,8 @@ The point of the toolkit is distributional: does the terminal law carry
 atoms, does it concentrate on a lattice, does a drift smear it out. The
 tools here are deliberately elementary — sliding-window mass on the sorted
 sample for atoms (no binning artifacts), offset-optimized lattice tube
-counts, the asymptotic two-sample Kolmogorov-Smirnov test, and a Gaussian
-kernel density estimate for the visual surface.
+counts, the asymptotic two-sample Kolmogorov-Smirnov test, and the RK4
+no-jump skeleton that locates the atom S1 looks for.
 """
 
 from __future__ import annotations
@@ -152,48 +152,6 @@ def two_sample_ks(batch1: SampleBatch, batch2: SampleBatch
     return stat, crit
 
 
-@dataclass(frozen=True)
-class KdeCurve:
-    """Gaussian-kernel density estimate on a uniform grid."""
-
-    x: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-    degenerate: bool = False
-
-
-_DEGENERATE = KdeCurve(x=np.empty(0), density=np.empty(0),
-                       bandwidth=0.0, degenerate=True)
-
-
-def kde(batch: SampleBatch, bandwidth: float | None = None,
-        grid_points: int = 512) -> KdeCurve:
-    """Gaussian KDE; Silverman bandwidth 0.9 min(sd, IQR/1.34) n^-1/5."""
-    if batch.count < 1000:
-        raise ValueError("density estimation needs at least 1e3 samples")
-    v = batch.values
-    sd = float(v.std())
-    if sd == 0.0:
-        return _DEGENERATE
-    if bandwidth is None:
-        q75, q25 = np.quantile(v, [0.75, 0.25])
-        iqr = float(q75 - q25)
-        scale = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-        bandwidth = 0.9 * scale * batch.count ** (-0.2)
-    if bandwidth <= 0.0:
-        return _DEGENERATE
-    grid = np.linspace(v[0] - 3.0 * bandwidth, v[-1] + 3.0 * bandwidth,
-                       grid_points)
-    density = np.empty(grid_points)
-    norm = 1.0 / (batch.count * bandwidth * math.sqrt(2.0 * math.pi))
-    chunk = max(1, 2 ** 22 // batch.count)
-    for start in range(0, grid_points, chunk):
-        g = grid[start:start + chunk, None]
-        density[start:start + chunk] = norm * np.exp(
-            -0.5 * ((g - v[None, :]) / bandwidth) ** 2).sum(axis=1)
-    return KdeCurve(x=grid, density=density, bandwidth=float(bandwidth))
-
-
 def deterministic_skeleton(a: ScalarField, d: float, x0: float, t: float,
                            n_steps: int = 4096) -> float:
     """RK4 solution of the no-jump dynamics x' = a(x) + d at time t."""
@@ -209,14 +167,3 @@ def deterministic_skeleton(a: ScalarField, d: float, x0: float, t: float,
     for _ in range(n_steps):
         x = rk4_step(f, None, x, h)
     return x
-
-
-def drift_jump_events(a: ScalarField, traj, eta: float) -> list[float]:
-    """Jump times where the drift coefficient itself jumps by at least eta.
-
-    Works on anything exposing `jump_records` rows (time, x_left, x_right, size).
-    """
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
-    return [float(t) for t, x_left, x_right, _ in traj.jump_records
-            if abs(a.value(x_right) - a.value(x_left)) >= eta]

@@ -108,13 +108,8 @@ def resolve_field(name: str, params: dict[str, float] | None = None):
 
 
 def make_scalar_field(name: str, params: dict[str, float] | None = None) -> ScalarField:
-    value, derivative, canonical = resolve_field(name, params)
-    sup = None
-    if name == "constant":
-        sup = abs(canonical["level"])
-    elif name == "logistic-slope":
-        sup = max(abs(canonical["low"]), abs(canonical["high"]))
-    return ScalarField(value=value, derivative=derivative, sup_bound=sup)
+    value, derivative, _ = resolve_field(name, params)
+    return ScalarField(value=value, derivative=derivative)
 
 
 def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> DiffusionField:

@@ -40,12 +40,10 @@ class SolverBlowUp(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """C^1 coefficient: value and derivative, with optional bounds."""
+    """C^1 coefficient: value and derivative."""
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
-    sup_bound: float | None = None
-    lipschitz_bound: float | None = None
 
     def validate(self, lo: float, hi: float, n: int = 101) -> None:
         """Probe-grid check that `derivative` really differentiates `value`."""
@@ -151,7 +149,6 @@ class FlowSolution:
     jump_records: tuple[tuple[float, float, float, float], ...]  # (t, x_left, x_right, size)
     terminal_y: float
     terminal_x: float
-    flow_derivative: float
     horizon: float
     x0: float
     step: float
@@ -159,21 +156,6 @@ class FlowSolution:
     @property
     def terminal(self) -> float:
         return self.terminal_x
-
-    def to_csv_rows(self):
-        """(time, y, x, x_left) rows, jump-time pairs collapsed into one row."""
-        rows = []
-        i = 0
-        t, y, x = self.times, self.y_values, self.x_values
-        while i < len(t):
-            if i + 1 < len(t) and t[i + 1] == t[i]:
-                rows.append((float(t[i]), float(y[i + 1]), float(x[i + 1]),
-                             float(x[i])))
-                i += 2
-            else:
-                rows.append((float(t[i]), float(y[i]), float(x[i]), float(x[i])))
-                i += 1
-        return rows
 
 
 def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
@@ -214,13 +196,11 @@ def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
     times_arr = np.asarray(times)
     ys_arr = np.asarray(ys)
     xs_arr = np.asarray(xs)
-    fderiv = float(np.exp(np.trapezoid(
-        np.asarray([a.derivative(x) for x in xs]), times_arr)))
     return FlowSolution(
         times=times_arr, y_values=ys_arr, x_values=xs_arr,
         jump_records=tuple(records),
         terminal_y=float(ys_arr[-1]), terminal_x=float(xs_arr[-1]),
-        flow_derivative=fderiv, horizon=path.horizon, x0=float(x0), step=step)
+        horizon=path.horizon, x0=float(x0), step=step)
 
 
 def flow_derivative_exponential(a: ScalarField, solution: FlowSolution) -> float:
@@ -278,34 +258,3 @@ def jump_time_derivative(a: ScalarField, solution: FlowSolution,
     vals = np.asarray([a.derivative(x) for x in solution.x_values[i0:]])
     quad = float(np.trapezoid(vals, times))
     return (a.value(x_left) - a.value(x_right)) * math.exp(quad)
-
-
-def hitting_time_of_slope(a: ScalarField, solution: FlowSolution,
-                          c: float) -> float | None:
-    """First time |a'(X_t)| >= c, refined by bisection inside the grid cell."""
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
-    vals = np.abs(np.asarray([a.derivative(x) for x in solution.x_values]))
-    hits = np.flatnonzero(vals >= c)
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    if i == 0:
-        return float(solution.times[0])
-    t_lo, t_hi = float(solution.times[i - 1]), float(solution.times[i])
-    if t_hi == t_lo:
-        return t_hi
-    x_lo, x_hi = float(solution.x_values[i - 1]), float(solution.x_values[i])
-
-    def g(t: float) -> float:
-        x = x_lo + (x_hi - x_lo) * (t - t_lo) / (t_hi - t_lo)
-        return abs(a.derivative(x)) - c
-
-    lo, hi = t_lo, t_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi

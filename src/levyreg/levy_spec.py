@@ -150,8 +150,8 @@ def _first_shell_exponent(hi: float) -> int:
     return k
 
 
-def _density_mass_near_zero(spec: DensityForm, weight, hi: float,
-                            cap: float = _MASS_CAP) -> tuple[float, bool]:
+def _density_mass_near_zero(spec: DensityForm, weight,
+                            hi: float) -> tuple[float, bool]:
     """Shell-walk integral of weight(z)*intensity over {abs_min <= |z| <= hi}.
 
     Walks dyadic shells toward 0 and returns (mass, converged). The walk
@@ -173,10 +173,10 @@ def _density_mass_near_zero(spec: DensityForm, weight, hi: float,
         lower = 2.0 ** k
         if lower <= lo:
             total += shell_integral(f, lo, upper) if lo < upper else 0.0
-            return total, total <= cap
+            return total, total <= _MASS_CAP
         mass = shell_integral(f, lower, upper)
         total += mass
-        if total > cap:
+        if total > _MASS_CAP:
             return total, False
         if mass < _SHELL_FLOOR * max(1.0, total):
             return total, True
@@ -228,19 +228,6 @@ def mu_measure(spec: JumpMeasureSpec, epsilon: float) -> float:
     if not converged:
         raise ValueError("mu integral did not converge; spec is not a Levy measure")
     return mass
-
-
-def check_levy_integrability(spec: JumpMeasureSpec, cap: float = _MASS_CAP) -> bool:
-    """Numerical check that integral of min(1, z^2) d(spec) is finite.
-
-    Atomic specs are trivially integrable. For densities, the z^2-weighted
-    shell masses toward 0 must form a convergent sum.
-    """
-    if _spec_atoms(spec) is not None:
-        return True
-    _, converged = _density_mass_near_zero(
-        spec, lambda z: min(1.0, z * z), spec.abs_max, cap=cap)
-    return converged
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ from .rng import RngStream, StreamGenerator
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
 DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
 
+#: Expected jumps per chunk of packed replicas; a law expecting more jumps
+#: per path than this cannot fit one path in a chunk and is rejected.
+MAX_JUMPS_PER_CHUNK = 4_000_000
+
 
 class NotEnoughMarkedJumps(ValueError):
     """Raised when a path has fewer than two jumps in the marked window."""
@@ -35,14 +39,9 @@ class BrownianSkeleton:
 
     times: np.ndarray
     values: np.ndarray
-    variance_rate: float
 
     def value(self, t) -> np.ndarray | float:
         return np.interp(t, self.times, self.values)
-
-    @property
-    def cells(self) -> int:
-        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,6 @@ class LevyPath:
 
     def with_jumps(self, times: np.ndarray, sizes: np.ndarray) -> "LevyPath":
         return LevyPath(self.horizon, self.drift_rate, times, sizes, self.brownian)
-
-    def to_csv_rows(self):
-        """Debug serialization: kind, time, value rows."""
-        rows = [("drift", 0.0, self.drift_rate)]
-        rows += [("jump", float(t), float(s))
-                 for t, s in zip(self.jump_times, self.jump_sizes)]
-        if self.brownian is not None:
-            rows += [("brown", float(t), float(v))
-                     for t, v in zip(self.brownian.times, self.brownian.values)]
-        return rows
 
 
 @dataclass
@@ -269,7 +258,6 @@ class _PathLaw:
     drift: float
     mean_jumps: float            # rate above trunc times horizon
     sizes: object                # uniforms -> sizes; None when the rate is 0
-    brownian_variance: float
     brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
     brownian_sd: float
 
@@ -304,8 +292,7 @@ class _PathLaw:
         times, sizes, brown = self.draw(gen)
         brownian = None
         if brown is not None:
-            brownian = BrownianSkeleton(times=self.brownian_grid, values=brown,
-                                        variance_rate=self.brownian_variance)
+            brownian = BrownianSkeleton(times=self.brownian_grid, values=brown)
         return LevyPath(self.horizon, self.drift, _dedupe_times(times), sizes, brownian)
 
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
@@ -356,6 +343,10 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
     rate = total_rate(triplet.jumps, trunc)
     if not math.isfinite(rate):
         raise ValueError("jump rate above truncation is not finite")
+    if rate * horizon > MAX_JUMPS_PER_CHUNK:
+        raise ValueError(
+            f"expected jumps per path (rate {rate:g} x horizon {horizon:g}) exceed "
+            f"the chunk budget of {MAX_JUMPS_PER_CHUNK} jumps")
     grid = None
     sd = 0.0
     if triplet.brownian_variance > 0.0:
@@ -369,7 +360,6 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
         drift=driver_drift(triplet, trunc, compensate),
         mean_jumps=rate * horizon,
         sizes=_size_sampler(triplet.jumps, trunc) if rate > 0.0 else None,
-        brownian_variance=triplet.brownian_variance,
         brownian_grid=grid,
         brownian_sd=sd,
     )

@@ -46,10 +46,11 @@ from .diagnostics import (
     two_sample_ks,
 )
 from .fields import make_diffusion_field, make_scalar_field
-from .flow_engine import ScalarField, jump_time_derivative, solve_random_ode
+from .flow_engine import ScalarField, SolverBlowUp, jump_time_derivative, solve_random_ode
 from .levy_spec import FiniteAtomic, LevyTriplet, total_rate
-from .marcus import DiffusionField, marcus_solve
+from .marcus import DiffusionField, FlowDivergence, chain_rule_residual, marcus_solve
 from .path_sampler import (
+    MAX_JUMPS_PER_CHUNK,
     LevyPath,
     decompose_first_jump,
     driver_drift,
@@ -63,9 +64,6 @@ from .path_sampler import (
 )
 from .rng import RngStream, StreamGenerator
 from .transforms import proportional_solution, reduced_drift, unit_diffusion_transform
-
-#: Replica chunks are sized so a chunk's flat jump arrays stay modest.
-MAX_JUMPS_PER_CHUNK = 4_000_000
 
 #: Failed-replica fraction beyond which a run reports numeric failure.
 FAILURE_FRACTION_LIMIT = 0.01
@@ -178,11 +176,14 @@ def _diffusion_from(choice: FieldChoice | None, default: FieldChoice) -> Diffusi
     return make_diffusion_field(c.name, c.params)
 
 
-def _failure_indices(*arrays: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(arrays[0])
-    for arr in arrays[1:]:
-        bad |= ~np.isfinite(arr)
-    return bad
+def _unless_diverged(solve, fallback):
+    """solve(), or `fallback` when a scalar solver diverges on the way; numpy
+    overflow in the diverging state is not reported."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return solve()
+        except (SolverBlowUp, FlowDivergence):
+            return fallback
 
 
 def run_s1(config: ScenarioConfig) -> ScenarioResult:
@@ -195,7 +196,7 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
     a = _scalar_from(config.drift_field, FieldChoice(
         "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}))
     x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
-    failed = _failure_indices(x)
+    failed = ~np.isfinite(x)
     ok = ~failed
     batch = SampleBatch(x[ok], label="S1", seed=config.seed)
     window = config.window if config.window is not None else default_window(batch)
@@ -246,6 +247,52 @@ def _s2_field(kind: int, gen: np.random.Generator) -> tuple[ScalarField, str]:
     return f, "arctan-diffusion"
 
 
+def _s2_config(config: ScenarioConfig, i: int, step: float, mark_lo: float,
+               mark_hi: float) -> tuple[str, float, float, float] | None:
+    """(field kind, X_horizon, Z_horizon, worst relative error against the
+    finite-difference oracle) of config i, or None when no drawn path has a
+    usable marked jump."""
+    gen = RngStream(config.seed, i).generator()
+    a, kind_name = _s2_field(i % 4, gen)
+    size = float(gen.uniform(0.25, 0.55))
+    triplet = LevyTriplet(drift=float(gen.uniform(-0.2, 0.2)),
+                          jumps=FiniteAtomic(((size, 5.0),)))
+    x0 = float(gen.uniform(-0.5, 0.5))
+    for _ in range(300):
+        path = sample_path(triplet, config.horizon, 0.05, gen=gen)
+        marked = marked_jump_indices(path, mark_lo, mark_hi)
+        if marked.size < 2:
+            continue
+        j = int(marked[0])
+        t_j = float(path.jump_times[j])
+        prev_t = float(path.jump_times[j - 1]) if j > 0 else 0.0
+        next_t = float(path.jump_times[j + 1]) if j + 1 < path.n_jumps \
+            else config.horizon
+        if t_j - prev_t < 1e-3 or next_t - t_j < 1e-3:
+            continue
+        if t_j < 0.02 or t_j > config.horizon - 0.02:
+            continue
+        decomp = decompose_first_jump(path, mark_lo, mark_hi)
+        sol = solve_random_ode(a, path, x0, step)
+        analytic = jump_time_derivative(a, sol, decomp)
+        if abs(analytic) >= 1e-4:
+            break
+    else:
+        return None
+    base_y = sol.terminal_y
+
+    def y1(p: LevyPath) -> float:
+        return solve_random_ode(a, p, x0, step).terminal_y
+
+    worst = 0.0
+    for sign in (1.0, -1.0):
+        d_h = (y1(shift_jump_time(path, j, sign * 1e-4)) - base_y) / (sign * 1e-4)
+        d_h10 = (y1(shift_jump_time(path, j, sign * 1e-5)) - base_y) / (sign * 1e-5)
+        oracle = (10.0 * d_h10 - d_h) / 9.0
+        worst = max(worst, abs(analytic - oracle) / abs(analytic))
+    return kind_name, sol.terminal_x, path.terminal, worst
+
+
 def run_s2(config: ScenarioConfig) -> ScenarioResult:
     n_configs = config.replicas or 100
     step = config.horizon / max(config.cells or 512, 512)
@@ -256,54 +303,18 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
     kinds = {"logistic-slope": 0, "linear": 0, "affine": 0, "arctan-diffusion": 0}
     max_rel_err = 0.0
     for i in range(n_configs):
-        gen = RngStream(config.seed, i).generator()
-        a, kind_name = _s2_field(i % 4, gen)
-        size = float(gen.uniform(0.25, 0.55))
-        triplet = LevyTriplet(drift=float(gen.uniform(-0.2, 0.2)),
-                              jumps=FiniteAtomic(((size, 5.0),)))
-        x0 = float(gen.uniform(-0.5, 0.5))
-        analytic = None
-        for _ in range(300):
-            path = sample_path(triplet, config.horizon, 0.05, gen=gen)
-            marked = marked_jump_indices(path, mark_lo, mark_hi)
-            if marked.size < 2:
-                continue
-            j = int(marked[0])
-            t_j = float(path.jump_times[j])
-            prev_t = float(path.jump_times[j - 1]) if j > 0 else 0.0
-            next_t = float(path.jump_times[j + 1]) if j + 1 < path.n_jumps \
-                else config.horizon
-            if t_j - prev_t < 1e-3 or next_t - t_j < 1e-3:
-                continue
-            if t_j < 0.02 or t_j > config.horizon - 0.02:
-                continue
-            decomp = decompose_first_jump(path, mark_lo, mark_hi)
-            sol = solve_random_ode(a, path, x0, step)
-            analytic = jump_time_derivative(a, sol, decomp)
-            if abs(analytic) < 1e-4:
-                analytic = None
-                continue
-            break
-        if analytic is None:
+        row = _unless_diverged(
+            lambda: _s2_config(config, i, step, mark_lo, mark_hi), None)
+        if row is None:
             failed.append(1)
             rows_x.append(math.nan)
             rows_z.append(math.nan)
             continue
+        kind_name, x, z, worst = row
         kinds[kind_name] += 1
-        base_y = sol.terminal_y
-
-        def y1(p: LevyPath) -> float:
-            return solve_random_ode(a, p, x0, step).terminal_y
-
-        worst = 0.0
-        for sign in (1.0, -1.0):
-            d_h = (y1(shift_jump_time(path, j, sign * 1e-4)) - base_y) / (sign * 1e-4)
-            d_h10 = (y1(shift_jump_time(path, j, sign * 1e-5)) - base_y) / (sign * 1e-5)
-            oracle = (10.0 * d_h10 - d_h) / 9.0
-            worst = max(worst, abs(analytic - oracle) / abs(analytic))
         max_rel_err = max(max_rel_err, worst)
-        rows_x.append(sol.terminal_x)
-        rows_z.append(path.terminal)
+        rows_x.append(x)
+        rows_z.append(z)
         failed.append(0 if worst <= rel_tol else 1)
     diagnostics = {
         "configs": n_configs,
@@ -337,7 +348,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
 
     solve = _ode_solver(a, x0)
     x, z = _sample_and_solve(config, triplet, trunc, n, cells, solve)
-    failed = _failure_indices(x)
+    failed = ~np.isfinite(x)
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
     lattice_x = lattice_concentration(SampleBatch(x[ok]), spacing, halfwidth)
@@ -390,7 +401,7 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
         default_drift=0.0)
     a = _scalar_from(config.drift_field, FieldChoice("constant", {"level": 0.1}))
     x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
-    failed = _failure_indices(x)
+    failed = ~np.isfinite(x)
     ok = ~failed
     shift = x0 + a.value(x0) * config.horizon
     lattice_shifted = lattice_concentration(SampleBatch(x[ok] - shift),
@@ -470,7 +481,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
     x = np.concatenate(all_x)
     z = np.concatenate(all_z)
     ids = np.concatenate(all_ids)
-    failed = _failure_indices(x)
+    failed = ~np.isfinite(x)
     diagnostics = {
         "repetitions": reps,
         "replicas_per_repetition": n,
@@ -523,9 +534,11 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
         gen = RngStream(config.seed, 900_000 + i).generator()
         path = _s6_path(gen, config.horizon)
         x0 = float(gen.uniform(-0.5, 0.5))
-        traj = marcus_solve(a_default, ones, path, x0, step)
-        sol = solve_random_ode(a_default, path, x0, step)
-        worst_reduction = max(worst_reduction, abs(traj.terminal - sol.terminal_x))
+        gap = _unless_diverged(
+            lambda: abs(marcus_solve(a_default, ones, path, x0, step).terminal
+                        - solve_random_ode(a_default, path, x0, step).terminal_x),
+            math.inf)
+        worst_reduction = max(worst_reduction, gap)
 
     # (b) proportional closed form vs the integrator
     worst_prop = 0.0
@@ -538,13 +551,16 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
                              derivative=lambda x, s=sigma, k=k: k * s.derivative(x))
         path = _s6_path(gen, config.horizon)
         x0 = float(gen.uniform(-0.3, 0.3))
-        closed = proportional_solution(sigma, k, x0, path)
-        traj = marcus_solve(a_prop, sigma, path, x0, step)
-        err = abs(closed - traj.terminal)
-        worst_prop = max(worst_prop, err)
-        rows_x.append(traj.terminal)
+        closed, terminal = _unless_diverged(
+            lambda: (proportional_solution(sigma, k, x0, path),
+                     marcus_solve(a_prop, sigma, path, x0, step).terminal),
+            (math.nan, math.nan))
+        # a diverged config (NaN) is flagged in its row, not in the worst error
+        if math.isfinite(terminal):
+            worst_prop = max(worst_prop, abs(closed - terminal))
+        rows_x.append(terminal)
         rows_z.append(path.terminal)
-        failed.append(0 if math.isfinite(traj.terminal) else 1)
+        failed.append(0 if math.isfinite(terminal) else 1)
 
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
@@ -560,9 +576,13 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
         x0 = float(gen.uniform(-0.5, 0.5))
         diffeo = unit_diffusion_transform(sigma, 0.0, -8.0, 8.0)
         red = reduced_drift(a, sigma, diffeo)
-        marcus_term = marcus_solve(a, sigma, path, x0, step).terminal
-        unit_term = solve_random_ode(red, path, diffeo.forward(x0), step).terminal_x
-        worst_conj = max(worst_conj, abs(diffeo.forward(marcus_term) - unit_term))
+
+        def conjugacy_gap():
+            marcus_term = marcus_solve(a, sigma, path, x0, step).terminal
+            unit_term = solve_random_ode(red, path, diffeo.forward(x0), step).terminal_x
+            return abs(diffeo.forward(marcus_term) - unit_term)
+
+        worst_conj = max(worst_conj, _unless_diverged(conjugacy_gap, math.inf))
 
     # (d) chain-rule residual in the f' sigma = k specialization
     f_log = ScalarField(lambda x: math.log(x), lambda x: 1.0 / x)
@@ -570,13 +590,16 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     zero = ScalarField(lambda x: 0.0, lambda x: 0.0)
     gen = RngStream(config.seed, 200_000).generator()
     path = _s6_path(gen, config.horizon)
-    from .marcus import chain_rule_residual
-    traj = marcus_solve(zero, sig_lin, path, 1.0, step)
-    residual_log = chain_rule_residual(f_log, zero, sig_lin, traj, 1.0, path)
     f_id = ScalarField(lambda x: x, lambda x: 1.0)
-    traj2 = marcus_solve(a_default, ones, path, 0.2, step)
-    residual_id = chain_rule_residual(f_id, a_default, ones, traj2, 1.0, path)
-    worst_chain = max(residual_log, residual_id)
+
+    def chain_residual():
+        traj = marcus_solve(zero, sig_lin, path, 1.0, step)
+        residual_log = chain_rule_residual(f_log, zero, sig_lin, traj, 1.0, path)
+        traj2 = marcus_solve(a_default, ones, path, 0.2, step)
+        residual_id = chain_rule_residual(f_id, a_default, ones, traj2, 1.0, path)
+        return max(residual_log, residual_id)
+
+    worst_chain = _unless_diverged(chain_residual, math.inf)
 
     # (e) jump-remainder quadratic bound, stability under grid refinement
     sigma_q = make_diffusion_field("arctan-diffusion",

@@ -150,45 +150,6 @@ def proportional_solution(sigma: DiffusionField, k: float, x0: float,
     return jump_flow_phi(sigma, x0, path.terminal + k * path.horizon, tol)
 
 
-def phi_inverse_psi(sigma: DiffusionField, x: float, t: float,
-                    tol: float = 1e-9, max_expansions: int = 60) -> float:
-    """Solve phi(x, psi) = t for psi by bracketed bisection plus Newton."""
-    flow = lambda u: jump_flow_phi(sigma, x, u, min(tol, 1e-10))
-    if t == x:
-        return 0.0
-    increasing = sigma.value(x) > 0.0
-    sign = 1.0 if increasing else -1.0
-    # G(u) = sign * phi(x, u) is strictly increasing in u; solve G(u) = sign*t
-    G = lambda u: sign * flow(u)
-    target = sign * t
-    g0 = sign * x
-    step_dir = 1.0 if target > g0 else -1.0
-    u_far = step_dir
-    expansions = 0
-    while (G(u_far) - target) * step_dir < 0.0:
-        u_far *= 2.0
-        expansions += 1
-        if expansions > max_expansions:
-            raise RuntimeError(
-                f"bracketing failed for psi({x}, {t}) after {max_expansions} expansions")
-    lo, hi = (0.0, u_far) if u_far > 0.0 else (u_far, 0.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if G(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * (1.0 + abs(hi)):
-            break
-    u = 0.5 * (lo + hi)
-    for _ in range(50):
-        v = flow(u)
-        if abs(v - t) <= tol:
-            return u
-        u = u - (v - t) / sigma.value(v)
-    raise RuntimeError(f"psi({x}, {t}) did not converge to tol={tol}")
-
-
 def doss_sussman_drift(a: ScalarField, sigma: DiffusionField,
                        x: float, z: float) -> float:
     """b(x, z) = a(phi(x, z)) / phi_x(x, z), the random-ODE right-hand side."""

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="at most one"):
             parse_config("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 1.0\n"
                          "[measure.family]\nlevels = 4\n")
+
+    @pytest.mark.parametrize("sections", [
+        "[measure.atom.1]\nsize = 1.0\nrate = 1.0\n[measure.density]\npower = 1.5\n",
+        "[measure.family]\nlevels = 4\n[measure.density]\npower = 1.5\n"])
+    def test_every_pair_of_measures_rejected(self, sections):
+        with pytest.raises(ConfigError, match="at most one"):
+            parse_config("scenario = S1\n" + sections)
+
+    def test_eta_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="line 3: unknown key 'eta'"):
+            parse_config("scenario = S1\n[diagnostics]\neta = 0.1\n")
 
     def test_field_sections(self):
         config = parse_config(
@@ -247,3 +259,36 @@ class TestCli:
         assert code == 1
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    def test_huge_rate_is_rejected_before_sampling(self, tmp_path, capsys):
+        # 1e12 expected jumps per path cannot fit in one chunk of packed paths
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 1e12\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "chunk budget" in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("text,failed_rows,conjugacy_diverged", [
+        # config 2's proportional solve and one conjugacy solve diverge
+        ("scenario = S6\nseed = 707\nreplicas = 5\nhorizon = 20\n", [2], True),
+        ("scenario = S2\nseed = 5\nreplicas = 4\nhorizon = 2000\n", [1, 2, 3], False)])
+    def test_diverging_replicas_do_not_abort_the_run(self, tmp_path, capsys, text,
+                                                      failed_rows, conjugacy_diverged):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        n = len((out / "samples.csv").read_text().splitlines()) - 1
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"numeric failures in {len(failed_rows)} of {n} replicas\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_replicas"] == failed_rows
+        assert (out / "plots" / "histogram.gp").exists()
+        if conjugacy_diverged:
+            assert summary["diagnostics"]["conjugacy_worst"] is None
+            assert summary["diagnostics"]["conjugacy_pass"] is False

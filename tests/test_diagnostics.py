@@ -8,13 +8,10 @@ from levyreg.diagnostics import (
     default_threshold,
     detect_atoms,
     deterministic_skeleton,
-    drift_jump_events,
-    kde,
     lattice_concentration,
     two_sample_ks,
 )
-from levyreg.flow_engine import ScalarField, solve_random_ode
-from levyreg.path_sampler import LevyPath
+from levyreg.flow_engine import ScalarField
 
 
 class TestDeterministicSkeleton:
@@ -175,57 +172,6 @@ class TestTwoSampleKs:
         s_raw, _ = two_sample_ks(SampleBatch(v1), SampleBatch(v2))
         s_cub, _ = two_sample_ks(SampleBatch(v1 ** 3), SampleBatch(v2 ** 3))
         assert s_raw == pytest.approx(s_cub, abs=1e-12)
-
-
-class TestKde:
-    def test_normal_sample_close_to_density(self):
-        gen = np.random.default_rng(15)
-        batch = SampleBatch(gen.normal(size=100_000))
-        curve = kde(batch)
-        assert not curve.degenerate
-        truth = np.exp(-0.5 * curve.x ** 2) / math.sqrt(2 * math.pi)
-        assert np.max(np.abs(curve.density - truth)) < 0.02
-        assert np.trapezoid(curve.density, curve.x) == pytest.approx(1.0, abs=1e-3)
-
-    def test_point_mass_degenerate(self):
-        batch = SampleBatch(np.full(2000, 3.0))
-        assert kde(batch).degenerate is True
-
-    def test_atom_plus_continuous_spike(self):
-        gen = np.random.default_rng(16)
-        n = 50_000
-        vals = np.where(gen.uniform(size=n) < 0.3, 0.5, gen.uniform(0.0, 4.0, n))
-        curve = kde(SampleBatch(vals), bandwidth=0.005)
-        at_atom = curve.density[np.argmin(np.abs(curve.x - 0.5))]
-        away = curve.density[np.argmin(np.abs(curve.x - 1.5))]
-        assert at_atom > 5.0 * away
-
-
-class TestDriftJumpEvents:
-    def _solution(self, a, jumps):
-        path = LevyPath(1.0, 0.0,
-                        np.array([t for t, _ in jumps]),
-                        np.array([s for _, s in jumps]))
-        return solve_random_ode(a, path, 0.0, 1.0 / 128)
-
-    def test_constant_field_empty(self):
-        a = ScalarField(lambda x: 0.4, lambda x: 0.0)
-        sol = self._solution(a, [(0.3, 0.5)])
-        assert drift_jump_events(a, sol, 0.01) == []
-
-    def test_identity_field_threshold(self):
-        a = ScalarField(lambda x: x, lambda x: 1.0)
-        sol = self._solution(a, [(0.3, 0.5)])
-        assert drift_jump_events(a, sol, 0.4) == [pytest.approx(0.3)]
-        assert drift_jump_events(a, sol, 0.6) == []
-
-    def test_lipschitz_bound_excludes_events(self):
-        lip = 0.5
-        a = ScalarField(lambda x: lip * math.sin(x), lambda x: lip * math.cos(x))
-        jumps = [(0.2, 0.3), (0.6, -0.4)]
-        sol = self._solution(a, jumps)
-        eta = lip * max(abs(s) for _, s in jumps) * 1.0001
-        assert drift_jump_events(a, sol, eta) == []
 
 
 class TestDefaults:

@@ -8,7 +8,6 @@ from levyreg.flow_engine import (
     ScalarField,
     flow_derivative_exponential,
     flow_derivative_variational,
-    hitting_time_of_slope,
     jump_time_derivative,
     solve_random_ode,
 )
@@ -23,8 +22,7 @@ def make_path(jumps, horizon=1.0, drift=0.0):
 
 def affine_field(lam, c=0.0):
     return ScalarField(value=lambda x: lam * x + c,
-                       derivative=lambda x: lam,
-                       lipschitz_bound=abs(lam))
+                       derivative=lambda x: lam)
 
 
 def logistic_field(low, high, rate, center):
@@ -35,7 +33,7 @@ def logistic_field(low, high, rate, center):
         e = 1.0 / (1.0 + math.exp(-rate * (x - center)))
         return (high - low) * rate * e * (1.0 - e)
 
-    return ScalarField(val, dv, sup_bound=max(abs(low), abs(high)))
+    return ScalarField(val, dv)
 
 
 def affine_exact_terminal(lam, c, path, x0):
@@ -116,18 +114,6 @@ class TestSolveRandomOde:
         with pytest.raises(ValueError):
             bad.validate(-1.0, 1.0)
         ScalarField(lambda x: x * x, lambda x: 2 * x).validate(-1.0, 1.0)
-
-    def test_csv_rows_carry_left_limits(self):
-        path = make_path([(0.5, 1.0)])
-        sol = solve_random_ode(affine_field(-1.0), path, 0.0, 1.0 / 8)
-        rows = sol.to_csv_rows()
-        times = [r[0] for r in rows]
-        assert times == sorted(set(times))
-        at_jump = next(r for r in rows if r[0] == 0.5)
-        t, y, x, x_left = at_jump
-        assert x - x_left == pytest.approx(1.0, abs=1e-10)
-        off_jump = next(r for r in rows if r[0] != 0.5)
-        assert off_jump[2] == off_jump[3]
 
 
 class TestFlowDerivative:
@@ -245,37 +231,6 @@ class TestJumpTimeDerivative:
             decomp = decompose_first_jump(path, 0.05, 1.5)
             sol = solve_random_ode(a, path, rng.uniform(-1.0, 1.0), 1.0 / 128)
             assert jump_time_derivative(a, sol, decomp) < 0.0
-
-
-class TestHittingTime:
-    def test_immediate_hit(self):
-        a = affine_field(1.0)
-        sol = solve_random_ode(a, make_path([]), 0.0)
-        assert hitting_time_of_slope(a, sol, 0.5) == 0.0
-
-    def test_never_hit(self):
-        a = ScalarField(lambda x: 0.7, lambda x: 0.0)
-        sol = solve_random_ode(a, make_path([(0.5, 1.0)]), 0.0)
-        assert hitting_time_of_slope(a, sol, 0.1) is None
-
-    def test_quadratic_crossing_against_dense_grid(self):
-        # a(x) = x^2/2 so a'(X) = X; pure drift 1 from 0
-        a = ScalarField(lambda x: 0.5 * x * x, lambda x: x)
-        path = LevyPath(1.0, 1.0, np.empty(0), np.empty(0))
-        sol = solve_random_ode(a, path, 0.0)
-        got = hitting_time_of_slope(a, sol, 0.5)
-        fine = solve_random_ode(a, path, 0.0, step=1.0 / 65536)
-        idx = int(np.flatnonzero(np.abs(fine.x_values) >= 0.5)[0])
-        dense = float(fine.times[idx])
-        assert got == pytest.approx(dense, abs=1e-4)
-
-    def test_jump_entrance_returns_jump_time(self):
-        a = ScalarField(lambda x: math.atan(x), lambda x: 1.0 / (1.0 + x * x))
-        # a'(0)=1 > c would hit immediately; start far out where a' is tiny
-        path = make_path([(0.5, 10.0)])
-        sol = solve_random_ode(a, path, -10.0)
-        # after the jump X ~ 0 where a' ~ 1
-        assert hitting_time_of_slope(a, sol, 0.5) == pytest.approx(0.5)
 
 
 class TestChainRuleZeroSlopeIdentity:

@@ -8,7 +8,6 @@ from levyreg.levy_spec import (
     FiniteAtomic,
     LevyTriplet,
     TruncatedAtomicFamily,
-    check_levy_integrability,
     default_eps_grid,
     doblin_predicts_atoms,
     dyadic_family,
@@ -79,17 +78,6 @@ class TestIsInfinite:
         assert doblin_predicts_atoms(FiniteAtomic(((1.0, 2.0),))) is True
         assert doblin_predicts_atoms(dyadic_family(12)) is False
         assert doblin_predicts_atoms(power_density(1.5)) is False
-
-
-class TestLevyIntegrability:
-    def test_power_three_halves_admissible(self):
-        assert check_levy_integrability(power_density(1.5)) is True
-
-    def test_power_three_not_admissible(self):
-        assert check_levy_integrability(power_density(3.0)) is False
-
-    def test_atomic_trivially_admissible(self):
-        assert check_levy_integrability(dyadic_family(12)) is True
 
 
 class TestMuMeasure:

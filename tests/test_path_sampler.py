@@ -55,31 +55,29 @@ class TestLevyPath:
         with pytest.raises(ValueError):
             simple_path([(0.5, 0.0)])
 
-    def test_csv_rows(self):
-        path = simple_path([(0.5, 1.0), (0.8, -0.2)], drift=0.3)
-        rows = path.to_csv_rows()
-        assert rows[0] == ("drift", 0.0, 0.3)
-        assert ("jump", 0.5, 1.0) in rows
-        assert ("jump", 0.8, -0.2) in rows
-        assert all(kind in ("drift", "jump", "brown") for kind, _, _ in rows)
-
 
 class TestSamplePath:
+    @staticmethod
+    def _jump_counts(triplet, n, seed):
+        """Jump counts of replicas 0..n-1, the ones sample_path draws from
+        RngStream(seed, i): the first 1000 are checked against it."""
+        counts = np.diff(sample_packed(triplet, 1.0, 0.5, n, seed, cells=1).offsets)
+        assert np.array_equal(counts[:1000], [
+            sample_path(triplet, 1.0, 0.5, rng=RngStream(seed, i)).n_jumps
+            for i in range(1000)])
+        return counts
+
     def test_poisson_jump_count_mean(self):
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((1.0, 2.0),)))
         n = 100_000
-        counts = np.array([
-            sample_path(triplet, 1.0, 0.5, rng=RngStream(7, i)).n_jumps
-            for i in range(n)])
+        counts = self._jump_counts(triplet, n, 7)
         assert counts.mean() == pytest.approx(2.0, abs=3.0 * math.sqrt(2.0 / n))
 
     def test_poisson_chi_square_gof(self):
         lam = 2.0
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((1.0, lam),)))
         n = 100_000
-        counts = np.array([
-            sample_path(triplet, 1.0, 0.5, rng=RngStream(123, i)).n_jumps
-            for i in range(n)])
+        counts = self._jump_counts(triplet, n, 123)
         # bins 0..8 plus a >=9 tail: 10 cells, 9 degrees of freedom
         observed = np.array([(counts == k).sum() for k in range(9)]
                             + [(counts >= 9).sum()], dtype=float)

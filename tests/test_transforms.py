@@ -9,7 +9,6 @@ from levyreg.path_sampler import LevyPath
 from levyreg.transforms import (
     AssumptionHViolation,
     doss_sussman_solve,
-    phi_inverse_psi,
     proportional_solution,
     reduced_drift,
     unit_diffusion_transform,
@@ -150,26 +149,6 @@ class TestProportionalSolution:
             closed = proportional_solution(QUAD_SIGMA, k, x0, path)
             traj = marcus_solve(a, QUAD_SIGMA, path, x0, 1.0 / 512)
             assert closed == pytest.approx(traj.terminal, abs=1e-6)
-
-
-class TestPhiInverse:
-    def test_additive_flow(self):
-        assert phi_inverse_psi(CONST_ONE, 0.3, 1.7) == pytest.approx(1.4, abs=1e-9)
-
-    def test_exponential_flow_log(self):
-        sigma = DiffusionField(lambda x: x, lambda x: 1.0, min_abs=0.05)
-        for t in (0.5, 1.0, 3.0):
-            assert phi_inverse_psi(sigma, 1.0, t) == pytest.approx(
-                math.log(t), abs=1e-8)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            x = rng.uniform(-0.8, 0.8)
-            u = rng.uniform(-0.8, 0.8)
-            t = jump_flow_phi(QUAD_SIGMA, float(x), float(u), 1e-12)
-            assert phi_inverse_psi(QUAD_SIGMA, float(x), t, tol=1e-10) == \
-                pytest.approx(float(u), abs=1e-8)
 
 
 class TestDossSussman:
