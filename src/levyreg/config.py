@@ -40,6 +40,13 @@ from .levy_spec import (
 
 SCENARIO_IDS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7")
 
+#: Philox stream-id offsets of the runners' independent draws: S6 takes its
+#: check (b) configs from ids i and its check (c) configs from S6_STREAM_GAP
+#: + i; S3 takes trend level lv from S3_TREND_STREAM_GAP * lv + i. A replica
+#: count past the gap would reuse streams, so such configs are rejected.
+S6_STREAM_GAP = 100_000
+S3_TREND_STREAM_GAP = 10_000_000
+
 
 class ConfigError(ValueError):
     """Configuration document rejected; message carries line context."""
@@ -288,7 +295,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(str(exc)) from exc
         return FieldChoice(name=name, params=params)
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         scenario=scenario,
         replicas=values.get(("", "replicas")),
         seed=int(values.get(("", "seed"), 2024)),
@@ -313,6 +320,26 @@ def parse_config(text: str) -> ScenarioConfig:
         mark_high=values.get(("diagnostics", "mark_high")),
         out_dir=values.get(("output", "dir")),
     )
+    reason = _stream_collision(config)
+    if reason is not None:
+        raise ConfigError(f"line {entries[('', 'replicas')][1]}: {reason}")
+    return config
+
+
+def _stream_collision(config: ScenarioConfig) -> str | None:
+    """Why config's replica count would make draws meant to be independent
+    share Philox streams, or None."""
+    n = config.replicas
+    if n is None:
+        return None
+    if config.scenario == "S6" and n > S6_STREAM_GAP:
+        return (f"replicas = {n} reuses random streams: S6 draws from stream ids "
+                f"i and {S6_STREAM_GAP} + i, so at most {S6_STREAM_GAP} replicas")
+    if config.scenario == "S3" and config.trend_levels and n > S3_TREND_STREAM_GAP:
+        return (f"replicas = {n} reuses random streams: S3 with trend_levels draws "
+                f"from stream ids i and {S3_TREND_STREAM_GAP} * level + i, so at "
+                f"most {S3_TREND_STREAM_GAP} replicas")
+    return None
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -389,7 +416,7 @@ def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
                    replicas: int | None = None, threads: int | None = None,
                    out_dir: str | None = None) -> ScenarioConfig:
     """config with the given keys replaced; numeric overrides pass the same
-    range checks as the document's keys."""
+    range and stream-collision checks as the document's keys."""
     updates = {key: value for key, value in (("seed", seed), ("replicas", replicas),
                                              ("threads", threads), ("out_dir", out_dir))
                if value is not None}
@@ -397,4 +424,8 @@ def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
         check = _SCALARS.get(("", key), (None, None))[1]
         if check is not None and not check(value):
             raise ConfigError(f"override out of range for {key!r}: {value}")
-    return replace(config, **updates) if updates else config
+    updated = replace(config, **updates) if updates else config
+    reason = _stream_collision(updated)
+    if reason is not None:
+        raise ConfigError(f"override {reason}")
+    return updated

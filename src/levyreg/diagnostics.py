@@ -23,11 +23,9 @@ KS_COEFF_1PCT = 1.628
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Sorted terminal-value sample with scenario metadata."""
+    """Sorted terminal-value sample."""
 
     values: np.ndarray
-    label: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

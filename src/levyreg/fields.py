@@ -2,7 +2,10 @@
 
 Every field ships an analytic derivative, so the probe-grid invariants hold
 exactly and the derivative-based formulas are honest. All callables accept
-scalars or numpy arrays (the batch engines evaluate them vectorized).
+scalars or numpy arrays (the batch engines evaluate them vectorized). An
+entry may also ship a fused jet, x -> (value, derivative) from one shared
+evaluation with the same arithmetic as the two callables; diffusion fields
+built from it hand it to `DiffusionField.jet`.
 
 Names and parameters:
 
@@ -18,6 +21,8 @@ Names and parameters:
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .flow_engine import ScalarField
@@ -27,8 +32,17 @@ _EXP_CLIP = 60.0
 
 
 def _expit(t):
-    e = np.exp(-np.clip(t, -_EXP_CLIP, _EXP_CLIP))
+    # np.minimum/np.maximum clamp like np.clip (nan and +-inf included)
+    # without np.clip's Python wrapper
+    e = np.exp(-np.minimum(np.maximum(t, -_EXP_CLIP), _EXP_CLIP))
     return 1.0 / (1.0 + e)
+
+
+class _Entry(NamedTuple):
+    value: Callable
+    derivative: Callable
+    params: dict[str, float]
+    jet: Callable | None = None
 
 
 def _const_like(x, c: float):
@@ -38,21 +52,21 @@ def _const_like(x, c: float):
 
 
 def _constant(level: float = 0.3):
-    return (lambda x: _const_like(x, level),
-            lambda x: _const_like(x, 0.0),
-            {"level": level})
+    return _Entry(lambda x: _const_like(x, level),
+                  lambda x: _const_like(x, 0.0),
+                  {"level": level})
 
 
 def _linear(slope: float = 0.5):
-    return (lambda x: slope * x,
-            lambda x: _const_like(x, slope),
-            {"slope": slope})
+    return _Entry(lambda x: slope * x,
+                  lambda x: _const_like(x, slope),
+                  {"slope": slope})
 
 
 def _affine(slope: float = 0.5, intercept: float = 0.0):
-    return (lambda x: slope * x + intercept,
-            lambda x: _const_like(x, slope),
-            {"slope": slope, "intercept": intercept})
+    return _Entry(lambda x: slope * x + intercept,
+                  lambda x: _const_like(x, slope),
+                  {"slope": slope, "intercept": intercept})
 
 
 def _logistic_slope(low: float = 0.0, high: float = 1.0,
@@ -66,8 +80,12 @@ def _logistic_slope(low: float = 0.0, high: float = 1.0,
         e = _expit(rate * (x - center))
         return span * rate * e * (1.0 - e)
 
-    return value, derivative, {"low": low, "high": high,
-                               "rate": rate, "center": center}
+    def jet(x):
+        e = _expit(rate * (x - center))
+        return low + span * e, span * rate * e * (1.0 - e)
+
+    return _Entry(value, derivative, {"low": low, "high": high,
+                                      "rate": rate, "center": center}, jet)
 
 
 def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
@@ -79,8 +97,8 @@ def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
     def derivative(x):
         return 2.0 * amplitude * curvature * curvature * (x - center)
 
-    return value, derivative, {"amplitude": amplitude, "curvature": curvature,
-                               "center": center}
+    return _Entry(value, derivative, {"amplitude": amplitude, "curvature": curvature,
+                                      "center": center})
 
 
 _CATALOGUE = {
@@ -96,8 +114,9 @@ def catalogue_names() -> list[str]:
     return sorted(_CATALOGUE)
 
 
-def resolve_field(name: str, params: dict[str, float] | None = None):
-    """(value, derivative, canonical-params) for a catalogue entry."""
+def resolve_field(name: str, params: dict[str, float] | None = None) -> _Entry:
+    """(value, derivative, canonical params, fused jet or None) for a
+    catalogue entry."""
     if name not in _CATALOGUE:
         raise KeyError(f"unknown field {name!r}; choose from {catalogue_names()}")
     factory = _CATALOGUE[name]
@@ -108,12 +127,13 @@ def resolve_field(name: str, params: dict[str, float] | None = None):
 
 
 def make_scalar_field(name: str, params: dict[str, float] | None = None) -> ScalarField:
-    value, derivative, _ = resolve_field(name, params)
-    return ScalarField(value=value, derivative=derivative)
+    entry = resolve_field(name, params)
+    return ScalarField(value=entry.value, derivative=entry.derivative)
 
 
 def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> DiffusionField:
-    value, derivative, canonical = resolve_field(name, params)
+    entry = resolve_field(name, params)
+    canonical = entry.params
     min_abs = None
     if name == "constant" and canonical["level"] != 0.0:
         min_abs = abs(canonical["level"])
@@ -121,10 +141,10 @@ def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> D
         min_abs = min(canonical["low"], canonical["high"])
     elif name == "arctan-diffusion" and canonical["amplitude"] > 0.0:
         min_abs = canonical["amplitude"]
-    return DiffusionField(value=value, derivative=derivative, min_abs=min_abs)
+    return DiffusionField(value=entry.value, derivative=entry.derivative,
+                          min_abs=min_abs, fused_jet=entry.jet)
 
 
 def canonical_params(name: str, params: dict[str, float] | None = None) -> dict[str, float]:
     """Parameters with defaults filled in, for config round-trips."""
-    _, _, canonical = resolve_field(name, params)
-    return canonical
+    return resolve_field(name, params).params

@@ -31,11 +31,7 @@ class NonDifferentiablePoint(ValueError):
 
 
 class SolverBlowUp(RuntimeError):
-    """State became non-finite; carries the last good time."""
-
-    def __init__(self, message: str, last_good_time: float):
-        super().__init__(message)
-        self.last_good_time = last_good_time
+    """State became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,6 @@ class FlowSolution:
     terminal_x: float
     horizon: float
     x0: float
-    step: float
 
     @property
     def terminal(self) -> float:
@@ -173,15 +168,14 @@ def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
     xs = [float(x0)]
     records = []
     y = float(x0)
-    for t0, t1, base, slope, size, substeps in grid_segments(path, step):
+    for _, t1, base, slope, size, substeps in grid_segments(path, step):
         def f(t, u):
             return a_val(u + drift * t + base + slope * t)
 
         for t, t_next, h in substeps:
             y = rk4_step(f, t, y, h)
             if not math.isfinite(y):
-                raise SolverBlowUp(
-                    f"state became non-finite near t={t_next}", last_good_time=t0)
+                raise SolverBlowUp(f"state became non-finite near t={t_next}")
             times.append(t_next)
             ys.append(y)
             xs.append(y + drift * t_next + base + slope * t_next)
@@ -200,7 +194,7 @@ def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
         times=times_arr, y_values=ys_arr, x_values=xs_arr,
         jump_records=tuple(records),
         terminal_y=float(ys_arr[-1]), terminal_x=float(xs_arr[-1]),
-        horizon=path.horizon, x0=float(x0), step=step)
+        horizon=path.horizon, x0=float(x0))
 
 
 def flow_derivative_exponential(a: ScalarField, solution: FlowSolution) -> float:

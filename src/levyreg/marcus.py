@@ -34,12 +34,21 @@ class DiffusionField:
     """Nonvanishing C^1 diffusion coefficient with its derivative.
 
     `min_abs`, when set, witnesses |sigma| >= min_abs on the scenario's
-    state range (the ellipticity assumption in dimension one).
+    state range (the ellipticity assumption in dimension one). `fused_jet`,
+    when set, returns (value(x), derivative(x)) bit for bit from one shared
+    evaluation; read both through `jet`.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     min_abs: float | None = None
+    fused_jet: Callable[[float], tuple[float, float]] | None = None
+
+    def jet(self, x):
+        """(sigma(x), sigma'(x))."""
+        if self.fused_jet is not None:
+            return self.fused_jet(x)
+        return self.value(x), self.derivative(x)
 
     def validate(self, lo: float, hi: float, n: int = 101) -> None:
         for x in probe_derivative(self, lo, hi, n):
@@ -57,15 +66,18 @@ def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,
 
     Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
     sigma'(phi) * u over the same stages, read off the stage states as they
-    are evaluated; otherwise it stays 0.0 and sigma' is never called.
+    are evaluated (one `sigma.jet` call per stage); otherwise it stays 0.0
+    and sigma' is never called.
     """
-    sig, sig_dot = sigma.value, sigma.derivative
+    sig, jet = sigma.value, sigma.jet
     ds = 1.0 / n
     stages = []
 
     def f(_, p):
         if sensitivity:
-            stages.append(sig_dot(p) * u)
+            value, slope = jet(p)
+            stages.append(slope * u)
+            return value * u
         return sig(p) * u
 
     phi, acc = y, 0.0
@@ -137,7 +149,6 @@ class MarcusTrajectory:
     terminal: float
     horizon: float
     x0: float
-    step: float
 
     @property
     def jump_records(self) -> tuple[tuple[float, float, float, float], ...]:
@@ -190,7 +201,7 @@ def marcus_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
     return MarcusTrajectory(
         times=np.asarray(times), x_values=np.asarray(xs),
         jump_log=tuple(log), terminal=float(x),
-        horizon=path.horizon, x0=float(x0), step=step)
+        horizon=path.horizon, x0=float(x0))
 
 
 def _segmented_running_integral(times: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -35,7 +35,13 @@ import numpy as np
 
 from . import __version__
 from .batch import doss_terminals, flow_map_array, marcus_terminals, ode_terminals, pack_paths
-from .config import FieldChoice, MeasureChoice, ScenarioConfig
+from .config import (
+    S3_TREND_STREAM_GAP,
+    S6_STREAM_GAP,
+    FieldChoice,
+    MeasureChoice,
+    ScenarioConfig,
+)
 from .diagnostics import (
     SampleBatch,
     default_threshold,
@@ -198,7 +204,7 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
     x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     ok = ~failed
-    batch = SampleBatch(x[ok], label="S1", seed=config.seed)
+    batch = SampleBatch(x[ok])
     window = config.window if config.window is not None else default_window(batch)
     threshold = config.threshold if config.threshold is not None \
         else default_threshold(batch.count)
@@ -352,7 +358,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
     lattice_x = lattice_concentration(SampleBatch(x[ok]), spacing, halfwidth)
-    batch_x = SampleBatch(x[ok], label="S3", seed=config.seed)
+    batch_x = SampleBatch(x[ok])
     report = detect_atoms(batch_x,
                           config.window if config.window is not None
                           else default_window(batch_x),
@@ -377,7 +383,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
                                                    levels=lv).build())
             cut = 2.0 ** (-lv)
             xs_lv, _ = _sample_and_solve(config, trip, cut, n, cells, solve,
-                                         stream_offset=10_000_000 * lv)
+                                         stream_offset=S3_TREND_STREAM_GAP * lv)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
                 SampleBatch(xs_lv[ok_lv]), spacing, halfwidth)
@@ -565,7 +571,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
     for i in range(n_configs):
-        gen = RngStream(config.seed, 100_000 + i).generator()
+        gen = RngStream(config.seed, S6_STREAM_GAP + i).generator()
         sigma = _s6_sigma(1 + (i % 2), gen)
         a = make_scalar_field("logistic-slope", {
             "low": float(gen.uniform(-0.3, 0.0)),

@@ -63,6 +63,23 @@ class TestFlowArrays:
         phi, _ = flow_sensitivity_array(SIGMA, ys, us)
         assert np.array_equal(flow_map_array(SIGMA, ys, us), phi)
 
+    @pytest.mark.parametrize("sigma", [
+        SIGMA, make_diffusion_field("arctan-diffusion",
+                                    {"amplitude": 0.2, "curvature": 0.3, "center": 0.1})])
+    def test_batch_order_does_not_change_results(self, sigma):
+        # substep counts 8 (u = 0 and |u| <= 0.4), 9, 25, 50 and 100, with ties
+        us = np.array([0.0, 0.0, 0.3, -0.4, 0.45, 1.23, -1.23, 1.23, 2.5,
+                       -5.0, 5.0, -0.0, 4.99, 0.41])
+        ys = np.linspace(-1.5, 1.5, us.size)
+        perm = np.random.default_rng(7).permutation(us.size)
+        for kernel in (flow_map_array, flow_sensitivity_array):
+            whole = np.asarray(kernel(sigma, ys, us))
+            shuffled = np.asarray(kernel(sigma, ys[perm], us[perm]))
+            assert shuffled.tobytes() == whole[..., perm].tobytes()
+            for i in range(us.size):
+                one = np.asarray(kernel(sigma, ys[i:i + 1], us[i:i + 1]))
+                assert one.tobytes() == whole[..., i:i + 1].tobytes()
+
 
 class TestOdeTerminals:
     def test_matches_scalar_solver(self):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import levyreg.cli as cli_mod
 import levyreg.scenarios as scenarios_mod
 from levyreg.cli import main as cli_main
 from levyreg.config import (
@@ -122,6 +123,34 @@ class TestParseConfig:
         config = parse_config("scenario = S2\n")
         with pytest.raises(ConfigError, match=repr(key)):
             with_overrides(config, **{key: value})
+
+    @pytest.mark.parametrize("text,line", [
+        # S6 checks (b) and (c) draw from stream ids i and 100000 + i
+        ("scenario = S6\nreplicas = 100001\n", 2),
+        # S3 trend level lv draws from stream ids 10000000 * lv + i
+        ("scenario = S3\ntrend_levels = 4,6\nseed = 3\nreplicas = 10000001\n", 4)])
+    def test_colliding_streams_rejected_with_line(self, text, line):
+        with pytest.raises(ConfigError, match=f"^line {line}: .*reuses random streams"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "scenario = S6\nreplicas = 100000\n",
+        "scenario = S3\ntrend_levels = 4\nreplicas = 10000000\n",
+        "scenario = S3\nreplicas = 10000001\n",
+        "scenario = S1\nreplicas = 10000001\n"])
+    def test_streams_at_the_gap_are_accepted(self, text):
+        config = parse_config(text)
+        assert parse_config(serialize_config(config)) == config
+        assert with_overrides(config, seed=1).replicas == config.replicas
+
+    @pytest.mark.parametrize("text,replicas", [
+        ("scenario = S6\n", 100_001),
+        ("scenario = S3\ntrend_levels = 4\n", 10_000_001)])
+    def test_override_stream_collision_rejected(self, text, replicas):
+        config = parse_config(text)
+        assert with_overrides(config, replicas=replicas - 1).replicas == replicas - 1
+        with pytest.raises(ConfigError, match="reuses random streams"):
+            with_overrides(config, replicas=replicas)
 
 
 class TestRunSummary:
@@ -258,6 +287,26 @@ class TestCli:
         code = cli_main(["run", "--config", str(cfg), "--out", str(out), flag, value])
         assert code == 1
         assert flag.lstrip("-") in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("text,replicas", [
+        ("scenario = S6\n", "100001"),
+        ("scenario = S3\ntrend_levels = 4\n", "10000001")])
+    def test_colliding_streams_override_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                  text, replicas):
+        def must_not_run(config):
+            raise AssertionError("a colliding config reached the runner")
+
+        monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", str(cfg), "--out", str(out),
+                         "--replicas", replicas])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: override replicas = ")
+        assert "reuses random streams" in err
         assert not (out / "summary.json").exists()
 
     def test_huge_rate_is_rejected_before_sampling(self, tmp_path, capsys):

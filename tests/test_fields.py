@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from levyreg.fields import (
+    _EXP_CLIP,
+    _expit,
     canonical_params,
     catalogue_names,
     make_diffusion_field,
@@ -81,3 +83,46 @@ class TestCatalogue:
         assert quad.min_abs == 0.8
         lin = make_diffusion_field("linear", {"slope": 1.0})
         assert lin.min_abs is None
+
+
+_CATALOGUE_PARAMS = [
+    ("constant", {"level": 0.4}),
+    ("linear", {"slope": -0.7}),
+    ("affine", {"slope": 0.3, "intercept": 1.1}),
+    ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}),
+    ("arctan-diffusion", {"amplitude": 0.9, "curvature": 0.6, "center": 0.1}),
+]
+# rate * (x - center) passes the expit clamp of 60 at |x| > 66.7 for the
+# logistic entry above
+_EDGE_POINTS = [-1e300, -100.0, -66.8, -66.6, -1.0, -0.0, 0.0, 0.3, 1.0, 66.8,
+                100.0, 1e300, np.inf, -np.inf, np.nan]
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestJet:
+    @pytest.mark.parametrize("name,params", _CATALOGUE_PARAMS)
+    def test_jet_is_value_and_derivative_bit_for_bit(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        xs = np.array(_EDGE_POINTS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in [*_EDGE_POINTS, xs]:
+                value, slope = sigma.jet(x)
+                assert _bits(value) == _bits(sigma.value(x))
+                assert _bits(slope) == _bits(sigma.derivative(x))
+
+    def test_logistic_jet_is_fused(self):
+        assert make_diffusion_field("logistic-slope").fused_jet is not None
+
+    def test_expit_clamp_matches_clip(self):
+        ts = np.array([-1e300, -61.0, -60.0, -59.9, -1.0, -0.0, 0.0, 2.5, 59.9,
+                       60.0, 61.0, 1e300, np.inf, -np.inf, np.nan])
+
+        def clipped(t):
+            return 1.0 / (1.0 + np.exp(-np.clip(t, -_EXP_CLIP, _EXP_CLIP)))
+
+        assert _bits(_expit(ts)) == _bits(clipped(ts))
+        for t in ts.tolist():
+            assert _bits(_expit(t)) == _bits(clipped(t))
