@@ -11,8 +11,10 @@ results independent of how replicas are batched or chunked:
 
 Jumps are handled by event-synchronized stepping: within each cell every path
 advances to its own next jump time, applies it (exactly, via the jump flow for
-the Marcus engine), and continues; paths without events cross the cell in one
-step. Sub-cell work runs on the active subset only.
+the Marcus engine), and continues; then every path crosses to the cell's right
+edge in one step. One generator, `_sweep`, yields these steps, reading the
+packed jump arrays in place; each engine is a loop over it. Sub-cell event
+rounds run on the paths with a jump in them only.
 
 The jump-flow kernel fixes each element's substep count on entry, sorts the
 batch once by it (largest first, stable) and steps, at substep s, only the
@@ -57,10 +59,6 @@ def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
     return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=n_cells,
                        edges=edges, flat_times=flat_times, flat_sizes=flat_sizes,
                        offsets=offsets, brown_edges=brown_edges, z_terminal=z_term)
-
-
-def _padded(arr: np.ndarray, pad: float) -> np.ndarray:
-    return np.concatenate([arr, [pad]])
 
 
 def _rk4_step(f, t, y, h):
@@ -141,53 +139,42 @@ def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     return _flow_array(sigma, y, u, substep_scale, sensitivity=True)
 
 
-class _CellWalker:
-    """Shared event-synchronized sweep over the cell grid."""
+def _sweep(packed: PackedPaths):
+    """Event-synchronized walk over the cell grid, as a stream of RK steps.
 
-    def __init__(self, packed: PackedPaths):
-        self.packed = packed
-        self.P = packed.n_paths
-        self.times = _padded(packed.flat_times, np.inf)
-        self.sizes = _padded(packed.flat_sizes, 0.0)
-        self.jptr = packed.offsets[:-1].copy()
-        self.jend = packed.offsets[1:]
-        h = packed.horizon / packed.n_cells
-        if packed.brown_edges is not None:
-            self.slopes = np.diff(packed.brown_edges, axis=1) / h
-            self.anchors = packed.brown_edges
-        else:
-            self.slopes = None
-            self.anchors = None
+    Per cell k it yields (k, rows, tau, dt, sizes). First come the event
+    rounds: `rows` indexes the paths whose next jump lies at or before the
+    cell's right edge, each to be stepped from its own time `tau` over `dt` to
+    that jump and then given the jump `sizes`. Then one step of every path to
+    the right edge, with rows = slice(None) and sizes = None. The next jump of
+    a path is read with a clipped take and kept only where the path has one.
+    """
+    times, jump_sizes = packed.flat_times, packed.flat_sizes
+    jptr = packed.offsets[:-1].copy()
+    jend = packed.offsets[1:]
+    for k in range(packed.n_cells):
+        t1 = packed.edges[k + 1]
+        tau = np.full(packed.n_paths, packed.edges[k])
+        while times.size:
+            next_t = times.take(jptr, mode="clip")
+            rows = np.flatnonzero((jptr < jend) & (next_t <= t1))
+            if not rows.size:
+                break
+            hit, start = next_t[rows], tau[rows]
+            yield k, rows, start, hit - start, jump_sizes[jptr[rows]]
+            tau[rows] = hit
+            jptr[rows] += 1
+        yield k, slice(None), tau, t1 - tau, None
 
-    def brown_at(self, k: int, tau: np.ndarray, idx=None) -> np.ndarray:
-        """Brownian value at per-path times tau inside cell k."""
-        if self.anchors is None:
-            return 0.0
-        t0 = self.packed.edges[k]
-        if idx is None:
-            return self.anchors[:, k] + self.slopes[:, k] * (tau - t0)
-        return self.anchors[idx, k] + self.slopes[idx, k] * (tau - t0)
 
-    def sweep(self, advance, apply_jump):
-        """Walk cells; advance(idx_or_None, k, tau, dt) moves state over
-        [tau, tau+dt] inside cell k, apply_jump(idx, sizes) fires events."""
-        packed = self.packed
-        for k in range(packed.n_cells):
-            t1 = packed.edges[k + 1]
-            tau = np.full(self.P, packed.edges[k])
-            while True:
-                next_t = self.times[self.jptr]
-                live = (self.jptr < self.jend) & (next_t <= t1)
-                if not live.any():
-                    break
-                idx = np.flatnonzero(live)
-                dt = next_t[idx] - tau[idx]
-                advance(idx, k, tau[idx], dt)
-                apply_jump(idx, self.sizes[self.jptr[idx]])
-                tau[idx] = next_t[idx]
-                self.jptr[idx] += 1
-            dt = t1 - tau
-            advance(None, k, tau, dt)
+def _brownian(packed: PackedPaths) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(anchors, slopes): per path and cell, the Brownian skeleton's value at
+    the cell's left edge and its slope across the cell; (None, None) without
+    a Brownian part."""
+    if packed.brown_edges is None:
+        return None, None
+    h = packed.horizon / packed.n_cells
+    return packed.brown_edges, np.diff(packed.brown_edges, axis=1) / h
 
 
 def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
@@ -195,32 +182,26 @@ def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
     batch, J the running jump sum and B the Brownian skeleton. The driver's
     parts arrive unsummed, so each right-hand side fixes its own summation
     order."""
-    walker = _CellWalker(packed)
     y = np.full(packed.n_paths, float(x0))
     jrun = np.zeros(packed.n_paths)
-    drift = packed.drift_rate
-
-    def advance(idx, k, tau, dt):
-        nonlocal y
-        if idx is None:
-            yy, jr = y, jrun
-        else:
-            yy, jr = y[idx], jrun[idx]
-
-        def f(t, u):
-            return rhs(u, drift * t, jr, walker.brown_at(k, t, idx))
-
-        out = _rk4_step(f, tau, yy, dt)
-        if idx is None:
-            y = out
-        else:
-            y[idx] = out
-
-    def apply_jump(idx, sizes):
-        jrun[idx] += sizes
-
+    drift, edges = packed.drift_rate, packed.edges
+    anchors, slopes = _brownian(packed)
     with np.errstate(over="ignore", invalid="ignore"):
-        walker.sweep(advance, apply_jump)
+        for k, rows, tau, dt, sizes in _sweep(packed):
+            jr = jrun[rows]
+            if anchors is not None:
+                b0, slope, t0 = anchors[rows, k], slopes[rows, k], edges[k]
+
+            def f(t, u):
+                br = 0.0 if anchors is None else b0 + slope * (t - t0)
+                return rhs(u, drift * t, jr, br)
+
+            out = _rk4_step(f, tau, y[rows], dt)
+            if sizes is None:
+                y = out
+            else:
+                y[rows] = out
+                jrun[rows] += sizes
     return y
 
 
@@ -236,38 +217,26 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
 def marcus_terminals(a: ScalarField, sigma: DiffusionField,
                      packed: PackedPaths, x0: float) -> np.ndarray:
     """Marcus terminal values: Heun cells + exact jump flows, vectorized."""
-    walker = _CellWalker(packed)
     x = np.full(packed.n_paths, float(x0))
     drift = packed.drift_rate
     a_val, sig = a.value, sigma.value
-    h = packed.horizon / packed.n_cells
+    _, slopes = _brownian(packed)
 
-    def advance(idx, k, tau, dt):
-        nonlocal x
-        xx = x if idx is None else x[idx]
-        if walker.slopes is None:
-            db = 0.0
-        else:
-            sl = walker.slopes[:, k] if idx is None else walker.slopes[idx, k]
-            db = sl * dt
-
-        def F(u):
-            return a_val(u) + drift * sig(u)
-
-        fx = F(xx)
-        sx = sig(xx)
-        xp = xx + fx * dt + sx * db
-        out = xx + 0.5 * dt * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
-        if idx is None:
-            x = out
-        else:
-            x[idx] = out
-
-    def apply_jump(idx, sizes):
-        x[idx] = flow_map_array(sigma, x[idx], sizes)
+    def F(u):
+        return a_val(u) + drift * sig(u)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        walker.sweep(advance, apply_jump)
+        for k, rows, _, dt, sizes in _sweep(packed):
+            xx = x[rows]
+            db = 0.0 if slopes is None else slopes[rows, k] * dt
+            fx = F(xx)
+            sx = sig(xx)
+            xp = xx + fx * dt + sx * db
+            out = xx + 0.5 * dt * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
+            if sizes is None:
+                x = out
+            else:
+                x[rows] = flow_map_array(sigma, out, sizes)
     return x
 
 

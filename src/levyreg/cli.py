@@ -26,11 +26,15 @@ EXIT_IO = 3
 
 
 def _env_threads() -> int | None:
+    """LEVYREG_THREADS as an int, or None when unset or empty. Its range is
+    checked by with_overrides, as the range of --threads is."""
     raw = os.environ.get("LEVYREG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    if not raw:
         return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"LEVYREG_THREADS is not an integer: {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,12 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(serialize_config(config))
         return EXIT_OK
 
-    threads = args.threads
-    if threads is None:
-        threads = _env_threads()
-    if threads is None:
-        threads = config.threads
     try:
+        threads = args.threads if args.threads is not None else _env_threads()
         config = with_overrides(config, seed=args.seed, replicas=args.replicas,
                                 threads=threads, out_dir=args.out)
     except ConfigError as exc:

@@ -1,9 +1,11 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from levyreg.batch import (
+    _sweep,
     doss_terminals,
     flow_map_array,
     flow_sensitivity_array,
@@ -175,3 +177,43 @@ class TestDossTerminals:
         doss = doss_terminals(A_FIELD, SIGMA, packed, 0.1)
         marc = marcus_terminals(A_FIELD, SIGMA, packed, 0.1)
         assert np.max(np.abs(doss - marc)) < 5e-3
+
+
+class TestSweep:
+    CELLS = 4
+    # cells of width 0.25: 0.25 sits on an edge, 1.0 on the horizon; the
+    # first and last paths have no jumps, the last one past the flat arrays
+    JUMPS = [[], [0.1, 0.2, 0.25, 0.9], [0.3, 0.31, 0.32, 1.0], [0.6], []]
+    # per cell, the most jumps any one path has there: 3, 3, 1, 1
+    ROUNDS = 8
+
+    def paths(self, brownian):
+        triplet = TRIPLET_BROWN if brownian else TRIPLET
+        cells = self.CELLS if brownian else None
+        return [dataclasses.replace(p, jump_times=np.array(t),
+                                    jump_sizes=np.linspace(0.4, -0.3, len(t)))
+                for p, t in zip(draw_paths(triplet, len(self.JUMPS), 61, cells),
+                                self.JUMPS)]
+
+    def test_event_rounds_then_one_edge_step_per_cell(self):
+        steps = list(_sweep(pack_paths(self.paths(False), self.CELLS)))
+        rounds = [s for s in steps if s[4] is not None]
+        edges = [s for s in steps if s[4] is None]
+        assert len(rounds) == self.ROUNDS
+        assert [k for k, *_ in edges] == list(range(self.CELLS))
+        assert all(rows == slice(None) for _, rows, *_ in edges)
+        assert [rows.tolist() for k, rows, *_ in rounds if k == 0] == [[1], [1], [1]]
+        assert [rows.tolist() for k, rows, *_ in rounds if k == 3] == [[1, 2]]
+        # path 2 reaches the horizon by its jump, so its last edge step is 0
+        assert edges[-1][3][2] == 0.0
+
+    @pytest.mark.parametrize("brownian", [False, True])
+    def test_whole_batch_equals_one_path_at_a_time(self, brownian):
+        paths = self.paths(brownian)
+        engines = [lambda p: ode_terminals(A_FIELD, p, 0.2),
+                   lambda p: marcus_terminals(A_FIELD, SIGMA, p, 0.1),
+                   lambda p: doss_terminals(A_FIELD, SIGMA, p, 0.1)]
+        for engine in engines:
+            whole = np.asarray(engine(pack_paths(paths, self.CELLS)))
+            alone = [np.asarray(engine(pack_paths([p], self.CELLS))) for p in paths]
+            assert whole.tobytes() == np.concatenate(alone, axis=-1).tobytes()

@@ -209,6 +209,39 @@ class TestRunScenarioOutputs:
             s1.pop(key), s8.pop(key)
         assert s1 == s8
 
+    # S1 and S7 expect 2 jumps per path, S4 12; one path per chunk would cost
+    # S7 over a minute, so S7 gets only uneven chunks
+    @pytest.mark.parametrize("scenario,budget,chunks", [
+        ("S1", 1, [1] * 1000),
+        ("S1", 600, [300, 300, 300, 100]),
+        ("S4", 1, [1] * 1000),
+        ("S4", 3600, [300, 300, 300, 100]),
+        ("S7", 600, [300, 300, 300, 100])])
+    def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, scenario,
+                                                budget, chunks):
+        seen = []
+        real = scenarios_mod.sample_packed
+
+        def spy(triplet, horizon, trunc, n, *args, **kwargs):
+            seen.append(n)
+            return real(triplet, horizon, trunc, n, *args, **kwargs)
+
+        def run(out):
+            seen.clear()
+            config = parse_config(f"scenario = {scenario}\nreplicas = 1000\n"
+                                  "seed = 12\ncells = 8\n")
+            run_scenario(config, out_dir=out)
+            summary = json.loads((out / "summary.json").read_text())
+            summary.pop("wall_time_s")
+            return (out / "samples.csv").read_bytes(), summary, list(seen)
+
+        monkeypatch.setattr(scenarios_mod, "sample_packed", spy)
+        default = run(tmp_path / "default")
+        monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", budget)
+        small = run(tmp_path / "small")
+        assert default[2] == [1000] and small[2] == chunks
+        assert small[:2] == default[:2]
+
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
         text = "scenario = S1\nreplicas = 2000\nseed = 8\nhorizon = 1.5\n"
@@ -288,6 +321,31 @@ class TestCli:
         assert code == 1
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("value,message", [
+        ("0", "override out of range for 'threads': 0"),
+        ("-3", "override out of range for 'threads': -3"),
+        ("abc", "LEVYREG_THREADS is not an integer: 'abc'")])
+    def test_bad_env_threads_exit_code(self, tmp_path, capsys, monkeypatch, value,
+                                       message):
+        monkeypatch.setenv("LEVYREG_THREADS", value)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S2\nreplicas = 5\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "summary.json").exists()
+
+    def test_env_threads_is_the_default_for_the_flag(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("LEVYREG_THREADS", "3")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S2\nreplicas = 5\n")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == 3
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                         "--threads", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == 2
 
     @pytest.mark.parametrize("text,replicas", [
         ("scenario = S6\n", "100001"),
