@@ -18,9 +18,15 @@ Documents look like::
     low = 0.0
     high = 1.0
 
+`_SCALARS` declares each key but the atoms and the field sections once: its
+type, range check and the field it sets. A key left None takes its scenario's
+value from SCENARIO_DEFAULTS (with_scenario_defaults), so a minimal document
+is just `scenario = S1`.
+
 Unknown keys are errors (with line numbers), duplicate keys are errors
-naming both lines, and range violations are errors naming the key. Every
-key has a documented default; a minimal document is just `scenario = S1`.
+naming both lines, and range violations are errors naming the key. So are a
+jump law that expects more jumps per path than one chunk holds, and a
+replica count below a scenario's sample floor or past its stream gap.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
+from .diagnostics import MIN_SAMPLES
 from .fields import canonical_params, catalogue_names
 from .levy_spec import (
     DensityForm,
@@ -36,9 +43,9 @@ from .levy_spec import (
     JumpMeasureSpec,
     dyadic_family,
     sparse_family,
+    total_rate,
 )
-
-SCENARIO_IDS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7")
+from .path_sampler import jump_budget_error
 
 #: Philox stream-id offsets of the runners' independent draws: S6 takes its
 #: check (b) configs from ids i and its check (c) configs from S6_STREAM_GAP
@@ -46,6 +53,9 @@ SCENARIO_IDS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7")
 #: count past the gap would reuse streams, so such configs are rejected.
 S6_STREAM_GAP = 100_000
 S3_TREND_STREAM_GAP = 10_000_000
+
+#: Scenarios whose atom detection or KS test needs MIN_SAMPLES replicas.
+_FLOORED = ("S1", "S3", "S5", "S7")
 
 
 class ConfigError(ValueError):
@@ -94,7 +104,7 @@ class MeasureChoice:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed scenario parameters; None means 'use the scenario default'."""
+    """Parsed scenario parameters; None takes the value in SCENARIO_DEFAULTS."""
 
     scenario: str
     replicas: int | None = None
@@ -124,36 +134,106 @@ class ScenarioConfig:
 _FIELD_PARAM_KEYS = {"level", "slope", "intercept", "low", "high", "rate",
                      "center", "amplitude", "curvature"}
 
+
+#: Most levels of a family: 2^±levels stays a finite, normal float.
+_MAX_LEVELS = 1022
+
+
+#: (section, key) -> (type, range check, field set): a ScenarioConfig field,
+#: or a MeasureChoice field for the [measure.family] and [measure.density]
+#: keys. serialize_config writes the keys of each section in this order.
 _SCALARS = {
-    ("", "scenario"): ("str", None),
-    ("", "replicas"): ("int", lambda v: v >= 1),
-    ("", "seed"): ("int", lambda v: v >= 0),
-    ("", "threads"): ("int", lambda v: v >= 1),
-    ("", "horizon"): ("float", lambda v: v > 0.0),
-    ("", "x0"): ("float", None),
-    ("", "cells"): ("int", lambda v: v >= 1),
-    ("", "truncation"): ("float", lambda v: v > 0.0),
-    ("", "compensate"): ("bool", None),
-    ("", "repetitions"): ("int", lambda v: v >= 1),
-    ("", "trend_levels"): ("intlist", lambda vs: all(v >= 1 for v in vs)),
-    ("triplet", "drift"): ("float", None),
-    ("triplet", "brownian_variance"): ("float", lambda v: v >= 0.0),
-    ("measure.family", "kind"): ("str", None),
-    ("measure.family", "levels"): ("int", lambda v: v >= 1),
-    ("measure.family", "sign"): ("float", lambda v: v != 0.0),
-    ("measure.family", "rate_scale"): ("float", lambda v: v > 0.0),
-    ("measure.family", "idealized_infinite"): ("bool", None),
-    ("measure.density", "power"): ("float", lambda v: v > 0.0),
-    ("measure.density", "abs_max"): ("float", lambda v: v > 0.0),
-    ("measure.density", "two_sided"): ("bool", None),
-    ("diagnostics", "window"): ("float", lambda v: v > 0.0),
-    ("diagnostics", "threshold"): ("float", lambda v: 0.0 < v < 1.0),
-    ("diagnostics", "spacing"): ("float", lambda v: v > 0.0),
-    ("diagnostics", "halfwidth"): ("float", lambda v: v > 0.0),
-    ("diagnostics", "mark_low"): ("float", lambda v: v > 0.0),
-    ("diagnostics", "mark_high"): ("float", lambda v: v > 0.0),
-    ("output", "dir"): ("str", None),
+    ("", "scenario"): ("str", None, "scenario"),
+    ("", "replicas"): ("int", lambda v: v >= 1, "replicas"),
+    ("", "seed"): ("int", lambda v: v >= 0, "seed"),
+    ("", "threads"): ("int", lambda v: v >= 1, "threads"),
+    ("", "horizon"): ("float", lambda v: v > 0.0, "horizon"),
+    ("", "x0"): ("float", None, "x0"),
+    ("", "cells"): ("int", lambda v: v >= 1, "cells"),
+    ("", "truncation"): ("float", lambda v: v > 0.0, "truncation"),
+    ("", "compensate"): ("bool", None, "compensate"),
+    ("", "repetitions"): ("int", lambda v: v >= 1, "repetitions"),
+    ("", "trend_levels"): ("intlist", lambda vs: all(1 <= v <= _MAX_LEVELS for v in vs),
+                           "trend_levels"),
+    ("triplet", "drift"): ("float", None, "drift"),
+    ("triplet", "brownian_variance"): ("float", lambda v: v >= 0.0, "brownian_variance"),
+    ("measure.family", "kind"): ("str", lambda v: v in ("dyadic", "sparse"), "family"),
+    ("measure.family", "levels"): ("int", lambda v: 1 <= v <= _MAX_LEVELS, "levels"),
+    ("measure.family", "sign"): ("float", lambda v: v != 0.0, "sign"),
+    ("measure.family", "rate_scale"): ("float", lambda v: v > 0.0, "rate_scale"),
+    ("measure.family", "idealized_infinite"): ("bool", None, "idealized_infinite"),
+    ("measure.density", "power"): ("float", lambda v: v > 0.0, "power"),
+    ("measure.density", "abs_max"): ("float", lambda v: v > 0.0, "abs_max"),
+    ("measure.density", "two_sided"): ("bool", None, "two_sided"),
+    ("diagnostics", "window"): ("float", lambda v: v > 0.0, "window"),
+    ("diagnostics", "threshold"): ("float", lambda v: 0.0 < v < 1.0, "threshold"),
+    ("diagnostics", "spacing"): ("float", lambda v: v > 0.0, "spacing"),
+    ("diagnostics", "halfwidth"): ("float", lambda v: v > 0.0, "halfwidth"),
+    ("diagnostics", "mark_low"): ("float", lambda v: v > 0.0, "mark_low"),
+    ("diagnostics", "mark_high"): ("float", lambda v: v > 0.0, "mark_high"),
+    ("output", "dir"): ("str", None, "out_dir"),
 }
+
+
+def _dyadic_lattice(config: ScenarioConfig) -> float:
+    """2^-levels of the config's measure: S3's truncation and lattice spacing.
+    A measure that is not a family has MeasureChoice's default 12 levels."""
+    return 2.0 ** (-config.measure.levels)
+
+
+#: Each scenario's value for the ScenarioConfig fields it reads whose
+#: dataclass default is None. A callable derives the value from the config
+#: with the constants filled in. `window` and `threshold` stay None: the atom
+#: detection derives them from the sample.
+SCENARIO_DEFAULTS: dict[str, dict[str, object]] = {
+    "S1": {"replicas": 100_000, "cells": 256, "x0": 0.0, "truncation": 0.5,
+           "drift": 0.3, "brownian_variance": 0.0,
+           "measure": MeasureChoice(kind="atoms", atoms=((1.0, 2.0),)),
+           "drift_field": FieldChoice("logistic-slope", {
+               "low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5})},
+    "S2": {"replicas": 100, "cells": 512, "mark_low": 0.1, "mark_high": 1.0},
+    "S3": {"replicas": 10_000, "cells": 256, "x0": 0.0, "truncation": _dyadic_lattice,
+           "drift": 0.0, "brownian_variance": 0.0,
+           "measure": MeasureChoice(kind="family", family="dyadic", levels=12),
+           "drift_field": FieldChoice("logistic-slope", {
+               "low": 0.0, "high": 1.0, "rate": 1.0, "center": 12.0}),
+           "spacing": _dyadic_lattice, "halfwidth": 1e-9},
+    "S4": {"replicas": 10_000, "cells": 256, "x0": 0.0, "truncation": 2.0 ** -12,
+           "drift": 0.0, "brownian_variance": 0.0,
+           "measure": MeasureChoice(kind="family", family="sparse", levels=12,
+                                    sign=-1.0, rate_scale=1.0),
+           "drift_field": FieldChoice("constant", {"level": 0.1}),
+           "spacing": 2.0 ** -12, "halfwidth": 1e-9},
+    "S5": {"replicas": 1000, "repetitions": 100, "cells": 256, "x0": 0.0,
+           "truncation": 0.1, "drift": 0.05, "brownian_variance": 0.0,
+           "measure": MeasureChoice(kind="atoms", atoms=((0.3, 8.0),)),
+           "drift_field": FieldChoice("logistic-slope", {
+               "low": 0.0, "high": 1.0, "rate": 1.5, "center": 0.2}),
+           "mark_low": 0.1, "mark_high": 0.5},
+    "S6": {"replicas": 50, "cells": 256},
+    "S7": {"replicas": 10_000, "cells": 128, "x0": 0.2, "truncation": 0.1,
+           "drift": 0.1, "brownian_variance": 0.3,
+           "measure": MeasureChoice(kind="atoms", atoms=((0.35, 2.0),)),
+           "drift_field": FieldChoice("logistic-slope", {
+               "low": 0.0, "high": 0.5, "rate": 1.0, "center": 0.0}),
+           "diffusion_field": FieldChoice("logistic-slope", {
+               "low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0})},
+}
+
+
+def with_scenario_defaults(config: ScenarioConfig) -> ScenarioConfig:
+    """config with each field it leaves None set from SCENARIO_DEFAULTS."""
+    unset = {key: value for key, value in SCENARIO_DEFAULTS[config.scenario].items()
+             if getattr(config, key) is None}
+    config = replace(config, **{k: v for k, v in unset.items() if not callable(v)})
+    return replace(config, **{k: v(config) for k, v in unset.items() if callable(v)})
+
+
+def trend_law(level: int) -> tuple[MeasureChoice, float]:
+    """S3's law at trend level `level`: the dyadic family of that many levels,
+    truncated at its lattice 2^-level."""
+    return MeasureChoice(kind="family", family="dyadic", levels=level), 2.0 ** (-level)
+
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 _ATOM_RE = re.compile(r"^measure\.atom\.(\d+)$")
@@ -183,6 +263,17 @@ def _parse_value(kind: str, raw: str, key: str, line_no: int):
             f"line {line_no}: cannot parse {key} = {raw!r} ({exc})") from exc
 
 
+def _field_choice(section: str, row: dict[str, object]) -> FieldChoice:
+    params = dict(row)
+    name = params.pop("name", None)
+    if name is None:
+        raise ConfigError(f"[{section}] needs a 'name' key")
+    try:
+        return FieldChoice(name=name, params=canonical_params(name, params))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a configuration document into a validated ScenarioConfig."""
     entries: dict[tuple[str, str], tuple[str, int]] = {}
@@ -209,7 +300,8 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"lines {entries[full][1]} and {line_no}")
         entries[full] = (raw_value, line_no)
 
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, object] = {}
+    measure_rows: dict[str, dict[str, object]] = {}
     atom_rows: dict[int, dict[str, float]] = {}
     field_rows: dict[str, dict[str, object]] = {}
     for (section, key), (raw_value, line_no) in entries.items():
@@ -221,117 +313,77 @@ def parse_config(text: str) -> ScenarioConfig:
                 _parse_value("float", raw_value, key, line_no)
             continue
         if section in ("drift_field", "diffusion_field"):
-            if key == "name":
-                name = raw_value
-                if name not in catalogue_names():
-                    raise ConfigError(
-                        f"line {line_no}: unknown field name {name!r}; "
-                        f"choose from {catalogue_names()}")
-                field_rows.setdefault(section, {})["name"] = name
-            elif key in _FIELD_PARAM_KEYS:
-                field_rows.setdefault(section, {}).setdefault("params", {})[key] = \
-                    _parse_value("float", raw_value, key, line_no)
-            else:
+            if key == "name" and raw_value not in catalogue_names():
+                raise ConfigError(f"line {line_no}: unknown field name {raw_value!r}; "
+                                  f"choose from {catalogue_names()}")
+            if key != "name" and key not in _FIELD_PARAM_KEYS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
+            field_rows.setdefault(section, {})[key] = raw_value if key == "name" \
+                else _parse_value("float", raw_value, key, line_no)
             continue
         if (section, key) not in _SCALARS:
             where = f"section [{section}]" if section else "the global section"
             raise ConfigError(f"line {line_no}: unknown key {key!r} in {where}")
-        kind, check = _SCALARS[(section, key)]
+        kind, check, target = _SCALARS[(section, key)]
         value = _parse_value(kind, raw_value, key, line_no)
         if check is not None and not check(value):
             raise ConfigError(f"line {line_no}: value out of range for {key!r}: {raw_value}")
-        values[(section, key)] = value
+        if section.startswith("measure."):
+            measure_rows.setdefault(section.partition(".")[2], {})[target] = value
+        else:
+            values[target] = value
 
-    if ("", "scenario") not in values:
+    if "scenario" not in values:
         raise ConfigError("missing required key 'scenario'")
-    scenario = str(values[("", "scenario")])
-    if scenario not in SCENARIO_IDS:
-        raise ConfigError(
-            f"unknown scenario id {scenario!r}; choose from {', '.join(SCENARIO_IDS)}")
-
-    measure = None
+    if values["scenario"] not in SCENARIO_DEFAULTS:
+        raise ConfigError(f"unknown scenario id {values['scenario']!r}; "
+                          f"choose from {', '.join(SCENARIO_DEFAULTS)}")
+    for idx in sorted(atom_rows):
+        if set(atom_rows[idx]) != {"size", "rate"}:
+            raise ConfigError(f"[measure.atom.{idx}] needs both size and rate")
     if atom_rows:
-        for idx in sorted(atom_rows):
-            row = atom_rows[idx]
-            if set(row) != {"size", "rate"}:
-                raise ConfigError(f"[measure.atom.{idx}] needs both size and rate")
-        measure = MeasureChoice(kind="atoms", atoms=tuple(
-            (atom_rows[i]["size"], atom_rows[i]["rate"]) for i in sorted(atom_rows)))
-    fam_keys = {k for (s, k) in values if s == "measure.family"}
-    den_keys = {k for (s, k) in values if s == "measure.density"}
-    if sum(map(bool, (atom_rows, fam_keys, den_keys))) > 1:
+        measure_rows["atoms"] = {"atoms": tuple(
+            (atom_rows[i]["size"], atom_rows[i]["rate"]) for i in sorted(atom_rows))}
+    if len(measure_rows) > 1:
         raise ConfigError("give at most one of [measure.atom.*], [measure.family], "
                           "[measure.density]")
-    if fam_keys:
-        measure = MeasureChoice(
-            kind="family",
-            family=str(values.get(("measure.family", "kind"), "dyadic")),
-            levels=int(values.get(("measure.family", "levels"), 12)),
-            sign=float(values.get(("measure.family", "sign"), 1.0)),
-            rate_scale=float(values.get(("measure.family", "rate_scale"), 1.0)),
-            idealized_infinite=bool(values.get(("measure.family", "idealized_infinite"),
-                                               True)))
-        if measure.family not in ("dyadic", "sparse"):
-            raise ConfigError(f"unknown family kind {measure.family!r}")
-    if den_keys:
-        measure = MeasureChoice(
-            kind="density",
-            power=float(values.get(("measure.density", "power"), 1.5)),
-            abs_max=float(values.get(("measure.density", "abs_max"), 1.0)),
-            two_sided=bool(values.get(("measure.density", "two_sided"), True)))
+    for kind, row in measure_rows.items():
+        values["measure"] = MeasureChoice(kind=kind, **row)
+    for section, row in field_rows.items():
+        values[section] = _field_choice(section, row)
+    config = ScenarioConfig(**values)
 
-    def _field_choice(section: str) -> FieldChoice | None:
-        row = field_rows.get(section)
-        if row is None:
-            return None
-        if "name" not in row:
-            raise ConfigError(f"[{section}] needs a 'name' key")
-        name = str(row["name"])
-        params = dict(row.get("params", {}))
-        try:
-            params = canonical_params(name, params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return FieldChoice(name=name, params=params)
-
-    config = ScenarioConfig(
-        scenario=scenario,
-        replicas=values.get(("", "replicas")),
-        seed=int(values.get(("", "seed"), 2024)),
-        threads=int(values.get(("", "threads"), 1)),
-        horizon=float(values.get(("", "horizon"), 1.0)),
-        x0=values.get(("", "x0")),
-        cells=values.get(("", "cells")),
-        truncation=values.get(("", "truncation")),
-        compensate=bool(values.get(("", "compensate"), False)),
-        repetitions=values.get(("", "repetitions")),
-        trend_levels=tuple(values.get(("", "trend_levels"), ())),
-        drift=values.get(("triplet", "drift")),
-        brownian_variance=values.get(("triplet", "brownian_variance")),
-        measure=measure,
-        drift_field=_field_choice("drift_field"),
-        diffusion_field=_field_choice("diffusion_field"),
-        window=values.get(("diagnostics", "window")),
-        threshold=values.get(("diagnostics", "threshold")),
-        spacing=values.get(("diagnostics", "spacing")),
-        halfwidth=values.get(("diagnostics", "halfwidth")),
-        mark_low=values.get(("diagnostics", "mark_low")),
-        mark_high=values.get(("diagnostics", "mark_high")),
-        out_dir=values.get(("output", "dir")),
-    )
-    reason = _stream_collision(config)
+    resolved = with_scenario_defaults(config)
+    reason = _replicas_problem(resolved)
     if reason is not None:
         raise ConfigError(f"line {entries[('', 'replicas')][1]}: {reason}")
+    if "measure" in SCENARIO_DEFAULTS[config.scenario]:
+        law_line = max((line_no for (section, key), (_, line_no) in entries.items()
+                        if section.startswith("measure.")
+                        or (section, key) in (("", "truncation"), ("", "horizon"))),
+                       default=entries[("", "scenario")][1])
+        laws = [(resolved.measure, resolved.truncation, law_line)]
+        if config.scenario == "S3":
+            laws += [(*trend_law(lv), entries[("", "trend_levels")][1])
+                     for lv in resolved.trend_levels]
+        for measure, truncation, line_no in laws:
+            try:
+                reason = jump_budget_error(total_rate(measure.build(), truncation),
+                                           resolved.horizon)
+            except (ValueError, ArithmeticError) as exc:
+                reason = f"cannot compute the jump rate: {exc}"
+            if reason is not None:
+                raise ConfigError(f"line {line_no}: {reason}")
     return config
 
 
-def _stream_collision(config: ScenarioConfig) -> str | None:
-    """Why config's replica count would make draws meant to be independent
-    share Philox streams, or None."""
+def _replicas_problem(config: ScenarioConfig) -> str | None:
+    """Why config's replica count (defaults filled in) cannot run, or None:
+    too few samples for its diagnostics, or streams its draws would share."""
     n = config.replicas
-    if n is None:
-        return None
+    if config.scenario in _FLOORED and n < MIN_SAMPLES:
+        return (f"replicas = {n} is below the {MIN_SAMPLES} samples that "
+                f"{config.scenario}'s diagnostics need")
     if config.scenario == "S6" and n > S6_STREAM_GAP:
         return (f"replicas = {n} reuses random streams: S6 draws from stream ids "
                 f"i and {S6_STREAM_GAP} + i, so at most {S6_STREAM_GAP} replicas")
@@ -342,90 +394,57 @@ def _stream_collision(config: ScenarioConfig) -> str | None:
     return None
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
-    lines = [f"scenario = {config.scenario}"]
-
-    def emit(key, value):
-        if value is None:
-            return
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
-
-    emit("replicas", config.replicas)
-    emit("seed", config.seed)
-    emit("threads", config.threads)
-    emit("horizon", config.horizon)
-    emit("x0", config.x0)
-    emit("cells", config.cells)
-    emit("truncation", config.truncation)
-    emit("compensate", config.compensate)
-    emit("repetitions", config.repetitions)
-    if config.trend_levels:
-        emit("trend_levels", ",".join(str(v) for v in config.trend_levels))
-    if config.drift is not None or config.brownian_variance is not None:
-        lines.append("")
-        lines.append("[triplet]")
-        emit("drift", config.drift)
-        emit("brownian_variance", config.brownian_variance)
+    blocks: dict[str, list[str]] = {section: [] for section in (
+        "", "triplet", "measure", "drift_field", "diffusion_field", "diagnostics", "output")}
     m = config.measure
-    if m is not None:
-        lines.append("")
-        if m.kind == "atoms":
-            for i, (size, rate) in enumerate(m.atoms, start=1):
-                lines.append(f"[measure.atom.{i}]")
-                emit("size", size)
-                emit("rate", rate)
-        elif m.kind == "family":
-            lines.append("[measure.family]")
-            emit("kind", m.family)
-            emit("levels", m.levels)
-            emit("sign", m.sign)
-            emit("rate_scale", m.rate_scale)
-            emit("idealized_infinite", m.idealized_infinite)
-        else:
-            lines.append("[measure.density]")
-            emit("power", m.power)
-            emit("abs_max", m.abs_max)
-            emit("two_sided", m.two_sided)
-    for section, choice in (("drift_field", config.drift_field),
-                            ("diffusion_field", config.diffusion_field)):
+    for (section, key), (_, _, target) in _SCALARS.items():
+        owner = config
+        if section.startswith("measure."):
+            if m is None or section != f"measure.{m.kind}":
+                continue
+            owner = m
+        value = getattr(owner, target)
+        if value is None or value == ():
+            continue
+        block = blocks[section.partition(".")[0]]
+        if section and not block:
+            block.append(f"[{section}]")
+        block.append(f"{key} = {_text(value)}")
+    if m is not None and m.kind == "atoms":
+        for i, (size, rate) in enumerate(m.atoms, start=1):
+            blocks["measure"] += [f"[measure.atom.{i}]", f"size = {size}", f"rate = {rate}"]
+    for section in ("drift_field", "diffusion_field"):
+        choice = getattr(config, section)
         if choice is not None:
-            lines.append("")
-            lines.append(f"[{section}]")
-            emit("name", choice.name)
-            for k in sorted(choice.params):
-                emit(k, choice.params[k])
-    diag = [("window", config.window), ("threshold", config.threshold),
-            ("spacing", config.spacing), ("halfwidth", config.halfwidth),
-            ("mark_low", config.mark_low), ("mark_high", config.mark_high)]
-    if any(v is not None for _, v in diag):
-        lines.append("")
-        lines.append("[diagnostics]")
-        for k, v in diag:
-            emit(k, v)
-    if config.out_dir is not None:
-        lines.append("")
-        lines.append("[output]")
-        emit("dir", config.out_dir)
-    return "\n".join(lines) + "\n"
+            blocks[section] = [f"[{section}]", f"name = {choice.name}"] + [
+                f"{k} = {choice.params[k]}" for k in sorted(choice.params)]
+    return "\n\n".join("\n".join(block) for block in blocks.values() if block) + "\n"
 
 
 def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
                    replicas: int | None = None, threads: int | None = None,
                    out_dir: str | None = None) -> ScenarioConfig:
-    """config with the given keys replaced; numeric overrides pass the same
-    range and stream-collision checks as the document's keys."""
+    """config with the given keys replaced; they pass the same range checks as
+    the document's keys, and the replica count the same parse_config checks."""
     updates = {key: value for key, value in (("seed", seed), ("replicas", replicas),
                                              ("threads", threads), ("out_dir", out_dir))
                if value is not None}
     for key, value in updates.items():
-        check = _SCALARS.get(("", key), (None, None))[1]
+        check = next(check for _, check, target in _SCALARS.values() if target == key)
         if check is not None and not check(value):
             raise ConfigError(f"override out of range for {key!r}: {value}")
     updated = replace(config, **updates) if updates else config
-    reason = _stream_collision(updated)
+    reason = _replicas_problem(with_scenario_defaults(updated))
     if reason is not None:
         raise ConfigError(f"override {reason}")
     return updated

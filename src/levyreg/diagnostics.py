@@ -20,6 +20,9 @@ from .flow_engine import ScalarField, rk4_step
 #: Asymptotic two-sample KS coefficient at the 1% level.
 KS_COEFF_1PCT = 1.628
 
+#: Fewest samples atom detection and the KS test accept.
+MIN_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -76,8 +79,8 @@ def detect_atoms(batch: SampleBatch, window: float | None = None,
                  threshold: float | None = None) -> AtomReport:
     """Slide a width-`window` interval over the sorted sample; report every
     maximal interval carrying at least `threshold` of the total mass."""
-    if batch.count < 1000:
-        raise ValueError("atom detection needs at least 1e3 samples")
+    if batch.count < MIN_SAMPLES:
+        raise ValueError(f"atom detection needs at least {MIN_SAMPLES} samples")
     if window is None:
         window = default_window(batch)
     if window <= 0.0:
@@ -138,8 +141,8 @@ def lattice_concentration(batch: SampleBatch, spacing: float,
 def two_sample_ks(batch1: SampleBatch, batch2: SampleBatch
                   ) -> tuple[float, float]:
     """(KS statistic, asymptotic 1% critical value)."""
-    if batch1.count < 1000 or batch2.count < 1000:
-        raise ValueError("KS test needs at least 1e3 samples per batch")
+    if min(batch1.count, batch2.count) < MIN_SAMPLES:
+        raise ValueError(f"KS test needs at least {MIN_SAMPLES} samples per batch")
     v1, v2 = batch1.values, batch2.values
     pooled = np.concatenate([v1, v2])
     cdf1 = np.searchsorted(v1, pooled, side="right") / batch1.count

@@ -226,21 +226,16 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
 
 
 def jump_time_derivative(a: ScalarField, solution: FlowSolution,
-                         decomp: PathDecomposition | float,
-                         eval_time: float | None = None) -> float:
+                         decomp: PathDecomposition | float) -> float:
     """Derivative of the terminal Y with respect to the marked jump time.
 
     `solution` must be the solved trajectory of the path containing the
     marked jump; `decomp` may be the decomposition or the marked time itself.
     """
-    if eval_time is None:
-        eval_time = solution.horizon
-    if eval_time != solution.horizon:
-        raise ValueError("eval_time must equal the solution horizon")
     T = decomp.T if isinstance(decomp, PathDecomposition) else float(decomp)
-    if T > eval_time:
+    if T > solution.horizon:
         return 0.0
-    if T == eval_time:
+    if T == solution.horizon:
         raise NonDifferentiablePoint(
             "one-sided derivatives differ when the marked jump sits at the horizon")
     record = next((r for r in solution.jump_records if r[0] == T), None)

@@ -150,15 +150,9 @@ class MarcusTrajectory:
     horizon: float
     x0: float
 
-    @property
-    def jump_records(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(time, x_left, x_right, size) rows, matching FlowSolution."""
-        return tuple((t, pre, post, size) for t, pre, size, post in self.jump_log)
-
 
 def marcus_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
-                 x0: float, step: float | None = None,
-                 phi_tol: float = 1e-10) -> MarcusTrajectory:
+                 x0: float, step: float | None = None) -> MarcusTrajectory:
     """Solve the Marcus equation along one driver realization."""
     if step is None:
         step = default_step(path.horizon)
@@ -190,7 +184,7 @@ def marcus_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
             xs.append(x)
         if size is not None:
             try:
-                post = jump_flow_phi(sigma, x, size, phi_tol)
+                post = jump_flow_phi(sigma, x, size)
             except FlowDivergence as exc:
                 raise FlowDivergence(f"{exc} (jump at t={t1})") from exc
             log.append((t1, x, size, post))

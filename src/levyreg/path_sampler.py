@@ -334,6 +334,17 @@ class _PathLaw:
                            brown_edges=brown_edges, z_terminal=z_term)
 
 
+def jump_budget_error(rate: float, horizon: float) -> str | None:
+    """Why paths of a law with this jump rate above truncation do not fit
+    one chunk of MAX_JUMPS_PER_CHUNK jumps, or None."""
+    if not math.isfinite(rate):
+        return "jump rate above truncation is not finite"
+    if rate * horizon > MAX_JUMPS_PER_CHUNK:
+        return (f"expected jumps per path (rate {rate:g} x horizon {horizon:g}) "
+                f"exceed the chunk budget of {MAX_JUMPS_PER_CHUNK} jumps")
+    return None
+
+
 def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
               compensate: bool, brownian_cells: int | None) -> _PathLaw:
     if horizon <= 0.0:
@@ -341,12 +352,9 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
     if trunc <= 0.0:
         raise ValueError("truncation level must be > 0")
     rate = total_rate(triplet.jumps, trunc)
-    if not math.isfinite(rate):
-        raise ValueError("jump rate above truncation is not finite")
-    if rate * horizon > MAX_JUMPS_PER_CHUNK:
-        raise ValueError(
-            f"expected jumps per path (rate {rate:g} x horizon {horizon:g}) exceed "
-            f"the chunk budget of {MAX_JUMPS_PER_CHUNK} jumps")
+    reason = jump_budget_error(rate, horizon)
+    if reason is not None:
+        raise ValueError(reason)
     grid = None
     sd = 0.0
     if triplet.brownian_variance > 0.0:

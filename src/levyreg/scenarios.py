@@ -38,14 +38,12 @@ from .batch import doss_terminals, flow_map_array, marcus_terminals, ode_termina
 from .config import (
     S3_TREND_STREAM_GAP,
     S6_STREAM_GAP,
-    FieldChoice,
-    MeasureChoice,
     ScenarioConfig,
+    trend_law,
+    with_scenario_defaults,
 )
 from .diagnostics import (
     SampleBatch,
-    default_threshold,
-    default_window,
     detect_atoms,
     deterministic_skeleton,
     lattice_concentration,
@@ -139,15 +137,17 @@ def _json_safe(value):
 
 
 def _sample_and_solve(config: ScenarioConfig, triplet: LevyTriplet, trunc: float,
-                      n: int, cells: int, solve, stream_offset: int = 0,
+                      solve, stream_offset: int = 0,
                       brownian_cells: int | None = None) -> list[np.ndarray]:
-    """Replicas stream_offset + [0, n) sampled straight into PackedPaths in
-    chunks of about MAX_JUMPS_PER_CHUNK expected jumps; the arrays that
-    solve(packed) returns, each concatenated over the chunks."""
+    """Replicas stream_offset + [0, config.replicas) on config.cells cells,
+    sampled straight into PackedPaths in chunks of about MAX_JUMPS_PER_CHUNK
+    expected jumps; solve(packed)'s arrays, each concatenated over the chunks."""
+    n = config.replicas
     mean_jumps = total_rate(triplet.jumps, trunc) * config.horizon
     per_chunk = max(1, int(MAX_JUMPS_PER_CHUNK // max(1.0, mean_jumps)))
     parts = [solve(sample_packed(triplet, config.horizon, trunc, min(per_chunk, n - lo),
-                                 config.seed, cells, stream_offset=stream_offset + lo,
+                                 config.seed, config.cells,
+                                 stream_offset=stream_offset + lo,
                                  compensate=config.compensate,
                                  brownian_cells=brownian_cells))
              for lo in range(0, n, per_chunk)]
@@ -160,26 +160,12 @@ def _ode_solver(a: ScalarField, x0: float):
 
 
 # --------------------------------------------------------------------------
-# scenario defaults and runners
+# scenario runners; each first fills in its defaults (config.SCENARIO_DEFAULTS)
 
 
-def _triplet_from(config: ScenarioConfig, default_measure: MeasureChoice,
-                  default_drift: float, default_brownian: float = 0.0) -> LevyTriplet:
-    measure = config.measure or default_measure
-    drift = config.drift if config.drift is not None else default_drift
-    brown = config.brownian_variance if config.brownian_variance is not None \
-        else default_brownian
-    return LevyTriplet(drift=drift, jumps=measure.build(), brownian_variance=brown)
-
-
-def _scalar_from(choice: FieldChoice | None, default: FieldChoice) -> ScalarField:
-    c = choice or default
-    return make_scalar_field(c.name, c.params)
-
-
-def _diffusion_from(choice: FieldChoice | None, default: FieldChoice) -> DiffusionField:
-    c = choice or default
-    return make_diffusion_field(c.name, c.params)
+def _triplet(config: ScenarioConfig) -> LevyTriplet:
+    return LevyTriplet(drift=config.drift, jumps=config.measure.build(),
+                       brownian_variance=config.brownian_variance)
 
 
 def _unless_diverged(solve, fallback):
@@ -193,22 +179,15 @@ def _unless_diverged(solve, fallback):
 
 
 def run_s1(config: ScenarioConfig) -> ScenarioResult:
-    n = config.replicas or 100_000
-    cells = config.cells or 256
-    x0 = config.x0 if config.x0 is not None else 0.0
-    trunc = config.truncation or 0.5
-    triplet = _triplet_from(
-        config, MeasureChoice(kind="atoms", atoms=((1.0, 2.0),)), default_drift=0.3)
-    a = _scalar_from(config.drift_field, FieldChoice(
-        "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}))
-    x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
+    config = with_scenario_defaults(config)
+    triplet, x0, trunc = _triplet(config), config.x0, config.truncation
+    a = make_scalar_field(config.drift_field.name, config.drift_field.params)
+    x, z = _sample_and_solve(config, triplet, trunc, _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     ok = ~failed
     batch = SampleBatch(x[ok])
-    window = config.window if config.window is not None else default_window(batch)
-    threshold = config.threshold if config.threshold is not None \
-        else default_threshold(batch.count)
-    report = detect_atoms(batch, window, threshold)
+    report = detect_atoms(batch, config.window, config.threshold)
+    window = report.window
     skeleton = deterministic_skeleton(
         a, driver_drift(triplet, trunc, config.compensate), x0, config.horizon)
     rate = total_rate(triplet.jumps, trunc)
@@ -225,10 +204,10 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
         "location_within_window": bool(abs(top[0] - skeleton) <= window),
         "mass_within_3se": bool(abs(top[1] - p_atom) <= 3.0 * se),
         "window": window,
-        "threshold": threshold,
+        "threshold": report.threshold,
     }
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n), terminal_x=x,
+                          replica_ids=np.arange(config.replicas), terminal_x=x,
                           terminal_z=z, failed=failed.astype(int))
 
 
@@ -253,8 +232,8 @@ def _s2_field(kind: int, gen: np.random.Generator) -> tuple[ScalarField, str]:
     return f, "arctan-diffusion"
 
 
-def _s2_config(config: ScenarioConfig, i: int, step: float, mark_lo: float,
-               mark_hi: float) -> tuple[str, float, float, float] | None:
+def _s2_config(config: ScenarioConfig, i: int,
+               step: float) -> tuple[str, float, float, float] | None:
     """(field kind, X_horizon, Z_horizon, worst relative error against the
     finite-difference oracle) of config i, or None when no drawn path has a
     usable marked jump."""
@@ -264,6 +243,7 @@ def _s2_config(config: ScenarioConfig, i: int, step: float, mark_lo: float,
     triplet = LevyTriplet(drift=float(gen.uniform(-0.2, 0.2)),
                           jumps=FiniteAtomic(((size, 5.0),)))
     x0 = float(gen.uniform(-0.5, 0.5))
+    mark_lo, mark_hi = config.mark_low, config.mark_high
     for _ in range(300):
         path = sample_path(triplet, config.horizon, 0.05, gen=gen)
         marked = marked_jump_indices(path, mark_lo, mark_hi)
@@ -300,17 +280,15 @@ def _s2_config(config: ScenarioConfig, i: int, step: float, mark_lo: float,
 
 
 def run_s2(config: ScenarioConfig) -> ScenarioResult:
-    n_configs = config.replicas or 100
-    step = config.horizon / max(config.cells or 512, 512)
+    config = with_scenario_defaults(config)
+    step = config.horizon / max(config.cells, 512)
     rel_tol = 1e-4
-    mark_lo = config.mark_low if config.mark_low is not None else 0.1
-    mark_hi = config.mark_high if config.mark_high is not None else 1.0
     rows_x, rows_z, failed = [], [], []
     kinds = {"logistic-slope": 0, "linear": 0, "affine": 0, "arctan-diffusion": 0}
     max_rel_err = 0.0
-    for i in range(n_configs):
+    for i in range(config.replicas):
         row = _unless_diverged(
-            lambda: _s2_config(config, i, step, mark_lo, mark_hi), None)
+            lambda: _s2_config(config, i, step), None)
         if row is None:
             failed.append(1)
             rows_x.append(math.nan)
@@ -323,50 +301,33 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
         rows_z.append(z)
         failed.append(0 if worst <= rel_tol else 1)
     diagnostics = {
-        "configs": n_configs,
+        "configs": config.replicas,
         "max_relative_error": max_rel_err,
         "tolerance": rel_tol,
         "all_within_tolerance": bool(max_rel_err <= rel_tol and sum(failed) == 0),
         "field_kinds": kinds,
     }
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n_configs),
+                          replica_ids=np.arange(config.replicas),
                           terminal_x=np.asarray(rows_x),
                           terminal_z=np.asarray(rows_z),
                           failed=np.asarray(failed))
 
 
 def run_s3(config: ScenarioConfig) -> ScenarioResult:
-    n = config.replicas or 10_000
-    levels = 12
-    if config.measure is not None and config.measure.kind == "family":
-        levels = config.measure.levels
-    trunc = config.truncation or 2.0 ** (-levels)
-    spacing = config.spacing if config.spacing is not None else 2.0 ** (-levels)
-    halfwidth = config.halfwidth if config.halfwidth is not None else 1e-9
-    x0 = config.x0 if config.x0 is not None else 0.0
-    cells = config.cells or 256
-    triplet = _triplet_from(
-        config, MeasureChoice(kind="family", family="dyadic", levels=levels),
-        default_drift=0.0)
-    a = _scalar_from(config.drift_field, FieldChoice(
-        "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 12.0}))
-
-    solve = _ode_solver(a, x0)
-    x, z = _sample_and_solve(config, triplet, trunc, n, cells, solve)
+    config = with_scenario_defaults(config)
+    triplet, spacing, halfwidth = _triplet(config), config.spacing, config.halfwidth
+    a = make_scalar_field(config.drift_field.name, config.drift_field.params)
+    solve = _ode_solver(a, config.x0)
+    x, z = _sample_and_solve(config, triplet, config.truncation, solve)
     failed = ~np.isfinite(x)
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
     lattice_x = lattice_concentration(SampleBatch(x[ok]), spacing, halfwidth)
-    batch_x = SampleBatch(x[ok])
-    report = detect_atoms(batch_x,
-                          config.window if config.window is not None
-                          else default_window(batch_x),
-                          config.threshold if config.threshold is not None
-                          else default_threshold(batch_x.count))
+    report = detect_atoms(SampleBatch(x[ok]), config.window, config.threshold)
     diagnostics = {
-        "levels": levels,
-        "total_rate": total_rate(triplet.jumps, trunc),
+        "levels": config.measure.levels,
+        "total_rate": total_rate(triplet.jumps, config.truncation),
         "lattice_concentration_z": lattice_z,
         "lattice_concentration_x": lattice_x,
         "atoms_detected_x": report.atoms_present,
@@ -378,35 +339,25 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     if config.trend_levels:
         trend = {}
         for lv in config.trend_levels:
-            trip = LevyTriplet(drift=triplet.drift,
-                               jumps=MeasureChoice(kind="family", family="dyadic",
-                                                   levels=lv).build())
-            cut = 2.0 ** (-lv)
-            xs_lv, _ = _sample_and_solve(config, trip, cut, n, cells, solve,
+            measure, cut = trend_law(lv)
+            trip = LevyTriplet(drift=triplet.drift, jumps=measure.build())
+            xs_lv, _ = _sample_and_solve(config, trip, cut, solve,
                                          stream_offset=S3_TREND_STREAM_GAP * lv)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
                 SampleBatch(xs_lv[ok_lv]), spacing, halfwidth)
         diagnostics["lattice_concentration_x_by_level"] = trend
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n), terminal_x=x,
+                          replica_ids=np.arange(config.replicas), terminal_x=x,
                           terminal_z=z, failed=failed.astype(int))
 
 
 def run_s4(config: ScenarioConfig) -> ScenarioResult:
-    n = config.replicas or 10_000
-    levels = 12
-    trunc = config.truncation or 2.0 ** (-levels)
-    spacing = config.spacing if config.spacing is not None else 2.0 ** (-levels)
-    halfwidth = config.halfwidth if config.halfwidth is not None else 1e-9
-    x0 = config.x0 if config.x0 is not None else 0.0
-    cells = config.cells or 256
-    triplet = _triplet_from(
-        config, MeasureChoice(kind="family", family="sparse", levels=levels,
-                              sign=-1.0, rate_scale=1.0),
-        default_drift=0.0)
-    a = _scalar_from(config.drift_field, FieldChoice("constant", {"level": 0.1}))
-    x, z = _sample_and_solve(config, triplet, trunc, n, cells, _ode_solver(a, x0))
+    config = with_scenario_defaults(config)
+    x0, spacing, halfwidth = config.x0, config.spacing, config.halfwidth
+    a = make_scalar_field(config.drift_field.name, config.drift_field.params)
+    x, z = _sample_and_solve(config, _triplet(config), config.truncation,
+                             _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     ok = ~failed
     shift = x0 + a.value(x0) * config.horizon
@@ -422,22 +373,16 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
         "no_regularization_pass": bool(lattice_shifted >= 0.95),
     }
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n), terminal_x=x,
+                          replica_ids=np.arange(config.replicas), terminal_x=x,
                           terminal_z=z, failed=failed.astype(int))
 
 
 def run_s5(config: ScenarioConfig) -> ScenarioResult:
-    n = config.replicas or 1000
-    reps = config.repetitions or 100
-    mark_lo = config.mark_low if config.mark_low is not None else 0.1
-    mark_hi = config.mark_high if config.mark_high is not None else 0.5
-    trunc = config.truncation or 0.1
-    x0 = config.x0 if config.x0 is not None else 0.0
-    cells = config.cells or 256
-    triplet = _triplet_from(
-        config, MeasureChoice(kind="atoms", atoms=((0.3, 8.0),)), default_drift=0.05)
-    a = _scalar_from(config.drift_field, FieldChoice(
-        "logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.5, "center": 0.2}))
+    config = with_scenario_defaults(config)
+    n, reps, x0, cells = config.replicas, config.repetitions, config.x0, config.cells
+    mark_lo, mark_hi, trunc = config.mark_low, config.mark_high, config.truncation
+    triplet = _triplet(config)
+    a = make_scalar_field(config.drift_field.name, config.drift_field.params)
 
     def has_two_marked(p: LevyPath) -> bool:
         return marked_jump_indices(p, mark_lo, mark_hi).size >= 2
@@ -528,8 +473,8 @@ def _s6_path(gen: np.random.Generator, horizon: float) -> LevyPath:
 
 
 def run_s6(config: ScenarioConfig) -> ScenarioResult:
-    n_configs = config.replicas or 50
-    step = config.horizon / (config.cells or 256)
+    config = with_scenario_defaults(config)
+    step = config.horizon / config.cells
     a_default = make_scalar_field("logistic-slope",
                                   {"low": 0.0, "high": 0.8, "rate": 1.1, "center": 0.3})
 
@@ -549,7 +494,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     # (b) proportional closed form vs the integrator
     worst_prop = 0.0
     rows_x, rows_z, failed = [], [], []
-    for i in range(n_configs):
+    for i in range(config.replicas):
         gen = RngStream(config.seed, i).generator()
         sigma = _s6_sigma(i % 3, gen)
         k = float(gen.uniform(-0.5, 0.5))
@@ -570,7 +515,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
 
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
-    for i in range(n_configs):
+    for i in range(config.replicas):
         gen = RngStream(config.seed, S6_STREAM_GAP + i).generator()
         sigma = _s6_sigma(1 + (i % 2), gen)
         a = make_scalar_field("logistic-slope", {
@@ -625,7 +570,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     k_stable = abs(k_fine - k_coarse) <= 0.10 * k_coarse
 
     diagnostics = {
-        "configs": n_configs,
+        "configs": config.replicas,
         "unit_reduction_worst": worst_reduction,
         "unit_reduction_pass": bool(worst_reduction <= 1e-10),
         "proportional_worst": worst_prop,
@@ -639,29 +584,23 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
         "remainder_stable": bool(k_stable),
     }
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n_configs),
+                          replica_ids=np.arange(config.replicas),
                           terminal_x=np.asarray(rows_x),
                           terminal_z=np.asarray(rows_z),
                           failed=np.asarray(failed))
 
 
 def run_s7(config: ScenarioConfig) -> ScenarioResult:
-    n = config.replicas or 10_000
-    trunc = config.truncation or 0.1
-    cells = config.cells or 128
-    x0 = config.x0 if config.x0 is not None else 0.2
-    triplet = _triplet_from(
-        config, MeasureChoice(kind="atoms", atoms=((0.35, 2.0),)),
-        default_drift=0.1, default_brownian=0.3)
-    a = _scalar_from(config.drift_field, FieldChoice(
-        "logistic-slope", {"low": 0.0, "high": 0.5, "rate": 1.0, "center": 0.0}))
-    sigma = _diffusion_from(config.diffusion_field, FieldChoice(
-        "logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}))
+    config = with_scenario_defaults(config)
+    triplet, x0 = _triplet(config), config.x0
+    a = make_scalar_field(config.drift_field.name, config.drift_field.params)
+    sigma = make_diffusion_field(config.diffusion_field.name,
+                                 config.diffusion_field.params)
     x_doss, x_marc, z = _sample_and_solve(
-        config, triplet, trunc, n, cells,
+        config, triplet, config.truncation,
         lambda packed: (doss_terminals(a, sigma, packed, x0),
                         marcus_terminals(a, sigma, packed, x0), packed.z_terminal),
-        brownian_cells=cells)
+        brownian_cells=config.cells)
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
     stat, crit = two_sample_ks(SampleBatch(x_doss[ok]), SampleBatch(x_marc[ok]))
     failed = (~ok)
@@ -671,10 +610,10 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         "equivalence_pass": bool(stat < crit),
         "max_pathwise_gap": float(np.max(np.abs(x_doss[ok] - x_marc[ok]))),
         "brownian_variance": triplet.brownian_variance,
-        "cells": cells,
+        "cells": config.cells,
     }
     return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(n), terminal_x=x_marc,
+                          replica_ids=np.arange(config.replicas), terminal_x=x_marc,
                           terminal_z=z,
                           failed=failed.astype(int))
 

@@ -160,8 +160,7 @@ def doss_sussman_drift(a: ScalarField, sigma: DiffusionField,
 
 
 def doss_sussman_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
-                       x0: float, step: float | None = None,
-                       phi_tol: float = 1e-10) -> float:
+                       x0: float, step: float | None = None) -> float:
     """Terminal value via X_t = phi(Y_t, Z_t) with Y a pathwise random ODE.
 
     The flow-commutation that makes this exact holds for the Marcus jump
@@ -179,4 +178,4 @@ def doss_sussman_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
             y = rk4_step(f, t, y, h)
             if not math.isfinite(y):
                 raise FlowDivergence(f"transformed state diverged near t={t}")
-    return jump_flow_phi(sigma, y, path.terminal, phi_tol)
+    return jump_flow_phi(sigma, y, path.terminal)

@@ -101,7 +101,7 @@ class TestParseConfig:
             parse_config("scenario = S1\n[drift_field]\nname = cubic\n")
 
     def test_round_trip(self):
-        text = ("scenario = S5\nreplicas = 500\nseed = 9\nthreads = 2\n"
+        text = ("scenario = S5\nreplicas = 1000\nseed = 9\nthreads = 2\n"
                 "repetitions = 7\n[triplet]\ndrift = 0.05\n"
                 "[measure.atom.1]\nsize = 0.3\nrate = 8.0\n"
                 "[drift_field]\nname = linear\nslope = 0.4\n"
@@ -111,11 +111,11 @@ class TestParseConfig:
         assert parse_config(serialize_config(config)) == config
 
     def test_overrides(self):
-        config = parse_config("scenario = S1\nreplicas = 10\n")
-        updated = with_overrides(config, seed=5, replicas=20, threads=4,
+        config = parse_config("scenario = S1\nreplicas = 1000\n")
+        updated = with_overrides(config, seed=5, replicas=2000, threads=4,
                                  out_dir="/tmp/x")
         assert (updated.seed, updated.replicas, updated.threads, updated.out_dir) \
-            == (5, 20, 4, "/tmp/x")
+            == (5, 2000, 4, "/tmp/x")
 
     @pytest.mark.parametrize("key,value", [("threads", -3), ("threads", 0),
                                            ("replicas", 0), ("seed", -1)])
@@ -283,10 +283,10 @@ class TestCli:
 
     def test_validate_echoes_canonical_form(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("scenario = S1\nreplicas = 50\n")
+        cfg.write_text("scenario = S2\nreplicas = 50\n")
         assert cli_main(["validate", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "scenario = S1" in out
+        assert "scenario = S2" in out
         assert "replicas = 50" in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -374,7 +374,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("run failed: ") and "chunk budget" in err
+        assert err.startswith("config error: line 4: ") and "chunk budget" in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("text,failed_rows,conjugacy_diverged", [

@@ -1,0 +1,255 @@
+"""The key table behind parse_config / serialize_config / with_overrides, the
+scenario defaults, and the checks that make `validate` agree with `run`."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import levyreg.scenarios as scenarios_mod
+from levyreg.cli import main as cli_main
+from levyreg.config import (
+    _SCALARS,
+    SCENARIO_DEFAULTS,
+    ConfigError,
+    FieldChoice,
+    MeasureChoice,
+    ScenarioConfig,
+    parse_config,
+    serialize_config,
+    with_overrides,
+    with_scenario_defaults,
+)
+from levyreg.fields import canonical_params
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+# One strategy per field the key table sets. The ranges keep every generated
+# law far inside the jump budget and every replica count above the sample
+# floor and below the stream gaps, so each config must parse.
+_VALUES = {
+    "replicas": st.integers(1000, 100_000),
+    "seed": st.integers(0, 2 ** 40),
+    "threads": st.integers(1, 64),
+    "horizon": _floats(0.01, 10.0),
+    "x0": _floats(-1e6, 1e6),
+    "cells": st.integers(1, 10_000),
+    "truncation": _floats(0.01, 2.0),
+    "compensate": st.booleans(),
+    "repetitions": st.integers(1, 1000),
+    "trend_levels": st.lists(st.integers(1, 12), max_size=3).map(tuple),
+    "drift": _floats(-1e3, 1e3),
+    "brownian_variance": _floats(0.0, 5.0),
+    "family": st.sampled_from(["dyadic", "sparse"]),
+    "levels": st.integers(1, 12),
+    "sign": _floats(0.1, 4.0) | _floats(-4.0, -0.1),
+    "rate_scale": _floats(1e-3, 10.0),
+    "idealized_infinite": st.booleans(),
+    "power": _floats(0.05, 2.0),
+    "abs_max": _floats(0.05, 5.0),
+    "two_sided": st.booleans(),
+    "window": _floats(1e-12, 1e3),
+    "threshold": _floats(1e-6, 0.999),
+    "spacing": _floats(1e-9, 10.0),
+    "halfwidth": _floats(1e-12, 1.0),
+    "mark_low": _floats(1e-6, 10.0),
+    "mark_high": _floats(1e-6, 10.0),
+    "out_dir": st.text("abcxyz0129_-./", min_size=1, max_size=20),
+}
+_FAMILY_KEYS = ("family", "levels", "sign", "rate_scale", "idealized_infinite")
+_DENSITY_KEYS = ("power", "abs_max", "two_sided")
+_FIELD_PARAMS = {"constant": ("level",), "linear": ("slope",),
+                 "affine": ("slope", "intercept"),
+                 "logistic-slope": ("low", "high", "rate", "center"),
+                 "arctan-diffusion": ("amplitude", "curvature", "center")}
+
+_atom = st.tuples(_floats(0.01, 3.0) | _floats(-3.0, -0.01), _floats(0.0, 50.0))
+_measures = st.one_of(
+    st.lists(_atom, min_size=1, max_size=3).map(
+        lambda atoms: MeasureChoice(kind="atoms", atoms=tuple(atoms))),
+    st.fixed_dictionaries({k: _VALUES[k] for k in _FAMILY_KEYS}).map(
+        lambda kw: MeasureChoice(kind="family", **kw)),
+    st.fixed_dictionaries({k: _VALUES[k] for k in _DENSITY_KEYS}).map(
+        lambda kw: MeasureChoice(kind="density", **kw)))
+
+
+@st.composite
+def _field_choices(draw):
+    name = draw(st.sampled_from(sorted(_FIELD_PARAMS)))
+    keys = draw(st.lists(st.sampled_from(_FIELD_PARAMS[name]), unique=True))
+    params = {k: draw(_floats(-5.0, 5.0)) for k in keys}
+    return FieldChoice(name, canonical_params(name, params))
+
+
+_configs = st.builds(
+    ScenarioConfig,
+    scenario=st.sampled_from(sorted(SCENARIO_DEFAULTS)),
+    measure=_maybe(_measures),
+    drift_field=_maybe(_field_choices()),
+    diffusion_field=_maybe(_field_choices()),
+    **{key: _maybe(value) if key not in ("seed", "threads", "horizon", "compensate",
+                                         "trend_levels") else value
+       for key, value in _VALUES.items()
+       if key not in _FAMILY_KEYS + _DENSITY_KEYS})
+
+
+class TestKeyTable:
+    def test_strategies_cover_every_table_key(self):
+        assert set(_VALUES) == {target for _, _, target in _SCALARS.values()} \
+            - {"scenario"}
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs)
+    def test_serialize_round_trips(self, config):
+        text = serialize_config(config)
+        again = parse_config(text)
+        assert again == config
+        assert serialize_config(again) == text
+
+    # `levyreg validate` output as the hand-written parser gave it before the
+    # key table, for documents written out of order, with comments and other
+    # spellings
+    @pytest.mark.parametrize("text,expected", [
+        ("# every table key, the family measure and both field sections\n"
+         "replicas = 5000\nseed = 13\nthreads = 2\nhorizon = 0.9\nx0 = -0.05\n"
+         "cells = 32\ntruncation = 0.01\ncompensate = on\nrepetitions = 3\n"
+         "trend_levels = 2, 4,\nscenario = S3   # trailing comment\n\n"
+         "[output]\ndir = results/s3\n[diagnostics]\nhalfwidth = 1e-8\n"
+         "spacing = 0.0078125\nthreshold = 0.1\nwindow = 1e-4\nmark_high = 0.9\n"
+         "mark_low = 0.15\n\n[measure.family]\nidealized_infinite = no\n"
+         "rate_scale = 0.8\nsign = -1\nlevels = 7\nkind = sparse\n\n"
+         "[diffusion_field]\nname = arctan-diffusion\ncurvature = 0.5\n\n"
+         "[drift_field]\ncenter = 2\nname = logistic-slope\nhigh = 1\n\n"
+         "[triplet]\nbrownian_variance = 0\ndrift = 0.1\n",
+         "scenario = S3\nreplicas = 5000\nseed = 13\nthreads = 2\nhorizon = 0.9\n"
+         "x0 = -0.05\ncells = 32\ntruncation = 0.01\ncompensate = true\n"
+         "repetitions = 3\ntrend_levels = 2,4\n\n"
+         "[triplet]\ndrift = 0.1\nbrownian_variance = 0.0\n\n"
+         "[measure.family]\nkind = sparse\nlevels = 7\nsign = -1.0\n"
+         "rate_scale = 0.8\nidealized_infinite = false\n\n"
+         "[drift_field]\nname = logistic-slope\ncenter = 2.0\nhigh = 1.0\nlow = 0.0\n"
+         "rate = 1.0\n\n"
+         "[diffusion_field]\nname = arctan-diffusion\namplitude = 1.0\ncenter = 0.0\n"
+         "curvature = 0.5\n\n"
+         "[diagnostics]\nwindow = 0.0001\nthreshold = 0.1\nspacing = 0.0078125\n"
+         "halfwidth = 1e-08\nmark_low = 0.15\nmark_high = 0.9\n\n"
+         "[output]\ndir = results/s3\n"),
+        ("scenario = S1\nreplicas = 1000\n[measure.density]\ntwo_sided = false\n"
+         "abs_max = 2.5\npower = 0.75\n",
+         "scenario = S1\nreplicas = 1000\nseed = 2024\nthreads = 1\nhorizon = 1.0\n"
+         "compensate = false\n\n[measure.density]\npower = 0.75\nabs_max = 2.5\n"
+         "two_sided = false\n"),
+        ("scenario = S7\nhorizon = 2\n[measure.atom.2]\nrate = 0.5\nsize = -0.25\n"
+         "[measure.atom.1]\nsize = 1e-1\nrate = 3\n",
+         "scenario = S7\nseed = 2024\nthreads = 1\nhorizon = 2.0\ncompensate = false\n\n"
+         "[measure.atom.1]\nsize = 0.1\nrate = 3.0\n[measure.atom.2]\nsize = -0.25\n"
+         "rate = 0.5\n")])
+    def test_validate_output_is_pinned(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+class TestScenarioDefaults:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFAULTS))
+    def test_minimal_document_validates_and_resolves(self, scenario):
+        config = parse_config(f"scenario = {scenario}\n")
+        resolved = with_scenario_defaults(config)
+        for key, value in SCENARIO_DEFAULTS[scenario].items():
+            assert getattr(config, key) is None
+            assert getattr(resolved, key) is not None
+            if not callable(value):
+                assert getattr(resolved, key) == value
+        assert with_scenario_defaults(resolved) == resolved
+
+    def test_s3_lattice_follows_the_family_levels(self):
+        resolved = with_scenario_defaults(
+            parse_config("scenario = S3\n[measure.family]\nlevels = 6\n"))
+        assert resolved.truncation == resolved.spacing == 2.0 ** -6
+        resolved = with_scenario_defaults(parse_config(
+            "scenario = S3\ntruncation = 0.1\n[diagnostics]\nspacing = 0.5\n"))
+        assert (resolved.truncation, resolved.spacing) == (0.1, 0.5)
+        assert resolved.measure == MeasureChoice(kind="family", levels=12)
+
+    def test_set_keys_are_kept(self):
+        config = parse_config("scenario = S7\nreplicas = 2000\nx0 = 0.0\n"
+                              "[triplet]\nbrownian_variance = 0.0\n")
+        resolved = with_scenario_defaults(config)
+        assert (resolved.replicas, resolved.x0, resolved.brownian_variance) == \
+            (2000, 0.0, 0.0)
+        assert resolved.cells == 128 and resolved.drift == 0.1
+
+
+# Each document validated with exit 0 and failed only in `run`, most of them
+# after sampling (the trend level after the whole main S3 run).
+REJECTED = [
+    ("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 1e12\n", 4, "chunk budget"),
+    ("scenario = S3\nreplicas = 1000\ntrend_levels = 4,30\n", 3, "chunk budget"),
+    ("scenario = S3\nreplicas = 1000\n[measure.family]\nlevels = 30\n", 4,
+     "chunk budget"),
+    ("scenario = S4\nhorizon = 1e6\nseed = 3\n", 2, "chunk budget"),
+    ("scenario = S5\nreplicas = 1000\nhorizon = 3\ntruncation = 1e-6\n"
+     "[measure.density]\npower = 2\n", 6, "chunk budget"),
+    ("scenario = S1\n[measure.atom.1]\nsize = 0.0\nrate = 1.0\n", 4,
+     "atom sizes must be nonzero"),
+    ("scenario = S1\nreplicas = 300\n", 2, "below the 1000 samples"),
+    ("scenario = S3\nreplicas = 999\n", 2, "below the 1000 samples"),
+    ("scenario = S5\nseed = 1\nreplicas = 200\n", 3, "below the 1000 samples"),
+    ("scenario = S7\nreplicas = 999\n", 2, "below the 1000 samples"),
+]
+
+
+class TestValidateAgreesWithRun:
+    @pytest.mark.parametrize("text,line,message", REJECTED)
+    def test_rejected_with_line(self, text, line, message):
+        with pytest.raises(ConfigError, match=f"^line {line}: .*{message}"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text,line,message", REJECTED)
+    def test_validate_and_run_exit_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                   text, line, message):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("a rejected config reached the sampler")
+
+        monkeypatch.setattr(scenarios_mod, "sample_packed", must_not_sample)
+        monkeypatch.setattr(scenarios_mod, "sample_many", must_not_sample)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        for argv in (["validate"], ["run", "--out", str(out)]):
+            assert cli_main(argv + ["--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: line {line}: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "scenario = S1\nreplicas = 1000\n",
+        "scenario = S3\nreplicas = 1000\ntrend_levels = 20\n",
+        "scenario = S3\nreplicas = 1000\n[measure.family]\nlevels = 20\n",
+        "scenario = S2\nreplicas = 5\n",
+        "scenario = S4\nreplicas = 5\n",
+        "scenario = S6\nreplicas = 5\n"])
+    def test_at_the_limits_accepted(self, text):
+        assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "scenario = S3\n[measure.family]\nlevels = 1023\n",
+        "scenario = S3\ntrend_levels = 2,1023\n"])
+    def test_levels_past_the_float_range_rejected(self, text):
+        with pytest.raises(ConfigError, match="value out of range"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("scenario", ["S1", "S3", "S5", "S7"])
+    def test_override_below_sample_floor_rejected(self, scenario):
+        config = parse_config(f"scenario = {scenario}\n")
+        assert with_overrides(config, replicas=1000).replicas == 1000
+        with pytest.raises(ConfigError, match=r"^override replicas = 999 is below"):
+            with_overrides(config, replicas=999)
