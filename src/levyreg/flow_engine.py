@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .path_sampler import LevyPath, PathDecomposition
+from .path_sampler import LevyPath
 
 
 class NonDifferentiablePoint(ValueError):
@@ -60,11 +60,6 @@ def probe_derivative(field, lo: float, hi: float, n: int = 101) -> np.ndarray:
     return grid
 
 
-def default_step(horizon: float) -> float:
-    """Fixed-substep default: horizon / 2^12."""
-    return horizon / 4096.0
-
-
 def segment_knots(path: LevyPath) -> np.ndarray:
     """Segment boundaries: 0, horizon, jump times, Brownian knots."""
     pts = [0.0, path.horizon]
@@ -88,14 +83,19 @@ def _substeps(t0: float, t1: float, n: int):
         t = t_next
 
 
-def grid_segments(path: LevyPath, step: float):
+def grid_segments(path: LevyPath, step: float | None):
     """Walk the jump-aligned grid of `path` segment by segment.
 
     Yields (t0, t1, base, slope, size, substeps) per segment [t0, t1]: there
     the driver is Z_t = drift * t + base + slope * t, `size` is the jump at t1
     (None if there is none) and `substeps` yields the (t, t_next, h) RK4
-    substeps covering the segment, the last ending exactly at t1.
+    substeps covering the segment, the last ending exactly at t1. Substeps
+    are at most `step` long; None means horizon / 2^12.
     """
+    if step is None:
+        step = path.horizon / 4096.0
+    if step <= 0.0:
+        raise ValueError("step must be > 0")
     brown = path.brownian
     jump_at = {float(t): float(s)
                for t, s in zip(path.jump_times, path.jump_sizes)}
@@ -156,10 +156,6 @@ class FlowSolution:
 def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
                      step: float | None = None) -> FlowSolution:
     """RK4 solution of Y' = a(Y + Z_t) on the jump-aligned grid; X = Y + Z."""
-    if step is None:
-        step = default_step(path.horizon)
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
     a_val = a.value
     drift = path.drift_rate
 
@@ -209,8 +205,6 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
 
     Kept free of the exponential formula so it can serve as its oracle.
     """
-    if step is None:
-        step = default_step(path.horizon)
     a_val, a_dot = a.value, a.derivative
     drift = path.drift_rate
     state = np.array([float(x0), 1.0])
@@ -225,14 +219,11 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
     return float(state[1])
 
 
-def jump_time_derivative(a: ScalarField, solution: FlowSolution,
-                         decomp: PathDecomposition | float) -> float:
-    """Derivative of the terminal Y with respect to the marked jump time.
+def jump_time_derivative(a: ScalarField, solution: FlowSolution, T: float) -> float:
+    """Derivative of the terminal Y with respect to the marked jump time T.
 
-    `solution` must be the solved trajectory of the path containing the
-    marked jump; `decomp` may be the decomposition or the marked time itself.
+    `solution` must be the solved trajectory of the path with a jump at T.
     """
-    T = decomp.T if isinstance(decomp, PathDecomposition) else float(decomp)
     if T > solution.horizon:
         return 0.0
     if T == solution.horizon:

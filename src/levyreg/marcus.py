@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import ScalarField, default_step, grid_segments, probe_derivative, rk4_step
+from .flow_engine import ScalarField, grid_segments, probe_derivative, rk4_step
 from .path_sampler import LevyPath
 
 #: Substeps for the unit-time jump flow: max(8, ceil(|u| / 0.05)).
@@ -154,10 +154,6 @@ class MarcusTrajectory:
 def marcus_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
                  x0: float, step: float | None = None) -> MarcusTrajectory:
     """Solve the Marcus equation along one driver realization."""
-    if step is None:
-        step = default_step(path.horizon)
-    if step <= 0.0:
-        raise ValueError("step must be > 0")
     a_val, sig = a.value, sigma.value
     drift = path.drift_rate
     use_heun = path.brownian is not None

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy_spec import DensityForm, LevyTriplet, _spec_atoms, total_rate
-from .quadrature import shell_integral
-from .rng import RngStream, StreamGenerator
+from .rng import StreamGenerator
 
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
 DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
@@ -77,17 +76,15 @@ class LevyPath:
 
     def value(self, t: float) -> float:
         """Z_t (cadlag: jumps at t are included)."""
-        z = self.drift_rate * t
-        k = np.searchsorted(self.jump_times, t, side="right")
-        z += float(self.jump_sizes[:k].sum())
-        if self.brownian is not None:
-            z += float(self.brownian.value(t))
-        return z
+        return self._value(t, "right")
 
     def left_value(self, t: float) -> float:
         """Z_{t-} (jumps at t are excluded)."""
+        return self._value(t, "left")
+
+    def _value(self, t: float, side: str) -> float:
         z = self.drift_rate * t
-        k = np.searchsorted(self.jump_times, t, side="left")
+        k = np.searchsorted(self.jump_times, t, side=side)
         z += float(self.jump_sizes[:k].sum())
         if self.brownian is not None:
             z += float(self.brownian.value(t))
@@ -143,15 +140,7 @@ def _compensator(spec, trunc: float) -> float:
     atoms = _spec_atoms(spec)
     if atoms is not None:
         return float(sum(s * r for s, r in atoms if trunc < abs(s) <= 1.0))
-    lo = max(trunc, spec.abs_min)
-    hi = min(1.0, spec.abs_max)
-    if lo >= hi:
-        return 0.0
-    pos = shell_integral(lambda z: z * spec.intensity(z), lo, hi)
-    if not spec.two_sided:
-        return pos
-    neg = shell_integral(lambda z: -z * spec.intensity(-z), lo, hi)
-    return pos + neg
+    return spec._band_integral(lambda z: z, trunc, 1.0, tol=1e-10)
 
 
 def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
@@ -374,9 +363,8 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
 
 
 def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
-                compensate: bool = False, rng: RngStream | None = None,
-                brownian_cells: int | None = None,
-                gen: np.random.Generator | None = None) -> LevyPath:
+                gen: np.random.Generator, compensate: bool = False,
+                brownian_cells: int | None = None) -> LevyPath:
     """Draw one truncated-compound-Poisson realization of the driver.
 
     Jumps above `trunc` arrive at rate total_rate(spec, trunc); times are
@@ -385,12 +373,7 @@ def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
     (trunc, 1]. Draw order is fixed (count, times, sizes, Brownian cells) so
     a stream identity pins the path exactly.
     """
-    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
-    if gen is None:
-        if rng is None:
-            raise ValueError("need an RngStream or a Generator")
-        gen = rng.generator()
-    return law.path(gen)
+    return _path_law(triplet, horizon, trunc, compensate, brownian_cells).path(gen)
 
 
 def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
@@ -470,13 +453,8 @@ def reinsert_marked_jump(decomp: PathDecomposition, new_time: float) -> LevyPath
 
 
 def resample_first_jump_time(decomp: PathDecomposition,
-                             rng: RngStream | None = None,
-                             gen: np.random.Generator | None = None) -> LevyPath:
+                             gen: np.random.Generator) -> LevyPath:
     """Redraw the marked jump time uniformly on (0, T2); all else unchanged."""
-    if gen is None:
-        if rng is None:
-            raise ValueError("need an RngStream or a Generator")
-        gen = rng.generator()
     t = float(gen.uniform(0.0, decomp.T2))
     while t <= 0.0:
         t = float(gen.uniform(0.0, decomp.T2))

@@ -114,11 +114,12 @@ class RunSummary:
 
 @dataclass
 class ScenarioResult:
+    """One row per replica, in replica order: row i is replica i."""
+
     diagnostics: dict
-    replica_ids: np.ndarray | None = None
-    terminal_x: np.ndarray | None = None
-    terminal_z: np.ndarray | None = None
-    failed: np.ndarray | None = None
+    terminal_x: np.ndarray
+    terminal_z: np.ndarray
+    failed: np.ndarray           # bool
 
 
 def _json_safe(value):
@@ -206,9 +207,7 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
         "window": window,
         "threshold": report.threshold,
     }
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas), terminal_x=x,
-                          terminal_z=z, failed=failed.astype(int))
+    return ScenarioResult(diagnostics, x, z, failed)
 
 
 def _s2_field(kind: int, gen: np.random.Generator) -> tuple[ScalarField, str]:
@@ -258,9 +257,8 @@ def _s2_config(config: ScenarioConfig, i: int,
             continue
         if t_j < 0.02 or t_j > config.horizon - 0.02:
             continue
-        decomp = decompose_first_jump(path, mark_lo, mark_hi)
         sol = solve_random_ode(a, path, x0, step)
-        analytic = jump_time_derivative(a, sol, decomp)
+        analytic = jump_time_derivative(a, sol, t_j)
         if abs(analytic) >= 1e-4:
             break
     else:
@@ -290,7 +288,7 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
         row = _unless_diverged(
             lambda: _s2_config(config, i, step), None)
         if row is None:
-            failed.append(1)
+            failed.append(True)
             rows_x.append(math.nan)
             rows_z.append(math.nan)
             continue
@@ -299,19 +297,16 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
         max_rel_err = max(max_rel_err, worst)
         rows_x.append(x)
         rows_z.append(z)
-        failed.append(0 if worst <= rel_tol else 1)
+        failed.append(worst > rel_tol)
     diagnostics = {
         "configs": config.replicas,
         "max_relative_error": max_rel_err,
         "tolerance": rel_tol,
-        "all_within_tolerance": bool(max_rel_err <= rel_tol and sum(failed) == 0),
+        "all_within_tolerance": bool(max_rel_err <= rel_tol and not any(failed)),
         "field_kinds": kinds,
     }
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas),
-                          terminal_x=np.asarray(rows_x),
-                          terminal_z=np.asarray(rows_z),
-                          failed=np.asarray(failed))
+    return ScenarioResult(diagnostics, np.asarray(rows_x), np.asarray(rows_z),
+                          np.asarray(failed))
 
 
 def run_s3(config: ScenarioConfig) -> ScenarioResult:
@@ -347,9 +342,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
             trend[str(lv)] = lattice_concentration(
                 SampleBatch(xs_lv[ok_lv]), spacing, halfwidth)
         diagnostics["lattice_concentration_x_by_level"] = trend
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas), terminal_x=x,
-                          terminal_z=z, failed=failed.astype(int))
+    return ScenarioResult(diagnostics, x, z, failed)
 
 
 def run_s4(config: ScenarioConfig) -> ScenarioResult:
@@ -372,9 +365,7 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
         "halfwidth": halfwidth,
         "no_regularization_pass": bool(lattice_shifted >= 0.95),
     }
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas), terminal_x=x,
-                          terminal_z=z, failed=failed.astype(int))
+    return ScenarioResult(diagnostics, x, z, failed)
 
 
 def run_s5(config: ScenarioConfig) -> ScenarioResult:
@@ -389,7 +380,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
 
     streams = StreamGenerator(config.seed)
     ks_passes = 0
-    all_x, all_z, all_ids = [], [], []
+    all_x, all_z = [], []
     first_rep_paths: list[LevyPath] = []
     for r in range(reps):
         offset = r * n
@@ -412,7 +403,6 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         ks_passes += stat < crit
         all_x.append(x_o)
         all_z.append(packed_o.z_terminal)
-        all_ids.append(np.arange(offset, offset + n))
 
     # monotonicity of the terminal in the marked jump time, residual fixed
     n_paths_mono = min(100, len(first_rep_paths))
@@ -431,8 +421,6 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
 
     x = np.concatenate(all_x)
     z = np.concatenate(all_z)
-    ids = np.concatenate(all_ids)
-    failed = ~np.isfinite(x)
     diagnostics = {
         "repetitions": reps,
         "replicas_per_repetition": n,
@@ -445,9 +433,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         "monotonicity_pass": bool(monotone == n_paths_mono),
         "marked_window": [mark_lo, mark_hi],
     }
-    return ScenarioResult(diagnostics=diagnostics, replica_ids=ids,
-                          terminal_x=x, terminal_z=z,
-                          failed=failed.astype(int))
+    return ScenarioResult(diagnostics, x, z, ~np.isfinite(x))
 
 
 def _s6_sigma(kind: int, gen: np.random.Generator) -> DiffusionField:
@@ -511,7 +497,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
             worst_prop = max(worst_prop, abs(closed - terminal))
         rows_x.append(terminal)
         rows_z.append(path.terminal)
-        failed.append(0 if math.isfinite(terminal) else 1)
+        failed.append(not math.isfinite(terminal))
 
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
@@ -583,11 +569,8 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
         "remainder_constant_fine": k_fine,
         "remainder_stable": bool(k_stable),
     }
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas),
-                          terminal_x=np.asarray(rows_x),
-                          terminal_z=np.asarray(rows_z),
-                          failed=np.asarray(failed))
+    return ScenarioResult(diagnostics, np.asarray(rows_x), np.asarray(rows_z),
+                          np.asarray(failed))
 
 
 def run_s7(config: ScenarioConfig) -> ScenarioResult:
@@ -603,7 +586,6 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         brownian_cells=config.cells)
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
     stat, crit = two_sample_ks(SampleBatch(x_doss[ok]), SampleBatch(x_marc[ok]))
-    failed = (~ok)
     diagnostics = {
         "ks_statistic": stat,
         "ks_critical_1pct": crit,
@@ -612,43 +594,39 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         "brownian_variance": triplet.brownian_variance,
         "cells": config.cells,
     }
-    return ScenarioResult(diagnostics=diagnostics,
-                          replica_ids=np.arange(config.replicas), terminal_x=x_marc,
-                          terminal_z=z,
-                          failed=failed.astype(int))
+    return ScenarioResult(diagnostics, x_marc, z, ~ok)
 
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    id: str
     title: str
     claim: str
     runner: object
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
-    "S1": ScenarioDef("S1", "doeblin-atom",
+    "S1": ScenarioDef("doeblin-atom",
                       "finite jump activity leaves an atom of the terminal law at the "
                       "no-jump skeleton (Doblin dichotomy, drifted form)", run_s1),
-    "S2": ScenarioDef("S2", "derivative-validation",
+    "S2": ScenarioDef("derivative-validation",
                       "analytic jump-time derivative of the terminal value matches "
                       "re-simulation finite differences, both one-sided limits", run_s2),
-    "S3": ScenarioDef("S3", "regularization",
+    "S3": ScenarioDef("regularization",
                       "idealized-infinite dyadic jump family: driver terminal sits on "
                       "a lattice, strictly monotone drift smears it into a smooth law",
                       run_s3),
-    "S4": ScenarioDef("S4", "flat-drift",
+    "S4": ScenarioDef("flat-drift",
                       "a locally constant drift merely translates the singular driver "
                       "law: no regularization without local monotonicity", run_s4),
-    "S5": ScenarioDef("S5", "stratification-invariance",
+    "S5": ScenarioDef("stratification-invariance",
                       "uniform resampling of the first marked jump time preserves the "
                       "terminal law; per-residual slices are strictly monotone in it",
                       run_s5),
-    "S6": ScenarioDef("S6", "marcus-reductions",
+    "S6": ScenarioDef("marcus-reductions",
                       "Marcus equations: unit-diffusion reduction, proportional closed "
                       "form, change-of-variables conjugacy, chain rule, jump remainder",
                       run_s6),
-    "S7": ScenarioDef("S7", "doss-sussmann",
+    "S7": ScenarioDef("doss-sussmann",
                       "with a Brownian part, the Doss-Sussmann representation and the "
                       "Marcus integrator agree in law at the horizon", run_s7),
 }
@@ -669,32 +647,31 @@ def _format_float(v: float) -> str:
 def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if result.replica_ids is not None:
-        rows = ["replica,terminal_x,terminal_z,failed"]
-        for rid, x, z, f in zip(result.replica_ids, result.terminal_x,
-                                result.terminal_z, result.failed):
-            rows.append(f"{int(rid)},{_format_float(x)},{_format_float(z)},{int(f)}")
-        (out_dir / "samples.csv").write_text("\n".join(rows) + "\n")
-        plots = out_dir / "plots"
-        plots.mkdir(exist_ok=True)
-        (plots / "histogram.gp").write_text(
-            "# render with: gnuplot histogram.gp\n"
-            "set datafile separator ','\n"
-            "set terminal pngcairo size 900,600\n"
-            "set output 'terminal_histogram.png'\n"
-            "binwidth = 0.02\n"
-            "bin(x, width) = width * floor(x / width) + width / 2.0\n"
-            "set boxwidth binwidth\n"
-            "set style fill solid 0.6\n"
-            "plot '../samples.csv' every ::1 using "
-            "(bin($2, binwidth)):(1.0) smooth freq with boxes title 'terminal values'\n")
-        (plots / "driver_vs_solution.gp").write_text(
-            "# render with: gnuplot driver_vs_solution.gp\n"
-            "set datafile separator ','\n"
-            "set terminal pngcairo size 900,600\n"
-            "set output 'driver_vs_solution.png'\n"
-            "plot '../samples.csv' every ::1 using 3:2 with points pt 7 ps 0.3 "
-            "title 'terminal: driver vs solution'\n")
+    rows = ["replica,terminal_x,terminal_z,failed"]
+    for rid, (x, z, f) in enumerate(zip(result.terminal_x, result.terminal_z,
+                                        result.failed.tolist())):
+        rows.append(f"{rid},{_format_float(x)},{_format_float(z)},{int(f)}")
+    (out_dir / "samples.csv").write_text("\n".join(rows) + "\n")
+    plots = out_dir / "plots"
+    plots.mkdir(exist_ok=True)
+    (plots / "histogram.gp").write_text(
+        "# render with: gnuplot histogram.gp\n"
+        "set datafile separator ','\n"
+        "set terminal pngcairo size 900,600\n"
+        "set output 'terminal_histogram.png'\n"
+        "binwidth = 0.02\n"
+        "bin(x, width) = width * floor(x / width) + width / 2.0\n"
+        "set boxwidth binwidth\n"
+        "set style fill solid 0.6\n"
+        "plot '../samples.csv' every ::1 using "
+        "(bin($2, binwidth)):(1.0) smooth freq with boxes title 'terminal values'\n")
+    (plots / "driver_vs_solution.gp").write_text(
+        "# render with: gnuplot driver_vs_solution.gp\n"
+        "set datafile separator ','\n"
+        "set terminal pngcairo size 900,600\n"
+        "set output 'driver_vs_solution.png'\n"
+        "plot '../samples.csv' every ::1 using 3:2 with points pt 7 ps 0.3 "
+        "title 'terminal: driver vs solution'\n")
     (out_dir / "summary.json").write_text(summary.to_json() + "\n")
 
 
@@ -708,16 +685,10 @@ def run_scenario(config: ScenarioConfig, threads: int | None = None,
     t0 = time.perf_counter()
     result = SCENARIOS[config.scenario].runner(config)
     wall = time.perf_counter() - t0
-    failed_ids = tuple()
-    replicas = 0
-    if result.replica_ids is not None:
-        replicas = int(len(result.replica_ids))
-        failed_ids = tuple(int(r) for r, f in zip(result.replica_ids, result.failed)
-                           if f)
     summary = RunSummary(
-        scenario=config.scenario, seed=config.seed, replicas=replicas,
-        threads=threads, failed_replicas=failed_ids, wall_time_s=wall,
-        diagnostics=_json_safe(result.diagnostics))
+        scenario=config.scenario, seed=config.seed, replicas=len(result.terminal_x),
+        threads=threads, failed_replicas=tuple(np.flatnonzero(result.failed).tolist()),
+        wall_time_s=wall, diagnostics=_json_safe(result.diagnostics))
     target = out_dir if out_dir is not None else config.out_dir
     if target is not None:
         write_outputs(result, summary, Path(target))

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import ScalarField, default_step, grid_segments, rk4_step
+from .flow_engine import ScalarField, grid_segments, rk4_step
 from .marcus import DiffusionField, FlowDivergence, flow_with_sensitivity, jump_flow_phi
 from .path_sampler import LevyPath
 from .quadrature import adaptive_simpson
@@ -76,7 +76,6 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
         adaptive_simpson(inv, float(nodes[k]), float(nodes[k + 1]), tol=1e-12)
         for k in range(cells)])
     cumulative = np.concatenate([[0.0], np.cumsum(cell_ints)])
-    base_val = None  # filled below via the raw table
 
     def forward_raw(x: float) -> float:
         if x < range_lo:
@@ -166,8 +165,6 @@ def doss_sussman_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,
     The flow-commutation that makes this exact holds for the Marcus jump
     rule in one dimension for any cadlag driver, Brownian part or not.
     """
-    if step is None:
-        step = default_step(path.horizon)
     drift = path.drift_rate
     y = float(x0)
     for _, _, base, slope, _, substeps in grid_segments(path, step):

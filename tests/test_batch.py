@@ -31,7 +31,7 @@ TRIPLET_BROWN = LevyTriplet(drift=0.15, jumps=FiniteAtomic(((0.4, 2.0),)),
 
 
 def draw_paths(triplet, n, seed, cells):
-    return [sample_path(triplet, 1.0, 0.1, rng=RngStream(seed, i),
+    return [sample_path(triplet, 1.0, 0.1, gen=RngStream(seed, i).generator(),
                         brownian_cells=cells)
             for i in range(n)]
 

@@ -11,7 +11,9 @@ from levyreg.flow_engine import (
     jump_time_derivative,
     solve_random_ode,
 )
+from levyreg.marcus import DiffusionField, marcus_solve
 from levyreg.path_sampler import LevyPath, decompose_first_jump, shift_jump_time
+from levyreg.transforms import doss_sussman_solve
 
 
 def make_path(jumps, horizon=1.0, drift=0.0):
@@ -116,6 +118,34 @@ class TestSolveRandomOde:
         ScalarField(lambda x: x * x, lambda x: 2 * x).validate(-1.0, 1.0)
 
 
+ONE = DiffusionField(lambda x: 1.0, lambda x: 0.0, min_abs=1.0)
+SCALAR_SOLVERS = {
+    "solve_random_ode":
+        lambda a, path, step: solve_random_ode(a, path, 0.1, step).terminal_x,
+    "flow_derivative_variational":
+        lambda a, path, step: flow_derivative_variational(a, path, 0.1, step),
+    "marcus_solve": lambda a, path, step: marcus_solve(a, ONE, path, 0.1, step).terminal,
+    "doss_sussman_solve":
+        lambda a, path, step: doss_sussman_solve(a, ONE, path, 0.1, step),
+}
+
+
+class TestStep:
+    @pytest.mark.parametrize("solver", sorted(SCALAR_SOLVERS))
+    @pytest.mark.parametrize("step", [0.0, -0.25])
+    def test_nonpositive_step_rejected(self, solver, step):
+        path = make_path([(0.5, 0.3)])
+        with pytest.raises(ValueError, match="step must be > 0"):
+            SCALAR_SOLVERS[solver](affine_field(-1.0), path, step)
+
+    @pytest.mark.parametrize("solver", sorted(SCALAR_SOLVERS))
+    def test_default_step_is_horizon_over_4096(self, solver):
+        path = make_path([(0.5, 0.3)], horizon=2.0)
+        run = SCALAR_SOLVERS[solver]
+        assert run(affine_field(-1.0), path, None) == \
+            run(affine_field(-1.0), path, 2.0 / 4096)
+
+
 class TestFlowDerivative:
     def test_zero_field(self):
         sol = solve_random_ode(ScalarField(lambda x: 0.0, lambda x: 0.0),
@@ -166,7 +196,7 @@ class TestJumpTimeDerivative:
         path = make_path([(0.5, 1.0), (0.8, 1.0)])
         decomp = decompose_first_jump(path, 0.5, 2.0)
         sol = solve_random_ode(a, path, 0.0)
-        got = jump_time_derivative(a, sol, decomp)
+        got = jump_time_derivative(a, sol, decomp.T)
         assert got == pytest.approx(-0.5 * math.exp(0.25), rel=1e-8)
 
     def test_constant_field_gives_zero(self):
@@ -174,7 +204,7 @@ class TestJumpTimeDerivative:
         path = make_path([(0.3, 0.6), (0.6, 0.6)])
         decomp = decompose_first_jump(path, 0.5, 1.0)
         sol = solve_random_ode(a, path, 0.0)
-        assert jump_time_derivative(a, sol, decomp) == 0.0
+        assert jump_time_derivative(a, sol, decomp.T) == 0.0
 
     def test_horizon_jump_is_non_differentiable(self):
         a = affine_field(0.5)
@@ -203,7 +233,7 @@ class TestJumpTimeDerivative:
             decomp = decompose_first_jump(path, 0.3, 0.8)
             x0 = rng.uniform(-0.5, 0.5)
             sol = solve_random_ode(a, path, x0, step)
-            got = jump_time_derivative(a, sol, decomp)
+            got = jump_time_derivative(a, sol, decomp.T)
 
             def y1(p):
                 return solve_random_ode(a, p, x0, step).terminal_y
@@ -230,7 +260,7 @@ class TestJumpTimeDerivative:
             path = make_path([(t1, size), (t2, size)], drift=rng.uniform(-0.3, 0.3))
             decomp = decompose_first_jump(path, 0.05, 1.5)
             sol = solve_random_ode(a, path, rng.uniform(-1.0, 1.0), 1.0 / 128)
-            assert jump_time_derivative(a, sol, decomp) < 0.0
+            assert jump_time_derivative(a, sol, decomp.T) < 0.0
 
 
 class TestChainRuleZeroSlopeIdentity:

@@ -17,12 +17,17 @@ from levyreg.scenarios import run_scenario
 PINNED = {
     "S1": ("scenario = S1\nseed = 303\nreplicas = 5000\n",
            "470a44d3fa616ad6544556c505d1208d6e79ceae2fba1f56739fb2d1e6fe87be"),
+    "S2": ("scenario = S2\nseed = 101\nreplicas = 4\n",
+           "204d3e3141fe18b6cf6e766cc5c3644daf6ea1f2e64e64407a8a9ffc688c401d"),
     "S3": ("scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n",
            "66a1e15a48cfef5d53b2a5a5eddfa329950c6616d8bf73f5bb70168ae07ec6ba"),
     "S4": ("scenario = S4\nseed = 44\nreplicas = 1000\n",
            "d3fb7deffdde1b9d253bc4964f1f7fa414b9abe6e701f852225be3909dd809f7"),
     "S5": ("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n",
            "0785e092ce93e6eceb49fff1b92bc9c26cab2e8c081b360636b6ffa3de8056e3"),
+    # replica 2 diverges: a failed = 1 row is pinned too
+    "S6": ("scenario = S6\nseed = 707\nreplicas = 5\nhorizon = 20\n",
+           "dc5443553a2c38cfaab7f2d9bf1b4011d9ecce3465111bc7f378ab8b7770a526"),
     "S7": ("scenario = S7\nseed = 808\nreplicas = 1000\ncells = 32\n",
            "04553c4783256cfcce66266ff9a471953f05758e308fab5d5a6489f1e56fb086"),
 }

@@ -19,6 +19,7 @@ from levyreg.path_sampler import (
     sample_path,
     shift_jump_time,
 )
+from levyreg.quadrature import shell_integral
 from levyreg.rng import RngStream, StreamGenerator
 
 # chi-square 0.999 quantile, 9 degrees of freedom
@@ -34,7 +35,7 @@ def simple_path(jumps, horizon=1.0, drift=0.0):
 class TestLevyPath:
     def test_pure_drift_terminal(self):
         triplet = LevyTriplet(drift=0.3, jumps=FiniteAtomic(((1.0, 0.0),)))
-        path = sample_path(triplet, 1.0, 0.5, rng=RngStream(1, 0))
+        path = sample_path(triplet, 1.0, 0.5, gen=RngStream(1, 0).generator())
         assert path.n_jumps == 0
         assert path.terminal == pytest.approx(0.3)
 
@@ -63,7 +64,7 @@ class TestSamplePath:
         RngStream(seed, i): the first 1000 are checked against it."""
         counts = np.diff(sample_packed(triplet, 1.0, 0.5, n, seed, cells=1).offsets)
         assert np.array_equal(counts[:1000], [
-            sample_path(triplet, 1.0, 0.5, rng=RngStream(seed, i)).n_jumps
+            sample_path(triplet, 1.0, 0.5, gen=RngStream(seed, i).generator()).n_jumps
             for i in range(1000)])
         return counts
 
@@ -91,7 +92,8 @@ class TestSamplePath:
         triplet = LevyTriplet(drift=0.0, jumps=dyadic_family(12))
         n = 10_000
         terms = np.array([
-            sample_path(triplet, 1.0, 2.0 ** -12, rng=RngStream(3, i)).terminal
+            sample_path(triplet, 1.0, 2.0 ** -12,
+                        gen=RngStream(3, i).generator()).terminal
             for i in range(n)])
         # analytic mean of the compound Poisson: sum 2^n * 2^-n = 12, var = sum 2^-n
         var = sum(2.0 ** -n for n in range(1, 13))
@@ -100,7 +102,7 @@ class TestSamplePath:
     def test_uniform_jump_times(self):
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((1.0, 5.0),)))
         times = np.concatenate([
-            sample_path(triplet, 2.0, 0.5, rng=RngStream(9, i)).jump_times
+            sample_path(triplet, 2.0, 0.5, gen=RngStream(9, i).generator()).jump_times
             for i in range(4000)])
         assert times.min() > 0.0 and times.max() <= 2.0
         assert times.mean() == pytest.approx(1.0, abs=4.0 * (2.0 / math.sqrt(12.0)) / math.sqrt(len(times)))
@@ -108,8 +110,10 @@ class TestSamplePath:
     def test_compensation_shifts_drift(self):
         spec = FiniteAtomic(((0.5, 2.0), (2.0, 1.0)))
         triplet = LevyTriplet(drift=1.0, jumps=spec)
-        p0 = sample_path(triplet, 1.0, 0.1, compensate=False, rng=RngStream(1, 1))
-        p1 = sample_path(triplet, 1.0, 0.1, compensate=True, rng=RngStream(1, 1))
+        p0 = sample_path(triplet, 1.0, 0.1, compensate=False,
+                         gen=RngStream(1, 1).generator())
+        p1 = sample_path(triplet, 1.0, 0.1, compensate=True,
+                         gen=RngStream(1, 1).generator())
         # only sizes in (0.1, 1] compensate: 0.5 * 2.0 = 1.0
         assert p0.drift_rate == pytest.approx(1.0)
         assert p1.drift_rate == pytest.approx(0.0)
@@ -118,7 +122,7 @@ class TestSamplePath:
     def test_density_spec_sizes_land_above_trunc(self):
         spec = DensityForm(intensity=lambda z: abs(z) ** -1.5, abs_max=1.0)
         triplet = LevyTriplet(drift=0.0, jumps=spec)
-        path = sample_path(triplet, 1.0, 0.05, rng=RngStream(21, 0))
+        path = sample_path(triplet, 1.0, 0.05, gen=RngStream(21, 0).generator())
         assert path.n_jumps > 0
         assert np.all(np.abs(path.jump_sizes) >= 0.05)
         assert np.all(np.abs(path.jump_sizes) <= 1.0)
@@ -129,7 +133,7 @@ class TestSamplePath:
                            two_sided=False)
         triplet = LevyTriplet(drift=0.0, jumps=spec)
         sizes = np.concatenate([
-            sample_path(triplet, 1.0, 0.25, rng=RngStream(4, i)).jump_sizes
+            sample_path(triplet, 1.0, 0.25, gen=RngStream(4, i).generator()).jump_sizes
             for i in range(3000)])
         frac = (sizes > 0.5).mean()
         expected = (0.5 ** -0.5 - 1.0) / (0.25 ** -0.5 - 1.0)
@@ -139,7 +143,7 @@ class TestSamplePath:
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((1.0, 0.0),)),
                               brownian_variance=0.5)
         terms = np.array([
-            sample_path(triplet, 1.0, 0.5, rng=RngStream(2, i),
+            sample_path(triplet, 1.0, 0.5, gen=RngStream(2, i).generator(),
                         brownian_cells=256).terminal
             for i in range(20_000)])
         assert terms.mean() == pytest.approx(0.0, abs=4.0 * math.sqrt(0.5 / 20_000))
@@ -149,7 +153,7 @@ class TestSamplePath:
         triplet = LevyTriplet(drift=0.1, jumps=FiniteAtomic(((1.0, 3.0), (-0.5, 2.0))))
 
         def draw(i):
-            p = sample_path(triplet, 1.0, 0.1, rng=RngStream(42, i))
+            p = sample_path(triplet, 1.0, 0.1, gen=RngStream(42, i).generator())
             return p.jump_times.tobytes() + p.jump_sizes.tobytes()
 
         serial = [draw(i) for i in range(64)]
@@ -162,7 +166,7 @@ class TestSamplePath:
         spec = DensityForm(intensity=lambda z: abs(z) ** -3.5, abs_max=1.0)
         triplet = LevyTriplet(drift=0.0, jumps=spec)
         with pytest.raises(ValueError):
-            sample_path(triplet, 1.0, -0.5, rng=RngStream(0, 0))
+            sample_path(triplet, 1.0, -0.5, gen=RngStream(0, 0).generator())
 
 
 class TestDecomposition:
@@ -182,7 +186,7 @@ class TestDecomposition:
     def test_residual_removes_exactly_one(self):
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((0.3, 6.0),)))
         for i in range(20):
-            path = sample_path(triplet, 1.0, 0.1, rng=RngStream(8, i))
+            path = sample_path(triplet, 1.0, 0.1, gen=RngStream(8, i).generator())
             if path.n_jumps < 2:
                 continue
             d = decompose_first_jump(path, 0.1, 0.5)
@@ -203,12 +207,12 @@ class TestDecomposition:
         triplet = LevyTriplet(drift=0.2, jumps=FiniteAtomic(((0.3, 6.0), (1.5, 1.0))))
         done = 0
         for i in range(40):
-            path = sample_path(triplet, 1.0, 0.1, rng=RngStream(5, i))
+            path = sample_path(triplet, 1.0, 0.1, gen=RngStream(5, i).generator())
             try:
                 d = decompose_first_jump(path, 0.1, 0.5)
             except NotEnoughMarkedJumps:
                 continue
-            new = resample_first_jump_time(d, rng=RngStream(5, i).child(1))
+            new = resample_first_jump_time(d, gen=RngStream(5, i).child(1).generator())
             assert new.n_jumps == path.n_jumps
             assert sorted(new.jump_sizes) == sorted(path.jump_sizes)
             if d.T2 < path.horizon:
@@ -219,11 +223,11 @@ class TestDecomposition:
     def test_roundtrip_preserves_conditioning_data(self):
         triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((0.3, 8.0),)))
         for i in range(20):
-            path = sample_path(triplet, 1.0, 0.1, rng=RngStream(13, i))
+            path = sample_path(triplet, 1.0, 0.1, gen=RngStream(13, i).generator())
             if path.n_jumps < 2:
                 continue
             d = decompose_first_jump(path, 0.1, 0.5)
-            new = resample_first_jump_time(d, rng=RngStream(13, i).child(2))
+            new = resample_first_jump_time(d, gen=RngStream(13, i).child(2).generator())
             d2 = decompose_first_jump(new, 0.1, 0.5)
             assert d2.T2 == d.T2
             assert d2.marked_size == d.marked_size
@@ -372,6 +376,28 @@ class TestSamplePacked:
                           16)
         assert_packed_equal(got, want)
         assert got.drift_rate == pytest.approx(0.3 - 2.0 + 0.4)
+
+    COMPENSATED_DENSITIES = {
+        "two-sided": DensityForm(
+            intensity=lambda z: abs(z) ** -1.5 * (1.0 if z > 0.0 else 0.5),
+            abs_min=0.01, abs_max=3.0),
+        "one-sided": DensityForm(intensity=lambda z: z ** -1.9, abs_max=0.7,
+                                 two_sided=False),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COMPENSATED_DENSITIES))
+    def test_compensated_drift_density(self, kind):
+        spec = self.COMPENSATED_DENSITIES[kind]
+        triplet, trunc = LevyTriplet(0.2, spec), 0.05
+        got = sample_packed(triplet, 1.0, trunc, 5, 4, 16, compensate=True)
+        want = pack_paths(sample_many(triplet, 1.0, trunc, 5, 4, compensate=True), 16)
+        assert_packed_equal(got, want)
+        # the integral of z over {trunc < |z| <= 1}, shell by shell and sign by sign
+        lo, hi = max(trunc, spec.abs_min), min(1.0, spec.abs_max)
+        compensator = shell_integral(lambda z: z * spec.intensity(z), lo, hi)
+        if spec.two_sided:
+            compensator += shell_integral(lambda z: -z * spec.intensity(-z), lo, hi)
+        assert got.drift_rate == 0.2 - compensator
 
     def test_tied_jump_times(self, monkeypatch):
         monkeypatch.setattr(path_sampler, "StreamGenerator", _CoarseStreams)
