@@ -80,8 +80,7 @@ def _rk4_step(f, t, y, h):
 
 
 def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
-                substep_scale: float, sensitivity: bool
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+                sensitivity: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized time-u flow of sigma from y (fixed per-element substeps).
 
     Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
@@ -92,7 +91,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     input order. A diverging flow comes out inf/nan without a numpy warning.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
-    n = np.maximum(8, np.ceil(np.abs(u.ravel()) / substep_scale)).astype(np.int64)
+    n = np.maximum(8, np.ceil(np.abs(u.ravel()) / FLOW_SUBSTEP_SCALE)).astype(np.int64)
     order = np.argsort(-n, kind="stable")
     n = n[order]
     # live[s]: how many elements need substep s, i.e. have n > s
@@ -126,17 +125,15 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     return unsort(phi), unsort(acc) if sensitivity else None
 
 
-def flow_map_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
-                   substep_scale: float = FLOW_SUBSTEP_SCALE) -> np.ndarray:
+def flow_map_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vectorized time-u flow of sigma from y (fixed per-element substeps)."""
-    return _flow_array(sigma, y, u, substep_scale, sensitivity=False)[0]
+    return _flow_array(sigma, y, u, sensitivity=False)[0]
 
 
-def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
-                           substep_scale: float = FLOW_SUBSTEP_SCALE
+def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (phi(y, u), log phi_x(y, u)) along the flow."""
-    return _flow_array(sigma, y, u, substep_scale, sensitivity=True)
+    return _flow_array(sigma, y, u, sensitivity=True)
 
 
 def _sweep(packed: PackedPaths):

@@ -25,8 +25,9 @@ is just `scenario = S1`.
 
 Unknown keys are errors (with line numbers), duplicate keys are errors
 naming both lines, and range violations are errors naming the key. So are a
-jump law that expects more jumps per path than one chunk holds, and a
-replica count below a scenario's sample floor or past its stream gap.
+jump law that expects more jumps per path than one chunk holds, a replica
+count below a scenario's sample floor or past its stream gap, an empty
+marked window and lattice tubes that overlap.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .diagnostics import MIN_SAMPLES
+from .diagnostics import MIN_SAMPLES, lattice_tube_error
 from .fields import canonical_params, catalogue_names
 from .levy_spec import (
     DensityForm,
@@ -45,7 +46,7 @@ from .levy_spec import (
     sparse_family,
     total_rate,
 )
-from .path_sampler import jump_budget_error
+from .path_sampler import jump_budget_error, mark_window_error
 
 #: Philox stream-id offsets of the runners' independent draws: S6 takes its
 #: check (b) configs from ids i and its check (c) configs from S6_STREAM_GAP
@@ -354,26 +355,38 @@ def parse_config(text: str) -> ScenarioConfig:
     config = ScenarioConfig(**values)
 
     resolved = with_scenario_defaults(config)
-    reason = _replicas_problem(resolved)
-    if reason is not None:
-        raise ConfigError(f"line {entries[('', 'replicas')][1]}: {reason}")
-    if "measure" in SCENARIO_DEFAULTS[config.scenario]:
-        law_line = max((line_no for (section, key), (_, line_no) in entries.items()
-                        if section.startswith("measure.")
-                        or (section, key) in (("", "truncation"), ("", "horizon"))),
-                       default=entries[("", "scenario")][1])
-        laws = [(resolved.measure, resolved.truncation, law_line)]
+
+    def reject(reason: str | None, *keys) -> None:
+        """Raise `reason`, if any, on the last line of `keys` the document sets."""
+        if reason is not None:
+            line_no = max((entries[k][1] for k in keys if k in entries),
+                          default=entries[("", "scenario")][1])
+            raise ConfigError(f"line {line_no}: {reason}")
+
+    reject(_replicas_problem(resolved), ("", "replicas"))
+    defaults = SCENARIO_DEFAULTS[config.scenario]
+    if "measure" in defaults:
+        law_keys = [k for k in entries if k[0].startswith("measure.")] + [
+            ("", "truncation"), ("", "horizon")]
+        laws = [(resolved.measure, resolved.truncation, law_keys)]
         if config.scenario == "S3":
-            laws += [(*trend_law(lv), entries[("", "trend_levels")][1])
+            laws += [(*trend_law(lv), [("", "trend_levels")])
                      for lv in resolved.trend_levels]
-        for measure, truncation, line_no in laws:
+        for measure, truncation, keys in laws:
             try:
                 reason = jump_budget_error(total_rate(measure.build(), truncation),
                                            resolved.horizon)
             except (ValueError, ArithmeticError) as exc:
                 reason = f"cannot compute the jump rate: {exc}"
-            if reason is not None:
-                raise ConfigError(f"line {line_no}: {reason}")
+            reject(reason, *keys)
+    if "mark_low" in defaults:
+        reject(mark_window_error(resolved.mark_low, resolved.mark_high),
+               ("diagnostics", "mark_low"), ("diagnostics", "mark_high"))
+    if "spacing" in defaults:
+        # S3's default spacing is the lattice of its family's levels
+        levels = [("measure.family", "levels")] if config.scenario == "S3" else []
+        reject(lattice_tube_error(resolved.spacing, resolved.halfwidth),
+               ("diagnostics", "spacing"), ("diagnostics", "halfwidth"), *levels)
     return config
 
 

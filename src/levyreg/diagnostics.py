@@ -116,14 +116,22 @@ def detect_atoms(batch: SampleBatch, window: float | None = None,
                       window=float(window), threshold=float(threshold))
 
 
+def lattice_tube_error(spacing: float, halfwidth: float) -> str | None:
+    """Why tubes of this halfwidth around a lattice of this spacing are not
+    disjoint nonempty intervals, or None."""
+    if not 0.0 < halfwidth < spacing / 2.0:
+        return (f"lattice tubes need 0 < halfwidth < spacing / 2, got halfwidth "
+                f"{halfwidth:g} and spacing {spacing:g}")
+    return None
+
+
 def lattice_concentration(batch: SampleBatch, spacing: float,
                           halfwidth: float, n_offsets: int = 1000) -> float:
     """Largest sample fraction within `halfwidth` of any offset lattice
     offset + spacing * Z, the offset scanned over one period."""
-    if spacing <= 0.0 or halfwidth <= 0.0:
-        raise ValueError("spacing and halfwidth must be > 0")
-    if not halfwidth < spacing / 2.0:
-        raise ValueError("halfwidth must be below spacing / 2")
+    reason = lattice_tube_error(spacing, halfwidth)
+    if reason is not None:
+        raise ValueError(reason)
     r = np.sort(np.mod(batch.values, spacing))
     offsets = np.arange(n_offsets) * (spacing / n_offsets)
     lo = offsets - halfwidth

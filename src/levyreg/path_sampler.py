@@ -171,9 +171,6 @@ def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
     return xs, cdf
 
 
-_SIZE_TABLE_CACHE: dict[tuple[DensityForm, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _size_sampler(spec, trunc: float):
     """u -> jump sizes from spec restricted to |z| >= trunc, one per uniform
     u in [0, 1): inverse CDF of the atom rates or of the density table."""
@@ -185,10 +182,7 @@ def _size_sampler(spec, trunc: float):
         # a draw that rounds up to the total rate lands one past the end: the last atom
         table = np.array([s for s, _ in kept] + [kept[-1][0]])
         return lambda u: table[cum.searchsorted(total * u, side="right")]
-    key = (spec, trunc)
-    if key not in _SIZE_TABLE_CACHE:
-        _SIZE_TABLE_CACHE[key] = _density_size_table(spec, trunc)
-    xs, cdf = _SIZE_TABLE_CACHE[key]
+    xs, cdf = _density_size_table(spec, trunc)
     total = float(cdf[-1])
     return lambda u: np.interp(total * u, cdf, xs)
 
@@ -231,21 +225,15 @@ def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
     return out
 
 
-def driver_drift(triplet: LevyTriplet, trunc: float, compensate: bool) -> float:
-    """Drift of the sampled driver: with `compensate`, the drift less the
-    integral of z over the jumps with trunc < |z| <= 1."""
-    return triplet.drift - (_compensator(triplet.jumps, trunc) if compensate else 0.0)
-
-
 @dataclass(frozen=True)
-class _PathLaw:
-    """One truncated driver law, with everything that does not depend on
-    the replica (rate, compensated drift, size table, Brownian grid)
-    computed once."""
+class PathLaw:
+    """A driver law from path_law, with everything that does not depend on
+    the replica (rate, drift, size table, Brownian grid) computed once."""
 
     horizon: float
-    drift: float
-    mean_jumps: float            # rate above trunc times horizon
+    drift: float                 # drift of the sampled driver
+    rate: float                  # jump rate above trunc
+    mean_jumps: float            # rate times horizon
     sizes: object                # uniforms -> sizes; None when the rate is 0
     brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
     brownian_sd: float
@@ -334,8 +322,14 @@ def jump_budget_error(rate: float, horizon: float) -> str | None:
     return None
 
 
-def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
-              compensate: bool, brownian_cells: int | None) -> _PathLaw:
+def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
+             compensate: bool = False, brownian_cells: int | None = None) -> PathLaw:
+    """The truncated-compound-Poisson driver on [0, horizon]: jumps above
+    `trunc` at rate total_rate(spec, trunc), times iid uniform on (0, horizon],
+    sizes iid from the normalized restriction. With `compensate`, the drift
+    absorbs minus the mean of jumps in (trunc, 1]. A Brownian part is sampled
+    on `brownian_cells` cells (default DEFAULT_BROWNIAN_CELLS_PER_UNIT per
+    unit time)."""
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
     if trunc <= 0.0:
@@ -352,9 +346,11 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
         grid = np.linspace(0.0, horizon, cells + 1)
         grid.flags.writeable = False
         sd = math.sqrt(triplet.brownian_variance * (horizon / cells))
-    return _PathLaw(
+    compensator = _compensator(triplet.jumps, trunc) if compensate else 0.0
+    return PathLaw(
         horizon=horizon,
-        drift=driver_drift(triplet, trunc, compensate),
+        drift=triplet.drift - compensator,
+        rate=rate,
         mean_jumps=rate * horizon,
         sizes=_size_sampler(triplet.jumps, trunc) if rate > 0.0 else None,
         brownian_grid=grid,
@@ -365,15 +361,8 @@ def _path_law(triplet: LevyTriplet, horizon: float, trunc: float,
 def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
                 gen: np.random.Generator, compensate: bool = False,
                 brownian_cells: int | None = None) -> LevyPath:
-    """Draw one truncated-compound-Poisson realization of the driver.
-
-    Jumps above `trunc` arrive at rate total_rate(spec, trunc); times are
-    iid uniform on (0, horizon], sizes iid from the normalized restriction.
-    With `compensate`, the drift absorbs minus the mean of jumps in
-    (trunc, 1]. Draw order is fixed (count, times, sizes, Brownian cells) so
-    a stream identity pins the path exactly.
-    """
-    return _path_law(triplet, horizon, trunc, compensate, brownian_cells).path(gen)
+    """One path of path_law(triplet, horizon, trunc, ...), drawn from gen."""
+    return path_law(triplet, horizon, trunc, compensate, brownian_cells).path(gen)
 
 
 def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
@@ -385,7 +374,7 @@ def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
     `accept` may reject a draw; rejected paths are redrawn from the same
     stream, so the result is a deterministic function of the stream identity.
     """
-    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
+    law = path_law(triplet, horizon, trunc, compensate, brownian_cells)
     streams = StreamGenerator(seed)
     paths: list[LevyPath] = []
     for i in range(n):
@@ -401,23 +390,18 @@ def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
     return paths
 
 
-def sample_packed(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
-                  seed: int, cells: int, stream_offset: int = 0,
-                  compensate: bool = False,
-                  brownian_cells: int | None = None) -> PackedPaths:
-    """Replicas stream_offset + [0, n) sampled straight into PackedPaths.
-
-    Equal, field by field, to pack_paths(sample_many(...), cells) on the
-    same arguments, without building a LevyPath per replica.
-    """
-    law = _path_law(triplet, horizon, trunc, compensate, brownian_cells)
-    return law.packed(seed, stream_offset, n, cells)
+def mark_window_error(eta: float, upper: float) -> str | None:
+    """Why [eta, upper] is not a marked size window, or None."""
+    if not (0.0 < eta <= upper):
+        return f"the marked window [{eta:g}, {upper:g}] needs 0 < low <= high"
+    return None
 
 
 def marked_jump_indices(path: LevyPath, eta: float, upper: float) -> np.ndarray:
     """Indices of jumps with size in the one-sided window [eta, upper]."""
-    if not (0.0 < eta <= upper):
-        raise ValueError("need 0 < eta <= upper")
+    reason = mark_window_error(eta, upper)
+    if reason is not None:
+        raise ValueError(reason)
     mask = (path.jump_sizes >= eta) & (path.jump_sizes <= upper)
     return np.flatnonzero(mask)
 

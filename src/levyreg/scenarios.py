@@ -51,18 +51,18 @@ from .diagnostics import (
 )
 from .fields import make_diffusion_field, make_scalar_field
 from .flow_engine import ScalarField, SolverBlowUp, jump_time_derivative, solve_random_ode
-from .levy_spec import FiniteAtomic, LevyTriplet, total_rate
+from .levy_spec import FiniteAtomic, LevyTriplet
 from .marcus import DiffusionField, FlowDivergence, chain_rule_residual, marcus_solve
 from .path_sampler import (
     MAX_JUMPS_PER_CHUNK,
     LevyPath,
+    PathLaw,
     decompose_first_jump,
-    driver_drift,
     marked_jump_indices,
+    path_law,
     reinsert_marked_jump,
     resample_first_jump_time,
     sample_many,
-    sample_packed,
     sample_path,
     shift_jump_time,
 )
@@ -137,20 +137,15 @@ def _json_safe(value):
     return value
 
 
-def _sample_and_solve(config: ScenarioConfig, triplet: LevyTriplet, trunc: float,
-                      solve, stream_offset: int = 0,
-                      brownian_cells: int | None = None) -> list[np.ndarray]:
-    """Replicas stream_offset + [0, config.replicas) on config.cells cells,
-    sampled straight into PackedPaths in chunks of about MAX_JUMPS_PER_CHUNK
+def _sample_and_solve(config: ScenarioConfig, law: PathLaw, solve,
+                      stream_offset: int = 0) -> list[np.ndarray]:
+    """Replicas stream_offset + [0, config.replicas) of `law` on config.cells
+    cells, sampled into PackedPaths in chunks of about MAX_JUMPS_PER_CHUNK
     expected jumps; solve(packed)'s arrays, each concatenated over the chunks."""
     n = config.replicas
-    mean_jumps = total_rate(triplet.jumps, trunc) * config.horizon
-    per_chunk = max(1, int(MAX_JUMPS_PER_CHUNK // max(1.0, mean_jumps)))
-    parts = [solve(sample_packed(triplet, config.horizon, trunc, min(per_chunk, n - lo),
-                                 config.seed, config.cells,
-                                 stream_offset=stream_offset + lo,
-                                 compensate=config.compensate,
-                                 brownian_cells=brownian_cells))
+    per_chunk = max(1, int(MAX_JUMPS_PER_CHUNK // max(1.0, law.mean_jumps)))
+    parts = [solve(law.packed(config.seed, stream_offset + lo, min(per_chunk, n - lo),
+                              config.cells))
              for lo in range(0, n, per_chunk)]
     return [np.concatenate(column) for column in zip(*parts)]
 
@@ -169,6 +164,11 @@ def _triplet(config: ScenarioConfig) -> LevyTriplet:
                        brownian_variance=config.brownian_variance)
 
 
+def _driver_law(config: ScenarioConfig, brownian_cells: int | None = None) -> PathLaw:
+    return path_law(_triplet(config), config.horizon, config.truncation,
+                    config.compensate, brownian_cells)
+
+
 def _unless_diverged(solve, fallback):
     """solve(), or `fallback` when a scalar solver diverges on the way; numpy
     overflow in the diverging state is not reported."""
@@ -181,18 +181,16 @@ def _unless_diverged(solve, fallback):
 
 def run_s1(config: ScenarioConfig) -> ScenarioResult:
     config = with_scenario_defaults(config)
-    triplet, x0, trunc = _triplet(config), config.x0, config.truncation
+    law, x0 = _driver_law(config), config.x0
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
-    x, z = _sample_and_solve(config, triplet, trunc, _ode_solver(a, x0))
+    x, z = _sample_and_solve(config, law, _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     ok = ~failed
     batch = SampleBatch(x[ok])
     report = detect_atoms(batch, config.window, config.threshold)
     window = report.window
-    skeleton = deterministic_skeleton(
-        a, driver_drift(triplet, trunc, config.compensate), x0, config.horizon)
-    rate = total_rate(triplet.jumps, trunc)
-    p_atom = math.exp(-rate * config.horizon)
+    skeleton = deterministic_skeleton(a, law.drift, x0, config.horizon)
+    p_atom = math.exp(-law.rate * config.horizon)
     se = math.sqrt(p_atom * (1.0 - p_atom) / batch.count)
     top = report.candidates[0] if report.candidates else (math.nan, 0.0, window)
     diagnostics = {
@@ -311,10 +309,10 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
 
 def run_s3(config: ScenarioConfig) -> ScenarioResult:
     config = with_scenario_defaults(config)
-    triplet, spacing, halfwidth = _triplet(config), config.spacing, config.halfwidth
+    law, spacing, halfwidth = _driver_law(config), config.spacing, config.halfwidth
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     solve = _ode_solver(a, config.x0)
-    x, z = _sample_and_solve(config, triplet, config.truncation, solve)
+    x, z = _sample_and_solve(config, law, solve)
     failed = ~np.isfinite(x)
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
@@ -322,7 +320,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     report = detect_atoms(SampleBatch(x[ok]), config.window, config.threshold)
     diagnostics = {
         "levels": config.measure.levels,
-        "total_rate": total_rate(triplet.jumps, config.truncation),
+        "total_rate": law.rate,
         "lattice_concentration_z": lattice_z,
         "lattice_concentration_x": lattice_x,
         "atoms_detected_x": report.atoms_present,
@@ -335,8 +333,9 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
         trend = {}
         for lv in config.trend_levels:
             measure, cut = trend_law(lv)
-            trip = LevyTriplet(drift=triplet.drift, jumps=measure.build())
-            xs_lv, _ = _sample_and_solve(config, trip, cut, solve,
+            law_lv = path_law(LevyTriplet(drift=config.drift, jumps=measure.build()),
+                              config.horizon, cut, config.compensate)
+            xs_lv, _ = _sample_and_solve(config, law_lv, solve,
                                          stream_offset=S3_TREND_STREAM_GAP * lv)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
@@ -349,8 +348,7 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
     config = with_scenario_defaults(config)
     x0, spacing, halfwidth = config.x0, config.spacing, config.halfwidth
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
-    x, z = _sample_and_solve(config, _triplet(config), config.truncation,
-                             _ode_solver(a, x0))
+    x, z = _sample_and_solve(config, _driver_law(config), _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     ok = ~failed
     shift = x0 + a.value(x0) * config.horizon
@@ -394,15 +392,14 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
             resample_first_jump_time(
                 d, gen=streams.at(RngStream(config.seed, offset + i).child(1).stream_id))
             for i, d in enumerate(decomps)]
-        packed_o = pack_paths(paths, cells)
-        packed_r = pack_paths(resampled, cells)
-        x_o, _ = ode_terminals(a, packed_o, x0)
-        x_r, _ = ode_terminals(a, packed_r, x0)
+        # originals and resamples in one sweep: the engine is elementwise
+        packed = pack_paths(paths + resampled, cells)
+        x_o, x_r = np.split(ode_terminals(a, packed, x0)[0], 2)
         ok = np.isfinite(x_o) & np.isfinite(x_r)
         stat, crit = two_sample_ks(SampleBatch(x_o[ok]), SampleBatch(x_r[ok]))
         ks_passes += stat < crit
         all_x.append(x_o)
-        all_z.append(packed_o.z_terminal)
+        all_z.append(packed.z_terminal[:n])
 
     # monotonicity of the terminal in the marked jump time, residual fixed
     n_paths_mono = min(100, len(first_rep_paths))
@@ -575,15 +572,14 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
 
 def run_s7(config: ScenarioConfig) -> ScenarioResult:
     config = with_scenario_defaults(config)
-    triplet, x0 = _triplet(config), config.x0
+    x0 = config.x0
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     sigma = make_diffusion_field(config.diffusion_field.name,
                                  config.diffusion_field.params)
     x_doss, x_marc, z = _sample_and_solve(
-        config, triplet, config.truncation,
+        config, _driver_law(config, brownian_cells=config.cells),
         lambda packed: (doss_terminals(a, sigma, packed, x0),
-                        marcus_terminals(a, sigma, packed, x0), packed.z_terminal),
-        brownian_cells=config.cells)
+                        marcus_terminals(a, sigma, packed, x0), packed.z_terminal))
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
     stat, crit = two_sample_ks(SampleBatch(x_doss[ok]), SampleBatch(x_marc[ok]))
     diagnostics = {
@@ -591,7 +587,7 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         "ks_critical_1pct": crit,
         "equivalence_pass": bool(stat < crit),
         "max_pathwise_gap": float(np.max(np.abs(x_doss[ok] - x_marc[ok]))),
-        "brownian_variance": triplet.brownian_variance,
+        "brownian_variance": config.brownian_variance,
         "cells": config.cells,
     }
     return ScenarioResult(diagnostics, x_marc, z, ~ok)

@@ -6,6 +6,7 @@ import pytest
 
 import levyreg.cli as cli_mod
 import levyreg.scenarios as scenarios_mod
+from levyreg import path_sampler
 from levyreg.cli import main as cli_main
 from levyreg.config import (
     ConfigError,
@@ -209,6 +210,13 @@ class TestRunScenarioOutputs:
             s1.pop(key), s8.pop(key)
         assert s1 == s8
 
+    CHUNKED = {name: f"scenario = {name}\nreplicas = 1000\nseed = 12\ncells = 8\n"
+               for name in ("S1", "S4", "S7")}
+    # a compensated density, about 122.5 jumps per path
+    CHUNKED["S1-density"] = ("scenario = S1\nseed = 9\nreplicas = 1000\n"
+                             "truncation = 0.001\ncompensate = true\n"
+                             "[measure.density]\npower = 1.5\n")
+
     # S1 and S7 expect 2 jumps per path, S4 12; one path per chunk would cost
     # S7 over a minute, so S7 gets only uneven chunks
     @pytest.mark.parametrize("scenario,budget,chunks", [
@@ -216,31 +224,45 @@ class TestRunScenarioOutputs:
         ("S1", 600, [300, 300, 300, 100]),
         ("S4", 1, [1] * 1000),
         ("S4", 3600, [300, 300, 300, 100]),
-        ("S7", 600, [300, 300, 300, 100])])
+        ("S7", 600, [300, 300, 300, 100]),
+        ("S1-density", 30000, [244, 244, 244, 244, 24])])
     def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, scenario,
                                                 budget, chunks):
         seen = []
-        real = scenarios_mod.sample_packed
+        real = path_sampler.PathLaw.packed
 
-        def spy(triplet, horizon, trunc, n, *args, **kwargs):
+        def spy(law, seed, stream_offset, n, cells):
             seen.append(n)
-            return real(triplet, horizon, trunc, n, *args, **kwargs)
+            return real(law, seed, stream_offset, n, cells)
 
         def run(out):
             seen.clear()
-            config = parse_config(f"scenario = {scenario}\nreplicas = 1000\n"
-                                  "seed = 12\ncells = 8\n")
-            run_scenario(config, out_dir=out)
+            run_scenario(parse_config(self.CHUNKED[scenario]), out_dir=out)
             summary = json.loads((out / "summary.json").read_text())
             summary.pop("wall_time_s")
             return (out / "samples.csv").read_bytes(), summary, list(seen)
 
-        monkeypatch.setattr(scenarios_mod, "sample_packed", spy)
+        monkeypatch.setattr(path_sampler.PathLaw, "packed", spy)
         default = run(tmp_path / "default")
         monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", budget)
         small = run(tmp_path / "small")
         assert default[2] == [1000] and small[2] == chunks
         assert small[:2] == default[:2]
+
+    def test_driver_law_built_once_per_run(self, monkeypatch):
+        # parsed first: validation computes the rate too
+        config = parse_config(self.CHUNKED["S1-density"])
+        calls = {"total_rate": 0, "_density_size_table": 0, "packed": 0}
+        for module, name in ((path_sampler, "total_rate"),
+                             (path_sampler, "_density_size_table"),
+                             (path_sampler.PathLaw, "packed")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", 30000)
+        scenarios_mod.run_s1(config)
+        assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
 
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import levyreg.scenarios as scenarios_mod
+from levyreg import path_sampler
 from levyreg.cli import main as cli_main
 from levyreg.config import (
     _SCALARS,
@@ -31,8 +32,11 @@ def _maybe(strategy):
 
 
 # One strategy per field the key table sets. The ranges keep every generated
-# law far inside the jump budget and every replica count above the sample
-# floor and below the stream gaps, so each config must parse.
+# law far inside the jump budget, every replica count above the sample floor
+# and below the stream gaps, every marked window nonempty and every lattice
+# tube narrower than half its spacing, alone or with the scenario defaults
+# (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12, halfwidth
+# 1e-9), so each config must parse.
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -56,10 +60,10 @@ _VALUES = {
     "two_sided": st.booleans(),
     "window": _floats(1e-12, 1e3),
     "threshold": _floats(1e-6, 0.999),
-    "spacing": _floats(1e-9, 10.0),
-    "halfwidth": _floats(1e-12, 1.0),
-    "mark_low": _floats(1e-6, 10.0),
-    "mark_high": _floats(1e-6, 10.0),
+    "spacing": _floats(1e-6, 10.0),
+    "halfwidth": _floats(1e-12, 1e-7),
+    "mark_low": _floats(1e-6, 0.1),
+    "mark_high": _floats(0.5, 10.0),
     "out_dir": st.text("abcxyz0129_-./", min_size=1, max_size=20),
 }
 _FAMILY_KEYS = ("family", "levels", "sign", "rate_scale", "idealized_infinite")
@@ -189,7 +193,8 @@ class TestScenarioDefaults:
 
 
 # Each document validated with exit 0 and failed only in `run`, most of them
-# after sampling (the trend level after the whole main S3 run).
+# after sampling (the trend level after the whole main S3 run, the lattice
+# tubes after every S3 and S4 replica was solved).
 REJECTED = [
     ("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 1e12\n", 4, "chunk budget"),
     ("scenario = S3\nreplicas = 1000\ntrend_levels = 4,30\n", 3, "chunk budget"),
@@ -204,6 +209,17 @@ REJECTED = [
     ("scenario = S3\nreplicas = 999\n", 2, "below the 1000 samples"),
     ("scenario = S5\nseed = 1\nreplicas = 200\n", 3, "below the 1000 samples"),
     ("scenario = S7\nreplicas = 999\n", 2, "below the 1000 samples"),
+    ("scenario = S5\n[diagnostics]\nmark_low = 0.5\nmark_high = 0.1\n", 4,
+     "needs 0 < low <= high"),
+    ("scenario = S2\n[diagnostics]\nmark_high = 0.1\nmark_low = 0.5\n", 4,
+     "needs 0 < low <= high"),
+    ("scenario = S4\n[diagnostics]\nhalfwidth = 0.001\n", 3,
+     "need 0 < halfwidth < spacing / 2"),
+    ("scenario = S3\n[diagnostics]\nspacing = 0.01\nhalfwidth = 0.006\n", 4,
+     "need 0 < halfwidth < spacing / 2"),
+    # the default halfwidth 1e-9 is not below 2^-40 / 2
+    ("scenario = S3\ntruncation = 0.01\n[measure.family]\nlevels = 40\n", 4,
+     "need 0 < halfwidth < spacing / 2"),
 ]
 
 
@@ -219,8 +235,9 @@ class TestValidateAgreesWithRun:
         def must_not_sample(*args, **kwargs):
             raise AssertionError("a rejected config reached the sampler")
 
-        monkeypatch.setattr(scenarios_mod, "sample_packed", must_not_sample)
+        monkeypatch.setattr(path_sampler.PathLaw, "packed", must_not_sample)
         monkeypatch.setattr(scenarios_mod, "sample_many", must_not_sample)
+        monkeypatch.setattr(scenarios_mod, "sample_path", must_not_sample)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"

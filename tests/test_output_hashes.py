@@ -17,6 +17,10 @@ from levyreg.scenarios import run_scenario
 PINNED = {
     "S1": ("scenario = S1\nseed = 303\nreplicas = 5000\n",
            "470a44d3fa616ad6544556c505d1208d6e79ceae2fba1f56739fb2d1e6fe87be"),
+    # the density sampler: size table and compensated drift
+    "S1-density": ("scenario = S1\nseed = 9\nreplicas = 1000\ntruncation = 0.001\n"
+                   "compensate = true\n[measure.density]\npower = 1.5\n",
+                   "a3b24d03eeebec7d278e8d565dff49132f6e55e30dac7405fd8f697f849d880c"),
     "S2": ("scenario = S2\nseed = 101\nreplicas = 4\n",
            "204d3e3141fe18b6cf6e766cc5c3644daf6ea1f2e64e64407a8a9ffc688c401d"),
     "S3": ("scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n",

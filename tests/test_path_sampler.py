@@ -13,9 +13,9 @@ from levyreg.path_sampler import (
     _dedupe_packed,
     _dedupe_times,
     decompose_first_jump,
+    path_law,
     resample_first_jump_time,
     sample_many,
-    sample_packed,
     sample_path,
     shift_jump_time,
 )
@@ -62,7 +62,7 @@ class TestSamplePath:
     def _jump_counts(triplet, n, seed):
         """Jump counts of replicas 0..n-1, the ones sample_path draws from
         RngStream(seed, i): the first 1000 are checked against it."""
-        counts = np.diff(sample_packed(triplet, 1.0, 0.5, n, seed, cells=1).offsets)
+        counts = np.diff(path_law(triplet, 1.0, 0.5).packed(seed, 0, n, 1).offsets)
         assert np.array_equal(counts[:1000], [
             sample_path(triplet, 1.0, 0.5, gen=RngStream(seed, i).generator()).n_jumps
             for i in range(1000)])
@@ -131,10 +131,9 @@ class TestSamplePath:
         # one-sided |z|^-3/2 above 0.25: P(size > s) = (s^-1/2 - 1) / (0.25^-1/2 - 1)
         spec = DensityForm(intensity=lambda z: abs(z) ** -1.5, abs_max=1.0,
                            two_sided=False)
-        triplet = LevyTriplet(drift=0.0, jumps=spec)
+        law = path_law(LevyTriplet(drift=0.0, jumps=spec), 1.0, 0.25)
         sizes = np.concatenate([
-            sample_path(triplet, 1.0, 0.25, gen=RngStream(4, i).generator()).jump_sizes
-            for i in range(3000)])
+            law.path(RngStream(4, i).generator()).jump_sizes for i in range(3000)])
         frac = (sizes > 0.5).mean()
         expected = (0.5 ** -0.5 - 1.0) / (0.25 ** -0.5 - 1.0)
         assert frac == pytest.approx(expected, abs=4.0 / math.sqrt(len(sizes)))
@@ -336,26 +335,26 @@ class TestSamplePacked:
     @pytest.mark.parametrize("offset", [0, 977])
     def test_equals_packed_sample_many(self, case, offset):
         triplet, horizon, trunc, n = self.CASES[case]
-        got = sample_packed(triplet, horizon, trunc, n, 17, 64, stream_offset=offset)
+        got = path_law(triplet, horizon, trunc).packed(17, offset, n, 64)
         want = pack_paths(sample_many(triplet, horizon, trunc, n, 17,
                                       stream_offset=offset), 64)
         assert_packed_equal(got, want)
 
     def test_dyadic_mean_jumps(self):
         triplet, horizon, trunc, n = self.CASES["dyadic"]
-        got = sample_packed(triplet, horizon, trunc, n, 17, 8)
+        got = path_law(triplet, horizon, trunc).packed(17, 0, n, 8)
         assert got.offsets[-1] == pytest.approx(8190 * n, rel=0.05)
 
     def test_zero_jump_replicas(self):
         triplet, horizon, trunc, n = self.CASES["sparse"]
-        got = sample_packed(triplet, horizon, trunc, n, 17, 16)
+        got = path_law(triplet, horizon, trunc).packed(17, 0, n, 16)
         counts = np.diff(got.offsets)
         assert (counts == 0).sum() >= 5 and counts.sum() > 0
         assert np.all(got.z_terminal[counts == 0] == 0.1 * horizon)
 
     def test_no_rate_packs_empty(self):
         triplet = LevyTriplet(0.4, FiniteAtomic(((1.0, 0.0),)))
-        got = sample_packed(triplet, 1.0, 0.5, 3, 2, 8)
+        got = path_law(triplet, 1.0, 0.5).packed(2, 0, 3, 8)
         want = pack_paths(sample_many(triplet, 1.0, 0.5, 3, 2), 8)
         assert_packed_equal(got, want)
         assert got.flat_times.size == 0
@@ -363,15 +362,14 @@ class TestSamplePacked:
     @pytest.mark.parametrize("bcells", [32, 100])
     def test_brownian(self, bcells):
         triplet = LevyTriplet(0.1, FiniteAtomic(((0.35, 2.0),)), brownian_variance=0.3)
-        got = sample_packed(triplet, 1.0, 0.1, 12, 5, 32, stream_offset=3,
-                            brownian_cells=bcells)
+        got = path_law(triplet, 1.0, 0.1, brownian_cells=bcells).packed(5, 3, 12, 32)
         want = pack_paths(sample_many(triplet, 1.0, 0.1, 12, 5, stream_offset=3,
                                       brownian_cells=bcells), 32)
         assert_packed_equal(got, want)
 
     def test_compensated_drift(self):
         triplet, horizon, trunc, n = self.CASES["atoms"]
-        got = sample_packed(triplet, horizon, trunc, n, 4, 16, compensate=True)
+        got = path_law(triplet, horizon, trunc, compensate=True).packed(4, 0, n, 16)
         want = pack_paths(sample_many(triplet, horizon, trunc, n, 4, compensate=True),
                           16)
         assert_packed_equal(got, want)
@@ -389,7 +387,7 @@ class TestSamplePacked:
     def test_compensated_drift_density(self, kind):
         spec = self.COMPENSATED_DENSITIES[kind]
         triplet, trunc = LevyTriplet(0.2, spec), 0.05
-        got = sample_packed(triplet, 1.0, trunc, 5, 4, 16, compensate=True)
+        got = path_law(triplet, 1.0, trunc, compensate=True).packed(4, 0, 5, 16)
         want = pack_paths(sample_many(triplet, 1.0, trunc, 5, 4, compensate=True), 16)
         assert_packed_equal(got, want)
         # the integral of z over {trunc < |z| <= 1}, shell by shell and sign by sign
@@ -402,7 +400,7 @@ class TestSamplePacked:
     def test_tied_jump_times(self, monkeypatch):
         monkeypatch.setattr(path_sampler, "StreamGenerator", _CoarseStreams)
         triplet = LevyTriplet(0.0, FiniteAtomic(((0.5, 30.0),)))
-        got = sample_packed(triplet, 1.0, 0.1, 10, 8, 16)
+        got = path_law(triplet, 1.0, 0.1).packed(8, 0, 10, 16)
         want = pack_paths(sample_many(triplet, 1.0, 0.1, 10, 8), 16)
         assert_packed_equal(got, want)
         # the coarse uniforms gave ties, and they were nudged apart
@@ -414,14 +412,15 @@ class TestSamplePacked:
     def test_flat_arrays_grow_past_capacity(self, monkeypatch):
         monkeypatch.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
         triplet, horizon, trunc, n = self.CASES["atoms"]
-        got = sample_packed(triplet, horizon, trunc, n, 6, 16)
+        law = path_law(triplet, horizon, trunc)
+        got = law.packed(6, 0, n, 16)
         monkeypatch.undo()
-        assert_packed_equal(got, sample_packed(triplet, horizon, trunc, n, 6, 16))
+        assert_packed_equal(got, law.packed(6, 0, n, 16))
 
     def test_rejects_empty_range(self):
         triplet, horizon, trunc, _ = self.CASES["atoms"]
         with pytest.raises(ValueError):
-            sample_packed(triplet, horizon, trunc, 0, 1, 16)
+            path_law(triplet, horizon, trunc).packed(1, 0, 0, 16)
 
 
 def test_dedupe_packed_matches_per_path_across_blocks():
