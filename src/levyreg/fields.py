@@ -2,10 +2,12 @@
 
 Every field ships an analytic derivative, so the probe-grid invariants hold
 exactly and the derivative-based formulas are honest. All callables accept
-scalars or numpy arrays (the batch engines evaluate them vectorized). An
-entry may also ship a fused jet, x -> (value, derivative) from one shared
-evaluation with the same arithmetic as the two callables; diffusion fields
-built from it hand it to `DiffusionField.jet`.
+scalars or numpy arrays (the batch engines evaluate them vectorized). A
+float, np.float64 included, takes a Python-float branch that gives the same
+bits as a one-element array, with np.exp as its only numpy call. An entry may
+also ship a fused jet, x -> (value, derivative) from one shared evaluation
+with the same arithmetic as the two callables; diffusion fields built from it
+hand it to `DiffusionField.jet`.
 
 Names and parameters:
 
@@ -32,6 +34,15 @@ _EXP_CLIP = 60.0
 
 
 def _expit(t):
+    if isinstance(t, float):
+        # the scalar solvers' states (np.float64 included): Python
+        # comparisons clamp with the same bits and let nan through; np.exp
+        # stays, since math.exp rounds some values differently
+        if t > _EXP_CLIP:
+            t = _EXP_CLIP
+        elif t < -_EXP_CLIP:
+            t = -_EXP_CLIP
+        return 1.0 / (1.0 + np.exp(-t))
     # np.minimum/np.maximum clamp like np.clip (nan and +-inf included)
     # without np.clip's Python wrapper
     e = np.exp(-np.minimum(np.maximum(t, -_EXP_CLIP), _EXP_CLIP))
@@ -46,7 +57,7 @@ class _Entry(NamedTuple):
 
 
 def _const_like(x, c: float):
-    if np.ndim(x):
+    if not isinstance(x, float) and np.ndim(x):
         return np.full(np.shape(x), c)
     return c
 

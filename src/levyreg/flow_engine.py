@@ -203,20 +203,27 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
                                 step: float | None = None) -> float:
     """Independent route: integrate u' = a'(Y + Z) u alongside Y' = a(Y + Z).
 
-    Kept free of the exponential formula so it can serve as its oracle.
+    Kept free of the exponential formula so it can serve as its oracle. (y, u)
+    are two floats stepped by `rk4_step`'s formula written out per component,
+    in its operation order, so the bits are those of a numpy 2-vector state.
     """
     a_val, a_dot = a.value, a.derivative
     drift = path.drift_rate
-    state = np.array([float(x0), 1.0])
+    y, u = float(x0), 1.0
     for _, _, base, slope, _, substeps in grid_segments(path, step):
-        def f(t, state):
-            yv, uv = state
-            x = yv + drift * t + base + slope * t
-            return np.array([a_val(x), a_dot(x) * uv])
+        def f(t, y, u):
+            x = y + drift * t + base + slope * t
+            return a_val(x), a_dot(x) * u
 
         for t, _, h in substeps:
-            state = rk4_step(f, t, state, h)
-    return float(state[1])
+            t_mid, t_end = t + 0.5 * h, t + h
+            k1y, k1u = f(t, y, u)
+            k2y, k2u = f(t_mid, y + 0.5 * h * k1y, u + 0.5 * h * k1u)
+            k3y, k3u = f(t_mid, y + 0.5 * h * k2y, u + 0.5 * h * k2u)
+            k4y, k4u = f(t_end, y + h * k3y, u + h * k3u)
+            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    return float(u)
 
 
 def jump_time_derivative(a: ScalarField, solution: FlowSolution, T: float) -> float:

@@ -365,16 +365,13 @@ def sample_path(triplet: LevyTriplet, horizon: float, trunc: float,
     return path_law(triplet, horizon, trunc, compensate, brownian_cells).path(gen)
 
 
-def sample_many(triplet: LevyTriplet, horizon: float, trunc: float, n: int,
-                seed: int, brownian_cells: int | None = None,
-                accept=None, stream_offset: int = 0,
-                compensate: bool = False) -> list[LevyPath]:
-    """Draw n paths, replica i from RngStream(seed, stream_offset + i).
+def sample_many(law: PathLaw, n: int, seed: int, accept=None,
+                stream_offset: int = 0) -> list[LevyPath]:
+    """Draw n paths of `law`, replica i from RngStream(seed, stream_offset + i).
 
     `accept` may reject a draw; rejected paths are redrawn from the same
     stream, so the result is a deterministic function of the stream identity.
     """
-    law = path_law(triplet, horizon, trunc, compensate, brownian_cells)
     streams = StreamGenerator(seed)
     paths: list[LevyPath] = []
     for i in range(n):

@@ -369,8 +369,8 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
 def run_s5(config: ScenarioConfig) -> ScenarioResult:
     config = with_scenario_defaults(config)
     n, reps, x0, cells = config.replicas, config.repetitions, config.x0, config.cells
-    mark_lo, mark_hi, trunc = config.mark_low, config.mark_high, config.truncation
-    triplet = _triplet(config)
+    mark_lo, mark_hi = config.mark_low, config.mark_high
+    law = _driver_law(config)
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
 
     def has_two_marked(p: LevyPath) -> bool:
@@ -382,9 +382,8 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
     first_rep_paths: list[LevyPath] = []
     for r in range(reps):
         offset = r * n
-        paths = sample_many(triplet, config.horizon, trunc, n, config.seed,
-                            accept=has_two_marked, stream_offset=offset,
-                            compensate=config.compensate)
+        paths = sample_many(law, n, config.seed, accept=has_two_marked,
+                            stream_offset=offset)
         if r == 0:
             first_rep_paths = paths
         decomps = [decompose_first_jump(p, mark_lo, mark_hi) for p in paths]

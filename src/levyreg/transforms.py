@@ -14,6 +14,7 @@ turn the Marcus equation into something already solved elsewhere:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,27 +65,28 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
         raise ValueError("need range_lo < range_hi")
     if not (range_lo <= base_point <= range_hi):
         raise ValueError("base_point must lie in the range")
-    nodes = np.linspace(range_lo, range_hi, cells + 1)
-    sig_vals = np.array([sigma.value(float(x)) for x in nodes])
+    # Python lists: the cell lookups bisect them without a numpy call
+    nodes = np.linspace(range_lo, range_hi, cells + 1).tolist()
+    sig_vals = np.array([sigma.value(x) for x in nodes])
     floor = sigma.min_abs if sigma.min_abs is not None else 1e-12
     if np.any(np.abs(sig_vals) < floor) or np.any(np.sign(sig_vals) != np.sign(sig_vals[0])):
         raise AssumptionHViolation(
             "sigma vanishes or changes sign on the requested range")
 
     inv = lambda t: 1.0 / sigma.value(t)
-    cell_ints = np.array([
-        adaptive_simpson(inv, float(nodes[k]), float(nodes[k + 1]), tol=1e-12)
-        for k in range(cells)])
-    cumulative = np.concatenate([[0.0], np.cumsum(cell_ints)])
+    cell_ints = [adaptive_simpson(inv, nodes[k], nodes[k + 1], tol=1e-12)
+                 for k in range(cells)]
+    cumsum = np.concatenate([[0.0], np.cumsum(cell_ints)])
+    cumulative = cumsum.tolist()
 
     def forward_raw(x: float) -> float:
         if x < range_lo:
             return cumulative[0] + adaptive_simpson(inv, range_lo, x, tol=1e-12)
         if x > range_hi:
             return cumulative[-1] + adaptive_simpson(inv, range_hi, x, tol=1e-12)
-        k = min(int(np.searchsorted(nodes, x, side="right")) - 1, cells - 1)
-        k = max(k, 0)
-        return float(cumulative[k]) + adaptive_simpson(inv, float(nodes[k]), x, tol=1e-12)
+        # nan compares false everywhere and lands in the last cell
+        k = max(min(bisect_right(nodes, x) - 1, cells - 1), 0)
+        return cumulative[k] + adaptive_simpson(inv, nodes[k], x, tol=1e-12)
 
     base_val = forward_raw(base_point)
 
@@ -92,18 +94,18 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
         return forward_raw(x) - base_val
 
     increasing = sig_vals[0] > 0.0
+    # inverse bisects an increasing table: the negated one for a decreasing f
+    table = cumulative if increasing else (-cumsum).tolist()
 
     def inverse(y: float) -> float:
         target = y + base_val
-        table = cumulative if increasing else -cumulative
         t = target if increasing else -target
         if t <= table[0]:
             x = range_lo
-        elif t >= table[-1]:
+        elif t < table[-1]:
+            x = nodes[bisect_left(table, t) - 1]
+        else:  # at or past the top of the table, or nan
             x = range_hi
-        else:
-            k = int(np.searchsorted(table, t)) - 1
-            x = float(nodes[k])
         # Newton on forward_raw; derivative is 1/sigma
         for _ in range(100):
             r = forward_raw(x) - target

@@ -264,6 +264,19 @@ class TestRunScenarioOutputs:
         scenarios_mod.run_s1(config)
         assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
 
+    def test_s5_driver_law_built_once_for_all_repetitions(self, monkeypatch):
+        builds = []
+
+        def counted(*args, _real=path_sampler.path_law, **kwargs):
+            builds.append(args)
+            return _real(*args, **kwargs)
+
+        for module in (path_sampler, scenarios_mod):
+            monkeypatch.setattr(module, "path_law", counted)
+        config = parse_config("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n")
+        scenarios_mod.run_s5(config)
+        assert len(builds) == 1
+
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
         text = "scenario = S1\nreplicas = 2000\nseed = 8\nhorizon = 1.5\n"

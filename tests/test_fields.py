@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyreg.fields import (
     _EXP_CLIP,
@@ -9,6 +11,10 @@ from levyreg.fields import (
     make_diffusion_field,
     make_scalar_field,
 )
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
 
 
 class TestCatalogue:
@@ -52,8 +58,8 @@ class TestCatalogue:
         vec_v = np.asarray(f.value(xs), dtype=float)
         vec_d = np.asarray(f.derivative(xs), dtype=float)
         for i, x in enumerate(xs):
-            assert vec_v[i] == pytest.approx(float(f.value(float(x))), abs=1e-14)
-            assert vec_d[i] == pytest.approx(float(f.derivative(float(x))), abs=1e-14)
+            assert _bits(vec_v[i]) == _bits(f.value(float(x)))
+            assert _bits(vec_d[i]) == _bits(f.derivative(float(x)))
 
     def test_logistic_strictly_increasing(self):
         # strict in exact arithmetic; checked where float64 can resolve it
@@ -97,9 +103,11 @@ _CATALOGUE_PARAMS = [
 _EDGE_POINTS = [-1e300, -100.0, -66.8, -66.6, -1.0, -0.0, 0.0, 0.3, 1.0, 66.8,
                 100.0, 1e300, np.inf, -np.inf, np.nan]
 
-
-def _bits(v) -> bytes:
-    return np.asarray(v, dtype=float).tobytes()
+# the expit clamp's edges and their float neighbours, for a unit-rate logistic
+_CLAMP_NEIGHBOURS = [float(np.nextafter(e, toward))
+                     for e in (-_EXP_CLIP, _EXP_CLIP) for toward in (-np.inf, np.inf)]
+_FIXED_EDGES = [-_EXP_CLIP, _EXP_CLIP, *_CLAMP_NEIGHBOURS, -1e300, 1e300,
+                -np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324]
 
 
 class TestJet:
@@ -118,11 +126,59 @@ class TestJet:
 
     def test_expit_clamp_matches_clip(self):
         ts = np.array([-1e300, -61.0, -60.0, -59.9, -1.0, -0.0, 0.0, 2.5, 59.9,
-                       60.0, 61.0, 1e300, np.inf, -np.inf, np.nan])
+                       60.0, 61.0, 1e300, np.inf, -np.inf, np.nan,
+                       *_CLAMP_NEIGHBOURS])
 
         def clipped(t):
             return 1.0 / (1.0 + np.exp(-np.clip(t, -_EXP_CLIP, _EXP_CLIP)))
 
         assert _bits(_expit(ts)) == _bits(clipped(ts))
-        for t in ts.tolist():
+        # Python floats, then np.float64 scalars
+        for t in [*ts.tolist(), *ts]:
             assert _bits(_expit(t)) == _bits(clipped(t))
+
+
+_finite = st.floats(-10.0, 10.0)
+_PARAM_STRATEGIES = {
+    "constant": st.fixed_dictionaries({"level": _finite}),
+    "linear": st.fixed_dictionaries({"slope": _finite}),
+    "affine": st.fixed_dictionaries({"slope": _finite, "intercept": _finite}),
+    "logistic-slope": st.fixed_dictionaries(
+        {"low": _finite, "high": _finite, "rate": _finite, "center": _finite}),
+    "arctan-diffusion": st.fixed_dictionaries(
+        {"amplitude": _finite, "curvature": _finite, "center": _finite}),
+}
+
+
+def _assert_scalar_types_match_array(name, params, x):
+    """value, derivative and jet give the bits of a one-element array on a
+    Python float and on an np.float64."""
+    sigma = make_diffusion_field(name, params)
+    one = np.array([x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [_bits(sigma.value(one)), _bits(sigma.derivative(one)),
+                *map(_bits, sigma.jet(one))]
+        for arg in (float(x), np.float64(x)):
+            got = [_bits(sigma.value(arg)), _bits(sigma.derivative(arg)),
+                   *map(_bits, sigma.jet(arg))]
+            assert got == want, (name, params, arg, type(arg))
+
+
+class TestScalarBranch:
+    def test_strategies_cover_the_catalogue(self):
+        assert sorted(_PARAM_STRATEGIES) == catalogue_names()
+
+    @pytest.mark.parametrize("name", sorted(_PARAM_STRATEGIES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), x=st.floats(allow_nan=True, allow_infinity=True))
+    def test_float_float64_and_array_agree(self, name, data, x):
+        params = data.draw(_PARAM_STRATEGIES[name])
+        _assert_scalar_types_match_array(name, params, x)
+
+    @pytest.mark.parametrize("name,params", [
+        *_CATALOGUE_PARAMS,
+        ("logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 0.0}),
+    ])
+    @pytest.mark.parametrize("x", _FIXED_EDGES)
+    def test_fixed_edges(self, name, params, x):
+        _assert_scalar_types_match_array(name, params, x)

@@ -3,16 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from levyreg.fields import make_scalar_field
 from levyreg.flow_engine import (
     NonDifferentiablePoint,
     ScalarField,
     flow_derivative_exponential,
     flow_derivative_variational,
+    grid_segments,
     jump_time_derivative,
+    rk4_step,
     solve_random_ode,
 )
 from levyreg.marcus import DiffusionField, marcus_solve
-from levyreg.path_sampler import LevyPath, decompose_first_jump, shift_jump_time
+from levyreg.path_sampler import (
+    BrownianSkeleton,
+    LevyPath,
+    decompose_first_jump,
+    shift_jump_time,
+)
 from levyreg.transforms import doss_sussman_solve
 
 
@@ -188,6 +196,54 @@ class TestFlowDerivative:
             got = flow_derivative_exponential(a, sol)
             var = flow_derivative_variational(a, path, x0)
             assert got == pytest.approx(var, rel=1e-8)
+
+
+
+def variational_2vector(a, path, x0, step=None):
+    """`flow_derivative_variational` with (y, u) as a numpy 2-vector stepped
+    by `rk4_step`: the reference for its two-float form."""
+    a_val, a_dot = a.value, a.derivative
+    drift = path.drift_rate
+    state = np.array([float(x0), 1.0])
+    for _, _, base, slope, _, substeps in grid_segments(path, step):
+        def f(t, state):
+            yv, uv = state
+            x = yv + drift * t + base + slope * t
+            return np.array([a_val(x), a_dot(x) * uv])
+
+        for t, _, h in substeps:
+            state = rk4_step(f, t, state, h)
+    return float(state[1])
+
+
+class TestVariationalTwoFloats:
+    KINDS = [
+        ("logistic-slope", {"low": -0.2, "high": 0.9, "rate": 1.1, "center": 0.3}),
+        ("linear", {"slope": -0.7}),
+        ("affine", {"slope": 0.4, "intercept": -0.3}),
+        ("arctan-diffusion", {"amplitude": 0.2, "curvature": 0.8, "center": -0.1}),
+    ]
+
+    @staticmethod
+    def path(brownian: bool) -> LevyPath:
+        skeleton = None
+        if brownian:
+            rng = np.random.default_rng(23)
+            skeleton = BrownianSkeleton(
+                np.linspace(0.0, 1.0, 17),
+                np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.25, 16))]))
+        return LevyPath(1.0, 0.15, np.array([0.3, 0.62, 0.9]),
+                        np.array([0.5, -0.8, 0.3]), skeleton)
+
+    @pytest.mark.parametrize("brownian", [False, True])
+    @pytest.mark.parametrize("name,params", KINDS)
+    def test_matches_2vector_bit_for_bit(self, name, params, brownian):
+        a = make_scalar_field(name, params)
+        path = self.path(brownian)
+        for x0, step in ((-0.7, 1.0 / 512), (0.0, 1.0 / 300), (0.45, None)):
+            got = flow_derivative_variational(a, path, x0, step)
+            want = variational_2vector(a, path, x0, step)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x0, step)
 
 
 class TestJumpTimeDerivative:

@@ -1,13 +1,15 @@
-"""Pinned samples.csv bytes for fixed (scenario, seed) pairs.
+"""Pinned samples.csv and summary.json bytes for fixed (scenario, seed) pairs.
 
-A change that is meant to leave the outputs alone (a refactor, a faster
-sampler or engine) must keep these sha256 hashes. A change that moves the
-bytes on purpose updates the hash here and says why in CHANGES.md. The hashes
-were recorded with numpy 2.x on x86-64; another numpy build or CPU may round
-the last bit of a field evaluation differently.
+summary.json is hashed without its `wall_time_s`, re-serialized as
+`RunSummary.to_json` writes it. A change that is meant to leave the outputs
+alone (a refactor, a faster sampler or engine) must keep these sha256 hashes.
+A change that moves the bytes on purpose updates the hash here and says why in
+CHANGES.md. The hashes were recorded with numpy 2.x on x86-64; another numpy
+build or CPU may round the last bit of a field evaluation differently.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -43,3 +45,28 @@ def test_samples_csv_hash(scenario, tmp_path):
     run_scenario(parse_config(text), out_dir=tmp_path)
     got = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
     assert got == expected
+
+
+# S2's and S6's diagnostics live only in summary.json: S6 parts (a), (c), (d)
+# and (e) (unit-diffusion reduction, conjugacy, chain rule, jump remainder)
+# write nothing to samples.csv
+SUMMARY_PINNED = {
+    "S2": (PINNED["S2"][0],
+           "acaa33e91cf127fb36e885fcc5254e559bf92d1930858144ff69fd1c4d8e2f66"),
+    # conjugacy diverges at horizon 20 and its worst gap is written as null
+    "S6": (PINNED["S6"][0],
+           "f7eea32d1040f31d23cd1ab21477ed2ae07e7c05e497d97abfcfa546c7db0d87"),
+    # at the default horizon every conjugacy gap is finite and pinned
+    "S6-conjugacy": ("scenario = S6\nseed = 707\nreplicas = 5\n",
+                     "a55455ea3493ff1ea3949b02e64c4c9bc46819dff0a03e932feff2e28ce2bc67"),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SUMMARY_PINNED))
+def test_summary_json_hash(scenario, tmp_path):
+    text, expected = SUMMARY_PINNED[scenario]
+    run_scenario(parse_config(text), out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary.pop("wall_time_s")
+    kept = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(kept.encode()).hexdigest() == expected

@@ -335,9 +335,9 @@ class TestSamplePacked:
     @pytest.mark.parametrize("offset", [0, 977])
     def test_equals_packed_sample_many(self, case, offset):
         triplet, horizon, trunc, n = self.CASES[case]
-        got = path_law(triplet, horizon, trunc).packed(17, offset, n, 64)
-        want = pack_paths(sample_many(triplet, horizon, trunc, n, 17,
-                                      stream_offset=offset), 64)
+        law = path_law(triplet, horizon, trunc)
+        got = law.packed(17, offset, n, 64)
+        want = pack_paths(sample_many(law, n, 17, stream_offset=offset), 64)
         assert_packed_equal(got, want)
 
     def test_dyadic_mean_jumps(self):
@@ -354,24 +354,25 @@ class TestSamplePacked:
 
     def test_no_rate_packs_empty(self):
         triplet = LevyTriplet(0.4, FiniteAtomic(((1.0, 0.0),)))
-        got = path_law(triplet, 1.0, 0.5).packed(2, 0, 3, 8)
-        want = pack_paths(sample_many(triplet, 1.0, 0.5, 3, 2), 8)
+        law = path_law(triplet, 1.0, 0.5)
+        got = law.packed(2, 0, 3, 8)
+        want = pack_paths(sample_many(law, 3, 2), 8)
         assert_packed_equal(got, want)
         assert got.flat_times.size == 0
 
     @pytest.mark.parametrize("bcells", [32, 100])
     def test_brownian(self, bcells):
         triplet = LevyTriplet(0.1, FiniteAtomic(((0.35, 2.0),)), brownian_variance=0.3)
-        got = path_law(triplet, 1.0, 0.1, brownian_cells=bcells).packed(5, 3, 12, 32)
-        want = pack_paths(sample_many(triplet, 1.0, 0.1, 12, 5, stream_offset=3,
-                                      brownian_cells=bcells), 32)
+        law = path_law(triplet, 1.0, 0.1, brownian_cells=bcells)
+        got = law.packed(5, 3, 12, 32)
+        want = pack_paths(sample_many(law, 12, 5, stream_offset=3), 32)
         assert_packed_equal(got, want)
 
     def test_compensated_drift(self):
         triplet, horizon, trunc, n = self.CASES["atoms"]
-        got = path_law(triplet, horizon, trunc, compensate=True).packed(4, 0, n, 16)
-        want = pack_paths(sample_many(triplet, horizon, trunc, n, 4, compensate=True),
-                          16)
+        law = path_law(triplet, horizon, trunc, compensate=True)
+        got = law.packed(4, 0, n, 16)
+        want = pack_paths(sample_many(law, n, 4), 16)
         assert_packed_equal(got, want)
         assert got.drift_rate == pytest.approx(0.3 - 2.0 + 0.4)
 
@@ -387,8 +388,9 @@ class TestSamplePacked:
     def test_compensated_drift_density(self, kind):
         spec = self.COMPENSATED_DENSITIES[kind]
         triplet, trunc = LevyTriplet(0.2, spec), 0.05
-        got = path_law(triplet, 1.0, trunc, compensate=True).packed(4, 0, 5, 16)
-        want = pack_paths(sample_many(triplet, 1.0, trunc, 5, 4, compensate=True), 16)
+        law = path_law(triplet, 1.0, trunc, compensate=True)
+        got = law.packed(4, 0, 5, 16)
+        want = pack_paths(sample_many(law, 5, 4), 16)
         assert_packed_equal(got, want)
         # the integral of z over {trunc < |z| <= 1}, shell by shell and sign by sign
         lo, hi = max(trunc, spec.abs_min), min(1.0, spec.abs_max)
@@ -400,8 +402,9 @@ class TestSamplePacked:
     def test_tied_jump_times(self, monkeypatch):
         monkeypatch.setattr(path_sampler, "StreamGenerator", _CoarseStreams)
         triplet = LevyTriplet(0.0, FiniteAtomic(((0.5, 30.0),)))
-        got = path_law(triplet, 1.0, 0.1).packed(8, 0, 10, 16)
-        want = pack_paths(sample_many(triplet, 1.0, 0.1, 10, 8), 16)
+        law = path_law(triplet, 1.0, 0.1)
+        got = law.packed(8, 0, 10, 16)
+        want = pack_paths(sample_many(law, 10, 8), 16)
         assert_packed_equal(got, want)
         # the coarse uniforms gave ties, and they were nudged apart
         assert np.unique(got.flat_times).size > np.unique(

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import levyreg.transforms as transforms_mod
+from levyreg.fields import make_diffusion_field
 from levyreg.flow_engine import ScalarField, solve_random_ode
 from levyreg.marcus import DiffusionField, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import LevyPath
+from levyreg.quadrature import adaptive_simpson
 from levyreg.transforms import (
     AssumptionHViolation,
     doss_sussman_solve,
@@ -68,6 +71,110 @@ class TestUnitDiffusionTransform:
         c = d0.forward(1.0)
         for x in (-1.0, 0.3, 2.0):
             assert d1.forward(x) == pytest.approx(d0.forward(x) - c, abs=1e-10)
+
+
+def searchsorted_transform(sigma, base_point, range_lo, range_hi, cells):
+    """(forward, inverse) of `unit_diffusion_transform` with its cells found
+    by np.searchsorted on numpy tables: the reference for the bisect lookup."""
+    nodes = np.linspace(range_lo, range_hi, cells + 1)
+    inv = lambda t: 1.0 / sigma.value(t)
+    cell_ints = np.array([
+        adaptive_simpson(inv, float(nodes[k]), float(nodes[k + 1]), tol=1e-12)
+        for k in range(cells)])
+    cumulative = np.concatenate([[0.0], np.cumsum(cell_ints)])
+
+    def forward_raw(x):
+        if x < range_lo:
+            return cumulative[0] + adaptive_simpson(inv, range_lo, x, tol=1e-12)
+        if x > range_hi:
+            return cumulative[-1] + adaptive_simpson(inv, range_hi, x, tol=1e-12)
+        k = min(int(np.searchsorted(nodes, x, side="right")) - 1, cells - 1)
+        k = max(k, 0)
+        return float(cumulative[k]) + adaptive_simpson(inv, float(nodes[k]), x,
+                                                       tol=1e-12)
+
+    base_val = forward_raw(base_point)
+    increasing = sigma.value(range_lo) > 0.0
+
+    def inverse(y):
+        target = y + base_val
+        table = cumulative if increasing else -cumulative
+        t = target if increasing else -target
+        if t <= table[0]:
+            x = range_lo
+        elif t >= table[-1]:
+            x = range_hi
+        else:
+            x = float(nodes[int(np.searchsorted(table, t)) - 1])
+        for _ in range(100):
+            r = forward_raw(x) - target
+            if abs(r) <= 1e-13 * (1.0 + abs(target)):
+                break
+            x = x - r * sigma.value(x)
+        return x
+
+    return (lambda x: forward_raw(x) - base_val), inverse, nodes, cumulative - base_val
+
+
+class _NanReached(Exception):
+    pass
+
+
+class TestCellLookup:
+    # an increasing f (sigma > 0) and a decreasing one
+    SIGMAS = {
+        "increasing": make_diffusion_field("logistic-slope", {"low": 0.5, "high": 1.5,
+                                                              "rate": 1.3, "center": 0.2}),
+        "decreasing": make_diffusion_field("constant", {"level": -1.0}),
+    }
+    LO, HI, CELLS, BASE = -4.0, 4.0, 64, 0.3
+
+    def both(self, kind):
+        args = (self.SIGMAS[kind], self.BASE, self.LO, self.HI, self.CELLS)
+        return unit_diffusion_transform(*args), searchsorted_transform(*args)
+
+    @pytest.mark.parametrize("kind", sorted(SIGMAS))
+    def test_matches_searchsorted_bit_for_bit(self, kind):
+        diffeo, (forward, inverse, nodes, ys) = self.both(kind)
+        mids = 0.5 * (nodes[1:] + nodes[:-1])
+        xs = [*nodes, *mids, self.LO - 1.5, self.HI + 2.5, -1e3, 1e3,
+              np.nextafter(self.LO, -np.inf), np.nextafter(self.HI, np.inf)]
+        y_mids = 0.5 * (ys[1:] + ys[:-1])
+        probes_y = [*ys, *y_mids, *(forward(float(x)) for x in xs), ys[0] - 1.0,
+                    ys[-1] + 1.0, -ys[-1]]
+        bits = lambda v: np.float64(v).tobytes()
+        for x in xs:
+            assert bits(diffeo.forward(float(x))) == bits(forward(float(x))), x
+        for y in probes_y:
+            assert bits(diffeo.inverse(float(y))) == bits(inverse(float(y))), y
+
+    @pytest.mark.parametrize("kind", sorted(SIGMAS))
+    def test_nan_resolves_to_last_node(self, kind, monkeypatch):
+        # adaptive Simpson never converges on a nan end point, so the spy
+        # records the cells integrated from and stops at the first nan
+        diffeo, (forward, inverse, nodes, _) = self.both(kind)
+        calls = []
+
+        def spy(f, a, b, tol, _real=adaptive_simpson):
+            calls.append((a, "nan" if math.isnan(b) else b))
+            if math.isnan(b):
+                raise _NanReached
+            return _real(f, a, b, tol)
+
+        monkeypatch.setattr(transforms_mod, "adaptive_simpson", spy)
+        monkeypatch.setitem(globals(), "adaptive_simpson", spy)
+
+        def cells_visited(fn):
+            calls.clear()
+            with pytest.raises(_NanReached):
+                fn(math.nan)
+            return list(calls)
+
+        last = float(nodes[-2])
+        assert cells_visited(diffeo.forward) == cells_visited(forward) == [(last, "nan")]
+        # Newton starts at the last node; its first step turns x into nan
+        assert cells_visited(diffeo.inverse) == cells_visited(inverse) == [
+            (last, self.HI), (last, "nan")]
 
 
 class TestReducedDrift:
