@@ -9,12 +9,23 @@ results independent of how replicas are batched or chunked:
 * per-element substep counts depend only on that element's values;
 * batch-wide reductions (loop bounds) never enter element arithmetic.
 
-Jumps are handled by event-synchronized stepping: within each cell every path
-advances to its own next jump time, applies it (exactly, via the jump flow for
-the Marcus engine), and continues; then every path crosses to the cell's right
-edge in one step. One generator, `_sweep`, yields these steps, reading the
-packed jump arrays in place; each engine is a loop over it. Sub-cell event
-rounds run on the paths with a jump in them only.
+Jumps are handled by an own-step sweep: each path walks its own steps, from
+its current time to its next jump when that lies in its current cell and to
+the cell's right edge otherwise, and applies each jump on arrival (exactly,
+via the jump flow, for the Marcus engine). A path takes its jumps plus cells
+steps in all, so the batch is sorted once by that count, largest first, and
+round s steps the prefix of paths with more than s steps; a batch costs the
+most steps of any one path in it, not the busiest path per cell summed over
+the cells. `_sweep` sorts a batch and returns a generator of these rounds,
+which reads the packed jump arrays in place; each engine is a loop over it.
+
+The plain random-ODE engine sweeps a batch wider than SWEEP_WIDTH paths in
+row blocks of that width. Its rounds cost a few elementwise operations per
+path, and at 4096 rows each per-round temporary is 32 KiB, below glibc's
+128-KiB mmap threshold. The Doss-Sussmann and Marcus engines sweep the whole
+batch at once: each of their rounds runs jump-flow kernel loops whose count is
+set by the round's largest flow, not by its width, so every extra block would
+repeat them.
 
 The jump-flow kernel fixes each element's substep count on entry, sorts the
 batch once by it (largest first, stable) and steps, at substep s, only the
@@ -25,11 +36,18 @@ which catalogue fields with a fused form evaluate once.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .flow_engine import ScalarField
 from .marcus import FLOW_SUBSTEP_SCALE, DiffusionField
 from .path_sampler import LevyPath, PackedPaths
+
+#: Most paths one plain random-ODE sweep walks at once; wider batches are cut
+#: into contiguous row blocks. Picked by timing S1's sweep at 20k and 100k
+#: paths against 8192 rows and no cap; not a setting.
+SWEEP_WIDTH = 4096
 
 
 def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
@@ -79,6 +97,22 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _prefix_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, live): `order` sorts `counts` largest first (stable), and
+    live[s] is how many elements have counts > s, i.e. the length of the
+    sorted prefix that takes part in loop iteration s."""
+    order = np.argsort(-counts, kind="stable")
+    desc = counts[order]
+    return order, np.searchsorted(-desc, -np.arange(desc.max(initial=0)), side="left")
+
+
+def _unsorted(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`a`, kept in `order`, back in input order."""
+    out = np.empty_like(a)
+    out[order] = a
+    return out
+
+
 def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
                 sensitivity: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Vectorized time-u flow of sigma from y (fixed per-element substeps).
@@ -92,11 +126,8 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
     n = np.maximum(8, np.ceil(np.abs(u.ravel()) / FLOW_SUBSTEP_SCALE)).astype(np.int64)
-    order = np.argsort(-n, kind="stable")
-    n = n[order]
-    # live[s]: how many elements need substep s, i.e. have n > s
-    live = np.searchsorted(-n, -np.arange(n.max(initial=0)), side="left")
-    phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n
+    order, live = _prefix_order(n)
+    phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n[order]
     sig, jet = sigma.value, sigma.jet
     acc = np.zeros_like(phi) if sensitivity else None
     stages = []
@@ -117,12 +148,8 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
                 stages.clear()
                 acc[:m] += (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
-    def unsort(a):
-        out = np.empty_like(a)
-        out[order] = a
-        return out.reshape(y.shape)
-
-    return unsort(phi), unsort(acc) if sensitivity else None
+    return (_unsorted(phi, order).reshape(y.shape),
+            _unsorted(acc, order).reshape(y.shape) if sensitivity else None)
 
 
 def flow_map_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -136,42 +163,59 @@ def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray
     return _flow_array(sigma, y, u, sensitivity=True)
 
 
+def _blocks(packed: PackedPaths):
+    """Contiguous row blocks of at most SWEEP_WIDTH paths, each a view of
+    `packed` that shares its flat jump arrays."""
+    brown = packed.brown_edges
+    for lo in range(0, packed.n_paths, SWEEP_WIDTH):
+        hi = lo + SWEEP_WIDTH
+        yield dataclasses.replace(
+            packed, offsets=packed.offsets[lo:hi + 1], z_terminal=packed.z_terminal[lo:hi],
+            brown_edges=None if brown is None else brown[lo:hi])
+
+
 def _sweep(packed: PackedPaths):
-    """Event-synchronized walk over the cell grid, as a stream of RK steps.
+    """Own-step walk over the cell grid, as (order, rounds).
 
-    Per cell k it yields (k, rows, tau, dt, sizes). First come the event
-    rounds: `rows` indexes the paths whose next jump lies at or before the
-    cell's right edge, each to be stepped from its own time `tau` over `dt` to
-    that jump and then given the jump `sizes`. Then one step of every path to
-    the right edge, with rows = slice(None) and sizes = None. The next jump of
-    a path is read with a clipped take and kept only where the path has one.
+    Every path takes exactly n_jumps + n_cells steps, since its jump times lie
+    in (0, horizon]. `order` sorts the paths by that count, largest first and
+    stable, and all per-path state is kept in that order. Round s yields
+    (m, k, tau, dt, jumped, sizes) for the live prefix [:m] of paths with more
+    than s steps: each steps from its own time `tau` over `dt` to its next
+    jump if that lies at or before the right edge of its cell `k`, and to that
+    edge otherwise. `jumped` marks the rows that land on a jump, to be given
+    the jump `sizes` in row order; the other rows move to cell k + 1. The
+    arrays are valid until the next round.
     """
-    times, jump_sizes = packed.flat_times, packed.flat_sizes
-    jptr = packed.offsets[:-1].copy()
-    jend = packed.offsets[1:]
-    for k in range(packed.n_cells):
-        t1 = packed.edges[k + 1]
-        tau = np.full(packed.n_paths, packed.edges[k])
-        while times.size:
-            next_t = times.take(jptr, mode="clip")
-            rows = np.flatnonzero((jptr < jend) & (next_t <= t1))
-            if not rows.size:
-                break
-            hit, start = next_t[rows], tau[rows]
-            yield k, rows, start, hit - start, jump_sizes[jptr[rows]]
-            tau[rows] = hit
-            jptr[rows] += 1
-        yield k, slice(None), tau, t1 - tau, None
+    order, live = _prefix_order(np.diff(packed.offsets) + packed.n_cells)
+    return order, _rounds(packed, order, live)
 
 
-def _brownian(packed: PackedPaths) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(anchors, slopes): per path and cell, the Brownian skeleton's value at
-    the cell's left edge and its slope across the cell; (None, None) without
-    a Brownian part."""
-    if packed.brown_edges is None:
-        return None, None
-    h = packed.horizon / packed.n_cells
-    return packed.brown_edges, np.diff(packed.brown_edges, axis=1) / h
+def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
+    times, jump_sizes, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
+    jptr = packed.offsets[:-1][order]
+    jend = packed.offsets[1:][order]
+    cell = np.zeros(order.size, dtype=np.int64)
+    tau = np.full(order.size, packed.edges[0])
+    for m in map(int, live):
+        jp, k, t = jptr[:m], cell[:m], tau[:m]
+        right = right_edges.take(k)
+        # the next jump, read with a clipped take and kept only where there is one
+        nt = times.take(jp, mode="clip") if times.size else right
+        jumped = (jp < jend[:m]) & (nt <= right)
+        target = np.where(jumped, nt, right)
+        yield m, k, t, target - t, jumped, jump_sizes.take(jp[jumped])
+        t[:] = target
+        jp += jumped
+        k += ~jumped
+
+
+def _brownian(brown: np.ndarray, rows: np.ndarray, k: np.ndarray, h: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(anchors, slopes): per row, the Brownian skeleton's value at the left
+    edge of the row's own cell k and its slope across that cell."""
+    b0 = brown[rows, k]
+    return b0, (brown[rows, k + 1] - b0) / h
 
 
 def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
@@ -179,62 +223,60 @@ def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
     batch, J the running jump sum and B the Brownian skeleton. The driver's
     parts arrive unsummed, so each right-hand side fixes its own summation
     order."""
+    order, rounds = _sweep(packed)
     y = np.full(packed.n_paths, float(x0))
     jrun = np.zeros(packed.n_paths)
-    drift, edges = packed.drift_rate, packed.edges
-    anchors, slopes = _brownian(packed)
+    drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
+    h = packed.horizon / packed.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, rows, tau, dt, sizes in _sweep(packed):
-            jr = jrun[rows]
-            if anchors is not None:
-                b0, slope, t0 = anchors[rows, k], slopes[rows, k], edges[k]
+        for m, k, tau, dt, jumped, sizes in rounds:
+            jr = jrun[:m]
+            if brown is not None:
+                b0, slope = _brownian(brown, order[:m], k, h)
+                t0 = edges.take(k)
 
             def f(t, u):
-                br = 0.0 if anchors is None else b0 + slope * (t - t0)
+                br = 0.0 if brown is None else b0 + slope * (t - t0)
                 return rhs(u, drift * t, jr, br)
 
-            out = _rk4_step(f, tau, y[rows], dt)
-            if sizes is None:
-                y = out
-            else:
-                y[rows] = out
-                jrun[rows] += sizes
-    return y
+            y[:m] = _rk4_step(f, tau, y[:m], dt)
+            jr[jumped] += sizes
+    return _unsorted(y, order)
 
 
 def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch."""
     a_val = a.value
-    y = _random_ode_terminals(packed, x0,
-                              lambda u, dz, jr, b: a_val(u + dz + jr + b))
+    rhs = lambda u, dz, jr, b: a_val(u + dz + jr + b)
+    y = np.concatenate([_random_ode_terminals(block, x0, rhs) for block in _blocks(packed)])
     return y + packed.z_terminal, y
 
 
 def marcus_terminals(a: ScalarField, sigma: DiffusionField,
                      packed: PackedPaths, x0: float) -> np.ndarray:
     """Marcus terminal values: Heun cells + exact jump flows, vectorized."""
+    order, rounds = _sweep(packed)
     x = np.full(packed.n_paths, float(x0))
-    drift = packed.drift_rate
+    drift, brown = packed.drift_rate, packed.brown_edges
+    h = packed.horizon / packed.n_cells
     a_val, sig = a.value, sigma.value
-    _, slopes = _brownian(packed)
 
     def F(u):
         return a_val(u) + drift * sig(u)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, rows, _, dt, sizes in _sweep(packed):
-            xx = x[rows]
-            db = 0.0 if slopes is None else slopes[rows, k] * dt
+        for m, k, _, dt, jumped, sizes in rounds:
+            xx = x[:m]
+            db = 0.0 if brown is None else _brownian(brown, order[:m], k, h)[1] * dt
             fx = F(xx)
             sx = sig(xx)
             xp = xx + fx * dt + sx * db
             out = xx + 0.5 * dt * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
-            if sizes is None:
-                x = out
-            else:
-                x[rows] = flow_map_array(sigma, out, sizes)
-    return x
+            if sizes.size:
+                out[jumped] = flow_map_array(sigma, out[jumped], sizes)
+            x[:m] = out
+    return _unsorted(x, order)
 
 
 def doss_terminals(a: ScalarField, sigma: DiffusionField,

@@ -15,8 +15,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
     """Integrate f on [a, b] with adaptive Simpson refinement.
 
-    Signed: a > b yields the negated integral.
+    Signed: a > b yields the negated integral. A nan or infinite end point
+    raises ValueError: the error test could never pass on it.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"adaptive_simpson needs finite end points, got [{a}, {b}]")
     if a == b:
         return 0.0
     sign = 1.0

@@ -81,12 +81,19 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
 
     def forward_raw(x: float) -> float:
         if x < range_lo:
-            return cumulative[0] + adaptive_simpson(inv, range_lo, x, tol=1e-12)
-        if x > range_hi:
-            return cumulative[-1] + adaptive_simpson(inv, range_hi, x, tol=1e-12)
-        # nan compares false everywhere and lands in the last cell
-        k = max(min(bisect_right(nodes, x) - 1, cells - 1), 0)
-        return cumulative[k] + adaptive_simpson(inv, nodes[k], x, tol=1e-12)
+            k, lo = 0, range_lo
+        elif x > range_hi:
+            k, lo = cells, range_hi
+        else:
+            # nan compares false everywhere and lands in the last cell
+            k = max(min(bisect_right(nodes, x) - 1, cells - 1), 0)
+            lo = nodes[k]
+        try:
+            return cumulative[k] + adaptive_simpson(inv, lo, x, tol=1e-12)
+        except ValueError:  # adaptive Simpson rejects a nan or infinite x
+            if math.isfinite(x):
+                raise
+            raise FlowDivergence(f"unit-diffusion transform at x = {x}") from None
 
     base_val = forward_raw(base_point)
 
@@ -99,6 +106,10 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
 
     def inverse(y: float) -> float:
         target = y + base_val
+        # Newton's residual test passes vacuously at an infinite target; a nan
+        # one reaches forward_raw, which raises
+        if math.isinf(target):
+            raise FlowDivergence(f"unit-diffusion transform inverse at y = {y}")
         t = target if increasing else -target
         if t <= table[0]:
             x = range_lo

@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from levyreg import batch as batch_mod
 from levyreg.batch import (
     _sweep,
     doss_terminals,
@@ -17,7 +20,7 @@ from levyreg.fields import make_diffusion_field, make_scalar_field
 from levyreg.flow_engine import solve_random_ode
 from levyreg.levy_spec import FiniteAtomic, LevyTriplet
 from levyreg.marcus import flow_with_sensitivity, jump_flow_phi, marcus_solve
-from levyreg.path_sampler import sample_path
+from levyreg.path_sampler import path_law, sample_path
 from levyreg.rng import RngStream
 from levyreg.transforms import doss_sussman_solve
 
@@ -184,8 +187,10 @@ class TestSweep:
     # cells of width 0.25: 0.25 sits on an edge, 1.0 on the horizon; the
     # first and last paths have no jumps, the last one past the flat arrays
     JUMPS = [[], [0.1, 0.2, 0.25, 0.9], [0.3, 0.31, 0.32, 1.0], [0.6], []]
-    # per cell, the most jumps any one path has there: 3, 3, 1, 1
-    ROUNDS = 8
+    # each path takes n_jumps + CELLS steps: 4, 8, 8, 5, 4; round s runs the
+    # paths with more than s steps, sorted largest first
+    ORDER = [1, 2, 3, 0, 4]
+    WIDTHS = [5, 5, 5, 5, 3, 2, 2, 2]
 
     def paths(self, brownian):
         triplet = TRIPLET_BROWN if brownian else TRIPLET
@@ -195,17 +200,28 @@ class TestSweep:
                 for p, t in zip(draw_paths(triplet, len(self.JUMPS), 61, cells),
                                 self.JUMPS)]
 
-    def test_event_rounds_then_one_edge_step_per_cell(self):
-        steps = list(_sweep(pack_paths(self.paths(False), self.CELLS)))
-        rounds = [s for s in steps if s[4] is not None]
-        edges = [s for s in steps if s[4] is None]
-        assert len(rounds) == self.ROUNDS
-        assert [k for k, *_ in edges] == list(range(self.CELLS))
-        assert all(rows == slice(None) for _, rows, *_ in edges)
-        assert [rows.tolist() for k, rows, *_ in rounds if k == 0] == [[1], [1], [1]]
-        assert [rows.tolist() for k, rows, *_ in rounds if k == 3] == [[1, 2]]
+    def test_each_path_walks_its_own_jumps_then_cell_edges(self):
+        paths = self.paths(False)
+        order, rounds = _sweep(pack_paths(paths, self.CELLS))
+        # copies: the sweep reuses its arrays from round to round
+        steps = [(m, k.copy(), tau.copy(), dt.copy(), jumped.copy(), sizes.copy())
+                 for m, k, tau, dt, jumped, sizes in rounds]
+        assert order.tolist() == self.ORDER
+        assert [m for m, *_ in steps] == self.WIDTHS
+        # path 1 (sorted row 0): its jump at 0.25 comes before cell 0's edge
+        # step, which then has length 0
+        walk = [(int(k[0]), float(tau[0]), bool(jumped[0])) for _, k, tau, _, jumped, _ in steps]
+        assert walk == [(0, 0.0, True), (0, 0.1, True), (0, 0.2, True), (0, 0.25, False),
+                        (1, 0.25, False), (2, 0.5, False), (3, 0.75, True), (3, 0.9, False)]
+        assert steps[2][5][0] == paths[1].jump_sizes[2]
+        assert steps[3][3][0] == 0.0
+        # every path takes each of its jumps once and one edge step per cell
+        assert sum(int(jumped.sum()) for *_, jumped, _ in steps) == sum(map(len, self.JUMPS))
+        assert sorted(np.concatenate([np.flatnonzero(~jumped) for *_, jumped, _ in steps]
+                                     ).tolist()) == sorted(list(range(5)) * self.CELLS)
         # path 2 reaches the horizon by its jump, so its last edge step is 0
-        assert edges[-1][3][2] == 0.0
+        m, k, _, dt, jumped, _ = steps[-1]
+        assert (int(k[1]), float(dt[1]), bool(jumped[1])) == (3, 0.0, False)
 
     @pytest.mark.parametrize("brownian", [False, True])
     def test_whole_batch_equals_one_path_at_a_time(self, brownian):
@@ -217,3 +233,47 @@ class TestSweep:
             whole = np.asarray(engine(pack_paths(paths, self.CELLS)))
             alone = [np.asarray(engine(pack_paths([p], self.CELLS))) for p in paths]
             assert whole.tobytes() == np.concatenate(alone, axis=-1).tobytes()
+
+
+@st.composite
+def jump_layouts(draw):
+    """(cells, jump times per path): times on cell edges and at the horizon
+    come up often, and so do paths without jumps."""
+    cells = draw(st.integers(1, 4))
+    edge = st.sampled_from(np.linspace(0.0, 1.0, cells + 1)[1:].tolist())
+    time = st.one_of(edge, st.floats(0.0, 1.0, exclude_min=True))
+    n = draw(st.integers(1, 5))
+    return cells, [sorted(set(draw(st.lists(time, max_size=4)))) for _ in range(n)]
+
+
+ENGINES = {
+    "ode": lambda p: ode_terminals(A_FIELD, p, 0.2),
+    "marcus": lambda p: marcus_terminals(A_FIELD, SIGMA, p, 0.1),
+    "doss": lambda p: doss_terminals(A_FIELD, SIGMA, p, 0.1),
+}
+
+
+@pytest.mark.parametrize("brownian", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(layout=jump_layouts(), size=st.floats(0.05, 0.5))
+@example(layout=(2, [[], []]), size=0.3)
+@example(layout=(4, [[0.25, 0.5, 1.0], [], [0.1, 0.75], [1.0]]), size=0.3)
+def test_sweep_blocks_equal_one_path_at_a_time(brownian, layout, size):
+    # the whole batch, each path alone, and the batch swept at a width of two
+    # rows (the plain ODE engine cuts it into blocks; the Doss and Marcus
+    # engines sweep whole batches) all give the same bytes
+    cells, times = layout
+    triplet = TRIPLET_BROWN if brownian else TRIPLET
+    law = path_law(triplet, 1.0, 0.1, brownian_cells=cells if brownian else None)
+    paths = [dataclasses.replace(law.path(RngStream(83, i).generator()),
+                                 jump_times=np.array(t),
+                                 jump_sizes=size * np.cos(np.arange(1.0, len(t) + 1.0)))
+             for i, t in enumerate(times)]
+    for name, engine in ENGINES.items():
+        whole = np.asarray(engine(pack_paths(paths, cells))).tobytes()
+        alone = np.concatenate([np.asarray(engine(pack_paths([p], cells))) for p in paths],
+                               axis=-1).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batch_mod, "SWEEP_WIDTH", 2)
+            narrow = np.asarray(engine(pack_paths(paths, cells))).tobytes()
+        assert whole == alone == narrow, name

@@ -91,10 +91,10 @@ class TestSamplePath:
     def test_dyadic_family_terminal_mean(self):
         triplet = LevyTriplet(drift=0.0, jumps=dyadic_family(12))
         n = 10_000
-        terms = np.array([
-            sample_path(triplet, 1.0, 2.0 ** -12,
-                        gen=RngStream(3, i).generator()).terminal
-            for i in range(n)])
+        # one law for every replica: sample_path(...) is path_law(...).path(gen)
+        law = path_law(triplet, 1.0, 2.0 ** -12)
+        terms = np.array([law.path(RngStream(3, i).generator()).terminal
+                          for i in range(n)])
         # analytic mean of the compound Poisson: sum 2^n * 2^-n = 12, var = sum 2^-n
         var = sum(2.0 ** -n for n in range(1, 13))
         assert terms.mean() == pytest.approx(12.0, abs=4.0 * math.sqrt(var / n))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import levyreg.transforms as transforms_mod
 from levyreg.fields import make_diffusion_field
 from levyreg.flow_engine import ScalarField, solve_random_ode
-from levyreg.marcus import DiffusionField, jump_flow_phi, marcus_solve
+from levyreg.marcus import DiffusionField, FlowDivergence, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import LevyPath
 from levyreg.quadrature import adaptive_simpson
 from levyreg.transforms import (
@@ -175,6 +176,33 @@ class TestCellLookup:
         # Newton starts at the last node; its first step turns x into nan
         assert cells_visited(diffeo.inverse) == cells_visited(inverse) == [
             (last, self.HI), (last, "nan")]
+
+
+class TestNonFiniteInput:
+    # adaptive Simpson's error test can never pass on a nan or infinite end
+    # point; without the check it recursed to depth 40 on both halves
+    NON_FINITE = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_adaptive_simpson_rejects_end_point(self, bad):
+        for a, b in [(0.0, bad), (bad, 1.0), (bad, bad)]:
+            with pytest.raises(ValueError, match="finite end points"):
+                adaptive_simpson(math.exp, a, b)
+
+    @pytest.mark.parametrize("kind", sorted(TestCellLookup.SIGMAS))
+    @pytest.mark.parametrize("side", ["forward", "inverse"])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_transform_raises_flow_divergence(self, kind, side, bad):
+        diffeo = unit_diffusion_transform(TestCellLookup.SIGMAS[kind], 0.3, -4.0, 4.0, 64)
+        start = time.perf_counter()
+        with pytest.raises(FlowDivergence):
+            getattr(diffeo, side)(bad)
+        assert time.perf_counter() - start < 1.0
+
+    def test_finite_points_outside_the_range_still_integrate(self):
+        diffeo = unit_diffusion_transform(CONST_ONE, 0.0, -1.0, 1.0, 8)
+        assert diffeo.forward(3.0) == pytest.approx(3.0, abs=1e-12)
+        assert diffeo.inverse(-2.5) == pytest.approx(-2.5, abs=1e-10)
 
 
 class TestReducedDrift:
