@@ -7,7 +7,6 @@ from .levy_spec import (  # noqa: F401
     FiniteAtomic,
     KallenbergProfile,
     LevyTriplet,
-    TruncatedAtomicFamily,
     doblin_predicts_atoms,
     dyadic_family,
     is_infinite,

@@ -2,7 +2,10 @@
 
 The scalar solvers are the reference implementations; these engines run the
 same algorithms elementwise across a whole batch of paths sharing one cell
-grid, so scenario-scale replica counts stay affordable. Three rules keep the
+grid, so scenario-scale replica counts stay affordable. Both take their RK4
+step from flow_engine.rk4_step, which works on floats and arrays alike; the
+step itself is checked against closed forms and its step-halving order in
+the flow-engine tests. Three rules keep the
 results independent of how replicas are batched or chunked:
 
 * all state updates are elementwise (no cross-path arithmetic);
@@ -40,7 +43,7 @@ import dataclasses
 
 import numpy as np
 
-from .flow_engine import ScalarField
+from .flow_engine import ScalarField, rk4_step
 from .marcus import FLOW_SUBSTEP_SCALE, DiffusionField
 from .path_sampler import LevyPath, PackedPaths
 
@@ -77,24 +80,6 @@ def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
     return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=n_cells,
                        edges=edges, flat_times=flat_times, flat_sizes=flat_sizes,
                        offsets=offsets, brown_edges=brown_edges, z_terminal=z_term)
-
-
-def _rk4_step(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y) on arrays, elementwise in h.
-
-    t = None marks an autonomous f: it is called as f(None, y) and no time
-    arithmetic is done. Kept apart from flow_engine.rk4_step so that the
-    scalar solvers stay an independent reference for these engines.
-    """
-    if t is None:
-        t_mid = t_end = None
-    else:
-        t_mid, t_end = t + 0.5 * h, t + h
-    k1 = f(t, y)
-    k2 = f(t_mid, y + 0.5 * h * k1)
-    k3 = f(t_mid, y + 0.5 * h * k2)
-    k4 = f(t_end, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _prefix_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +127,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for m in live.tolist():
             um, h = us[:m], ds[:m]
-            phi[:m] = _rk4_step(f, None, phi[:m], h)
+            phi[:m] = rk4_step(f, None, phi[:m], h)
             if sensitivity:
                 d1, d2, d3, d4 = stages
                 stages.clear()
@@ -239,7 +224,7 @@ def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
                 br = 0.0 if brown is None else b0 + slope * (t - t0)
                 return rhs(u, drift * t, jr, br)
 
-            y[:m] = _rk4_step(f, tau, y[:m], dt)
+            y[:m] = rk4_step(f, tau, y[:m], dt)
             jr[jumped] += sizes
     return _unsorted(y, order)
 

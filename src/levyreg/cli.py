@@ -1,19 +1,18 @@
 """Command-line interface.
 
-    levyreg run --config FILE --out DIR [--seed N] [--replicas M] [--threads K]
+    levyreg run --config FILE --out DIR [--seed N] [--replicas M]
     levyreg list-scenarios
     levyreg validate --config FILE
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failures beyond the
-failure-fraction limit, 3 I/O error. LEVYREG_THREADS sets the default for
---threads; the thread count is recorded in summary.json, runs are
-single-threaded.
+Exit codes: 0 success, 1 configuration error (a malformed or unknown flag
+included), 2 numeric failures beyond the failure-fraction limit, 3 I/O error.
+Runs are single-threaded; the `threads` config key is only recorded in
+summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import ConfigError, parse_config, serialize_config, with_overrides
@@ -25,20 +24,16 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _env_threads() -> int | None:
-    """LEVYREG_THREADS as an int, or None when unset or empty. Its range is
-    checked by with_overrides, as the range of --threads is."""
-    raw = os.environ.get("LEVYREG_THREADS", "")
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"LEVYREG_THREADS is not an integer: {raw!r}") from None
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error exiting as a configuration error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levyreg",
         description="Monte Carlo toolkit for drifted Levy-jump dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -48,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--replicas", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=None)
 
     sub.add_parser("list-scenarios", help="print the scenario catalogue")
 
@@ -82,9 +76,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        threads = args.threads if args.threads is not None else _env_threads()
         config = with_overrides(config, seed=args.seed, replicas=args.replicas,
-                                threads=threads, out_dir=args.out)
+                                out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -445,12 +445,12 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
-                   replicas: int | None = None, threads: int | None = None,
+                   replicas: int | None = None,
                    out_dir: str | None = None) -> ScenarioConfig:
     """config with the given keys replaced; they pass the same range checks as
     the document's keys, and the replica count the same parse_config checks."""
     updates = {key: value for key, value in (("seed", seed), ("replicas", replicas),
-                                             ("threads", threads), ("out_dir", out_dir))
+                                             ("out_dir", out_dir))
                if value is not None}
     for key, value in updates.items():
         check = next(check for _, check, target in _SCALARS.values() if target == key)

@@ -1,11 +1,11 @@
 """Jump-measure specifications and the classical absolute-continuity criteria.
 
-Three representations of a jump measure are supported:
+Two representations of a jump measure are supported:
 
-* FiniteAtomic — a finite list of (size, rate) atoms.
-* TruncatedAtomicFamily — the first N levels of an atomic family whose sizes
-  decrease to 0; the `idealized_infinite` flag records whether the family
-  it truncates has infinite total mass.
+* FiniteAtomic — a finite list of (size, rate) atoms. The atomic families
+  (dyadic_family, sparse_family) are their first N levels, sizes decreasing
+  to 0; the `idealized_infinite` flag records whether the family they
+  truncate has infinite total mass.
 * DensityForm — an intensity function on a band {abs_min <= |z| <= abs_max}.
 
 On top of these, `doblin_predicts_atoms` evaluates the Doblin dichotomy
@@ -35,9 +35,15 @@ _MAX_SHELLS = 200
 
 @dataclass(frozen=True)
 class FiniteAtomic:
-    """Finite measure: sum of rate_i * delta_{size_i}."""
+    """Finite measure: sum of rate_i * delta_{size_i}.
+
+    `idealized_infinite` records whether the measure is the truncation of one
+    with infinite total mass (the atomic families below); the atoms
+    themselves are always a finite measure.
+    """
 
     atoms: tuple[tuple[float, float], ...]
+    idealized_infinite: bool = False
 
     def __post_init__(self):
         atoms = tuple((float(s), float(r)) for s, r in self.atoms)
@@ -49,58 +55,21 @@ class FiniteAtomic:
                 raise ValueError("atom rates must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class TruncatedAtomicFamily:
-    """First `levels` members of an atomic family with sizes decreasing to 0.
-
-    Level n = 1..levels carries atom (size_of_level(n), rate_of_level(n)).
-    `idealized_infinite` records whether the untruncated family has infinite
-    total mass; the truncation itself is always finite.
-    """
-
-    size_of_level: Callable[[int], float]
-    rate_of_level: Callable[[int], float]
-    levels: int
-    idealized_infinite: bool
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        sizes = [self.size_of_level(n) for n in range(1, self.levels + 1)]
-        if any(s == 0.0 for s in sizes):
-            raise ValueError("family sizes must be nonzero")
-        mags = [abs(s) for s in sizes]
-        if any(b >= a for a, b in zip(mags, mags[1:])):
-            raise ValueError("family sizes must decrease strictly toward 0")
-        if any(self.rate_of_level(n) < 0 for n in range(1, self.levels + 1)):
-            raise ValueError("family rates must be >= 0")
-
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(self.size_of_level(n)), float(self.rate_of_level(n)))
-                     for n in range(1, self.levels + 1))
-
-
 def dyadic_family(levels: int, sign: float = 1.0,
                   rate_scale: float = 1.0,
-                  idealized_infinite: bool = True) -> TruncatedAtomicFamily:
-    """Family with sizes sign*2^-n and rates rate_scale*2^n, n = 1..levels."""
-    return TruncatedAtomicFamily(
-        size_of_level=lambda n: sign * 2.0 ** (-n),
-        rate_of_level=lambda n: rate_scale * 2.0 ** n,
-        levels=levels,
-        idealized_infinite=idealized_infinite,
-    )
+                  idealized_infinite: bool = True) -> FiniteAtomic:
+    """Levels n = 1..levels of the family with sizes sign*2^-n and rates
+    rate_scale*2^n."""
+    return FiniteAtomic(tuple((sign * 2.0 ** (-n), rate_scale * 2.0 ** n)
+                              for n in range(1, levels + 1)), idealized_infinite)
 
 
 def sparse_family(levels: int, sign: float = -1.0,
-                  rate: float = 1.0) -> TruncatedAtomicFamily:
-    """Family with sizes sign*2^-n and constant rate per level."""
-    return TruncatedAtomicFamily(
-        size_of_level=lambda n: sign * 2.0 ** (-n),
-        rate_of_level=lambda n: rate,
-        levels=levels,
-        idealized_infinite=True,
-    )
+                  rate: float = 1.0) -> FiniteAtomic:
+    """Levels n = 1..levels of the family with sizes sign*2^-n and constant
+    rate per level."""
+    return FiniteAtomic(tuple((sign * 2.0 ** (-n), rate)
+                              for n in range(1, levels + 1)), True)
 
 
 @dataclass(frozen=True)
@@ -131,15 +100,7 @@ class DensityForm:
         return shell_integral(lambda z: f(z) * self.intensity(z), lo, hi, tol)
 
 
-JumpMeasureSpec = FiniteAtomic | TruncatedAtomicFamily | DensityForm
-
-
-def _spec_atoms(spec) -> tuple[tuple[float, float], ...] | None:
-    if isinstance(spec, FiniteAtomic):
-        return spec.atoms
-    if isinstance(spec, TruncatedAtomicFamily):
-        return spec.atoms()
-    return None
+JumpMeasureSpec = FiniteAtomic | DensityForm
 
 
 def _first_shell_exponent(hi: float) -> int:
@@ -189,22 +150,19 @@ def total_rate(spec: JumpMeasureSpec, cutoff: float) -> float:
     """Mass of the measure on {|z| >= cutoff}."""
     if not cutoff > 0.0:
         raise ValueError("cutoff must be > 0")
-    atoms = _spec_atoms(spec)
-    if atoms is not None:
-        return float(sum(r for s, r in atoms if abs(s) >= cutoff))
+    if isinstance(spec, FiniteAtomic):
+        return float(sum(r for s, r in spec.atoms if abs(s) >= cutoff))
     return spec._band_integral(lambda z: 1.0, cutoff, spec.abs_max)
 
 
 def is_infinite(spec: JumpMeasureSpec) -> bool:
     """Whether the (idealized) measure has infinite total mass.
 
-    Atomic truncations report their declared flag. For densities, dyadic
+    Atomic measures report their declared flag. For densities, dyadic
     shells are walked toward 0 and divergence is declared when the running
     mass blows past the cap or the shell masses refuse to decay.
     """
     if isinstance(spec, FiniteAtomic):
-        return False
-    if isinstance(spec, TruncatedAtomicFamily):
         return spec.idealized_infinite
     _, converged = _density_mass_near_zero(spec, lambda z: 1.0, spec.abs_max)
     return not converged
@@ -219,10 +177,9 @@ def mu_measure(spec: JumpMeasureSpec, epsilon: float) -> float:
     """integral over {|z| < epsilon} of z^2 / (1 + z^2) d(spec)."""
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    atoms = _spec_atoms(spec)
-    if atoms is not None:
+    if isinstance(spec, FiniteAtomic):
         return float(sum(r * s * s / (1.0 + s * s)
-                         for s, r in atoms if abs(s) < epsilon))
+                         for s, r in spec.atoms if abs(s) < epsilon))
     mass, converged = _density_mass_near_zero(
         spec, lambda z: z * z / (1.0 + z * z), epsilon)
     if not converged:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_spec import DensityForm, LevyTriplet, _spec_atoms, total_rate
+from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
 from .rng import StreamGenerator
 
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
@@ -137,9 +137,8 @@ class PathDecomposition:
 
 def _compensator(spec, trunc: float) -> float:
     """integral of z over {trunc < |z| <= 1}."""
-    atoms = _spec_atoms(spec)
-    if atoms is not None:
-        return float(sum(s * r for s, r in atoms if trunc < abs(s) <= 1.0))
+    if isinstance(spec, FiniteAtomic):
+        return float(sum(s * r for s, r in spec.atoms if trunc < abs(s) <= 1.0))
     return spec._band_integral(lambda z: z, trunc, 1.0, tol=1e-10)
 
 
@@ -174,9 +173,8 @@ def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
 def _size_sampler(spec, trunc: float):
     """u -> jump sizes from spec restricted to |z| >= trunc, one per uniform
     u in [0, 1): inverse CDF of the atom rates or of the density table."""
-    atoms = _spec_atoms(spec)
-    if atoms is not None:
-        kept = [(s, r) for s, r in atoms if abs(s) >= trunc and r > 0.0]
+    if isinstance(spec, FiniteAtomic):
+        kept = [(s, r) for s, r in spec.atoms if abs(s) >= trunc and r > 0.0]
         cum = np.cumsum([r for _, r in kept])
         total = float(cum[-1])
         # a draw that rounds up to the total rate lands one past the end: the last atom

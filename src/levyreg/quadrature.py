@@ -11,12 +11,21 @@ import math
 from typing import Callable
 
 
+#: Most integrand evaluations one adaptive_simpson call may make. A pinned run
+#: makes at most 817 in one call (the S1 density's rate), the test suite at
+#: most 12 661 (a power-2 density cut at 1e-6); a call that needs far more
+#: cannot meet its tolerance in floating point, and uncapped it would recurse
+#: toward 2^max_depth evaluations.
+MAX_EVALUATIONS = 100_000
+
+
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
     """Integrate f on [a, b] with adaptive Simpson refinement.
 
     Signed: a > b yields the negated integral. A nan or infinite end point
-    raises ValueError: the error test could never pass on it.
+    raises ValueError, as does a call that would evaluate f more than
+    MAX_EVALUATIONS times: the error test could never pass on them.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"adaptive_simpson needs finite end points, got [{a}, {b}]")
@@ -30,10 +39,15 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    evals = [3]
+    return sign * _simpson_rec(f, a, b, fa, fm, fb, whole, tol, max_depth, evals)
 
 
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
+def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth, evals):
+    evals[0] += 2
+    if evals[0] > MAX_EVALUATIONS:
+        raise ValueError(f"adaptive_simpson needs more than {MAX_EVALUATIONS} "
+                         f"evaluations; it was still refining near {a:g}")
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -43,8 +57,8 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     err = left + right - whole
     if depth <= 0 or abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+    return (_simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1, evals)
+            + _simpson_rec(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1, evals))
 
 
 def shell_integral(f: Callable[[float], float], lo: float, hi: float,

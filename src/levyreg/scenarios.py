@@ -20,7 +20,7 @@ Each scenario is a self-contained demonstration at desk scale:
 
 Replicas are independent work items: replica i draws from RngStream(seed, i)
 no matter how work is chunked, so (config, seed) pins every output byte
-except the wall-time and thread-count fields.
+except the wall-time field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,16 +137,25 @@ def _json_safe(value):
     return value
 
 
+def _chunk_sizes(n: int, per_chunk: int) -> list[int]:
+    """n rows cut into the fewest chunks of at most per_chunk rows, with
+    sizes that differ by at most one, larger chunks first."""
+    k = -(-n // per_chunk)
+    q, r = divmod(n, k)
+    return [q + 1] * r + [q] * (k - r)
+
+
 def _sample_and_solve(config: ScenarioConfig, law: PathLaw, solve,
                       stream_offset: int = 0) -> list[np.ndarray]:
     """Replicas stream_offset + [0, config.replicas) of `law` on config.cells
-    cells, sampled into PackedPaths in chunks of about MAX_JUMPS_PER_CHUNK
-    expected jumps; solve(packed)'s arrays, each concatenated over the chunks."""
-    n = config.replicas
+    cells, sampled into PackedPaths in even chunks of at most
+    MAX_JUMPS_PER_CHUNK expected jumps; solve(packed)'s arrays, each
+    concatenated over the chunks."""
     per_chunk = max(1, int(MAX_JUMPS_PER_CHUNK // max(1.0, law.mean_jumps)))
-    parts = [solve(law.packed(config.seed, stream_offset + lo, min(per_chunk, n - lo),
-                              config.cells))
-             for lo in range(0, n, per_chunk)]
+    parts, lo = [], stream_offset
+    for size in _chunk_sizes(config.replicas, per_chunk):
+        parts.append(solve(law.packed(config.seed, lo, size, config.cells)))
+        lo += size
     return [np.concatenate(column) for column in zip(*parts)]
 
 
@@ -333,8 +342,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
         trend = {}
         for lv in config.trend_levels:
             measure, cut = trend_law(lv)
-            law_lv = path_law(LevyTriplet(drift=config.drift, jumps=measure.build()),
-                              config.horizon, cut, config.compensate)
+            law_lv = _driver_law(replace(config, measure=measure, truncation=cut))
             xs_lv, _ = _sample_and_solve(config, law_lv, solve,
                                          stream_offset=S3_TREND_STREAM_GAP * lv)
             ok_lv = np.isfinite(xs_lv)
@@ -379,14 +387,13 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
     streams = StreamGenerator(config.seed)
     ks_passes = 0
     all_x, all_z = [], []
-    first_rep_paths: list[LevyPath] = []
     for r in range(reps):
         offset = r * n
         paths = sample_many(law, n, config.seed, accept=has_two_marked,
                             stream_offset=offset)
-        if r == 0:
-            first_rep_paths = paths
         decomps = [decompose_first_jump(p, mark_lo, mark_hi) for p in paths]
+        if r == 0:
+            first_rep_decomps = decomps
         resampled = [
             resample_first_jump_time(
                 d, gen=streams.at(RngStream(config.seed, offset + i).child(1).stream_id))
@@ -401,11 +408,10 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         all_z.append(packed.z_terminal[:n])
 
     # monotonicity of the terminal in the marked jump time, residual fixed
-    n_paths_mono = min(100, len(first_rep_paths))
+    n_paths_mono = min(100, n)
     grid_pts = 64
     rebuilt: list[LevyPath] = []
-    for p in first_rep_paths[:n_paths_mono]:
-        d = decompose_first_jump(p, mark_lo, mark_hi)
+    for d in first_rep_decomps[:n_paths_mono]:
         ts = np.linspace(d.T2 / (grid_pts + 1), grid_pts * d.T2 / (grid_pts + 1),
                          grid_pts)
         rebuilt.extend(reinsert_marked_jump(d, float(t)) for t in ts)
@@ -670,19 +676,18 @@ def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) ->
     (out_dir / "summary.json").write_text(summary.to_json() + "\n")
 
 
-def run_scenario(config: ScenarioConfig, threads: int | None = None,
+def run_scenario(config: ScenarioConfig,
                  out_dir: str | Path | None = None) -> RunSummary:
-    """Execute a scenario single-threaded; `threads` is only recorded in the
-    summary, so outputs are bit-identical for any thread count."""
+    """Execute a scenario single-threaded; the `threads` key is only recorded
+    in the summary, so outputs are bit-identical for any thread count."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario id {config.scenario!r}")
-    threads = threads if threads is not None else config.threads
     t0 = time.perf_counter()
     result = SCENARIOS[config.scenario].runner(config)
     wall = time.perf_counter() - t0
     summary = RunSummary(
         scenario=config.scenario, seed=config.seed, replicas=len(result.terminal_x),
-        threads=threads, failed_replicas=tuple(np.flatnonzero(result.failed).tolist()),
+        threads=config.threads, failed_replicas=tuple(np.flatnonzero(result.failed).tolist()),
         wall_time_s=wall, diagnostics=_json_safe(result.diagnostics))
     target = out_dir if out_dir is not None else config.out_dir
     if target is not None:

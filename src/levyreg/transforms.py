@@ -90,10 +90,8 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
             lo = nodes[k]
         try:
             return cumulative[k] + adaptive_simpson(inv, lo, x, tol=1e-12)
-        except ValueError:  # adaptive Simpson rejects a nan or infinite x
-            if math.isfinite(x):
-                raise
-            raise FlowDivergence(f"unit-diffusion transform at x = {x}") from None
+        except ValueError as exc:  # a nan or infinite x, or the evaluation budget
+            raise FlowDivergence(f"unit-diffusion transform at x = {x}: {exc}") from None
 
     base_val = forward_raw(base_point)
 

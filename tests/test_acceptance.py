@@ -183,10 +183,11 @@ def test_criterion_8_doss_sussman_equivalence():
 
 
 def test_criterion_9_determinism(tmp_path):
-    config = parse_config("scenario = S1\nreplicas = 2000\nseed = 909\n")
-    run_scenario(config, threads=1, out_dir=tmp_path / "a")
-    run_scenario(config, threads=1, out_dir=tmp_path / "b")
-    run_scenario(config, threads=8, out_dir=tmp_path / "t8")
+    text = "scenario = S1\nreplicas = 2000\nseed = 909\n"
+    config = parse_config(text)
+    run_scenario(config, out_dir=tmp_path / "a")
+    run_scenario(config, out_dir=tmp_path / "b")
+    run_scenario(parse_config(text + "threads = 8\n"), out_dir=tmp_path / "t8")
     bytes_a = (tmp_path / "a" / "samples.csv").read_bytes()
     ok = (bytes_a == (tmp_path / "b" / "samples.csv").read_bytes()
           and bytes_a == (tmp_path / "t8" / "samples.csv").read_bytes())

@@ -14,7 +14,7 @@ from levyreg.config import (
     serialize_config,
     with_overrides,
 )
-from levyreg.levy_spec import DensityForm, FiniteAtomic, TruncatedAtomicFamily
+from levyreg.levy_spec import DensityForm, FiniteAtomic
 from levyreg.scenarios import RunSummary, list_scenarios, run_scenario
 
 
@@ -62,8 +62,8 @@ class TestParseConfig:
         config = parse_config(
             "scenario = S3\n[measure.family]\nkind = dyadic\nlevels = 10\n")
         spec = config.measure.build()
-        assert isinstance(spec, TruncatedAtomicFamily)
-        assert spec.levels == 10
+        assert isinstance(spec, FiniteAtomic) and spec.idealized_infinite
+        assert spec.atoms == tuple((2.0 ** -n, 2.0 ** n) for n in range(1, 11))
 
     def test_density_measure_section(self):
         config = parse_config(
@@ -113,13 +113,18 @@ class TestParseConfig:
 
     def test_overrides(self):
         config = parse_config("scenario = S1\nreplicas = 1000\n")
-        updated = with_overrides(config, seed=5, replicas=2000, threads=4,
-                                 out_dir="/tmp/x")
-        assert (updated.seed, updated.replicas, updated.threads, updated.out_dir) \
-            == (5, 2000, 4, "/tmp/x")
+        updated = with_overrides(config, seed=5, replicas=2000, out_dir="/tmp/x")
+        assert (updated.seed, updated.replicas, updated.out_dir) == (5, 2000, "/tmp/x")
 
-    @pytest.mark.parametrize("key,value", [("threads", -3), ("threads", 0),
-                                           ("replicas", 0), ("seed", -1)])
+    def test_threads_is_set_only_by_its_key(self):
+        config = parse_config("scenario = S2\nthreads = 3\n")
+        assert config.threads == 3
+        with pytest.raises(TypeError):
+            with_overrides(config, threads=2)
+        with pytest.raises(TypeError):
+            run_scenario(config, threads=2)
+
+    @pytest.mark.parametrize("key,value", [("replicas", 0), ("seed", -1)])
     def test_override_range_error_names_key(self, key, value):
         config = parse_config("scenario = S2\n")
         with pytest.raises(ConfigError, match=repr(key)):
@@ -199,13 +204,14 @@ class TestRunScenarioOutputs:
             (tmp_path / "b" / "samples.csv").read_bytes()
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        config = parse_config("scenario = S1\nreplicas = 1200\nseed = 11\n")
-        run_scenario(config, threads=1, out_dir=tmp_path / "t1")
-        run_scenario(config, threads=8, out_dir=tmp_path / "t8")
+        text = "scenario = S1\nreplicas = 1200\nseed = 11\n"
+        run_scenario(parse_config(text), out_dir=tmp_path / "t1")
+        run_scenario(parse_config(text + "threads = 8\n"), out_dir=tmp_path / "t8")
         assert (tmp_path / "t1" / "samples.csv").read_bytes() == \
             (tmp_path / "t8" / "samples.csv").read_bytes()
         s1 = json.loads((tmp_path / "t1" / "summary.json").read_text())
         s8 = json.loads((tmp_path / "t8" / "summary.json").read_text())
+        assert (s1["threads"], s8["threads"]) == (1, 8)
         for key in ("wall_time_s", "threads"):
             s1.pop(key), s8.pop(key)
         assert s1 == s8
@@ -218,14 +224,15 @@ class TestRunScenarioOutputs:
                              "[measure.density]\npower = 1.5\n")
 
     # S1 and S7 expect 2 jumps per path, S4 12; one path per chunk would cost
-    # S7 over a minute, so S7 gets only uneven chunks
+    # S7 over a minute, so S7 gets only four chunks
     @pytest.mark.parametrize("scenario,budget,chunks", [
         ("S1", 1, [1] * 1000),
-        ("S1", 600, [300, 300, 300, 100]),
+        ("S1", 600, [250] * 4),
         ("S4", 1, [1] * 1000),
-        ("S4", 3600, [300, 300, 300, 100]),
-        ("S7", 600, [300, 300, 300, 100]),
-        ("S1-density", 30000, [244, 244, 244, 244, 24])])
+        ("S4", 3600, [250] * 4),
+        ("S7", 600, [250] * 4),
+        ("S1-density", 30000, [200] * 5),
+        ("S1", 800, [334, 333, 333])])
     def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, scenario,
                                                 budget, chunks):
         seen = []
@@ -249,6 +256,16 @@ class TestRunScenarioOutputs:
         assert default[2] == [1000] and small[2] == chunks
         assert small[:2] == default[:2]
 
+    def test_chunks_are_even(self):
+        # S3 at seed 404: 488 paths per chunk made chunks of 488/488/24 rows
+        assert scenarios_mod._chunk_sizes(1000, 488) == [334, 333, 333]
+        for n in (1, 2, 3, 999, 1000, 1001, 10_000):
+            for per_chunk in (1, 2, 7, 300, 488, 1000, 20_000):
+                sizes = scenarios_mod._chunk_sizes(n, per_chunk)
+                assert sum(sizes) == n and max(sizes) <= per_chunk
+                assert len(sizes) == -(-n // per_chunk)
+                assert max(sizes) - min(sizes) <= 1
+
     def test_driver_law_built_once_per_run(self, monkeypatch):
         # parsed first: validation computes the rate too
         config = parse_config(self.CHUNKED["S1-density"])
@@ -265,17 +282,41 @@ class TestRunScenarioOutputs:
         assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
 
     def test_s5_driver_law_built_once_for_all_repetitions(self, monkeypatch):
-        builds = []
+        builds, decomps = [], []
 
         def counted(*args, _real=path_sampler.path_law, **kwargs):
             builds.append(args)
             return _real(*args, **kwargs)
 
+        def decompose(*args, _real=scenarios_mod.decompose_first_jump):
+            decomps.append(args)
+            return _real(*args)
+
         for module in (path_sampler, scenarios_mod):
             monkeypatch.setattr(module, "path_law", counted)
+        monkeypatch.setattr(scenarios_mod, "decompose_first_jump", decompose)
         config = parse_config("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n")
         scenarios_mod.run_s5(config)
         assert len(builds) == 1
+        # the monotonicity check reuses repetition 0's decompositions
+        assert len(decomps) == 3 * 1000
+
+    def test_s3_trend_laws_keep_the_brownian_part(self, monkeypatch):
+        laws = []
+        real = scenarios_mod._sample_and_solve
+
+        def spy(config, law, solve, stream_offset=0):
+            laws.append(law)
+            return real(config, law, solve, stream_offset)
+
+        monkeypatch.setattr(scenarios_mod, "_sample_and_solve", spy)
+        config = parse_config("scenario = S3\nseed = 5\nreplicas = 1000\n"
+                              "trend_levels = 3,5\n[triplet]\nbrownian_variance = 0.01\n"
+                              "[measure.family]\nlevels = 6\n")
+        scenarios_mod.run_s3(config)
+        assert len(laws) == 3
+        assert all(law.brownian_grid is not None for law in laws)
+        assert all(law.brownian_sd == laws[0].brownian_sd > 0.0 for law in laws)
 
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
@@ -335,10 +376,10 @@ class TestCli:
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("scenario = S1\nseed = 4\n")
+        cfg.write_text("scenario = S1\nseed = 4\nthreads = 2\n")
         out = tmp_path / "out"
         code = cli_main(["run", "--config", str(cfg), "--out", str(out),
-                         "--replicas", "1000", "--threads", "2"])
+                         "--replicas", "1000"])
         assert code == 0
         assert (out / "samples.csv").exists()
         assert (out / "summary.json").exists()
@@ -346,8 +387,7 @@ class TestCli:
         assert payload["replicas"] == 1000
         assert payload["threads"] == 2
 
-    @pytest.mark.parametrize("flag,value", [("--threads", "-3"), ("--replicas", "0"),
-                                            ("--seed", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--replicas", "0"), ("--seed", "-1")])
     def test_out_of_range_override_exit_code(self, tmp_path, capsys, flag, value):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = S2\n")
@@ -357,30 +397,28 @@ class TestCli:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("value,message", [
-        ("0", "override out of range for 'threads': 0"),
-        ("-3", "override out of range for 'threads': -3"),
-        ("abc", "LEVYREG_THREADS is not an integer: 'abc'")])
-    def test_bad_env_threads_exit_code(self, tmp_path, capsys, monkeypatch, value,
-                                       message):
-        monkeypatch.setenv("LEVYREG_THREADS", value)
+    @pytest.mark.parametrize("argv,message", [
+        (["--replicas", "abc"], "argument --replicas: invalid int value: 'abc'"),
+        (["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["--threads", "2"], "unrecognized arguments: --threads 2")])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = S2\nreplicas = 5\n")
         out = tmp_path / "out"
-        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not (out / "summary.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(cfg), "--out", str(out)] + argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: levyreg ")
+        assert err.endswith(f": error: {message}\n")
+        assert not out.exists()
 
-    def test_env_threads_is_the_default_for_the_flag(self, tmp_path, capsys,
-                                                     monkeypatch):
-        monkeypatch.setenv("LEVYREG_THREADS", "3")
+    def test_threads_env_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LEVYREG_THREADS", "abc")
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("scenario = S2\nreplicas = 5\n")
+        cfg.write_text("scenario = S2\nreplicas = 5\nthreads = 4\n")
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 3
-        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"),
-                         "--threads", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 2
+        assert json.loads(capsys.readouterr().out)["threads"] == 4
 
     @pytest.mark.parametrize("text,replicas", [
         ("scenario = S6\n", "100001"),

@@ -1,6 +1,8 @@
 """The key table behind parse_config / serialize_config / with_overrides, the
 scenario defaults, and the checks that make `validate` agree with `run`."""
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -195,8 +197,13 @@ class TestScenarioDefaults:
 # Each document validated with exit 0 and failed only in `run`, most of them
 # after sampling (the trend level after the whole main S3 run, the lattice
 # tubes after every S3 and S4 replica was solved).
+# The rate quadrature cannot reach its tolerance on z^-4 near 0.001: before
+# adaptive Simpson had an evaluation budget, validate and run hung on it.
+STEEP_DENSITY = "scenario = S1\ntruncation = 0.001\n[measure.density]\npower = 4\n"
+
 REJECTED = [
     ("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 1e12\n", 4, "chunk budget"),
+    (STEEP_DENSITY, 4, "evaluations"),
     ("scenario = S3\nreplicas = 1000\ntrend_levels = 4,30\n", 3, "chunk budget"),
     ("scenario = S3\nreplicas = 1000\n[measure.family]\nlevels = 30\n", 4,
      "chunk budget"),
@@ -246,6 +253,15 @@ class TestValidateAgreesWithRun:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: line {line}: ") and message in err
         assert not out.exists()
+
+    def test_steep_density_exits_within_a_second(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(STEEP_DENSITY)
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            start = time.perf_counter()
+            assert cli_main(argv + ["--config", str(cfg)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err.startswith("config error: line 4: ")
 
     @pytest.mark.parametrize("text", [
         "scenario = S1\nreplicas = 1000\n",

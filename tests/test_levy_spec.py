@@ -7,13 +7,13 @@ from levyreg.levy_spec import (
     DensityForm,
     FiniteAtomic,
     LevyTriplet,
-    TruncatedAtomicFamily,
     default_eps_grid,
     doblin_predicts_atoms,
     dyadic_family,
     is_infinite,
     kallenberg_b_profile,
     mu_measure,
+    sparse_family,
     total_rate,
 )
 
@@ -178,14 +178,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FiniteAtomic(((1.0, -1.0),))
 
-    def test_family_sizes_must_decrease(self):
-        with pytest.raises(ValueError):
-            TruncatedAtomicFamily(
-                size_of_level=lambda n: 0.5,
-                rate_of_level=lambda n: 1.0,
-                levels=3,
-                idealized_infinite=True,
-            )
+    def test_families_are_atom_lists(self):
+        fam = dyadic_family(3, sign=-1.0, rate_scale=2.0)
+        assert fam == FiniteAtomic(((-0.5, 4.0), (-0.25, 8.0), (-0.125, 16.0)), True)
+        assert sparse_family(2, rate=3.0) == FiniteAtomic(((-0.5, 3.0), (-0.25, 3.0)),
+                                                          True)
 
     def test_triplet_variance_nonnegative(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import levyreg.quadrature as quadrature_mod
 import levyreg.transforms as transforms_mod
 from levyreg.fields import make_diffusion_field
 from levyreg.flow_engine import ScalarField, solve_random_ode
@@ -203,6 +204,71 @@ class TestNonFiniteInput:
         diffeo = unit_diffusion_transform(CONST_ONE, 0.0, -1.0, 1.0, 8)
         assert diffeo.forward(3.0) == pytest.approx(3.0, abs=1e-12)
         assert diffeo.inverse(-2.5) == pytest.approx(-2.5, abs=1e-10)
+
+
+def uncapped_simpson(f, a, b, tol=1e-10, max_depth=40):
+    """adaptive_simpson as it was before the evaluation budget."""
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
+    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def rec(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        if depth <= 0 or abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
+        return (rec(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+                + rec(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
+
+    return sign * rec(a, b, fa, fm, fb, whole, tol, max_depth)
+
+
+class TestEvaluationBudget:
+    # z^-4 on the shell [1e-3, 2^-9] peaks at 1e12, far beyond what tol 1e-11
+    # can resolve: uncapped, the recursion ran toward 2^40 evaluations
+    def test_steep_shell_raises_within_a_second(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 100000 evaluations"):
+            adaptive_simpson(lambda z: z ** -4.0, 1e-3, 2.0 ** -9, tol=1e-11)
+        assert time.perf_counter() - start < 1.0
+
+    def test_calls_never_pass_the_budget(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(quadrature_mod, "MAX_EVALUATIONS", 9)
+
+        def f(z):
+            calls.append(z)
+            return z ** -4.0
+
+        assert adaptive_simpson(f, 0.5, 1.0, tol=1.0) == uncapped_simpson(
+            lambda z: z ** -4.0, 0.5, 1.0, tol=1.0)
+        calls.clear()
+        with pytest.raises(ValueError, match="more than 9 evaluations"):
+            adaptive_simpson(f, 1e-3, 2.0 ** -9, tol=1e-11)
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("f,a,b,tol", [
+        (math.exp, -1.0, 2.0, 1e-10),
+        (lambda z: 1.0 / (1.0 + z * z), 3.0, -2.0, 1e-12),
+        (lambda z: abs(z) ** -1.5, 1e-3, 2.0 ** -9, 1e-11),
+        (lambda z: math.sin(40.0 * z), 0.0, 1.0, 1e-12)])
+    def test_budget_keeps_bits(self, f, a, b, tol):
+        assert adaptive_simpson(f, a, b, tol) == uncapped_simpson(f, a, b, tol)
+
+    def test_transform_turns_the_budget_into_flow_divergence(self, monkeypatch):
+        diffeo = unit_diffusion_transform(QUAD_SIGMA, 0.0, -3.0, 3.0, 8)
+        x = diffeo.forward(0.3)
+        monkeypatch.setattr(quadrature_mod, "MAX_EVALUATIONS", 3)
+        with pytest.raises(FlowDivergence, match="evaluations"):
+            diffeo.forward(0.3)
+        with pytest.raises(FlowDivergence, match="evaluations"):
+            diffeo.inverse(x)
 
 
 class TestReducedDrift:
