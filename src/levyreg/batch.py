@@ -169,15 +169,17 @@ def _sweep(packed: PackedPaths):
     than s steps: each steps from its own time `tau` over `dt` to its next
     jump if that lies at or before the right edge of its cell `k`, and to that
     edge otherwise. `jumped` marks the rows that land on a jump, to be given
-    the jump `sizes` in row order; the other rows move to cell k + 1. The
-    arrays are valid until the next round.
+    the jump `sizes` in row order (decoded through the size table for
+    atom-coded batches); the other rows move to cell k + 1. The arrays are
+    valid until the next round.
     """
     order, live = _prefix_order(np.diff(packed.offsets) + packed.n_cells)
     return order, _rounds(packed, order, live)
 
 
 def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
-    times, jump_sizes, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
+    times, keys, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
+    table = packed.size_table
     jptr = packed.offsets[:-1][order]
     jend = packed.offsets[1:][order]
     cell = np.zeros(order.size, dtype=np.int64)
@@ -189,7 +191,8 @@ def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
         nt = times.take(jp, mode="clip") if times.size else right
         jumped = (jp < jend[:m]) & (nt <= right)
         target = np.where(jumped, nt, right)
-        yield m, k, t, target - t, jumped, jump_sizes.take(jp[jumped])
+        sizes = keys.take(jp[jumped])
+        yield m, k, t, target - t, jumped, sizes if table is None else table.take(sizes)
         t[:] = target
         jp += jumped
         k += ~jumped

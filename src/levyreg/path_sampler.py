@@ -23,8 +23,9 @@ from .rng import StreamGenerator
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
 DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
 
-#: Expected jumps per chunk of packed replicas; a law expecting more jumps
-#: per path than this cannot fit one path in a chunk and is rejected.
+#: Expected jumps per chunk of packed replicas at 16 bytes a jump (a float64
+#: time and size); a chunk of atom-coded jumps holds as many bytes. A law
+#: expecting more jumps per path than this is rejected, whatever its coding.
 MAX_JUMPS_PER_CHUNK = 4_000_000
 
 
@@ -100,17 +101,25 @@ class LevyPath:
 
 @dataclass
 class PackedPaths:
-    """Batch of driver realizations on a shared cell grid."""
+    """Batch of driver realizations on a shared cell grid.
+
+    An atomic law's jump sizes are stored as unsigned codes into its
+    `size_table`, the smallest unsigned type that indexes the table, so a jump
+    costs 9 bytes instead of 16 while the table has at most 256 entries;
+    `size_table[flat_sizes]` gives the sizes. A density law's sizes are stored
+    as float64 and `size_table` is None.
+    """
 
     horizon: float
     drift_rate: float
     n_cells: int
     edges: np.ndarray            # (C+1,) cell boundaries
     flat_times: np.ndarray       # all jump times, path-major, each path sorted
-    flat_sizes: np.ndarray
+    flat_sizes: np.ndarray       # jump sizes, or codes into size_table
     offsets: np.ndarray          # (P+1,) slice bounds into the flat arrays
     brown_edges: np.ndarray | None   # (P, C+1) Brownian values at cell edges
     z_terminal: np.ndarray       # (P,) exact Z_horizon per path
+    size_table: np.ndarray | None = None   # sizes by code; None: flat_sizes are sizes
 
     @property
     def n_paths(self) -> int:
@@ -171,18 +180,20 @@ def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
 
 
 def _size_sampler(spec, trunc: float):
-    """u -> jump sizes from spec restricted to |z| >= trunc, one per uniform
-    u in [0, 1): inverse CDF of the atom rates or of the density table."""
+    """(u -> size keys, size table) for spec restricted to |z| >= trunc, one
+    key per uniform u in [0, 1), by the inverse CDF of the atom rates or of
+    the density table. An atomic law's keys index its size table; a density
+    law's keys are the sizes and its table is None."""
     if isinstance(spec, FiniteAtomic):
         kept = [(s, r) for s, r in spec.atoms if abs(s) >= trunc and r > 0.0]
         cum = np.cumsum([r for _, r in kept])
         total = float(cum[-1])
         # a draw that rounds up to the total rate lands one past the end: the last atom
         table = np.array([s for s, _ in kept] + [kept[-1][0]])
-        return lambda u: table[cum.searchsorted(total * u, side="right")]
+        return (lambda u: cum.searchsorted(total * u, side="right")), table
     xs, cdf = _density_size_table(spec, trunc)
     total = float(cdf[-1])
-    return lambda u: np.interp(total * u, cdf, xs)
+    return (lambda u: np.interp(total * u, cdf, xs)), None
 
 
 def _dedupe_times(times: np.ndarray) -> np.ndarray:
@@ -218,7 +229,7 @@ def _jump_capacity(mean_jumps: float) -> int:
 
 
 def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
-    out = np.empty(max(need, 2 * arr.size))
+    out = np.empty(max(need, 2 * arr.size), dtype=arr.dtype)
     out[:used] = arr[:used]
     return out
 
@@ -232,12 +243,20 @@ class PathLaw:
     drift: float                 # drift of the sampled driver
     rate: float                  # jump rate above trunc
     mean_jumps: float            # rate times horizon
-    sizes: object                # uniforms -> sizes; None when the rate is 0
+    sizes: object                # uniforms -> size keys; None when the rate is 0
+    size_table: np.ndarray | None    # an atomic law's sizes by key; None: keys are sizes
+    key_dtype: np.dtype          # packed dtype of the keys: codes or float64
     brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
     brownian_sd: float
 
+    @property
+    def bytes_per_jump(self) -> int:
+        """Packed bytes of one jump: a float64 time and its size key."""
+        return 8 + self.key_dtype.itemsize
+
     def draw(self, gen: np.random.Generator):
-        """(times, sizes, Brownian values at the grid knots or None) of one path.
+        """(times, size keys, Brownian values at the grid knots or None) of
+        one path; size_table[keys] are the sizes when the law has a table.
 
         Draw order is fixed (count, times, sizes, Brownian cells) so a
         stream identity pins the path exactly. Times come out sorted but not
@@ -253,18 +272,19 @@ class PathLaw:
             times *= -self.horizon
             times += self.horizon
             times.sort()
-            sizes = self.sizes(u[n:])
+            keys = self.sizes(u[n:])
         else:
             times = np.empty(0)
-            sizes = np.empty(0)
+            keys = np.empty(0, dtype=self.key_dtype)
         brown = None
         if self.brownian_grid is not None:
             incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
             brown = np.concatenate([[0.0], np.cumsum(incr)])
-        return times, sizes, brown
+        return times, keys, brown
 
     def path(self, gen: np.random.Generator) -> LevyPath:
-        times, sizes, brown = self.draw(gen)
+        times, keys, brown = self.draw(gen)
+        sizes = keys if self.size_table is None else self.size_table[keys]
         brownian = None
         if brown is not None:
             brownian = BrownianSkeleton(times=self.brownian_grid, values=brown)
@@ -281,19 +301,19 @@ class PathLaw:
         brown_edges = np.empty((n, cells + 1)) if self.brownian_grid is not None \
             else None
         flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
-        flat_sizes = np.empty(flat_times.size)
+        flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
         pos = 0
-        draw, at = self.draw, streams.at
+        draw, at, table = self.draw, streams.at, self.size_table
         for i in range(n):
-            times, sizes, brown = draw(at(stream_offset + i))
+            times, keys, brown = draw(at(stream_offset + i))
             k = times.size
             if k:
                 if pos + k > flat_times.size:
                     flat_times = _grown(flat_times, pos, pos + k)
                     flat_sizes = _grown(flat_sizes, pos, pos + k)
                 flat_times[pos:pos + k] = times
-                flat_sizes[pos:pos + k] = sizes
-                jump_sums[i] = sizes.sum()
+                flat_sizes[pos:pos + k] = keys
+                jump_sums[i] = (keys if table is None else table[keys]).sum()
                 pos += k
             offsets[i + 1] = pos
             if brown is not None:
@@ -306,7 +326,8 @@ class PathLaw:
         return PackedPaths(horizon=self.horizon, drift_rate=self.drift, n_cells=cells,
                            edges=edges, flat_times=flat_times,
                            flat_sizes=flat_sizes[:pos], offsets=offsets,
-                           brown_edges=brown_edges, z_terminal=z_term)
+                           brown_edges=brown_edges, z_terminal=z_term,
+                           size_table=table)
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:
@@ -345,12 +366,16 @@ def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
         grid.flags.writeable = False
         sd = math.sqrt(triplet.brownian_variance * (horizon / cells))
     compensator = _compensator(triplet.jumps, trunc) if compensate else 0.0
+    sizes, table = _size_sampler(triplet.jumps, trunc) if rate > 0.0 else (None, None)
     return PathLaw(
         horizon=horizon,
         drift=triplet.drift - compensator,
         rate=rate,
         mean_jumps=rate * horizon,
-        sizes=_size_sampler(triplet.jumps, trunc) if rate > 0.0 else None,
+        sizes=sizes,
+        size_table=table,
+        key_dtype=np.dtype(np.float64) if table is None
+        else np.min_scalar_type(table.size - 1),
         brownian_grid=grid,
         brownian_sd=sd,
     )

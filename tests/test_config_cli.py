@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levyreg.config import (
     parse_config,
     serialize_config,
     with_overrides,
+    with_scenario_defaults,
 )
 from levyreg.levy_spec import DensityForm, FiniteAtomic
 from levyreg.scenarios import RunSummary, list_scenarios, run_scenario
@@ -217,22 +219,28 @@ class TestRunScenarioOutputs:
         assert s1 == s8
 
     CHUNKED = {name: f"scenario = {name}\nreplicas = 1000\nseed = 12\ncells = 8\n"
-               for name in ("S1", "S4", "S7")}
+               for name in ("S1", "S3", "S4", "S7")}
     # a compensated density, about 122.5 jumps per path
     CHUNKED["S1-density"] = ("scenario = S1\nseed = 9\nreplicas = 1000\n"
                              "truncation = 0.001\ncompensate = true\n"
                              "[measure.density]\npower = 1.5\n")
+    # S3 is the one law here that needs two chunks at the default budget
+    DEFAULT_CHUNKS = {"S3": [500, 500]}
 
-    # S1 and S7 expect 2 jumps per path, S4 12; one path per chunk would cost
-    # S7 over a minute, so S7 gets only four chunks
+    # A budget of B jumps is 16 * B bytes; a chunk holds 16 * B // (bytes per
+    # jump * mean jumps) paths. S1 and S7 expect 2 jumps per path and S4 12,
+    # all at 9 bytes (uint8 atom codes); the density expects about 122.5 at
+    # 16 bytes; S3 8190 at 9. One path per chunk would cost S7 over a minute,
+    # so S7 gets only four chunks; S3 gets the three chunks of 16-byte jumps.
     @pytest.mark.parametrize("scenario,budget,chunks", [
-        ("S1", 1, [1] * 1000),
-        ("S1", 600, [250] * 4),
+        ("S1", 1, [1] * 1000),          # 16 // 18 = 0 paths: one per chunk
+        ("S1", 300, [250] * 4),         # 4800 // 18 = 266
         ("S4", 1, [1] * 1000),
-        ("S4", 3600, [250] * 4),
-        ("S7", 600, [250] * 4),
+        ("S4", 2000, [250] * 4),        # 32000 // 108 = 296
+        ("S7", 300, [250] * 4),
         ("S1-density", 30000, [200] * 5),
-        ("S1", 800, [334, 333, 333])])
+        ("S1", 400, [334, 333, 333]),   # 6400 // 18 = 355
+        ("S3", 2_000_000, [334, 333, 333])])  # 32e6 // 73710 = 434
     def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, scenario,
                                                 budget, chunks):
         seen = []
@@ -253,8 +261,32 @@ class TestRunScenarioOutputs:
         default = run(tmp_path / "default")
         monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", budget)
         small = run(tmp_path / "small")
-        assert default[2] == [1000] and small[2] == chunks
+        assert default[2] == self.DEFAULT_CHUNKS.get(scenario, [1000])
+        assert small[2] == chunks
         assert small[:2] == default[:2]
+
+    def test_s3_chunks_fill_the_byte_budget(self, monkeypatch):
+        # 8190 jumps per path at 9 bytes (a float64 time and a uint8 code) fit
+        # 868 paths in 16 * MAX_JUMPS_PER_CHUNK bytes, where 16-byte jumps fit
+        # 488: 2 chunks instead of 3 at 1000 replicas, 12 instead of 21 at 10 000
+        config = with_scenario_defaults(parse_config("scenario = S3\n"))
+        law = scenarios_mod._driver_law(config)
+        assert (law.mean_jumps, law.bytes_per_jump) == (8190.0, 9)
+        seen = []
+
+        def spy(law, seed, stream_offset, n, cells):
+            seen.append(n)
+            return n
+
+        def chunks(replicas):
+            seen.clear()
+            scenarios_mod._sample_and_solve(replace(config, replicas=replicas), law,
+                                            lambda n: (np.zeros(n),))
+            return list(seen)
+
+        monkeypatch.setattr(path_sampler.PathLaw, "packed", spy)
+        assert chunks(1000) == [500, 500]
+        assert chunks(10_000) == [834] * 4 + [833] * 8
 
     def test_chunks_are_even(self):
         # S3 at seed 404: 488 paths per chunk made chunks of 488/488/24 rows
@@ -449,6 +481,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: line 4: ") and "chunk budget" in err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("levels", [20, 21])
+    def test_s3_levels_at_the_jump_budget(self, tmp_path, capsys, levels):
+        # atom codes change how many paths fill a chunk, never which documents
+        # pass: 2**(levels + 1) - 2 expected jumps per path against 4 000 000
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = S3\nreplicas = 1000\n[measure.family]\n"
+                       f"levels = {levels}\n")
+        code = cli_main(["validate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        if levels == 20:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err.startswith("config error: line 4: ") and "chunk budget" in err
+            assert "rate 4.1943e+06" in err
 
     @pytest.mark.parametrize("text,failed_rows,conjugacy_diverged", [
         # config 2's proportional solve and one conjugacy solve diverge

@@ -261,9 +261,30 @@ PACKED_FIELDS = ("horizon", "drift_rate", "n_cells", "edges", "flat_times", "fla
                  "offsets", "brown_edges", "z_terminal")
 
 
+def code_dtype(table_size):
+    """The smallest unsigned type whose values index a table this long."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.iinfo(t).max >= table_size - 1)
+
+
+def decoded_sizes(packed):
+    """packed.flat_sizes as float sizes, after checking how they are stored:
+    float64 without a size table, else codes of the smallest unsigned type."""
+    table = packed.size_table
+    if table is None:
+        assert packed.flat_sizes.dtype == np.float64
+        return packed.flat_sizes
+    assert table.dtype == np.float64
+    assert packed.flat_sizes.dtype == code_dtype(table.size)
+    return table[packed.flat_sizes]
+
+
 def assert_packed_equal(got, want):
+    """Every field equal, jump sizes compared decoded."""
     for name in PACKED_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
+        if name == "flat_sizes":
+            a, b = decoded_sizes(got), decoded_sizes(want)
         if isinstance(b, np.ndarray):
             assert a is not None and np.array_equal(a, b), name
             assert a.dtype == b.dtype, name
@@ -321,9 +342,16 @@ class _CoarseStreams(StreamGenerator):
         return _CoarseUniforms(super().at(stream_id))
 
 
+def _many_atoms(n):
+    """n atoms of rate 0.05, sizes +-0.01, +-0.02, ... alternating in sign."""
+    return FiniteAtomic(tuple((0.01 * (i + 1) * (-1) ** i, 0.05) for i in range(n)))
+
+
 class TestSamplePacked:
     CASES = {
         "atoms": (LevyTriplet(0.3, FiniteAtomic(((1.0, 2.0), (-0.4, 1.0)))), 1.0, 0.3, 40),
+        # a size table of 301 entries: uint16 codes
+        "many-atoms": (LevyTriplet(0.1, _many_atoms(300)), 1.0, 0.001, 20),
         "sparse": (LevyTriplet(0.1, FiniteAtomic(((0.5, 0.4),))), 1.0, 0.3, 30),
         "dyadic": (LevyTriplet(0.0, dyadic_family(12)), 1.0, 2.0 ** -12, 5),
         "density": (LevyTriplet(0.2, DensityForm(intensity=lambda z: abs(z) ** -1.5)),
@@ -339,6 +367,35 @@ class TestSamplePacked:
         got = law.packed(17, offset, n, 64)
         want = pack_paths(sample_many(law, n, 17, stream_offset=offset), 64)
         assert_packed_equal(got, want)
+        assert (got.size_table is None) == isinstance(triplet.jumps, DensityForm)
+
+    # the table repeats the last atom: 255 atoms fill uint8's 256 codes
+    @pytest.mark.parametrize("atoms,dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_codes_take_the_smallest_unsigned_type(self, atoms, dtype):
+        law = path_law(LevyTriplet(0.0, _many_atoms(atoms)), 1.0, 0.001)
+        got = law.packed(5, 0, 10, 8)
+        assert got.size_table.size == atoms + 1
+        assert got.flat_sizes.dtype == law.key_dtype == dtype
+        assert law.bytes_per_jump == 8 + np.dtype(dtype).itemsize
+        assert_packed_equal(got, pack_paths(sample_many(law, 10, 5), 8))
+
+    def test_density_sizes_stay_float(self):
+        triplet, horizon, trunc, n = self.CASES["density"]
+        law = path_law(triplet, horizon, trunc)
+        got = law.packed(3, 0, n, 8)
+        assert law.size_table is None and got.size_table is None
+        assert got.flat_sizes.dtype == law.key_dtype == np.float64
+        assert law.bytes_per_jump == 16
+
+    def test_atomic_path_without_jumps(self):
+        # a zero-jump draw has no codes, and they must still index the table
+        triplet, horizon, trunc, _ = self.CASES["sparse"]
+        law = path_law(triplet, horizon, trunc)
+        paths = [law.path(RngStream(17, i).generator()) for i in range(30)]
+        empty = [p for p in paths if p.n_jumps == 0]
+        assert empty and len(empty) < len(paths)
+        for p in empty:
+            assert p.jump_sizes.dtype == np.float64 and p.terminal == 0.1 * horizon
 
     def test_dyadic_mean_jumps(self):
         triplet, horizon, trunc, n = self.CASES["dyadic"]
@@ -413,12 +470,16 @@ class TestSamplePacked:
             assert np.all(np.diff(got.flat_times[lo:hi]) > 0.0)
 
     def test_flat_arrays_grow_past_capacity(self, monkeypatch):
-        monkeypatch.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
-        triplet, horizon, trunc, n = self.CASES["atoms"]
-        law = path_law(triplet, horizon, trunc)
-        got = law.packed(6, 0, n, 16)
-        monkeypatch.undo()
-        assert_packed_equal(got, law.packed(6, 0, n, 16))
+        # grown arrays keep their dtype: uint8 or uint16 codes, float64 sizes
+        for case in ("atoms", "many-atoms", "density"):
+            triplet, horizon, trunc, n = self.CASES[case]
+            law = path_law(triplet, horizon, trunc)
+            want = law.packed(6, 0, n, 16)
+            with monkeypatch.context() as m:
+                m.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
+                got = law.packed(6, 0, n, 16)
+            assert_packed_equal(got, want)
+            assert got.flat_sizes.dtype == want.flat_sizes.dtype == law.key_dtype, case
 
     def test_rejects_empty_range(self):
         triplet, horizon, trunc, _ = self.CASES["atoms"]
