@@ -30,6 +30,14 @@ batch at once: each of their rounds runs jump-flow kernel loops whose count is
 set by the round's largest flow, not by its width, so every extra block would
 repeat them.
 
+The random-ODE engines hand their right-hand side only the driver parts
+that are not exactly zero: drift * t is left out when drift == 0.0, and the
+Brownian part when there is none. This keeps the bits of the full sums. The
+running jump sum jr starts at +0.0, and IEEE addition (round to nearest) gives
+-0.0 only when both addends are -0.0, so jr is never -0.0, and neither are
+(u + dz) + jr and dz + jr. A trailing scalar + 0.0 is then the identity. A
++-0.0 dz changes u only in the sign of a zero u, which + jr then erases.
+
 The jump-flow kernel fixes each element's substep count on entry, sorts the
 batch once by it (largest first, stable) and steps, at substep s, only the
 shrinking prefix of elements that still need it. With the flow sensitivity,
@@ -113,6 +121,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     n = np.maximum(8, np.ceil(np.abs(u.ravel()) / FLOW_SUBSTEP_SCALE)).astype(np.int64)
     order, live = _prefix_order(n)
     phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n[order]
+    ds6 = ds / 6.0 if sensitivity else None
     sig, jet = sigma.value, sigma.jet
     acc = np.zeros_like(phi) if sensitivity else None
     stages = []
@@ -131,7 +140,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
             if sensitivity:
                 d1, d2, d3, d4 = stages
                 stages.clear()
-                acc[:m] += (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                acc[:m] += ds6[:m] * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
     return (_unsorted(phi, order).reshape(y.shape),
             _unsorted(acc, order).reshape(y.shape) if sensitivity else None)
@@ -207,14 +216,19 @@ def _brownian(brown: np.ndarray, rows: np.ndarray, k: np.ndarray, h: float
 
 
 def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
-    """Terminal Y of the random ODE Y' = rhs(Y, drift * t, J_t, B_t) across the
-    batch, J the running jump sum and B the Brownian skeleton. The driver's
-    parts arrive unsummed, so each right-hand side fixes its own summation
-    order."""
+    """Terminal Y of the random ODE Y' = rhs(Y, dz, J_t, br) across the batch:
+    J is the running jump sum, dz = drift * t and br = B_t the Brownian
+    skeleton. dz is None when drift == 0.0 and br is None without a Brownian
+    part; with neither, the ODE is autonomous within each round and RK4 does
+    no time arithmetic. dz and br are computed once per stage time (stages 2
+    and 3 share t_mid). The driver's parts arrive unsummed, so each
+    right-hand side fixes its own summation order."""
     order, rounds = _sweep(packed)
     y = np.full(packed.n_paths, float(x0))
     jrun = np.zeros(packed.n_paths)
     drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
+    has_drift = drift != 0.0
+    timed = has_drift or brown is not None
     h = packed.horizon / packed.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
         for m, k, tau, dt, jumped, sizes in rounds:
@@ -222,12 +236,15 @@ def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
             if brown is not None:
                 b0, slope = _brownian(brown, order[:m], k, h)
                 t0 = edges.take(k)
+            stage = [None, None, None]  # the last stage time, its dz and br
 
             def f(t, u):
-                br = 0.0 if brown is None else b0 + slope * (t - t0)
-                return rhs(u, drift * t, jr, br)
+                if t is not stage[0]:
+                    stage[:] = (t, drift * t if has_drift else None,
+                                None if brown is None else b0 + slope * (t - t0))
+                return rhs(u, stage[1], jr, stage[2])
 
-            y[:m] = rk4_step(f, tau, y[:m], dt)
+            y[:m] = rk4_step(f, tau if timed else None, y[:m], dt)
             jr[jumped] += sizes
     return _unsorted(y, order)
 
@@ -236,7 +253,17 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch."""
     a_val = a.value
-    rhs = lambda u, dz, jr, b: a_val(u + dz + jr + b)
+
+    def rhs(u, dz, jr, br):
+        if dz is None:
+            x = u + jr
+        else:
+            x = u + dz
+            x += jr
+        if br is not None:
+            x += br
+        return a_val(x)
+
     y = np.concatenate([_random_ode_terminals(block, x0, rhs) for block in _blocks(packed)])
     return y + packed.z_terminal, y
 
@@ -273,7 +300,8 @@ def doss_terminals(a: ScalarField, sigma: DiffusionField,
     a_val = a.value
 
     def b(u, dz, jr, br):
-        phi, acc = flow_sensitivity_array(sigma, u, dz + jr + br)
+        w = jr if dz is None else dz + jr
+        phi, acc = flow_sensitivity_array(sigma, u, w if br is None else w + br)
         return a_val(phi) * np.exp(-acc)
 
     y = _random_ode_terminals(packed, x0, b)

@@ -2,9 +2,10 @@
 
 Every field ships an analytic derivative, so the probe-grid invariants hold
 exactly and the derivative-based formulas are honest. All callables accept
-scalars or numpy arrays (the batch engines evaluate them vectorized). A
+floats or numpy float arrays (the batch engines evaluate them vectorized). A
 float, np.float64 included, takes a Python-float branch that gives the same
-bits as a one-element array, with np.exp as its only numpy call. An entry may
+bits as a one-element array, with np.exp as its only numpy call; on arrays,
+logistic-slope works in place in the one new array x - center. An entry may
 also ship a fused jet, x -> (value, derivative) from one shared evaluation
 with the same arithmetic as the two callables; diffusion fields built from it
 hand it to `DiffusionField.jet`.
@@ -33,20 +34,30 @@ from .marcus import DiffusionField
 _EXP_CLIP = 60.0
 
 
-def _expit(t):
-    if isinstance(t, float):
-        # the scalar solvers' states (np.float64 included): Python
-        # comparisons clamp with the same bits and let nan through; np.exp
-        # stays, since math.exp rounds some values differently
-        if t > _EXP_CLIP:
-            t = _EXP_CLIP
-        elif t < -_EXP_CLIP:
-            t = -_EXP_CLIP
-        return 1.0 / (1.0 + np.exp(-t))
-    # np.minimum/np.maximum clamp like np.clip (nan and +-inf included)
-    # without np.clip's Python wrapper
-    e = np.exp(-np.minimum(np.maximum(t, -_EXP_CLIP), _EXP_CLIP))
-    return 1.0 / (1.0 + e)
+def _expit_float(t):
+    """expit(t) on a float (np.float64 included), the scalar solvers' states:
+    Python comparisons clamp with the bits of the array clamp and let nan
+    through; np.exp stays, since math.exp rounds some values differently."""
+    if t > _EXP_CLIP:
+        t = _EXP_CLIP
+    elif t < -_EXP_CLIP:
+        t = -_EXP_CLIP
+    return 1.0 / (1.0 + np.exp(-t))
+
+
+def _expit_owned(t, rate: float):
+    """expit(rate * t) for an array t that the caller owns, computed in place
+    in it. np.minimum/np.maximum clamp like np.clip (nan and +-inf included)
+    without np.clip's Python wrapper."""
+    t *= rate
+    np.maximum(t, -_EXP_CLIP, out=t)
+    np.minimum(t, _EXP_CLIP, out=t)
+    # the negation stays its own step: folded into the rate, it would keep
+    # the sign bit of a nan that the float branch flips
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
 
 
 class _Entry(NamedTuple):
@@ -83,17 +94,46 @@ def _affine(slope: float = 0.5, intercept: float = 0.0):
 def _logistic_slope(low: float = 0.0, high: float = 1.0,
                     rate: float = 1.0, center: float = 0.0):
     span = high - low
+    gain = span * rate
+    # low + v is v unless v is -0.0, and span * e is never -0.0 when
+    # span > 0.0, so a zero low is dropped there; the float branch keeps it
+    add_low = not (low == 0.0 and span > 0.0)
 
+    # a float x takes the float branch; on a float array, x - center is the
+    # one new array and the rest runs in place in it
     def value(x):
-        return low + span * _expit(rate * (x - center))
+        d = x - center
+        if isinstance(d, float):
+            return low + span * _expit_float(rate * d)
+        v = _expit_owned(d, rate)
+        v *= span
+        if add_low:
+            v += low
+        return v
 
     def derivative(x):
-        e = _expit(rate * (x - center))
-        return span * rate * e * (1.0 - e)
+        d = x - center
+        if isinstance(d, float):
+            e = _expit_float(rate * d)
+            return span * rate * e * (1.0 - e)
+        e = _expit_owned(d, rate)
+        w = np.subtract(1.0, e)
+        e *= gain
+        e *= w
+        return e
 
     def jet(x):
-        e = _expit(rate * (x - center))
-        return low + span * e, span * rate * e * (1.0 - e)
+        d = x - center
+        if isinstance(d, float):
+            e = _expit_float(rate * d)
+            return low + span * e, span * rate * e * (1.0 - e)
+        e = _expit_owned(d, rate)
+        slope = np.multiply(gain, e)
+        slope *= np.subtract(1.0, e)
+        e *= span
+        if add_low:
+            e += low
+        return e, slope
 
     return _Entry(value, derivative, {"low": low, "high": high,
                                       "rate": rate, "center": center}, jet)

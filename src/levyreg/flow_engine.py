@@ -118,15 +118,20 @@ def rk4_step(f, t, y, h):
     """One classical RK4 step of y' = f(t, y) from t to t + h.
 
     t = None marks an autonomous f: it is called as f(None, y) and no time
-    arithmetic is done. y may be a float or a numpy array.
+    arithmetic is done. y may be a float or a numpy array. Stages 2 and 3
+    receive the same t_mid object.
     """
+    half = 0.5 * h
     if t is None:
         t_mid = t_end = None
     else:
-        t_mid, t_end = t + 0.5 * h, t + h
+        t_mid, t_end = t + half, t + h
     k1 = f(t, y)
-    k2 = f(t_mid, y + 0.5 * h * k1)
-    k3 = f(t_mid, y + 0.5 * h * k2)
+    k2 = f(t_mid, y + half * k1)
+    k3 = f(t_mid, y + half * k2)
+    # as large as y when h is an array; freed here, it stays out of the
+    # last stage's peak
+    del half
     k4 = f(t_end, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -216,10 +221,11 @@ def flow_derivative_variational(a: ScalarField, path: LevyPath, x0: float,
             return a_val(x), a_dot(x) * u
 
         for t, _, h in substeps:
-            t_mid, t_end = t + 0.5 * h, t + h
+            half = 0.5 * h
+            t_mid, t_end = t + half, t + h
             k1y, k1u = f(t, y, u)
-            k2y, k2u = f(t_mid, y + 0.5 * h * k1y, u + 0.5 * h * k1u)
-            k3y, k3u = f(t_mid, y + 0.5 * h * k2y, u + 0.5 * h * k2u)
+            k2y, k2u = f(t_mid, y + half * k1y, u + half * k1u)
+            k3y, k3u = f(t_mid, y + half * k2y, u + half * k2u)
             k4y, k4u = f(t_end, y + h * k3y, u + h * k3u)
             y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)

@@ -643,18 +643,19 @@ def list_scenarios() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["replica,terminal_x,terminal_z,failed"]
-    for rid, (x, z, f) in enumerate(zip(result.terminal_x, result.terminal_z,
-                                        result.failed.tolist())):
-        rows.append(f"{rid},{_format_float(x)},{_format_float(z)},{int(f)}")
-    (out_dir / "samples.csv").write_text("\n".join(rows) + "\n")
+    # written a block of rows at a time, so no whole-file string is ever held
+    block = 4096
+    columns = (np.asarray(result.terminal_x, dtype=float),
+               np.asarray(result.terminal_z, dtype=float), result.failed)
+    with open(out_dir / "samples.csv", "w") as out:
+        out.write("replica,terminal_x,terminal_z,failed\n")
+        for lo in range(0, len(columns[0]), block):
+            xs, zs, fs = (c[lo:lo + block].tolist() for c in columns)
+            out.write("".join(f"{rid},{x!r},{z!r},{int(f)}\n"
+                              for rid, (x, z, f) in enumerate(zip(xs, zs, fs), lo)))
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
     (plots / "histogram.gp").write_text(

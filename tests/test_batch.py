@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from levyreg import batch as batch_mod
 from levyreg.batch import (
+    _brownian,
     _sweep,
+    _unsorted,
     doss_terminals,
     flow_map_array,
     flow_sensitivity_array,
@@ -277,3 +279,88 @@ def test_sweep_blocks_equal_one_path_at_a_time(brownian, layout, size):
             mp.setattr(batch_mod, "SWEEP_WIDTH", 2)
             narrow = np.asarray(engine(pack_paths(paths, cells))).tobytes()
         assert whole == alone == narrow, name
+
+
+def _full_sums_rk4(f, t, y, h):
+    """The RK4 step written out with `0.5 * h` formed at each use."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _full_sums_terminals(packed, x0, rhs):
+    """Reference random-ODE sweep that hands every right-hand side all four
+    driver parts, zeros included: drift * t at each stage and 0.0 for a
+    missing Brownian part."""
+    order, rounds = _sweep(packed)
+    y = np.full(packed.n_paths, float(x0))
+    jrun = np.zeros(packed.n_paths)
+    drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
+    h = packed.horizon / packed.n_cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, k, tau, dt, jumped, sizes in rounds:
+            jr = jrun[:m]
+            if brown is not None:
+                b0, slope = _brownian(brown, order[:m], k, h)
+                t0 = edges.take(k)
+
+            def f(t, u):
+                br = 0.0 if brown is None else b0 + slope * (t - t0)
+                return rhs(u, drift * t, jr, br)
+
+            y[:m] = _full_sums_rk4(f, tau, y[:m], dt)
+            jr[jumped] += sizes
+    return _unsorted(y, order)
+
+
+def _full_sums_ode(a, packed, x0):
+    y = _full_sums_terminals(packed, x0, lambda u, dz, jr, b: a.value(u + dz + jr + b))
+    return y + packed.z_terminal, y
+
+
+def _full_sums_doss(a, sigma, packed, x0):
+    def b(u, dz, jr, br):
+        phi, acc = flow_sensitivity_array(sigma, u, dz + jr + br)
+        return a.value(phi) * np.exp(-acc)
+
+    return flow_map_array(sigma, _full_sums_terminals(packed, x0, b), packed.z_terminal)
+
+
+ZERO_PART_FIELDS = {
+    "linear+1": make_scalar_field("linear", {"slope": 1.0}),
+    "linear-1": make_scalar_field("linear", {"slope": -1.0}),
+    "logistic-0": make_scalar_field("logistic-slope", {"low": 0.0, "center": 0.0}),
+    "s3-default": make_scalar_field("logistic-slope", {"low": 0.0, "high": 1.0,
+                                                       "rate": 1.0, "center": 12.0}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=jump_layouts(), size=st.floats(0.05, 0.5), brownian=st.booleans(),
+       drift=st.sampled_from([0.0, -0.0, 0.3]), x0=st.sampled_from([0.0, -0.0, 0.2]),
+       field=st.sampled_from(sorted(ZERO_PART_FIELDS)))
+# a signed zero in x0 and the drift, on paths without jumps
+@example(layout=(2, [[], [0.5]]), size=0.3, brownian=False, drift=-0.0, x0=-0.0,
+         field="linear+1")
+@example(layout=(2, [[], [1.0]]), size=0.3, brownian=True, drift=0.0, x0=-0.0,
+         field="linear-1")
+def test_zero_driver_parts_dropped_bit_for_bit(layout, size, brownian, drift, x0, field):
+    # the engines leave out drift * t when drift == 0.0 and the Brownian part
+    # when there is none; the sums they skip are exact identities because the
+    # running jump sum starts at +0.0 and so is never -0.0
+    cells, times = layout
+    triplet = TRIPLET_BROWN if brownian else TRIPLET
+    law = path_law(triplet, 1.0, 0.1, brownian_cells=cells if brownian else None)
+    paths = [dataclasses.replace(law.path(RngStream(91, i).generator()), drift_rate=drift,
+                                 jump_times=np.array(t),
+                                 jump_sizes=size * np.cos(np.arange(1.0, len(t) + 1.0)))
+             for i, t in enumerate(times)]
+    packed = pack_paths(paths, cells)
+    a = ZERO_PART_FIELDS[field]
+    got, want = ode_terminals(a, packed, x0), _full_sums_ode(a, packed, x0)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = doss_terminals(a, SIGMA, packed, x0), _full_sums_doss(a, SIGMA, packed, x0)
+    assert got.tobytes() == want.tobytes()

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from levyreg.fields import (
     _EXP_CLIP,
-    _expit,
+    _expit_float,
+    _expit_owned,
     canonical_params,
     catalogue_names,
     make_diffusion_field,
@@ -132,10 +133,10 @@ class TestJet:
         def clipped(t):
             return 1.0 / (1.0 + np.exp(-np.clip(t, -_EXP_CLIP, _EXP_CLIP)))
 
-        assert _bits(_expit(ts)) == _bits(clipped(ts))
+        assert _bits(_expit_owned(ts.copy(), 1.0)) == _bits(clipped(ts))
         # Python floats, then np.float64 scalars
         for t in [*ts.tolist(), *ts]:
-            assert _bits(_expit(t)) == _bits(clipped(t))
+            assert _bits(_expit_float(t)) == _bits(clipped(t))
 
 
 _finite = st.floats(-10.0, 10.0)
@@ -182,3 +183,49 @@ class TestScalarBranch:
     @pytest.mark.parametrize("x", _FIXED_EDGES)
     def test_fixed_edges(self, name, params, x):
         _assert_scalar_types_match_array(name, params, x)
+
+
+def _old_logistic_slope(low, high, rate, center):
+    """logistic-slope's array formulas written out of place: the reference
+    for the in-place ones, bit for bit."""
+    span = high - low
+
+    def expit(t):
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(t, -_EXP_CLIP), _EXP_CLIP)))
+
+    def value(x):
+        return low + span * expit(rate * (x - center))
+
+    def derivative(x):
+        e = expit(rate * (x - center))
+        return span * rate * e * (1.0 - e)
+
+    return value, derivative
+
+
+class TestLogisticInPlace:
+    @pytest.mark.parametrize("params", [
+        {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 0.0},
+        {"low": 0.0, "high": -1.5, "rate": 2.0, "center": 0.5},
+        # a span so small that span * e underflows to zero
+        {"low": 0.0, "high": 1e-300, "rate": 1.0, "center": 0.0},
+        {"low": 0.0, "high": -1e-300, "rate": 1.0, "center": 0.0},
+        {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": 0.3, "high": -0.7, "rate": -1.2, "center": -0.25},
+    ])
+    def test_arrays_match_old_formulas_and_keep_their_argument(self, params):
+        sigma = make_diffusion_field("logistic-slope", params)
+        old_value, old_derivative = _old_logistic_slope(**params)
+        # the clamp's edges for these parameters and for a unit rate
+        edges = [params["center"] + e / params["rate"] for e in (-_EXP_CLIP, _EXP_CLIP)]
+        x = np.array([*_FIXED_EDGES, *edges,
+                      *(float(np.nextafter(e, d)) for e in edges for d in (-np.inf, np.inf))])
+        kept = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, slope = sigma.jet(x)
+            got = [sigma.value(x), sigma.derivative(x), value, slope]
+            want = [old_value(x), old_derivative(x)] * 2
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+        assert x.tobytes() == kept.tobytes()
+        for v in got:
+            assert not np.shares_memory(v, x)

@@ -36,6 +36,16 @@ PINNED = {
            "dc5443553a2c38cfaab7f2d9bf1b4011d9ecce3465111bc7f378ab8b7770a526"),
     "S7": ("scenario = S7\nseed = 808\nreplicas = 1000\ncells = 32\n",
            "04553c4783256cfcce66266ff9a471953f05758e308fab5d5a6489f1e56fb086"),
+    # no drift: the Doss-Sussmann flow time is the jump sum plus the Brownian
+    # skeleton alone
+    "S7-zero-drift": ("scenario = S7\nseed = 808\nreplicas = 1000\ncells = 32\n"
+                      "[triplet]\ndrift = 0.0\n",
+                      "e623ccca08daf3133718428a31068cbccb624689ce4c6f20ddfae4e7d21088ca"),
+    # signed zeros in x0 and the drift reach an odd field unchanged
+    "S1-signed-zero": ("scenario = S1\nseed = 303\nreplicas = 5000\nx0 = -0.0\n"
+                       "[triplet]\ndrift = -0.0\n"
+                       "[drift_field]\nname = linear\nslope = 1.0\n",
+                       "a739365e94351cca1e580abb59769da1f70fcb666f6f7c3f93c2481f2ff8c69e"),
 }
 
 
