@@ -47,13 +47,11 @@ which catalogue fields with a fused form evaluate once.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .flow_engine import ScalarField, rk4_step
-from .marcus import FLOW_SUBSTEP_SCALE, DiffusionField
-from .path_sampler import LevyPath, PackedPaths
+from .marcus import DiffusionField, flow_substeps
+from .path_sampler import LevyPath, PackedPaths, pack, size_decoder
 
 #: Most paths one plain random-ODE sweep walks at once; wider batches are cut
 #: into contiguous row blocks. Picked by timing S1's sweep at 20k and 100k
@@ -62,6 +60,8 @@ SWEEP_WIDTH = 4096
 
 
 def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
+    """A LevyPath list as float64 PackedPaths, with the same arrays as the
+    range sampler gives for the same draws."""
     if not paths:
         raise ValueError("need at least one path")
     horizon = paths[0].horizon
@@ -69,25 +69,11 @@ def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
     for p in paths:
         if p.horizon != horizon or p.drift_rate != drift:
             raise ValueError("packed paths must share horizon and drift")
-    edges = np.linspace(0.0, horizon, n_cells + 1)
-    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([p.n_jumps for p in paths])
-    flat_times = np.concatenate([p.jump_times for p in paths]) \
-        if offsets[-1] else np.empty(0)
-    flat_sizes = np.concatenate([p.jump_sizes for p in paths]) \
-        if offsets[-1] else np.empty(0)
-    has_brown = paths[0].brownian is not None
-    brown_edges = None
-    if has_brown:
-        brown_edges = np.stack([
-            np.interp(edges, p.brownian.times, p.brownian.values) for p in paths])
-    jump_sums = np.array([float(p.jump_sizes.sum()) for p in paths])
-    z_term = drift * horizon + jump_sums
-    if has_brown:
-        z_term = z_term + brown_edges[:, -1]
-    return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=n_cells,
-                       edges=edges, flat_times=flat_times, flat_sizes=flat_sizes,
-                       offsets=offsets, brown_edges=brown_edges, z_terminal=z_term)
+    draws = ((p.jump_times, p.jump_sizes,
+              None if p.brownian is None else (p.brownian.times, p.brownian.values))
+             for p in paths)
+    return pack(draws, len(paths), horizon, drift, n_cells, paths[0].brownian is not None,
+                sum(p.n_jumps for p in paths))
 
 
 def _prefix_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +104,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     input order. A diverging flow comes out inf/nan without a numpy warning.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
-    n = np.maximum(8, np.ceil(np.abs(u.ravel()) / FLOW_SUBSTEP_SCALE)).astype(np.int64)
+    n = flow_substeps(u.ravel())
     order, live = _prefix_order(n)
     phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n[order]
     ds6 = ds / 6.0 if sensitivity else None
@@ -157,17 +143,6 @@ def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray
     return _flow_array(sigma, y, u, sensitivity=True)
 
 
-def _blocks(packed: PackedPaths):
-    """Contiguous row blocks of at most SWEEP_WIDTH paths, each a view of
-    `packed` that shares its flat jump arrays."""
-    brown = packed.brown_edges
-    for lo in range(0, packed.n_paths, SWEEP_WIDTH):
-        hi = lo + SWEEP_WIDTH
-        yield dataclasses.replace(
-            packed, offsets=packed.offsets[lo:hi + 1], z_terminal=packed.z_terminal[lo:hi],
-            brown_edges=None if brown is None else brown[lo:hi])
-
-
 def _sweep(packed: PackedPaths):
     """Own-step walk over the cell grid, as (order, rounds).
 
@@ -188,7 +163,7 @@ def _sweep(packed: PackedPaths):
 
 def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
     times, keys, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
-    table = packed.size_table
+    decode = size_decoder(packed.size_table)
     jptr = packed.offsets[:-1][order]
     jend = packed.offsets[1:][order]
     cell = np.zeros(order.size, dtype=np.int64)
@@ -200,8 +175,7 @@ def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
         nt = times.take(jp, mode="clip") if times.size else right
         jumped = (jp < jend[:m]) & (nt <= right)
         target = np.where(jumped, nt, right)
-        sizes = keys.take(jp[jumped])
-        yield m, k, t, target - t, jumped, sizes if table is None else table.take(sizes)
+        yield m, k, t, target - t, jumped, decode(keys.take(jp[jumped]))
         t[:] = target
         jp += jumped
         k += ~jumped
@@ -264,7 +238,8 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
             x += br
         return a_val(x)
 
-    y = np.concatenate([_random_ode_terminals(block, x0, rhs) for block in _blocks(packed)])
+    y = np.concatenate([_random_ode_terminals(packed.rows(lo, lo + SWEEP_WIDTH), x0, rhs)
+                        for lo in range(0, packed.n_paths, SWEEP_WIDTH)])
     return y + packed.z_terminal, y
 
 

@@ -27,7 +27,8 @@ Unknown keys are errors (with line numbers), duplicate keys are errors
 naming both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
 count below a scenario's sample floor or past its stream gap, an empty
-marked window and lattice tubes that overlap.
+marked window, an S5 marked window too rare for its draw cap and lattice
+tubes that overlap.
 """
 
 from __future__ import annotations
@@ -46,13 +47,17 @@ from .levy_spec import (
     sparse_family,
     total_rate,
 )
-from .path_sampler import jump_budget_error, mark_window_error
+from .path_sampler import draw_cap_error, jump_budget_error, mark_window_error, marked_rate
 
-#: Philox stream-id offsets of the runners' independent draws: S6 takes its
-#: check (b) configs from ids i and its check (c) configs from S6_STREAM_GAP
-#: + i; S3 takes trend level lv from S3_TREND_STREAM_GAP * lv + i. A replica
-#: count past the gap would reuse streams, so such configs are rejected.
+#: Philox stream ids of the runners' independent draws: S6 takes its check (a)
+#: paths from S6_REDUCTION_STREAM + i (i < 5), its check (b) configs from ids
+#: i, its check (c) configs from S6_STREAM_GAP + i and its check (d) path from
+#: S6_CHAIN_STREAM; S3 takes trend level lv from S3_TREND_STREAM_GAP * lv + i.
+#: A replica count past a gap would reuse streams, so such configs are
+#: rejected.
 S6_STREAM_GAP = 100_000
+S6_CHAIN_STREAM = 2 * S6_STREAM_GAP
+S6_REDUCTION_STREAM = 900_000
 S3_TREND_STREAM_GAP = 10_000_000
 
 #: Scenarios whose atom detection or KS test needs MIN_SAMPLES replicas.
@@ -130,10 +135,6 @@ class ScenarioConfig:
     mark_low: float | None = None
     mark_high: float | None = None
     out_dir: str | None = None
-
-
-_FIELD_PARAM_KEYS = {"level", "slope", "intercept", "low", "high", "rate",
-                     "center", "amplitude", "curvature"}
 
 
 #: Most levels of a family: 2^±levels stays a finite, normal float.
@@ -314,11 +315,14 @@ def parse_config(text: str) -> ScenarioConfig:
                 _parse_value("float", raw_value, key, line_no)
             continue
         if section in ("drift_field", "diffusion_field"):
-            if key == "name" and raw_value not in catalogue_names():
-                raise ConfigError(f"line {line_no}: unknown field name {raw_value!r}; "
-                                  f"choose from {catalogue_names()}")
-            if key != "name" and key not in _FIELD_PARAM_KEYS:
-                raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
+            name = entries.get((section, "name"), ("",))[0]
+            if name not in catalogue_names():
+                if key == "name":
+                    raise ConfigError(f"line {line_no}: unknown field name {name!r}; "
+                                      f"choose from {catalogue_names()}")
+            elif key != "name" and key not in canonical_params(name):
+                raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}] "
+                                  f"for field {name!r}")
             field_rows.setdefault(section, {})[key] = raw_value if key == "name" \
                 else _parse_value("float", raw_value, key, line_no)
             continue
@@ -365,9 +369,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     reject(_replicas_problem(resolved), ("", "replicas"))
     defaults = SCENARIO_DEFAULTS[config.scenario]
+    law_keys = [k for k in entries if k[0].startswith("measure.")] + [
+        ("", "truncation"), ("", "horizon")]
     if "measure" in defaults:
-        law_keys = [k for k in entries if k[0].startswith("measure.")] + [
-            ("", "truncation"), ("", "horizon")]
         laws = [(resolved.measure, resolved.truncation, law_keys)]
         if config.scenario == "S3":
             laws += [(*trend_law(lv), [("", "trend_levels")])
@@ -380,8 +384,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 reason = f"cannot compute the jump rate: {exc}"
             reject(reason, *keys)
     if "mark_low" in defaults:
-        reject(mark_window_error(resolved.mark_low, resolved.mark_high),
-               ("diagnostics", "mark_low"), ("diagnostics", "mark_high"))
+        marks = [("diagnostics", "mark_low"), ("diagnostics", "mark_high")]
+        reject(mark_window_error(resolved.mark_low, resolved.mark_high), *marks)
+        reject(_draw_cap_problem(resolved), *law_keys, *marks, ("", "replicas"),
+               ("", "repetitions"))
     if "spacing" in defaults:
         # S3's default spacing is the lattice of its family's levels
         levels = [("measure.family", "levels")] if config.scenario == "S3" else []
@@ -405,6 +411,19 @@ def _replicas_problem(config: ScenarioConfig) -> str | None:
                 f"from stream ids i and {S3_TREND_STREAM_GAP} * level + i, so at "
                 f"most {S3_TREND_STREAM_GAP} replicas")
     return None
+
+
+def _draw_cap_problem(config: ScenarioConfig) -> str | None:
+    """Why S5 (defaults filled in) may not find two marked jumps within its
+    draw cap on every replica, or None."""
+    if config.scenario != "S5":
+        return None
+    try:
+        rate = marked_rate(config.measure.build(), config.truncation,
+                           config.mark_low, config.mark_high)
+    except (ValueError, ArithmeticError) as exc:
+        return f"cannot compute the marked-window rate: {exc}"
+    return draw_cap_error(rate * config.horizon, config.replicas * config.repetitions)
 
 
 def _text(value) -> str:
@@ -457,7 +476,8 @@ def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
         if check is not None and not check(value):
             raise ConfigError(f"override out of range for {key!r}: {value}")
     updated = replace(config, **updates) if updates else config
-    reason = _replicas_problem(with_scenario_defaults(updated))
+    resolved = with_scenario_defaults(updated)
+    reason = _replicas_problem(resolved) or _draw_cap_problem(resolved)
     if reason is not None:
         raise ConfigError(f"override {reason}")
     return updated

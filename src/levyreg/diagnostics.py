@@ -24,6 +24,10 @@ KS_COEFF_1PCT = 1.628
 MIN_SAMPLES = 1000
 
 
+class TooFewSamples(ValueError):
+    """A sample is smaller than MIN_SAMPLES, so the diagnostic cannot run."""
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Sorted terminal-value sample."""
@@ -80,7 +84,7 @@ def detect_atoms(batch: SampleBatch, window: float | None = None,
     """Slide a width-`window` interval over the sorted sample; report every
     maximal interval carrying at least `threshold` of the total mass."""
     if batch.count < MIN_SAMPLES:
-        raise ValueError(f"atom detection needs at least {MIN_SAMPLES} samples")
+        raise TooFewSamples(f"atom detection needs at least {MIN_SAMPLES} samples")
     if window is None:
         window = default_window(batch)
     if window <= 0.0:
@@ -108,7 +112,9 @@ def detect_atoms(batch: SampleBatch, window: float | None = None,
             k += 1
         covered_lo = v[best]
         covered_hi = v[right[best] - 1]
-        candidates.append((float(0.5 * (covered_lo + covered_hi)),
+        # halved first: the bits of 0.5 * (lo + hi) for normal floats, without
+        # its overflow near the top of the float range
+        candidates.append((float(0.5 * covered_lo + 0.5 * covered_hi),
                            float(mass[best]), float(window)))
     candidates.sort(key=lambda c: -c[1])
     return AtomReport(candidates=tuple(candidates),
@@ -128,10 +134,13 @@ def lattice_tube_error(spacing: float, halfwidth: float) -> str | None:
 def lattice_concentration(batch: SampleBatch, spacing: float,
                           halfwidth: float, n_offsets: int = 1000) -> float:
     """Largest sample fraction within `halfwidth` of any offset lattice
-    offset + spacing * Z, the offset scanned over one period."""
+    offset + spacing * Z, the offset scanned over one period; nan for an
+    empty sample."""
     reason = lattice_tube_error(spacing, halfwidth)
     if reason is not None:
         raise ValueError(reason)
+    if not batch.count:
+        return math.nan
     r = np.sort(np.mod(batch.values, spacing))
     offsets = np.arange(n_offsets) * (spacing / n_offsets)
     lo = offsets - halfwidth
@@ -150,7 +159,7 @@ def two_sample_ks(batch1: SampleBatch, batch2: SampleBatch
                   ) -> tuple[float, float]:
     """(KS statistic, asymptotic 1% critical value)."""
     if min(batch1.count, batch2.count) < MIN_SAMPLES:
-        raise ValueError(f"KS test needs at least {MIN_SAMPLES} samples per batch")
+        raise TooFewSamples(f"KS test needs at least {MIN_SAMPLES} samples per batch")
     v1, v2 = batch1.values, batch2.values
     pooled = np.concatenate([v1, v2])
     cdf1 = np.searchsorted(v1, pooled, side="right") / batch1.count

@@ -10,20 +10,14 @@ also ship a fused jet, x -> (value, derivative) from one shared evaluation
 with the same arithmetic as the two callables; diffusion fields built from it
 hand it to `DiffusionField.jet`.
 
-Names and parameters:
-
-* constant(level)
-* linear(slope)
-* affine(slope, intercept)
-* logistic-slope(low, high, rate, center) — strictly increasing from low to
-  high when rate > 0 and high > low; positive low makes it an elliptic
-  diffusion coefficient.
-* arctan-diffusion(amplitude, curvature, center) — amplitude * (1 + (curvature
-  (x - center))^2); its unit-diffusion transform is an arctangent.
+Each entry is a factory whose keyword arguments are the field's parameters,
+with their defaults; it returns the field and, where the parameters bound
+|value| away from 0, that bound (the ellipticity witness `min_abs`).
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,8 +57,8 @@ def _expit_owned(t, rate: float):
 class _Entry(NamedTuple):
     value: Callable
     derivative: Callable
-    params: dict[str, float]
     jet: Callable | None = None
+    min_abs: float | None = None     # |value| >= min_abs everywhere, when set
 
 
 def _const_like(x, c: float):
@@ -74,25 +68,29 @@ def _const_like(x, c: float):
 
 
 def _constant(level: float = 0.3):
+    """level."""
     return _Entry(lambda x: _const_like(x, level),
                   lambda x: _const_like(x, 0.0),
-                  {"level": level})
+                  min_abs=abs(level) if level != 0.0 else None)
 
 
 def _linear(slope: float = 0.5):
+    """slope * x."""
     return _Entry(lambda x: slope * x,
-                  lambda x: _const_like(x, slope),
-                  {"slope": slope})
+                  lambda x: _const_like(x, slope))
 
 
 def _affine(slope: float = 0.5, intercept: float = 0.0):
+    """slope * x + intercept."""
     return _Entry(lambda x: slope * x + intercept,
-                  lambda x: _const_like(x, slope),
-                  {"slope": slope, "intercept": intercept})
+                  lambda x: _const_like(x, slope))
 
 
 def _logistic_slope(low: float = 0.0, high: float = 1.0,
                     rate: float = 1.0, center: float = 0.0):
+    """low + (high - low) * expit(rate * (x - center)): strictly increasing
+    from low to high when rate > 0 and high > low; positive low and high make
+    it an elliptic diffusion coefficient."""
     span = high - low
     gain = span * rate
     # low + v is v unless v is -0.0, and span * e is never -0.0 when
@@ -135,12 +133,14 @@ def _logistic_slope(low: float = 0.0, high: float = 1.0,
             e += low
         return e, slope
 
-    return _Entry(value, derivative, {"low": low, "high": high,
-                                      "rate": rate, "center": center}, jet)
+    return _Entry(value, derivative, jet,
+                  min(low, high) if low > 0.0 and high > 0.0 else None)
 
 
 def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
                       center: float = 0.0):
+    """amplitude * (1 + (curvature (x - center))^2); its unit-diffusion
+    transform is an arctangent."""
     def value(x):
         t = curvature * (x - center)
         return amplitude * (1.0 + t * t)
@@ -148,8 +148,7 @@ def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
     def derivative(x):
         return 2.0 * amplitude * curvature * curvature * (x - center)
 
-    return _Entry(value, derivative, {"amplitude": amplitude, "curvature": curvature,
-                                      "center": center})
+    return _Entry(value, derivative, min_abs=amplitude if amplitude > 0.0 else None)
 
 
 _CATALOGUE = {
@@ -165,16 +164,24 @@ def catalogue_names() -> list[str]:
     return sorted(_CATALOGUE)
 
 
-def resolve_field(name: str, params: dict[str, float] | None = None) -> _Entry:
-    """(value, derivative, canonical params, fused jet or None) for a
-    catalogue entry."""
+def canonical_params(name: str, params: dict[str, float] | None = None) -> dict[str, float]:
+    """The field's parameters with its defaults filled in, for config
+    round-trips; `canonical_params(name)` lists them all."""
     if name not in _CATALOGUE:
         raise KeyError(f"unknown field {name!r}; choose from {catalogue_names()}")
-    factory = _CATALOGUE[name]
-    try:
-        return factory(**(params or {}))
-    except TypeError as exc:
-        raise ValueError(f"bad parameters for field {name!r}: {exc}") from exc
+    defaults = {key: p.default
+                for key, p in inspect.signature(_CATALOGUE[name]).parameters.items()}
+    unknown = sorted(set(params or ()) - set(defaults))
+    if unknown:
+        raise ValueError(f"bad parameters for field {name!r}: {unknown} not among "
+                         f"{sorted(defaults)}")
+    return {**defaults, **(params or {})}
+
+
+def resolve_field(name: str, params: dict[str, float] | None = None) -> _Entry:
+    """(value, derivative, fused jet or None, min_abs or None) of a catalogue
+    entry."""
+    return _CATALOGUE[name](**canonical_params(name, params))
 
 
 def make_scalar_field(name: str, params: dict[str, float] | None = None) -> ScalarField:
@@ -184,18 +191,5 @@ def make_scalar_field(name: str, params: dict[str, float] | None = None) -> Scal
 
 def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> DiffusionField:
     entry = resolve_field(name, params)
-    canonical = entry.params
-    min_abs = None
-    if name == "constant" and canonical["level"] != 0.0:
-        min_abs = abs(canonical["level"])
-    elif name == "logistic-slope" and canonical["low"] > 0.0 and canonical["high"] > 0.0:
-        min_abs = min(canonical["low"], canonical["high"])
-    elif name == "arctan-diffusion" and canonical["amplitude"] > 0.0:
-        min_abs = canonical["amplitude"]
     return DiffusionField(value=entry.value, derivative=entry.derivative,
-                          min_abs=min_abs, fused_jet=entry.jet)
-
-
-def canonical_params(name: str, params: dict[str, float] | None = None) -> dict[str, float]:
-    """Parameters with defaults filled in, for config round-trips."""
-    return resolve_field(name, params).params
+                          min_abs=entry.min_abs, fused_jet=entry.jet)

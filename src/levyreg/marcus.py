@@ -20,7 +20,7 @@ import numpy as np
 from .flow_engine import ScalarField, grid_segments, probe_derivative, rk4_step
 from .path_sampler import LevyPath
 
-#: Substeps for the unit-time jump flow: max(8, ceil(|u| / 0.05)).
+#: Jump size per substep of the unit-time jump flow (see flow_substeps).
 FLOW_SUBSTEP_SCALE = 0.05
 _MAX_FLOW_DOUBLINGS = 12
 
@@ -56,8 +56,11 @@ class DiffusionField:
                 raise ValueError(f"|sigma({x})| falls below the declared min_abs")
 
 
-def flow_substeps(u: float) -> int:
-    return max(8, math.ceil(abs(u) / FLOW_SUBSTEP_SCALE))
+def flow_substeps(u):
+    """Substeps of the unit-time jump flow of size u: an int for a float u,
+    an int64 array elementwise for an array u."""
+    n = np.maximum(8, np.ceil(np.abs(u) / FLOW_SUBSTEP_SCALE))
+    return n.astype(np.int64) if isinstance(n, np.ndarray) else int(n)
 
 
 def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,

@@ -13,11 +13,12 @@ conditionally, T is uniform on [0, T2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
+from .quadrature import shell_integral
 from .rng import StreamGenerator
 
 #: Brownian skeleton resolution per unit time unless a scenario refines it.
@@ -27,6 +28,10 @@ DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
 #: time and size); a chunk of atom-coded jumps holds as many bytes. A law
 #: expecting more jumps per path than this is rejected, whatever its coding.
 MAX_JUMPS_PER_CHUNK = 4_000_000
+
+
+#: Draws sample_many makes for one replica before it gives up on `accept`.
+MAX_DRAWS = 1000
 
 
 class NotEnoughMarkedJumps(ValueError):
@@ -124,6 +129,53 @@ class PackedPaths:
     @property
     def n_paths(self) -> int:
         return len(self.offsets) - 1
+
+    def rows(self, lo: int, hi: int) -> "PackedPaths":
+        """Paths [lo, hi) as a batch that shares the flat jump arrays."""
+        brown = self.brown_edges
+        return replace(self, offsets=self.offsets[lo:hi + 1],
+                       z_terminal=self.z_terminal[lo:hi],
+                       brown_edges=None if brown is None else brown[lo:hi])
+
+
+def size_decoder(table: np.ndarray | None):
+    """keys -> jump sizes: table.take, or the keys themselves without a table."""
+    return (lambda keys: keys) if table is None else table.take
+
+
+def pack(draws, n: int, horizon: float, drift: float, cells: int, brownian: bool,
+         capacity: int, size_table: np.ndarray | None = None) -> PackedPaths:
+    """PackedPaths of n paths on `cells` cells from `draws`, per path its
+    sorted jump times, size keys and Brownian (knots, values) or None, as
+    PathLaw.draw gives them. The flat arrays start at `capacity` jumps."""
+    edges = np.linspace(0.0, horizon, cells + 1)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    jump_sums = np.zeros(n)
+    brown_edges = np.empty((n, cells + 1)) if brownian else None
+    flat_times = np.empty(capacity)
+    flat_sizes = np.empty(capacity, dtype=_key_dtype(size_table))
+    decode = size_decoder(size_table)
+    pos = 0
+    for i, (times, keys, brown) in enumerate(draws):
+        k = times.size
+        if k:
+            if pos + k > flat_times.size:
+                flat_times = _grown(flat_times, pos, pos + k)
+                flat_sizes = _grown(flat_sizes, pos, pos + k)
+            flat_times[pos:pos + k] = times
+            flat_sizes[pos:pos + k] = keys
+            jump_sums[i] = decode(keys).sum()
+            pos += k
+        offsets[i + 1] = pos
+        if brownian:
+            brown_edges[i] = np.interp(edges, *brown)
+    z_term = drift * horizon + jump_sums
+    if brownian:
+        z_term = z_term + brown_edges[:, -1]
+    return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=cells, edges=edges,
+                       flat_times=flat_times[:pos], flat_sizes=flat_sizes[:pos],
+                       offsets=offsets, brown_edges=brown_edges, z_terminal=z_term,
+                       size_table=size_table)
 
 
 @dataclass(frozen=True)
@@ -234,6 +286,11 @@ def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
     return out
 
 
+def _key_dtype(table: np.ndarray | None) -> np.dtype:
+    """The smallest unsigned type that indexes `table`; float64 without one."""
+    return np.dtype(np.float64) if table is None else np.min_scalar_type(table.size - 1)
+
+
 @dataclass(frozen=True)
 class PathLaw:
     """A driver law from path_law, with everything that does not depend on
@@ -245,7 +302,7 @@ class PathLaw:
     mean_jumps: float            # rate times horizon
     sizes: object                # uniforms -> size keys; None when the rate is 0
     size_table: np.ndarray | None    # an atomic law's sizes by key; None: keys are sizes
-    key_dtype: np.dtype          # packed dtype of the keys: codes or float64
+    key_dtype: np.dtype          # packed dtype of the keys: _key_dtype(size_table)
     brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
     brownian_sd: float
 
@@ -255,8 +312,8 @@ class PathLaw:
         return 8 + self.key_dtype.itemsize
 
     def draw(self, gen: np.random.Generator):
-        """(times, size keys, Brownian values at the grid knots or None) of
-        one path; size_table[keys] are the sizes when the law has a table.
+        """(times, size keys, Brownian (grid knots, values) or None) of one
+        path; size_decoder(size_table)(keys) are the sizes.
 
         Draw order is fixed (count, times, sizes, Brownian cells) so a
         stream identity pins the path exactly. Times come out sorted but not
@@ -279,55 +336,25 @@ class PathLaw:
         brown = None
         if self.brownian_grid is not None:
             incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
-            brown = np.concatenate([[0.0], np.cumsum(incr)])
+            brown = self.brownian_grid, np.concatenate([[0.0], np.cumsum(incr)])
         return times, keys, brown
 
     def path(self, gen: np.random.Generator) -> LevyPath:
         times, keys, brown = self.draw(gen)
-        sizes = keys if self.size_table is None else self.size_table[keys]
-        brownian = None
-        if brown is not None:
-            brownian = BrownianSkeleton(times=self.brownian_grid, values=brown)
+        sizes = size_decoder(self.size_table)(keys)
+        brownian = None if brown is None else BrownianSkeleton(*brown)
         return LevyPath(self.horizon, self.drift, _dedupe_times(times), sizes, brownian)
 
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
         """Replicas stream_offset + [0, n) drawn straight into flat arrays."""
         if n < 1:
             raise ValueError("need at least one path")
-        streams = StreamGenerator(seed)
-        edges = np.linspace(0.0, self.horizon, cells + 1)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        jump_sums = np.zeros(n)
-        brown_edges = np.empty((n, cells + 1)) if self.brownian_grid is not None \
-            else None
-        flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
-        flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
-        pos = 0
-        draw, at, table = self.draw, streams.at, self.size_table
-        for i in range(n):
-            times, keys, brown = draw(at(stream_offset + i))
-            k = times.size
-            if k:
-                if pos + k > flat_times.size:
-                    flat_times = _grown(flat_times, pos, pos + k)
-                    flat_sizes = _grown(flat_sizes, pos, pos + k)
-                flat_times[pos:pos + k] = times
-                flat_sizes[pos:pos + k] = keys
-                jump_sums[i] = (keys if table is None else table[keys]).sum()
-                pos += k
-            offsets[i + 1] = pos
-            if brown is not None:
-                brown_edges[i] = np.interp(edges, self.brownian_grid, brown)
-        flat_times = flat_times[:pos]
-        _dedupe_packed(flat_times, offsets)
-        z_term = self.drift * self.horizon + jump_sums
-        if brown_edges is not None:
-            z_term = z_term + brown_edges[:, -1]
-        return PackedPaths(horizon=self.horizon, drift_rate=self.drift, n_cells=cells,
-                           edges=edges, flat_times=flat_times,
-                           flat_sizes=flat_sizes[:pos], offsets=offsets,
-                           brown_edges=brown_edges, z_terminal=z_term,
-                           size_table=table)
+        gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
+        out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
+                   self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
+                   self.size_table)
+        _dedupe_packed(out.flat_times, out.offsets)
+        return out
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:
@@ -374,8 +401,7 @@ def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
         mean_jumps=rate * horizon,
         sizes=sizes,
         size_table=table,
-        key_dtype=np.dtype(np.float64) if table is None
-        else np.min_scalar_type(table.size - 1),
+        key_dtype=_key_dtype(table),
         brownian_grid=grid,
         brownian_sd=sd,
     )
@@ -399,14 +425,14 @@ def sample_many(law: PathLaw, n: int, seed: int, accept=None,
     paths: list[LevyPath] = []
     for i in range(n):
         gen = streams.at(stream_offset + i)
-        for _ in range(1000):
+        for _ in range(MAX_DRAWS):
             p = law.path(gen)
             if accept is None or accept(p):
                 paths.append(p)
                 break
         else:
             raise RuntimeError(
-                f"replica {stream_offset + i}: no acceptable path in 1000 draws")
+                f"replica {stream_offset + i}: no acceptable path in {MAX_DRAWS} draws")
     return paths
 
 
@@ -414,6 +440,27 @@ def mark_window_error(eta: float, upper: float) -> str | None:
     """Why [eta, upper] is not a marked size window, or None."""
     if not (0.0 < eta <= upper):
         return f"the marked window [{eta:g}, {upper:g}] needs 0 < low <= high"
+    return None
+
+
+def marked_rate(spec, trunc: float, eta: float, upper: float) -> float:
+    """Rate of the jumps above trunc whose size lies in [eta, upper]."""
+    if isinstance(spec, FiniteAtomic):
+        return float(sum(r for s, r in spec.atoms if abs(s) >= trunc and eta <= s <= upper))
+    return shell_integral(spec.intensity, max(eta, trunc, spec.abs_min),
+                          min(upper, spec.abs_max))
+
+
+def draw_cap_error(marked_mean: float, paths: int) -> str | None:
+    """Why `paths` replicas that each redraw until a path has two marked
+    jumps, marked_mean expected per path, may run out of MAX_DRAWS draws with
+    probability above 1e-9, or None. One draw misses with probability
+    e^-m (1 + m), m = marked_mean."""
+    risk = paths * (math.exp(-marked_mean) * (1.0 + marked_mean)) ** MAX_DRAWS
+    if risk > 1e-9:
+        return (f"the marked window expects {marked_mean:g} jumps per path, so "
+                f"{paths} replicas may find no path with two marked jumps in "
+                f"{MAX_DRAWS} draws (probability up to {min(risk, 1.0):.3g})")
     return None
 
 

@@ -37,6 +37,8 @@ from . import __version__
 from .batch import doss_terminals, flow_map_array, marcus_terminals, ode_terminals, pack_paths
 from .config import (
     S3_TREND_STREAM_GAP,
+    S6_CHAIN_STREAM,
+    S6_REDUCTION_STREAM,
     S6_STREAM_GAP,
     ScenarioConfig,
     trend_law,
@@ -44,6 +46,7 @@ from .config import (
 )
 from .diagnostics import (
     SampleBatch,
+    TooFewSamples,
     detect_atoms,
     deterministic_skeleton,
     lattice_concentration,
@@ -180,6 +183,15 @@ def _driver_law(config: ScenarioConfig, brownian_cells: int | None = None) -> Pa
                     config.compensate, brownian_cells)
 
 
+def _if_enough(diagnostic, *args):
+    """diagnostic(*args), or None when divergence left it too few finite
+    samples to run: it then reports null and its verdict fails."""
+    try:
+        return diagnostic(*args)
+    except TooFewSamples:
+        return None
+
+
 def _unless_diverged(solve, fallback):
     """solve(), or `fallback` when a scalar solver diverges on the way; numpy
     overflow in the diverging state is not reported."""
@@ -198,14 +210,17 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
     failed = ~np.isfinite(x)
     ok = ~failed
     batch = SampleBatch(x[ok])
-    report = detect_atoms(batch, config.window, config.threshold)
-    window = report.window
+    report = _if_enough(detect_atoms, batch, config.window, config.threshold)
     skeleton = deterministic_skeleton(a, law.drift, x0, config.horizon)
     p_atom = math.exp(-law.rate * config.horizon)
-    se = math.sqrt(p_atom * (1.0 - p_atom) / batch.count)
-    top = report.candidates[0] if report.candidates else (math.nan, 0.0, window)
+    se = math.sqrt(p_atom * (1.0 - p_atom) / batch.count) if batch.count else math.nan
+    if report is None:
+        detected, top, window, threshold = None, (math.nan, math.nan), math.nan, math.nan
+    else:
+        detected, window, threshold = report.atoms_present, report.window, report.threshold
+        top = report.candidates[0] if report.candidates else (math.nan, 0.0)
     diagnostics = {
-        "atom_detected": report.atoms_present,
+        "atom_detected": detected,
         "atom_location": top[0],
         "atom_mass": top[1],
         "skeleton_location": skeleton,
@@ -214,7 +229,7 @@ def run_s1(config: ScenarioConfig) -> ScenarioResult:
         "location_within_window": bool(abs(top[0] - skeleton) <= window),
         "mass_within_3se": bool(abs(top[1] - p_atom) <= 3.0 * se),
         "window": window,
-        "threshold": report.threshold,
+        "threshold": threshold,
     }
     return ScenarioResult(diagnostics, x, z, failed)
 
@@ -328,17 +343,18 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     ok = ~failed
     lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
     lattice_x = lattice_concentration(SampleBatch(x[ok]), spacing, halfwidth)
-    report = detect_atoms(SampleBatch(x[ok]), config.window, config.threshold)
+    report = _if_enough(detect_atoms, SampleBatch(x[ok]), config.window, config.threshold)
+    atoms = None if report is None else report.atoms_present
     diagnostics = {
         "levels": config.measure.levels,
         "total_rate": law.rate,
         "lattice_concentration_z": lattice_z,
         "lattice_concentration_x": lattice_x,
-        "atoms_detected_x": report.atoms_present,
+        "atoms_detected_x": atoms,
         "spacing": spacing,
         "halfwidth": halfwidth,
         "regularization_pass": bool(lattice_z >= 0.999 and lattice_x <= 0.01
-                                    and not report.atoms_present),
+                                    and atoms is False),
     }
     if config.trend_levels:
         trend = {}
@@ -404,8 +420,8 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         packed = pack_paths(paths + resampled, cells)
         x_o, x_r = np.split(ode_terminals(a, packed, x0)[0], 2)
         ok = np.isfinite(x_o) & np.isfinite(x_r)
-        stat, crit = two_sample_ks(SampleBatch(x_o[ok]), SampleBatch(x_r[ok]))
-        ks_passes += stat < crit
+        ks = _if_enough(two_sample_ks, SampleBatch(x_o[ok]), SampleBatch(x_r[ok]))
+        ks_passes += ks is not None and ks[0] < ks[1]
         all_x.append(x_o)
         all_z.append(packed.z_terminal[:n])
 
@@ -420,7 +436,8 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
     packed_m = pack_paths(rebuilt, cells)
     x_m, _ = ode_terminals(a, packed_m, x0)
     y_m = (x_m - packed_m.z_terminal).reshape(n_paths_mono, grid_pts)
-    diffs = np.diff(y_m, axis=1)
+    with np.errstate(invalid="ignore"):  # a diverged path's inf - inf fails both tests
+        diffs = np.diff(y_m, axis=1)
     monotone = int(np.sum(np.all(diffs < 0.0, axis=1) | np.all(diffs > 0.0, axis=1)))
 
     x = np.concatenate(all_x)
@@ -472,7 +489,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     ones = make_diffusion_field("constant", {"level": 1.0})
     worst_reduction = 0.0
     for i in range(5):
-        gen = RngStream(config.seed, 900_000 + i).generator()
+        gen = RngStream(config.seed, S6_REDUCTION_STREAM + i).generator()
         path = _s6_path(gen, config.horizon)
         x0 = float(gen.uniform(-0.5, 0.5))
         gap = _unless_diverged(
@@ -529,7 +546,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     f_log = ScalarField(lambda x: math.log(x), lambda x: 1.0 / x)
     sig_lin = DiffusionField(lambda x: x, lambda x: 1.0, min_abs=None)
     zero = ScalarField(lambda x: 0.0, lambda x: 0.0)
-    gen = RngStream(config.seed, 200_000).generator()
+    gen = RngStream(config.seed, S6_CHAIN_STREAM).generator()
     path = _s6_path(gen, config.horizon)
     f_id = ScalarField(lambda x: x, lambda x: 1.0)
 
@@ -588,12 +605,14 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
         lambda packed: (doss_terminals(a, sigma, packed, x0),
                         marcus_terminals(a, sigma, packed, x0), packed.z_terminal))
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
-    stat, crit = two_sample_ks(SampleBatch(x_doss[ok]), SampleBatch(x_marc[ok]))
+    gaps = np.abs(x_doss[ok] - x_marc[ok])
+    stat, crit = _if_enough(two_sample_ks, SampleBatch(x_doss[ok]),
+                            SampleBatch(x_marc[ok])) or (math.nan, math.nan)
     diagnostics = {
         "ks_statistic": stat,
         "ks_critical_1pct": crit,
         "equivalence_pass": bool(stat < crit),
-        "max_pathwise_gap": float(np.max(np.abs(x_doss[ok] - x_marc[ok]))),
+        "max_pathwise_gap": float(gaps.max()) if gaps.size else math.nan,
         "brownian_variance": config.brownian_variance,
         "cells": config.cells,
     }

@@ -35,7 +35,6 @@ class Diffeomorphism:
     """Strictly monotone change of variables with a numeric inverse."""
 
     forward: Callable[[float], float]
-    forward_derivative: Callable[[float], float]
     inverse: Callable[[float], float]
     base_point: float
     range_lo: float
@@ -125,7 +124,6 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
 
     diffeo = Diffeomorphism(
         forward=forward,
-        forward_derivative=lambda x: 1.0 / sigma.value(x),
         inverse=inverse,
         base_point=base_point,
         range_lo=range_lo,

@@ -4,13 +4,19 @@
 and `levyreg.batch` (`Tracer.installed` in `perfbench/tracer.py`). Entering
 the tracer fails when one of those names has been deleted or renamed, so this
 test guards the names; it also checks that leaving the tracer puts every
-original back.
+original back. Every `from levyreg... import ...` in the benchmark's files,
+module level or inside a function, must resolve too.
 """
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 from levyreg import batch, scenarios  # noqa: E402
 from tracer import Tracer  # noqa: E402
@@ -27,3 +33,23 @@ def test_tracer_patches_named_functions_and_restores_them():
         "write_outputs", "make_scalar_field", "flow_map_array"}
     for module, names in before.items():
         assert dict(vars(module)) == names
+
+
+def _levyreg_imports():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "levyreg":
+                for alias in node.names:
+                    yield f"{path.name}:{node.lineno}", node.module, alias.name
+
+
+def test_benchmark_finds_some_levyreg_imports():
+    assert {module for _, module, _ in _levyreg_imports()} >= {
+        "levyreg", "levyreg.batch", "levyreg.marcus", "levyreg.path_sampler"}
+
+
+@pytest.mark.parametrize("where,module,name", list(_levyreg_imports()))
+def test_benchmark_imports_from_levyreg_resolve(where, module, name):
+    assert hasattr(importlib.import_module(module), name), \
+        f"{where}: from {module} import {name}"

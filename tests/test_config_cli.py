@@ -103,6 +103,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown field name"):
             parse_config("scenario = S1\n[drift_field]\nname = cubic\n")
 
+    @pytest.mark.parametrize("body,line", [("name = linear\nlevel = 1\n", 4),
+                                           ("level = 1\nname = linear\n", 3)])
+    def test_another_fields_parameter_has_line_number(self, body, line):
+        with pytest.raises(ConfigError, match=f"^line {line}: unknown key 'level' "
+                                              r"in \[drift_field\] for field 'linear'"):
+            parse_config("scenario = S1\n[drift_field]\n" + body)
+
     def test_round_trip(self):
         text = ("scenario = S5\nreplicas = 1000\nseed = 9\nthreads = 2\n"
                 "repetitions = 7\n[triplet]\ndrift = 0.05\n"
@@ -520,3 +527,30 @@ class TestCli:
         if conjugacy_diverged:
             assert summary["diagnostics"]["conjugacy_worst"] is None
             assert summary["diagnostics"]["conjugacy_pass"] is False
+
+    # a drift of 100 (1 + x^2) blows up long before the horizon, so no replica
+    # leaves a finite sample for the atom detection, lattice and KS diagnostics
+    @pytest.mark.parametrize("scenario,extra,nulls,verdicts", [
+        ("S1", "", ["atom_detected", "atom_location", "window"],
+         ["location_within_window", "mass_within_3se"]),
+        ("S3", "", ["atoms_detected_x", "lattice_concentration_x"], ["regularization_pass"]),
+        ("S4", "", ["lattice_concentration_x_shifted"], ["no_regularization_pass"]),
+        ("S5", "repetitions = 2\n", [], ["invariance_pass", "monotonicity_pass"]),
+        ("S7", "", ["ks_statistic", "max_pathwise_gap"], ["equivalence_pass"])])
+    def test_diagnostics_below_the_sample_floor_do_not_abort_the_run(
+            self, tmp_path, capsys, scenario, extra, nulls, verdicts):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = {scenario}\nreplicas = 1000\n{extra}"
+                       "[drift_field]\nname = arctan-diffusion\namplitude = 100\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"numeric failures in {len(rows)} of {len(rows)} replicas\n"
+        assert all(row.endswith(",1") for row in rows)
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert all(diagnostics[key] is None for key in nulls)
+        assert all(diagnostics[key] is False for key in verdicts)

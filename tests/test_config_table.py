@@ -17,6 +17,7 @@ from levyreg.config import (
     FieldChoice,
     MeasureChoice,
     ScenarioConfig,
+    _draw_cap_problem,
     parse_config,
     serialize_config,
     with_overrides,
@@ -38,7 +39,8 @@ def _maybe(strategy):
 # and below the stream gaps, every marked window nonempty and every lattice
 # tube narrower than half its spacing, alone or with the scenario defaults
 # (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12, halfwidth
-# 1e-9), so each config must parse.
+# 1e-9), so each config must parse, except an S5 config whose marked window
+# is too rare for the draw cap, which must be rejected as such.
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -115,6 +117,10 @@ class TestKeyTable:
     @given(_configs)
     def test_serialize_round_trips(self, config):
         text = serialize_config(config)
+        if _draw_cap_problem(with_scenario_defaults(config)) is not None:
+            with pytest.raises(ConfigError, match="marked"):
+                parse_config(text)
+            return
         again = parse_config(text)
         assert again == config
         assert serialize_config(again) == text
@@ -220,6 +226,11 @@ REJECTED = [
      "needs 0 < low <= high"),
     ("scenario = S2\n[diagnostics]\nmark_high = 0.1\nmark_low = 0.5\n", 4,
      "needs 0 < low <= high"),
+    # the marked window [0.1, 0.5] expects 0.01 and 0.008 jumps per path: a
+    # replica could exhaust sample_many's draws, and the run aborted
+    ("scenario = S5\nreplicas = 1000\nrepetitions = 2\n[measure.atom.1]\nsize = 0.3\n"
+     "rate = 0.01\n", 6, "no path with two marked jumps"),
+    ("scenario = S5\nhorizon = 0.001\n", 2, "no path with two marked jumps"),
     ("scenario = S4\n[diagnostics]\nhalfwidth = 0.001\n", 3,
      "need 0 < halfwidth < spacing / 2"),
     ("scenario = S3\n[diagnostics]\nspacing = 0.01\nhalfwidth = 0.006\n", 4,
@@ -279,6 +290,21 @@ class TestValidateAgreesWithRun:
     def test_levels_past_the_float_range_rejected(self, text):
         with pytest.raises(ConfigError, match="value out of range"):
             parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "scenario = S5\n",
+        "scenario = S5\nreplicas = 1000\nrepetitions = 100\nseed = 606\n",
+        "scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n",
+        # one draw misses with probability e^-0.272 * 1.272, about 0.969
+        "scenario = S5\nhorizon = 0.034\nrepetitions = 1\n"])
+    def test_s5_marked_windows_within_the_draw_cap_accepted(self, text):
+        assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
+
+    def test_override_past_the_draw_cap_rejected(self):
+        config = parse_config("scenario = S5\nhorizon = 0.034\nrepetitions = 1\n")
+        assert with_overrides(config, replicas=10_000).replicas == 10_000
+        with pytest.raises(ConfigError, match="^override the marked window expects"):
+            with_overrides(config, replicas=100_000)
 
     @pytest.mark.parametrize("scenario", ["S1", "S3", "S5", "S7"])
     def test_override_below_sample_floor_rejected(self, scenario):

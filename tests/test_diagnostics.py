@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestLatticeConcentration:
     def test_halfwidth_bound(self):
         with pytest.raises(ValueError):
             lattice_concentration(SampleBatch(np.zeros(10)), 0.01, 0.006)
+
+
+class TestNoNumpyWarnings:
+    def test_atom_at_the_top_of_the_float_range_and_empty_lattice_sample(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = detect_atoms(SampleBatch(np.full(1000, 1e308))).candidates[0]
+            bottom = detect_atoms(SampleBatch(np.full(1000, -1e308))).candidates[0]
+            empty = lattice_concentration(SampleBatch(np.empty(0)), 0.01, 1e-3)
+        assert top[:2] == (1e308, 1.0) and bottom[:2] == (-1e308, 1.0)
+        assert math.isnan(empty)
 
 
 class TestTwoSampleKs:

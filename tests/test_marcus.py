@@ -50,6 +50,14 @@ class TestJumpFlow:
         with pytest.raises(FlowDivergence):
             jump_flow_phi(QUAD_SIGMA, 0.0, 2.0)
 
+    def test_substeps_of_floats_and_arrays_agree(self):
+        us = [0.0, -0.0, 0.03, 0.4, -0.4, 0.40000001, 1.0, -3.7, 1e3]
+        want = [max(8, math.ceil(abs(u) / 0.05)) for u in us]
+        assert [flow_substeps(u) for u in us] == want
+        assert all(type(flow_substeps(u)) is int for u in us)
+        got = flow_substeps(np.array(us))
+        assert got.dtype == np.int64 and got.tolist() == want
+
     def test_flow_property(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
