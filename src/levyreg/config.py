@@ -26,9 +26,9 @@ is just `scenario = S1`.
 Unknown keys are errors (with line numbers), duplicate keys are errors
 naming both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
-count below a scenario's sample floor or past its stream gap, an empty
-marked window, an S5 marked window too rare for its draw cap and lattice
-tubes that overlap.
+count below a scenario's sample floor or past rng's 2^48 replica streams, an
+S6 horizon too short for its jumps, an empty marked window, an S5 marked
+window too rare for its draw cap and lattice tubes that overlap.
 """
 
 from __future__ import annotations
@@ -48,20 +48,14 @@ from .levy_spec import (
     total_rate,
 )
 from .path_sampler import draw_cap_error, jump_budget_error, mark_window_error, marked_rate
-
-#: Philox stream ids of the runners' independent draws: S6 takes its check (a)
-#: paths from S6_REDUCTION_STREAM + i (i < 5), its check (b) configs from ids
-#: i, its check (c) configs from S6_STREAM_GAP + i and its check (d) path from
-#: S6_CHAIN_STREAM; S3 takes trend level lv from S3_TREND_STREAM_GAP * lv + i.
-#: A replica count past a gap would reuse streams, so such configs are
-#: rejected.
-S6_STREAM_GAP = 100_000
-S6_CHAIN_STREAM = 2 * S6_STREAM_GAP
-S6_REDUCTION_STREAM = 900_000
-S3_TREND_STREAM_GAP = 10_000_000
+from .rng import TAG_BAND
 
 #: Scenarios whose atom detection or KS test needs MIN_SAMPLES replicas.
 _FLOORED = ("S1", "S3", "S5", "S7")
+
+#: S6 places its test paths' jumps at least this far from both ends of the
+#: horizon, so its horizon must exceed twice the margin.
+S6_JUMP_MARGIN = 0.05
 
 
 class ConfigError(ValueError):
@@ -265,15 +259,13 @@ def _parse_value(kind: str, raw: str, key: str, line_no: int):
             f"line {line_no}: cannot parse {key} = {raw!r} ({exc})") from exc
 
 
-def _field_choice(section: str, row: dict[str, object]) -> FieldChoice:
+def _field_choice(section: str, row: dict[str, object], line_no: int) -> FieldChoice:
     params = dict(row)
     name = params.pop("name", None)
     if name is None:
-        raise ConfigError(f"[{section}] needs a 'name' key")
-    try:
-        return FieldChoice(name=name, params=canonical_params(name, params))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"line {line_no}: [{section}] needs a 'name' key")
+    # parse_config has rejected every key the named field lacks
+    return FieldChoice(name=name, params=canonical_params(name, params))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -306,14 +298,19 @@ def parse_config(text: str) -> ScenarioConfig:
     measure_rows: dict[str, dict[str, object]] = {}
     atom_rows: dict[int, dict[str, float]] = {}
     field_rows: dict[str, dict[str, object]] = {}
+    first_line: dict[str, int] = {}   # a section, or a measure kind: its first key line
     for (section, key), (raw_value, line_no) in entries.items():
         atom_m = _ATOM_RE.match(section)
         if atom_m:
             if key not in ("size", "rate"):
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
-            atom_rows.setdefault(int(atom_m.group(1)), {})[key] = \
+            idx = int(atom_m.group(1))
+            first_line.setdefault(f"measure.atom.{idx}", line_no)
+            first_line.setdefault("atoms", line_no)
+            atom_rows.setdefault(idx, {})[key] = \
                 _parse_value("float", raw_value, key, line_no)
             continue
+        first_line.setdefault(section.removeprefix("measure."), line_no)
         if section in ("drift_field", "diffusion_field"):
             name = entries.get((section, "name"), ("",))[0]
             if name not in catalogue_names():
@@ -345,17 +342,19 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"choose from {', '.join(SCENARIO_DEFAULTS)}")
     for idx in sorted(atom_rows):
         if set(atom_rows[idx]) != {"size", "rate"}:
-            raise ConfigError(f"[measure.atom.{idx}] needs both size and rate")
+            raise ConfigError(f"line {first_line[f'measure.atom.{idx}']}: "
+                              f"[measure.atom.{idx}] needs both size and rate")
     if atom_rows:
         measure_rows["atoms"] = {"atoms": tuple(
             (atom_rows[i]["size"], atom_rows[i]["rate"]) for i in sorted(atom_rows))}
     if len(measure_rows) > 1:
-        raise ConfigError("give at most one of [measure.atom.*], [measure.family], "
-                          "[measure.density]")
+        second = sorted(first_line[kind] for kind in measure_rows)[1]
+        raise ConfigError(f"line {second}: give at most one of [measure.atom.*], "
+                          "[measure.family], [measure.density]")
     for kind, row in measure_rows.items():
         values["measure"] = MeasureChoice(kind=kind, **row)
     for section, row in field_rows.items():
-        values[section] = _field_choice(section, row)
+        values[section] = _field_choice(section, row, first_line[section])
     config = ScenarioConfig(**values)
 
     resolved = with_scenario_defaults(config)
@@ -368,6 +367,10 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: {reason}")
 
     reject(_replicas_problem(resolved), ("", "replicas"))
+    if config.scenario == "S6" and resolved.horizon <= 2 * S6_JUMP_MARGIN:
+        reject(f"horizon = {resolved.horizon} leaves S6 no room for its jumps, which "
+               f"it places at least {S6_JUMP_MARGIN} from both ends: need horizon > "
+               f"{2 * S6_JUMP_MARGIN}", ("", "horizon"))
     defaults = SCENARIO_DEFAULTS[config.scenario]
     law_keys = [k for k in entries if k[0].startswith("measure.")] + [
         ("", "truncation"), ("", "horizon")]
@@ -398,18 +401,16 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def _replicas_problem(config: ScenarioConfig) -> str | None:
     """Why config's replica count (defaults filled in) cannot run, or None:
-    too few samples for its diagnostics, or streams its draws would share."""
+    too few samples for its diagnostics, or replica stream ids past
+    rng.TAG_BAND, where they would share streams with child draws."""
     n = config.replicas
     if config.scenario in _FLOORED and n < MIN_SAMPLES:
         return (f"replicas = {n} is below the {MIN_SAMPLES} samples that "
                 f"{config.scenario}'s diagnostics need")
-    if config.scenario == "S6" and n > S6_STREAM_GAP:
-        return (f"replicas = {n} reuses random streams: S6 draws from stream ids "
-                f"i and {S6_STREAM_GAP} + i, so at most {S6_STREAM_GAP} replicas")
-    if config.scenario == "S3" and config.trend_levels and n > S3_TREND_STREAM_GAP:
-        return (f"replicas = {n} reuses random streams: S3 with trend_levels draws "
-                f"from stream ids i and {S3_TREND_STREAM_GAP} * level + i, so at "
-                f"most {S3_TREND_STREAM_GAP} replicas")
+    streams = n * (config.repetitions if config.scenario == "S5" else 1)
+    if streams > TAG_BAND:
+        return (f"replicas = {n} reuses random streams: a run draws from at most "
+                f"2^48 replica streams, and this one needs {streams}")
     return None
 
 

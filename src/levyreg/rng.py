@@ -5,6 +5,12 @@ backed by the counter-based Philox generator keyed directly by the pair, so
 the draw sequence of a stream depends only on its identity — never on
 evaluation order, thread count, or how replicas are batched.
 StreamGenerator walks many streams of one seed with a single generator.
+
+Independent draws of one run never share a key: replica i uses stream id i,
+and a draw for another purpose uses `child(tag)`, which adds tag * 2^48. So
+tag t owns the ids [t * 2^48, (t + 1) * 2^48), and streams stay distinct as
+long as every replica id of the run lies below TAG_BAND = 2^48 and tags lie
+below 2^16.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+#: Stream ids each child tag owns; a run's replica ids must stay below it.
+TAG_BAND = 1 << 48
 
 
 @dataclass(frozen=True)
@@ -30,11 +39,9 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, tag: int) -> "RngStream":
-        """Derived stream for a distinct purpose (resampling draws etc.).
-
-        Tags partition the stream_id space well above any replica index.
-        """
-        return RngStream(self.seed, (self.stream_id + (tag << 48)) & _MASK64)
+        """Derived stream for a distinct purpose (resampling draws etc.): the
+        same id in tag's band, distinct from every replica id below TAG_BAND."""
+        return RngStream(self.seed, (self.stream_id + tag * TAG_BAND) & _MASK64)
 
 
 class StreamGenerator:

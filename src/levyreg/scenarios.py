@@ -20,7 +20,9 @@ Each scenario is a self-contained demonstration at desk scale:
 
 Replicas are independent work items: replica i draws from RngStream(seed, i)
 no matter how work is chunked, so (config, seed) pins every output byte
-except the wall-time field.
+except the wall-time field. Other draws come from the replica streams'
+children (rng's tag rule): S5's resamples from tag 1, S6's checks (a), (c),
+(d) from tags 1, 2, 3 and S3's trend level lv from tag lv.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ import numpy as np
 
 from . import __version__
 from .batch import doss_terminals, flow_map_array, marcus_terminals, ode_terminals, pack_paths
-from .config import (
-    S3_TREND_STREAM_GAP,
-    S6_CHAIN_STREAM,
-    S6_REDUCTION_STREAM,
-    S6_STREAM_GAP,
-    ScenarioConfig,
-    trend_law,
-    with_scenario_defaults,
-)
+from .config import S6_JUMP_MARGIN, ScenarioConfig, trend_law, with_scenario_defaults
 from .diagnostics import (
     SampleBatch,
     TooFewSamples,
@@ -341,7 +335,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     x, z = _sample_and_solve(config, law, solve)
     failed = ~np.isfinite(x)
     ok = ~failed
-    lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
+    lattice_z = lattice_concentration(SampleBatch(z[np.isfinite(z)]), spacing, halfwidth)
     lattice_x = lattice_concentration(SampleBatch(x[ok]), spacing, halfwidth)
     report = _if_enough(detect_atoms, SampleBatch(x[ok]), config.window, config.threshold)
     atoms = None if report is None else report.atoms_present
@@ -361,8 +355,8 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
         for lv in config.trend_levels:
             measure, cut = trend_law(lv)
             law_lv = _driver_law(replace(config, measure=measure, truncation=cut))
-            xs_lv, _ = _sample_and_solve(config, law_lv, solve,
-                                         stream_offset=S3_TREND_STREAM_GAP * lv)
+            band = RngStream(config.seed).child(lv).stream_id
+            xs_lv, _ = _sample_and_solve(config, law_lv, solve, stream_offset=band)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
                 SampleBatch(xs_lv[ok_lv]), spacing, halfwidth)
@@ -376,11 +370,10 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     x, z = _sample_and_solve(config, _driver_law(config), _ode_solver(a, x0))
     failed = ~np.isfinite(x)
-    ok = ~failed
     shift = x0 + a.value(x0) * config.horizon
-    lattice_shifted = lattice_concentration(SampleBatch(x[ok] - shift),
+    lattice_shifted = lattice_concentration(SampleBatch(x[~failed] - shift),
                                             spacing, halfwidth)
-    lattice_z = lattice_concentration(SampleBatch(z[ok]), spacing, halfwidth)
+    lattice_z = lattice_concentration(SampleBatch(z[np.isfinite(z)]), spacing, halfwidth)
     diagnostics = {
         "shift": shift,
         "lattice_concentration_x_shifted": lattice_shifted,
@@ -403,7 +396,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         return marked_jump_indices(p, mark_lo, mark_hi).size >= 2
 
     streams = StreamGenerator(config.seed)
-    ks_passes = 0
+    ks_passes = ks_skipped = 0
     all_x, all_z = [], []
     for r in range(reps):
         offset = r * n
@@ -421,6 +414,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         x_o, x_r = np.split(ode_terminals(a, packed, x0)[0], 2)
         ok = np.isfinite(x_o) & np.isfinite(x_r)
         ks = _if_enough(two_sample_ks, SampleBatch(x_o[ok]), SampleBatch(x_r[ok]))
+        ks_skipped += ks is None
         ks_passes += ks is not None and ks[0] < ks[1]
         all_x.append(x_o)
         all_z.append(packed.z_terminal[:n])
@@ -447,6 +441,7 @@ def run_s5(config: ScenarioConfig) -> ScenarioResult:
         "replicas_per_repetition": n,
         "ks_passes": int(ks_passes),
         "ks_pass_fraction": ks_passes / reps,
+        "ks_skipped": int(ks_skipped),
         "invariance_pass": bool(ks_passes >= math.ceil(0.95 * reps)),
         "monotone_paths": monotone,
         "monotone_paths_checked": n_paths_mono,
@@ -474,7 +469,7 @@ def _s6_sigma(kind: int, gen: np.random.Generator) -> DiffusionField:
 
 def _s6_path(gen: np.random.Generator, horizon: float) -> LevyPath:
     k = int(gen.integers(1, 4))
-    times = np.sort(gen.uniform(0.05, horizon - 0.05, k))
+    times = np.sort(gen.uniform(S6_JUMP_MARGIN, horizon - S6_JUMP_MARGIN, k))
     sizes = gen.uniform(0.08, 0.3, k) * np.where(gen.uniform(size=k) < 0.5, -1.0, 1.0)
     return LevyPath(horizon, float(gen.uniform(-0.2, 0.2)), times, sizes)
 
@@ -489,7 +484,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     ones = make_diffusion_field("constant", {"level": 1.0})
     worst_reduction = 0.0
     for i in range(5):
-        gen = RngStream(config.seed, S6_REDUCTION_STREAM + i).generator()
+        gen = RngStream(config.seed, i).child(1).generator()
         path = _s6_path(gen, config.horizon)
         x0 = float(gen.uniform(-0.5, 0.5))
         gap = _unless_diverged(
@@ -523,7 +518,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
     for i in range(config.replicas):
-        gen = RngStream(config.seed, S6_STREAM_GAP + i).generator()
+        gen = RngStream(config.seed, i).child(2).generator()
         sigma = _s6_sigma(1 + (i % 2), gen)
         a = make_scalar_field("logistic-slope", {
             "low": float(gen.uniform(-0.3, 0.0)),
@@ -546,7 +541,7 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
     f_log = ScalarField(lambda x: math.log(x), lambda x: 1.0 / x)
     sig_lin = DiffusionField(lambda x: x, lambda x: 1.0, min_abs=None)
     zero = ScalarField(lambda x: 0.0, lambda x: 0.0)
-    gen = RngStream(config.seed, S6_CHAIN_STREAM).generator()
+    gen = RngStream(config.seed).child(3).generator()
     path = _s6_path(gen, config.horizon)
     f_id = ScalarField(lambda x: x, lambda x: 1.0)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import levyreg.cli as cli_mod
+import levyreg.rng as rng_mod
 import levyreg.scenarios as scenarios_mod
 from levyreg import path_sampler
 from levyreg.cli import main as cli_main
@@ -139,33 +140,76 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=repr(key)):
             with_overrides(config, **{key: value})
 
+    # the replica stream ids of a run must stay below rng.TAG_BAND = 2^48,
+    # the first id of child tag 1; for S5 that is replicas * repetitions
     @pytest.mark.parametrize("text,line", [
-        # S6 checks (b) and (c) draw from stream ids i and 100000 + i
-        ("scenario = S6\nreplicas = 100001\n", 2),
-        # S3 trend level lv draws from stream ids 10000000 * lv + i
-        ("scenario = S3\ntrend_levels = 4,6\nseed = 3\nreplicas = 10000001\n", 4)])
-    def test_colliding_streams_rejected_with_line(self, text, line):
+        (f"scenario = S6\nreplicas = {2 ** 48 + 1}\n", 2),
+        (f"scenario = S3\ntrend_levels = 4,6\nreplicas = {2 ** 48 + 1}\nseed = 3\n", 3),
+        (f"scenario = S5\nreplicas = {2 ** 47}\nrepetitions = 3\n", 2)])
+    def test_replica_streams_past_the_tag_band_rejected_with_line(self, text, line):
         with pytest.raises(ConfigError, match=f"^line {line}: .*reuses random streams"):
             parse_config(text)
 
+    # no scenario caps its replicas below the band's edge
     @pytest.mark.parametrize("text", [
-        "scenario = S6\nreplicas = 100000\n",
-        "scenario = S3\ntrend_levels = 4\nreplicas = 10000000\n",
+        "scenario = S6\nreplicas = 100001\n",
+        "scenario = S3\ntrend_levels = 4\nreplicas = 10000001\n",
         "scenario = S3\nreplicas = 10000001\n",
-        "scenario = S1\nreplicas = 10000001\n"])
-    def test_streams_at_the_gap_are_accepted(self, text):
+        "scenario = S1\nreplicas = 10000001\n",
+        f"scenario = S6\nreplicas = {2 ** 48}\n",
+        f"scenario = S5\nreplicas = {2 ** 47}\nrepetitions = 2\n"])
+    def test_replica_streams_within_the_tag_band_accepted(self, text):
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
         assert with_overrides(config, seed=1).replicas == config.replicas
 
-    @pytest.mark.parametrize("text,replicas", [
-        ("scenario = S6\n", 100_001),
-        ("scenario = S3\ntrend_levels = 4\n", 10_000_001)])
-    def test_override_stream_collision_rejected(self, text, replicas):
+    @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
+    def test_override_past_the_tag_band_rejected(self, text):
         config = parse_config(text)
-        assert with_overrides(config, replicas=replicas - 1).replicas == replicas - 1
+        assert with_overrides(config, replicas=2 ** 48).replicas == 2 ** 48
         with pytest.raises(ConfigError, match="reuses random streams"):
-            with_overrides(config, replicas=replicas)
+            with_overrides(config, replicas=2 ** 48 + 1)
+
+
+class TestStreamIndependence:
+    """No Philox key serves two of a run's independent draws."""
+
+    def test_s6_checks_draw_from_distinct_streams(self, monkeypatch):
+        ids = []
+        real = rng_mod.RngStream.generator
+
+        def spy(stream):
+            ids.append((stream.seed, stream.stream_id))
+            return real(stream)
+
+        monkeypatch.setattr(rng_mod.RngStream, "generator", spy)
+        run_scenario(parse_config("scenario = S6\nseed = 707\nreplicas = 7\n"))
+        # check (a) 5 paths, (b) and (c) one config per replica, (d) one path
+        assert len(ids) == 5 + 7 + 7 + 1
+        assert len(set(ids)) == len(ids)
+
+    def test_s3_trend_levels_draw_from_distinct_streams(self, monkeypatch):
+        ids, purpose = {}, []
+        real_solve = scenarios_mod._sample_and_solve
+        real_at = rng_mod.StreamGenerator.at
+
+        def sample_and_solve(config, law, solver, stream_offset=0):
+            purpose.append(stream_offset)
+            ids[stream_offset] = []
+            return real_solve(config, law, solver, stream_offset)
+
+        def at(streams, stream_id):
+            ids[purpose[-1]].append(stream_id)
+            return real_at(streams, stream_id)
+
+        monkeypatch.setattr(scenarios_mod, "_sample_and_solve", sample_and_solve)
+        monkeypatch.setattr(rng_mod.StreamGenerator, "at", at)
+        run_scenario(parse_config("scenario = S3\nseed = 5\nreplicas = 1000\n"
+                                  "trend_levels = 1,3\n[measure.family]\nlevels = 3\n"))
+        # the main run and each level draw every replica once, from their own ids
+        assert len(ids) == 3
+        assert all(len(set(used)) == len(used) == 1000 for used in ids.values())
+        assert len(set().union(*ids.values())) == 3 * 1000
 
 
 class TestRunSummary:
@@ -459,20 +503,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert json.loads(capsys.readouterr().out)["threads"] == 4
 
-    @pytest.mark.parametrize("text,replicas", [
-        ("scenario = S6\n", "100001"),
-        ("scenario = S3\ntrend_levels = 4\n", "10000001")])
-    def test_colliding_streams_override_exit_code(self, tmp_path, capsys, monkeypatch,
-                                                  text, replicas):
+    @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
+    def test_override_past_the_tag_band_exit_code(self, tmp_path, capsys, monkeypatch, text):
         def must_not_run(config):
-            raise AssertionError("a colliding config reached the runner")
+            raise AssertionError("a config past the tag band reached the runner")
 
         monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"
         code = cli_main(["run", "--config", str(cfg), "--out", str(out),
-                         "--replicas", replicas])
+                         "--replicas", str(2 ** 48 + 1)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: override replicas = ")
@@ -507,7 +548,7 @@ class TestCli:
 
     @pytest.mark.parametrize("text,failed_rows,conjugacy_diverged", [
         # config 2's proportional solve and one conjugacy solve diverge
-        ("scenario = S6\nseed = 707\nreplicas = 5\nhorizon = 20\n", [2], True),
+        ("scenario = S6\nseed = 707\nreplicas = 5\nhorizon = 40\n", [2], True),
         ("scenario = S2\nseed = 5\nreplicas = 4\nhorizon = 2000\n", [1, 2, 3], False)])
     def test_diverging_replicas_do_not_abort_the_run(self, tmp_path, capsys, text,
                                                       failed_rows, conjugacy_diverged):
@@ -530,15 +571,18 @@ class TestCli:
 
     # a drift of 100 (1 + x^2) blows up long before the horizon, so no replica
     # leaves a finite sample for the atom detection, lattice and KS diagnostics
-    @pytest.mark.parametrize("scenario,extra,nulls,verdicts", [
+    # (S5 counts each repetition whose KS test could not run as skipped)
+    @pytest.mark.parametrize("scenario,extra,nulls,verdicts,counts", [
         ("S1", "", ["atom_detected", "atom_location", "window"],
-         ["location_within_window", "mass_within_3se"]),
-        ("S3", "", ["atoms_detected_x", "lattice_concentration_x"], ["regularization_pass"]),
-        ("S4", "", ["lattice_concentration_x_shifted"], ["no_regularization_pass"]),
-        ("S5", "repetitions = 2\n", [], ["invariance_pass", "monotonicity_pass"]),
-        ("S7", "", ["ks_statistic", "max_pathwise_gap"], ["equivalence_pass"])])
+         ["location_within_window", "mass_within_3se"], {}),
+        ("S3", "", ["atoms_detected_x", "lattice_concentration_x"],
+         ["regularization_pass"], {}),
+        ("S4", "", ["lattice_concentration_x_shifted"], ["no_regularization_pass"], {}),
+        ("S5", "repetitions = 2\n", [], ["invariance_pass", "monotonicity_pass"],
+         {"ks_skipped": 2, "ks_passes": 0}),
+        ("S7", "", ["ks_statistic", "max_pathwise_gap"], ["equivalence_pass"], {})])
     def test_diagnostics_below_the_sample_floor_do_not_abort_the_run(
-            self, tmp_path, capsys, scenario, extra, nulls, verdicts):
+            self, tmp_path, capsys, scenario, extra, nulls, verdicts, counts):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"scenario = {scenario}\nreplicas = 1000\n{extra}"
                        "[drift_field]\nname = arctan-diffusion\namplitude = 100\n")
@@ -554,3 +598,19 @@ class TestCli:
         diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
         assert all(diagnostics[key] is None for key in nulls)
         assert all(diagnostics[key] is False for key in verdicts)
+        assert {key: diagnostics[key] for key in counts} == counts
+
+    # the driver's lattice diagnostic does not depend on the solution, so a
+    # diverging solution leaves it to every finite terminal_z
+    @pytest.mark.parametrize("scenario,extra", [("S3", "[measure.family]\nlevels = 8\n"),
+                                                ("S4", "")])
+    def test_driver_diagnostic_survives_a_diverging_solution(self, tmp_path, capsys,
+                                                            scenario, extra):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = {scenario}\nreplicas = 1000\n{extra}"
+                       "[drift_field]\nname = arctan-diffusion\namplitude = 100\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        capsys.readouterr()
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["lattice_concentration_z"] == 1.0

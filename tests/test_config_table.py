@@ -12,6 +12,7 @@ from levyreg import path_sampler
 from levyreg.cli import main as cli_main
 from levyreg.config import (
     _SCALARS,
+    S6_JUMP_MARGIN,
     SCENARIO_DEFAULTS,
     ConfigError,
     FieldChoice,
@@ -36,11 +37,12 @@ def _maybe(strategy):
 
 # One strategy per field the key table sets. The ranges keep every generated
 # law far inside the jump budget, every replica count above the sample floor
-# and below the stream gaps, every marked window nonempty and every lattice
-# tube narrower than half its spacing, alone or with the scenario defaults
-# (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12, halfwidth
-# 1e-9), so each config must parse, except an S5 config whose marked window
-# is too rare for the draw cap, which must be rejected as such.
+# and below 2^48 replica streams, every marked window nonempty and every
+# lattice tube narrower than half its spacing, alone or with the scenario
+# defaults (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12,
+# halfwidth 1e-9), so each config must parse, except an S5 config whose marked
+# window is too rare for the draw cap and an S6 config whose horizon leaves no
+# room for its jumps, which must be rejected as such.
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -119,6 +121,10 @@ class TestKeyTable:
         text = serialize_config(config)
         if _draw_cap_problem(with_scenario_defaults(config)) is not None:
             with pytest.raises(ConfigError, match="marked"):
+                parse_config(text)
+            return
+        if config.scenario == "S6" and config.horizon <= 2 * S6_JUMP_MARGIN:
+            with pytest.raises(ConfigError, match="no room for its jumps"):
                 parse_config(text)
             return
         again = parse_config(text)
@@ -238,6 +244,16 @@ REJECTED = [
     # the default halfwidth 1e-9 is not below 2^-40 / 2
     ("scenario = S3\ntruncation = 0.01\n[measure.family]\nlevels = 40\n", 4,
      "need 0 < halfwidth < spacing / 2"),
+    # S6 draws its jump times from [0.05, horizon - 0.05]: run failed with
+    # `high - low < 0` and no line number
+    ("scenario = S6\nhorizon = 0.05\n", 2, "no room for its jumps"),
+    ("scenario = S6\nhorizon = 0.1\nreplicas = 3\n", 2, "no room for its jumps"),
+    # these three were rejected without a line number; each names the first key
+    # line of the offending section (for two measures, the second one)
+    ("scenario = S1\n[drift_field]\nlow = 0.0\nhigh = 1.0\n", 3, "needs a 'name' key"),
+    ("scenario = S1\n[measure.atom.1]\nsize = 1.0\n", 3, "needs both size and rate"),
+    ("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 2.0\n[measure.family]\n"
+     "levels = 4\n", 6, "give at most one of"),
 ]
 
 
@@ -283,6 +299,14 @@ class TestValidateAgreesWithRun:
         "scenario = S6\nreplicas = 5\n"])
     def test_at_the_limits_accepted(self, text):
         assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
+
+    def test_s6_horizon_just_above_the_margins_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S6\nseed = 707\nreplicas = 3\nhorizon = 0.11\n")
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "samples.csv").read_text().splitlines()) == 4
 
     @pytest.mark.parametrize("text", [
         "scenario = S3\n[measure.family]\nlevels = 1023\n",
