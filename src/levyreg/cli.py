@@ -76,13 +76,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        config = with_overrides(config, seed=args.seed, replicas=args.replicas,
-                                out_dir=args.out)
+        config = with_overrides(config, seed=args.seed, replicas=args.replicas)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        summary = run_scenario(config)
+        summary = run_scenario(config, args.out)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_NUMERIC

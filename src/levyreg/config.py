@@ -19,12 +19,14 @@ Documents look like::
     high = 1.0
 
 `_SCALARS` declares each key but the atoms and the field sections once: its
-type, range check and the field it sets. A key left None takes its scenario's
-value from SCENARIO_DEFAULTS (with_scenario_defaults), so a minimal document
-is just `scenario = S1`.
+type, range check and the field it sets. A scenario reads GLOBAL_FIELDS and
+the fields SCENARIO_DEFAULTS lists for it, and a key it leaves None takes
+that value (with_scenario_defaults), so a minimal document is just
+`scenario = S1`.
 
-Unknown keys are errors (with line numbers), duplicate keys are errors
-naming both lines, and range violations are errors naming the key. So are a
+Unknown keys are errors (with line numbers), and so is a key or section whose
+field the document's scenario does not read. Duplicate keys are errors naming
+both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
 count below a scenario's sample floor or past rng's 2^48 replica streams, an
 S6 horizon too short for its jumps, an empty marked window, an S5 marked
@@ -114,9 +116,9 @@ class ScenarioConfig:
     x0: float | None = None
     cells: int | None = None
     truncation: float | None = None
-    compensate: bool = False
+    compensate: bool | None = None
     repetitions: int | None = None
-    trend_levels: tuple[int, ...] = ()
+    trend_levels: tuple[int, ...] | None = None
     drift: float | None = None
     brownian_variance: float | None = None
     measure: MeasureChoice | None = None
@@ -128,7 +130,6 @@ class ScenarioConfig:
     halfwidth: float | None = None
     mark_low: float | None = None
     mark_high: float | None = None
-    out_dir: str | None = None
 
 
 #: Most levels of a family: 2^±levels stays a finite, normal float.
@@ -149,7 +150,8 @@ _SCALARS = {
     ("", "truncation"): ("float", lambda v: v > 0.0, "truncation"),
     ("", "compensate"): ("bool", None, "compensate"),
     ("", "repetitions"): ("int", lambda v: v >= 1, "repetitions"),
-    ("", "trend_levels"): ("intlist", lambda vs: all(1 <= v <= _MAX_LEVELS for v in vs),
+    ("", "trend_levels"): ("intlist",
+                           lambda vs: vs and all(1 <= v <= _MAX_LEVELS for v in vs),
                            "trend_levels"),
     ("triplet", "drift"): ("float", None, "drift"),
     ("triplet", "brownian_variance"): ("float", lambda v: v >= 0.0, "brownian_variance"),
@@ -167,7 +169,6 @@ _SCALARS = {
     ("diagnostics", "halfwidth"): ("float", lambda v: v > 0.0, "halfwidth"),
     ("diagnostics", "mark_low"): ("float", lambda v: v > 0.0, "mark_low"),
     ("diagnostics", "mark_high"): ("float", lambda v: v > 0.0, "mark_high"),
-    ("output", "dir"): ("str", None, "out_dir"),
 }
 
 
@@ -177,44 +178,56 @@ def _dyadic_lattice(config: ScenarioConfig) -> float:
     return 2.0 ** (-config.measure.levels)
 
 
-#: Each scenario's value for the ScenarioConfig fields it reads whose
-#: dataclass default is None. A callable derives the value from the config
-#: with the constants filled in. `window` and `threshold` stay None: the atom
-#: detection derives them from the sample.
+#: The ScenarioConfig fields every scenario reads; each has a dataclass default.
+GLOBAL_FIELDS = ("scenario", "seed", "threads", "horizon")
+
+#: Each scenario's value for every other ScenarioConfig field it reads: the
+#: fields it does not list are refused. A callable derives the value from the
+#: config with the constants filled in. `window` and `threshold` stay None:
+#: the atom detection derives them from the sample.
 SCENARIO_DEFAULTS: dict[str, dict[str, object]] = {
     "S1": {"replicas": 100_000, "cells": 256, "x0": 0.0, "truncation": 0.5,
-           "drift": 0.3, "brownian_variance": 0.0,
+           "compensate": False, "drift": 0.3, "brownian_variance": 0.0,
            "measure": MeasureChoice(kind="atoms", atoms=((1.0, 2.0),)),
            "drift_field": FieldChoice("logistic-slope", {
-               "low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5})},
+               "low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}),
+           "window": None, "threshold": None},
     "S2": {"replicas": 100, "cells": 512, "mark_low": 0.1, "mark_high": 1.0},
     "S3": {"replicas": 10_000, "cells": 256, "x0": 0.0, "truncation": _dyadic_lattice,
-           "drift": 0.0, "brownian_variance": 0.0,
+           "compensate": False, "trend_levels": (), "drift": 0.0,
+           "brownian_variance": 0.0,
            "measure": MeasureChoice(kind="family", family="dyadic", levels=12),
            "drift_field": FieldChoice("logistic-slope", {
                "low": 0.0, "high": 1.0, "rate": 1.0, "center": 12.0}),
+           "window": None, "threshold": None,
            "spacing": _dyadic_lattice, "halfwidth": 1e-9},
     "S4": {"replicas": 10_000, "cells": 256, "x0": 0.0, "truncation": 2.0 ** -12,
-           "drift": 0.0, "brownian_variance": 0.0,
+           "compensate": False, "drift": 0.0, "brownian_variance": 0.0,
            "measure": MeasureChoice(kind="family", family="sparse", levels=12,
                                     sign=-1.0, rate_scale=1.0),
            "drift_field": FieldChoice("constant", {"level": 0.1}),
            "spacing": 2.0 ** -12, "halfwidth": 1e-9},
     "S5": {"replicas": 1000, "repetitions": 100, "cells": 256, "x0": 0.0,
-           "truncation": 0.1, "drift": 0.05, "brownian_variance": 0.0,
+           "truncation": 0.1, "compensate": False, "drift": 0.05,
+           "brownian_variance": 0.0,
            "measure": MeasureChoice(kind="atoms", atoms=((0.3, 8.0),)),
            "drift_field": FieldChoice("logistic-slope", {
                "low": 0.0, "high": 1.0, "rate": 1.5, "center": 0.2}),
            "mark_low": 0.1, "mark_high": 0.5},
     "S6": {"replicas": 50, "cells": 256},
     "S7": {"replicas": 10_000, "cells": 128, "x0": 0.2, "truncation": 0.1,
-           "drift": 0.1, "brownian_variance": 0.3,
+           "compensate": False, "drift": 0.1, "brownian_variance": 0.3,
            "measure": MeasureChoice(kind="atoms", atoms=((0.35, 2.0),)),
            "drift_field": FieldChoice("logistic-slope", {
                "low": 0.0, "high": 0.5, "rate": 1.0, "center": 0.0}),
            "diffusion_field": FieldChoice("logistic-slope", {
                "low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0})},
 }
+
+
+def fields_read(scenario: str) -> set[str]:
+    """The ScenarioConfig fields `scenario` reads; parse_config refuses the rest."""
+    return {*GLOBAL_FIELDS, *SCENARIO_DEFAULTS[scenario]}
 
 
 def with_scenario_defaults(config: ScenarioConfig) -> ScenarioConfig:
@@ -232,7 +245,8 @@ def trend_law(level: int) -> tuple[MeasureChoice, float]:
 
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
-_ATOM_RE = re.compile(r"^measure\.atom\.(\d+)$")
+#: an atom index has at most 9 digits: int() raises past 4300
+_ATOM_RE = re.compile(r"^measure\.atom\.(\d{1,9})$")
 
 
 def _parse_value(kind: str, raw: str, key: str, line_no: int):
@@ -279,6 +293,9 @@ def parse_config(text: str) -> ScenarioConfig:
         m = _SECTION_RE.match(line)
         if m:
             section = m.group(1)
+            atom_m = _ATOM_RE.match(section)
+            if atom_m:  # [measure.atom.01] is atom 1: a duplicate key of [measure.atom.1]
+                section = f"measure.atom.{int(atom_m.group(1))}"
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw_line!r}")
@@ -294,18 +311,33 @@ def parse_config(text: str) -> ScenarioConfig:
                 f"lines {entries[full][1]} and {line_no}")
         entries[full] = (raw_value, line_no)
 
+    if ("", "scenario") not in entries:
+        raise ConfigError("missing required key 'scenario'")
+    scenario, scenario_line = entries[("", "scenario")]
+    if scenario not in SCENARIO_DEFAULTS:
+        raise ConfigError(f"line {scenario_line}: unknown scenario id {scenario!r}; "
+                          f"choose from {', '.join(SCENARIO_DEFAULTS)}")
+    reads = fields_read(scenario)
+
+    def refuse_unread(target: str, what: str, line_no: int) -> None:
+        if target not in reads:
+            raise ConfigError(f"line {line_no}: scenario {scenario} does not read {what}")
+
     values: dict[str, object] = {}
     measure_rows: dict[str, dict[str, object]] = {}
     atom_rows: dict[int, dict[str, float]] = {}
     field_rows: dict[str, dict[str, object]] = {}
     first_line: dict[str, int] = {}   # a section, or a measure kind: its first key line
     for (section, key), (raw_value, line_no) in entries.items():
+        head = section.partition(".")[0]
+        if head in ("measure", "drift_field", "diffusion_field"):
+            refuse_unread(head, f"[{section}]", line_no)
         atom_m = _ATOM_RE.match(section)
         if atom_m:
             if key not in ("size", "rate"):
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
             idx = int(atom_m.group(1))
-            first_line.setdefault(f"measure.atom.{idx}", line_no)
+            first_line.setdefault(section, line_no)
             first_line.setdefault("atoms", line_no)
             atom_rows.setdefault(idx, {})[key] = \
                 _parse_value("float", raw_value, key, line_no)
@@ -327,6 +359,9 @@ def parse_config(text: str) -> ScenarioConfig:
             where = f"section [{section}]" if section else "the global section"
             raise ConfigError(f"line {line_no}: unknown key {key!r} in {where}")
         kind, check, target = _SCALARS[(section, key)]
+        if head != "measure":   # a measure key was checked with its section
+            refuse_unread(target, f"{key!r} in [{section}]" if section else repr(key),
+                          line_no)
         value = _parse_value(kind, raw_value, key, line_no)
         if check is not None and not check(value):
             raise ConfigError(f"line {line_no}: value out of range for {key!r}: {raw_value}")
@@ -335,11 +370,6 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             values[target] = value
 
-    if "scenario" not in values:
-        raise ConfigError("missing required key 'scenario'")
-    if values["scenario"] not in SCENARIO_DEFAULTS:
-        raise ConfigError(f"unknown scenario id {values['scenario']!r}; "
-                          f"choose from {', '.join(SCENARIO_DEFAULTS)}")
     for idx in sorted(atom_rows):
         if set(atom_rows[idx]) != {"size", "rate"}:
             raise ConfigError(f"line {first_line[f'measure.atom.{idx}']}: "
@@ -438,7 +468,7 @@ def _text(value) -> str:
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
     blocks: dict[str, list[str]] = {section: [] for section in (
-        "", "triplet", "measure", "drift_field", "diffusion_field", "diagnostics", "output")}
+        "", "triplet", "measure", "drift_field", "diffusion_field", "diagnostics")}
     m = config.measure
     for (section, key), (_, _, target) in _SCALARS.items():
         owner = config
@@ -465,12 +495,10 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
-                   replicas: int | None = None,
-                   out_dir: str | None = None) -> ScenarioConfig:
+                   replicas: int | None = None) -> ScenarioConfig:
     """config with the given keys replaced; they pass the same range checks as
     the document's keys, and the replica count the same parse_config checks."""
-    updates = {key: value for key, value in (("seed", seed), ("replicas", replicas),
-                                             ("out_dir", out_dir))
+    updates = {key: value for key, value in (("seed", seed), ("replicas", replicas))
                if value is not None}
     for key, value in updates.items():
         check = next(check for _, check, target in _SCALARS.values() if target == key)

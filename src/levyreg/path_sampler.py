@@ -21,7 +21,8 @@ from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
 from .quadrature import shell_integral
 from .rng import StreamGenerator
 
-#: Brownian skeleton resolution per unit time unless a scenario refines it.
+#: Brownian skeleton resolution per unit time when path_law is given no cell
+#: count; the scenarios draw it on their own cells.
 DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
 
 #: Expected jumps per chunk of packed replicas at 16 bytes a jump (a float64

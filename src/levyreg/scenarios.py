@@ -172,9 +172,10 @@ def _triplet(config: ScenarioConfig) -> LevyTriplet:
                        brownian_variance=config.brownian_variance)
 
 
-def _driver_law(config: ScenarioConfig, brownian_cells: int | None = None) -> PathLaw:
+def _driver_law(config: ScenarioConfig) -> PathLaw:
+    """The config's driver law, its Brownian skeleton on the run's own cells."""
     return path_law(_triplet(config), config.horizon, config.truncation,
-                    config.compensate, brownian_cells)
+                    config.compensate, config.cells)
 
 
 def _if_enough(diagnostic, *args):
@@ -596,7 +597,7 @@ def run_s7(config: ScenarioConfig) -> ScenarioResult:
     sigma = make_diffusion_field(config.diffusion_field.name,
                                  config.diffusion_field.params)
     x_doss, x_marc, z = _sample_and_solve(
-        config, _driver_law(config, brownian_cells=config.cells),
+        config, _driver_law(config),
         lambda packed: (doss_terminals(a, sigma, packed, x0),
                         marcus_terminals(a, sigma, packed, x0), packed.z_terminal))
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
@@ -695,8 +696,9 @@ def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) ->
 
 def run_scenario(config: ScenarioConfig,
                  out_dir: str | Path | None = None) -> RunSummary:
-    """Execute a scenario single-threaded; the `threads` key is only recorded
-    in the summary, so outputs are bit-identical for any thread count."""
+    """Execute a scenario single-threaded and write its outputs to out_dir,
+    if given; the `threads` key is only recorded in the summary, so outputs
+    are bit-identical for any thread count."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario id {config.scenario!r}")
     t0 = time.perf_counter()
@@ -706,7 +708,6 @@ def run_scenario(config: ScenarioConfig,
         scenario=config.scenario, seed=config.seed, replicas=len(result.terminal_x),
         threads=config.threads, failed_replicas=tuple(np.flatnonzero(result.failed).tolist()),
         wall_time_s=wall, diagnostics=_json_safe(result.diagnostics))
-    target = out_dir if out_dir is not None else config.out_dir
-    if target is not None:
-        write_outputs(result, summary, Path(target))
+    if out_dir is not None:
+        write_outputs(result, summary, out_dir)
     return summary

@@ -45,6 +45,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lines 2 and 3"):
             parse_config("scenario = S1\nseed = 1\nseed = 2\n")
 
+    def test_atom_spelled_twice_is_a_duplicate(self, tmp_path, capsys):
+        # [measure.atom.01] is atom 1: its size silently replaced the first one
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 2.0\n"
+                       "[measure.atom.01]\nsize = 3.0\n")
+        assert cli_main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == ("config error: duplicate key 'size' in "
+                                           "section [measure.atom.1]: lines 3 and 6\n")
+
+    def test_atom_index_past_nine_digits_is_an_unknown_section(self):
+        # an index of 5000 digits ended in int()'s ValueError and a traceback
+        with pytest.raises(ConfigError, match="^line 3: unknown key 'size'"):
+            parse_config(f"scenario = S1\n[measure.atom.{'1' * 5000}]\nsize = 1.0\n")
+
     def test_unknown_key_has_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("scenario = S1\nbogus = 3\n")
@@ -116,15 +130,18 @@ class TestParseConfig:
                 "repetitions = 7\n[triplet]\ndrift = 0.05\n"
                 "[measure.atom.1]\nsize = 0.3\nrate = 8.0\n"
                 "[drift_field]\nname = linear\nslope = 0.4\n"
-                "[diagnostics]\nmark_low = 0.1\nmark_high = 0.5\n"
-                "[output]\ndir = /tmp/out\n")
+                "[diagnostics]\nmark_low = 0.1\nmark_high = 0.5\n")
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
 
     def test_overrides(self):
         config = parse_config("scenario = S1\nreplicas = 1000\n")
-        updated = with_overrides(config, seed=5, replicas=2000, out_dir="/tmp/x")
-        assert (updated.seed, updated.replicas, updated.out_dir) == (5, 2000, "/tmp/x")
+        updated = with_overrides(config, seed=5, replicas=2000)
+        assert (updated.seed, updated.replicas) == (5, 2000)
+        # the output directory is only `levyreg run --out`, run_scenario's argument
+        assert not hasattr(updated, "out_dir")
+        with pytest.raises(TypeError):
+            with_overrides(config, out_dir="results")
 
     def test_threads_is_set_only_by_its_key(self):
         config = parse_config("scenario = S2\nthreads = 3\n")
@@ -401,6 +418,19 @@ class TestRunScenarioOutputs:
         assert all(law.brownian_grid is not None for law in laws)
         assert all(law.brownian_sd == laws[0].brownian_sd > 0.0 for law in laws)
 
+    # the skeleton was drawn at 4096 knots per unit time and interpolated at
+    # the cell edges: 20 000 S1 paths on 256 cells took 2.66 s against 0.75 s
+    @pytest.mark.parametrize("scenario", ["S1", "S3", "S4", "S5", "S7"])
+    def test_brownian_skeleton_is_drawn_on_the_cells(self, scenario):
+        config = with_scenario_defaults(parse_config(
+            f"scenario = {scenario}\nhorizon = 1.5\ncells = 25\n"
+            "[triplet]\nbrownian_variance = 0.3\n"))
+        law = scenarios_mod._driver_law(config)
+        packed = law.packed(config.seed, 0, 2, config.cells)
+        assert np.array_equal(law.brownian_grid, packed.edges)
+        path = law.path(rng_mod.RngStream(config.seed, 1).generator())
+        assert np.array_equal(path.brownian.values, packed.brown_edges[1])
+
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
         text = "scenario = S1\nreplicas = 2000\nseed = 8\nhorizon = 1.5\n"
@@ -505,7 +535,7 @@ class TestCli:
 
     @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
     def test_override_past_the_tag_band_exit_code(self, tmp_path, capsys, monkeypatch, text):
-        def must_not_run(config):
+        def must_not_run(*args):
             raise AssertionError("a config past the tag band reached the runner")
 
         monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)

@@ -1,10 +1,12 @@
 """The key table behind parse_config / serialize_config / with_overrides, the
 scenario defaults, and the checks that make `validate` agree with `run`."""
 
+import re
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import levyreg.scenarios as scenarios_mod
@@ -12,6 +14,7 @@ from levyreg import path_sampler
 from levyreg.cli import main as cli_main
 from levyreg.config import (
     _SCALARS,
+    GLOBAL_FIELDS,
     S6_JUMP_MARGIN,
     SCENARIO_DEFAULTS,
     ConfigError,
@@ -19,6 +22,7 @@ from levyreg.config import (
     MeasureChoice,
     ScenarioConfig,
     _draw_cap_problem,
+    fields_read,
     parse_config,
     serialize_config,
     with_overrides,
@@ -53,7 +57,7 @@ _VALUES = {
     "truncation": _floats(0.01, 2.0),
     "compensate": st.booleans(),
     "repetitions": st.integers(1, 1000),
-    "trend_levels": st.lists(st.integers(1, 12), max_size=3).map(tuple),
+    "trend_levels": st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
     "drift": _floats(-1e3, 1e3),
     "brownian_variance": _floats(0.0, 5.0),
     "family": st.sampled_from(["dyadic", "sparse"]),
@@ -70,7 +74,6 @@ _VALUES = {
     "halfwidth": _floats(1e-12, 1e-7),
     "mark_low": _floats(1e-6, 0.1),
     "mark_high": _floats(0.5, 10.0),
-    "out_dir": st.text("abcxyz0129_-./", min_size=1, max_size=20),
 }
 _FAMILY_KEYS = ("family", "levels", "sign", "rate_scale", "idealized_infinite")
 _DENSITY_KEYS = ("power", "abs_max", "two_sided")
@@ -97,16 +100,18 @@ def _field_choices(draw):
     return FieldChoice(name, canonical_params(name, params))
 
 
-_configs = st.builds(
-    ScenarioConfig,
-    scenario=st.sampled_from(sorted(SCENARIO_DEFAULTS)),
-    measure=_maybe(_measures),
-    drift_field=_maybe(_field_choices()),
-    diffusion_field=_maybe(_field_choices()),
-    **{key: _maybe(value) if key not in ("seed", "threads", "horizon", "compensate",
-                                         "trend_levels") else value
-       for key, value in _VALUES.items()
-       if key not in _FAMILY_KEYS + _DENSITY_KEYS})
+_FIELDS = {"measure": _maybe(_measures), "drift_field": _maybe(_field_choices()),
+           "diffusion_field": _maybe(_field_choices()),
+           **{key: value if key in GLOBAL_FIELDS else _maybe(value)
+              for key, value in _VALUES.items()
+              if key not in _FAMILY_KEYS + _DENSITY_KEYS}}
+
+
+# a scenario's config sets only fields the scenario reads
+_configs = st.sampled_from(sorted(SCENARIO_DEFAULTS)).flatmap(
+    lambda scenario: st.builds(
+        ScenarioConfig, scenario=st.just(scenario),
+        **{key: value for key, value in _FIELDS.items() if key in fields_read(scenario)}))
 
 
 class TestKeyTable:
@@ -135,38 +140,33 @@ class TestKeyTable:
     # key table, for documents written out of order, with comments and other
     # spellings
     @pytest.mark.parametrize("text,expected", [
-        ("# every table key, the family measure and both field sections\n"
+        ("# every key S3 reads, the family measure and the drift field\n"
          "replicas = 5000\nseed = 13\nthreads = 2\nhorizon = 0.9\nx0 = -0.05\n"
-         "cells = 32\ntruncation = 0.01\ncompensate = on\nrepetitions = 3\n"
+         "cells = 32\ntruncation = 0.01\ncompensate = on\n"
          "trend_levels = 2, 4,\nscenario = S3   # trailing comment\n\n"
-         "[output]\ndir = results/s3\n[diagnostics]\nhalfwidth = 1e-8\n"
-         "spacing = 0.0078125\nthreshold = 0.1\nwindow = 1e-4\nmark_high = 0.9\n"
-         "mark_low = 0.15\n\n[measure.family]\nidealized_infinite = no\n"
+         "[diagnostics]\nhalfwidth = 1e-8\n"
+         "spacing = 0.0078125\nthreshold = 0.1\nwindow = 1e-4\n"
+         "\n[measure.family]\nidealized_infinite = no\n"
          "rate_scale = 0.8\nsign = -1\nlevels = 7\nkind = sparse\n\n"
-         "[diffusion_field]\nname = arctan-diffusion\ncurvature = 0.5\n\n"
          "[drift_field]\ncenter = 2\nname = logistic-slope\nhigh = 1\n\n"
          "[triplet]\nbrownian_variance = 0\ndrift = 0.1\n",
          "scenario = S3\nreplicas = 5000\nseed = 13\nthreads = 2\nhorizon = 0.9\n"
          "x0 = -0.05\ncells = 32\ntruncation = 0.01\ncompensate = true\n"
-         "repetitions = 3\ntrend_levels = 2,4\n\n"
+         "trend_levels = 2,4\n\n"
          "[triplet]\ndrift = 0.1\nbrownian_variance = 0.0\n\n"
          "[measure.family]\nkind = sparse\nlevels = 7\nsign = -1.0\n"
          "rate_scale = 0.8\nidealized_infinite = false\n\n"
          "[drift_field]\nname = logistic-slope\ncenter = 2.0\nhigh = 1.0\nlow = 0.0\n"
          "rate = 1.0\n\n"
-         "[diffusion_field]\nname = arctan-diffusion\namplitude = 1.0\ncenter = 0.0\n"
-         "curvature = 0.5\n\n"
          "[diagnostics]\nwindow = 0.0001\nthreshold = 0.1\nspacing = 0.0078125\n"
-         "halfwidth = 1e-08\nmark_low = 0.15\nmark_high = 0.9\n\n"
-         "[output]\ndir = results/s3\n"),
+         "halfwidth = 1e-08\n"),
         ("scenario = S1\nreplicas = 1000\n[measure.density]\ntwo_sided = false\n"
          "abs_max = 2.5\npower = 0.75\n",
-         "scenario = S1\nreplicas = 1000\nseed = 2024\nthreads = 1\nhorizon = 1.0\n"
-         "compensate = false\n\n[measure.density]\npower = 0.75\nabs_max = 2.5\n"
-         "two_sided = false\n"),
+         "scenario = S1\nreplicas = 1000\nseed = 2024\nthreads = 1\nhorizon = 1.0\n\n"
+         "[measure.density]\npower = 0.75\nabs_max = 2.5\ntwo_sided = false\n"),
         ("scenario = S7\nhorizon = 2\n[measure.atom.2]\nrate = 0.5\nsize = -0.25\n"
          "[measure.atom.1]\nsize = 1e-1\nrate = 3\n",
-         "scenario = S7\nseed = 2024\nthreads = 1\nhorizon = 2.0\ncompensate = false\n\n"
+         "scenario = S7\nseed = 2024\nthreads = 1\nhorizon = 2.0\n\n"
          "[measure.atom.1]\nsize = 0.1\nrate = 3.0\n[measure.atom.2]\nsize = -0.25\n"
          "rate = 0.5\n")])
     def test_validate_output_is_pinned(self, tmp_path, capsys, text, expected):
@@ -183,8 +183,9 @@ class TestScenarioDefaults:
         resolved = with_scenario_defaults(config)
         for key, value in SCENARIO_DEFAULTS[scenario].items():
             assert getattr(config, key) is None
-            assert getattr(resolved, key) is not None
-            if not callable(value):
+            if callable(value):
+                assert getattr(resolved, key) is not None
+            else:
                 assert getattr(resolved, key) == value
         assert with_scenario_defaults(resolved) == resolved
 
@@ -254,6 +255,16 @@ REJECTED = [
     ("scenario = S1\n[measure.atom.1]\nsize = 1.0\n", 3, "needs both size and rate"),
     ("scenario = S1\n[measure.atom.1]\nsize = 1.0\nrate = 2.0\n[measure.family]\n"
      "levels = 4\n", 6, "give at most one of"),
+    # each key below validated with exit 0, and the run ignored it
+    ("scenario = S6\nx0 = 5\ncompensate = true\ntrend_levels = 4\n[triplet]\n"
+     "drift = 0.1\n[drift_field]\nname = constant\n[diagnostics]\nwindow = 0.1\n"
+     "mark_low = 0.1\n[output]\ndir = results\n", 2, "scenario S6 does not read 'x0'"),
+    ("scenario = S2\n[measure.atom.1]\nsize = 0.3\nrate = 8.0\n", 3,
+     "scenario S2 does not read"),
+    ("scenario = S1\n[output]\ndir = results\n", 3, "unknown key 'dir'"),
+    # a refused key comes before the cross-key checks (here S6's horizon)
+    ("scenario = S6\nhorizon = 0.05\n[diagnostics]\nwindow = 0.1\nspacing = 0.1\n", 4,
+     "scenario S6 does not read 'window'"),
 ]
 
 
@@ -336,3 +347,111 @@ class TestValidateAgreesWithRun:
         assert with_overrides(config, replicas=1000).replicas == 1000
         with pytest.raises(ConfigError, match=r"^override replicas = 999 is below"):
             with_overrides(config, replicas=999)
+
+
+# One valid line for each key or section a row of README's scenario-defaults
+# table names, with its section; each measure kind stands for the measure row.
+SAMPLE_LINES = {
+    "replicas": [("", "replicas = 1000")],
+    "repetitions": [("", "repetitions = 1")],
+    "cells": [("", "cells = 8")],
+    "x0": [("", "x0 = 0.0")],
+    "truncation": [("", "truncation = 0.25")],
+    "compensate": [("", "compensate = true")],
+    "trend_levels": [("", "trend_levels = 4")],
+    "[triplet] drift": [("triplet", "drift = 0.1")],
+    "[triplet] brownian_variance": [("triplet", "brownian_variance = 0.0")],
+    "measure": [("measure.atom.1", "size = 0.3\nrate = 8.0"),
+                ("measure.family", "levels = 4"), ("measure.density", "power = 1.5")],
+    "[drift_field]": [("drift_field", "name = constant")],
+    "[diffusion_field]": [("diffusion_field", "name = constant")],
+    "spacing": [("diagnostics", "spacing = 0.5")],
+    "halfwidth": [("diagnostics", "halfwidth = 1e-9")],
+    "mark_low": [("diagnostics", "mark_low = 0.1")],
+    "mark_high": [("diagnostics", "mark_high = 0.5")],
+    "window": [("diagnostics", "window = 0.01")],
+    "threshold": [("diagnostics", "threshold = 0.1")],
+}
+
+
+def _with_line(text, section, line):
+    """(text with `line` added, the number of its first line): a global key
+    goes on line 2, right after the scenario line, a section at the end."""
+    lines = text.splitlines()
+    if section:
+        lines += [f"[{section}]", *line.splitlines()]
+        return "\n".join(lines) + "\n", len(lines) - line.count("\n")
+    return "\n".join([lines[0], line, *lines[1:]]) + "\n", 2
+
+
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _defaults_table():
+    """{row key: {scenario: cell}} from README's scenario-defaults table."""
+    text = _readme().split("### Scenario defaults", 1)[1]
+    rows = [line for line in text.splitlines() if line.startswith("| ")]
+    header = [cell.strip() for cell in rows[0].strip("|").split("|")]
+    table = {}
+    for row in rows[2:]:
+        label, *cells = [cell.strip() for cell in row.strip("|").split("|")]
+        for key in re.findall(r"`([^`]+)`", label) or [label]:
+            table[key] = dict(zip(header[1:], cells))
+    return table
+
+
+class TestReadme:
+    def test_defaults_table_names_every_key_a_scenario_reads(self):
+        table = _defaults_table()
+        assert set(table) == set(SAMPLE_LINES)
+        assert set(next(iter(table.values()))) == set(SCENARIO_DEFAULTS)
+        for scenario in SCENARIO_DEFAULTS:
+            minimal = parse_config(f"scenario = {scenario}\n")
+            set_fields = set()
+            for key, cells in table.items():
+                for section, line in SAMPLE_LINES[key]:
+                    text, line_no = _with_line(f"scenario = {scenario}\n", section, line)
+                    if cells[scenario]:
+                        config = parse_config(text)
+                        set_fields |= {f for f in vars(config)
+                                       if getattr(config, f) != getattr(minimal, f)}
+                    else:
+                        with pytest.raises(ConfigError, match=(
+                                f"^line {line_no}: scenario {scenario} does not read")):
+                            parse_config(text)
+            # the filled cells set exactly the fields the scenario reads
+            assert set_fields == set(SCENARIO_DEFAULTS[scenario])
+
+    def test_example_document_validates(self, tmp_path, capsys):
+        example = _readme().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(example)
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        assert parse_config(capsys.readouterr().out) == parse_config(example)
+
+
+@st.composite
+def _documents_with_a_refused_key(draw):
+    config = draw(_configs)
+    text = serialize_config(config)
+    try:
+        parse_config(text)
+    except ConfigError:
+        assume(False)
+    refused = sorted(key for key, cells in _defaults_table().items()
+                     if not cells[config.scenario])
+    section, line = draw(st.sampled_from(SAMPLE_LINES[draw(st.sampled_from(refused))]))
+    return config.scenario, *_with_line(text, section, line)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(_documents_with_a_refused_key())
+def test_a_refused_key_fails_validate_on_its_line(tmp_path, capsys, document):
+    scenario, text, line_no = document
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: line {line_no}: scenario {scenario} does not read ")
