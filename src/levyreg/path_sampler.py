@@ -21,10 +21,6 @@ from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
 from .quadrature import shell_integral
 from .rng import StreamGenerator
 
-#: Brownian skeleton resolution per unit time when path_law is given no cell
-#: count; the scenarios draw it on their own cells.
-DEFAULT_BROWNIAN_CELLS_PER_UNIT = 4096
-
 #: Expected jumps per chunk of packed replicas at 16 bytes a jump (a float64
 #: time and size); a chunk of atom-coded jumps holds as many bytes. A law
 #: expecting more jumps per path than this is rejected, whatever its coding.
@@ -375,8 +371,8 @@ def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
     `trunc` at rate total_rate(spec, trunc), times iid uniform on (0, horizon],
     sizes iid from the normalized restriction. With `compensate`, the drift
     absorbs minus the mean of jumps in (trunc, 1]. A Brownian part is sampled
-    on `brownian_cells` cells (default DEFAULT_BROWNIAN_CELLS_PER_UNIT per
-    unit time)."""
+    on `brownian_cells` cells, which a triplet with brownian_variance > 0
+    must give."""
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
     if trunc <= 0.0:
@@ -388,11 +384,11 @@ def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
     grid = None
     sd = 0.0
     if triplet.brownian_variance > 0.0:
-        cells = brownian_cells if brownian_cells is not None else \
-            max(1, round(DEFAULT_BROWNIAN_CELLS_PER_UNIT * horizon))
-        grid = np.linspace(0.0, horizon, cells + 1)
+        if brownian_cells is None:
+            raise ValueError("a Brownian part needs brownian_cells")
+        grid = np.linspace(0.0, horizon, brownian_cells + 1)
         grid.flags.writeable = False
-        sd = math.sqrt(triplet.brownian_variance * (horizon / cells))
+        sd = math.sqrt(triplet.brownian_variance * (horizon / brownian_cells))
     compensator = _compensator(triplet.jumps, trunc) if compensate else 0.0
     sizes, table = _size_sampler(triplet.jumps, trunc) if rate > 0.0 else (None, None)
     return PathLaw(

@@ -418,8 +418,6 @@ class TestRunScenarioOutputs:
         assert all(law.brownian_grid is not None for law in laws)
         assert all(law.brownian_sd == laws[0].brownian_sd > 0.0 for law in laws)
 
-    # the skeleton was drawn at 4096 knots per unit time and interpolated at
-    # the cell edges: 20 000 S1 paths on 256 cells took 2.66 s against 0.75 s
     @pytest.mark.parametrize("scenario", ["S1", "S3", "S4", "S5", "S7"])
     def test_brownian_skeleton_is_drawn_on_the_cells(self, scenario):
         config = with_scenario_defaults(parse_config(

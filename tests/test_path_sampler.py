@@ -148,6 +148,12 @@ class TestSamplePath:
         assert terms.mean() == pytest.approx(0.0, abs=4.0 * math.sqrt(0.5 / 20_000))
         assert terms.var() == pytest.approx(0.5, rel=0.06)
 
+    def test_brownian_part_needs_cells(self):
+        triplet = LevyTriplet(drift=0.0, jumps=FiniteAtomic(((1.0, 0.0),)),
+                              brownian_variance=0.5)
+        with pytest.raises(ValueError, match="brownian_cells"):
+            path_law(triplet, 1.0, 0.5)
+
     def test_deterministic_across_runs_and_threads(self):
         triplet = LevyTriplet(drift=0.1, jumps=FiniteAtomic(((1.0, 3.0), (-0.5, 2.0))))
 
