@@ -26,9 +26,13 @@ The plain random-ODE engine sweeps a batch wider than SWEEP_WIDTH paths in
 row blocks of that width. Its rounds cost a few elementwise operations per
 path, and at 4096 rows each per-round temporary is 32 KiB, below glibc's
 128-KiB mmap threshold. The Doss-Sussmann and Marcus engines sweep the whole
-batch at once: each of their rounds runs jump-flow kernel loops whose count is
-set by the round's largest flow, not by its width, so every extra block would
-repeat them.
+batch at once. The Marcus rounds, and the Doss-Sussmann rounds for a sigma
+without a closed flow, run jump-flow kernel loops whose count is set by the
+round's largest flow, not by its width, so every extra block would repeat
+them. For a sigma with a closed flow (`DiffusionField.flow`, which the field
+catalogue states), the Doss-Sussmann engine takes phi and dphi/dy from it at
+every RK4 stage and in its final flow, and never runs the kernel; its drift
+is a(phi) / dphi/dy.
 
 The random-ODE engines hand their right-hand side only the driver parts
 that are not exactly zero: drift * t is left out when drift == 0.0, and the
@@ -271,13 +275,23 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
 
 def doss_terminals(a: ScalarField, sigma: DiffusionField,
                    packed: PackedPaths, x0: float) -> np.ndarray:
-    """Doss-Sussmann terminal values: vectorized random ODE then final flow."""
+    """Doss-Sussmann terminal values: the random ODE Y' = a(phi) / dphi/dy at
+    phi = phi(Y, Z_t), then X_T = phi(Y_T, Z_T), where phi(y, u) is the
+    time-u flow of sigma: `sigma.flow` when sigma has a closed form, the
+    jump-flow kernel otherwise."""
     a_val = a.value
+    flow = sigma.flow
+    if flow is None:
+        def flow(y, u):
+            phi, acc = flow_sensitivity_array(sigma, y, u)
+            return phi, np.exp(acc)
 
     def b(u, dz, jr, br):
         w = jr if dz is None else dz + jr
-        phi, acc = flow_sensitivity_array(sigma, u, w if br is None else w + br)
-        return a_val(phi) * np.exp(-acc)
+        phi, slope = flow(u, w if br is None else w + br)
+        return a_val(phi) / slope
 
-    y = _random_ode_terminals(packed, x0, b)
-    return flow_map_array(sigma, y, packed.z_terminal)
+    # a flow that shrinks to 0 gives a zero slope: the replica diverges
+    with np.errstate(divide="ignore"):
+        y = _random_ode_terminals(packed, x0, b)
+    return flow(y, packed.z_terminal)[0]

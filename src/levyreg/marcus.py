@@ -36,13 +36,18 @@ class DiffusionField:
     `min_abs`, when set, witnesses |sigma| >= min_abs on the scenario's
     state range (the ellipticity assumption in dimension one). `fused_jet`,
     when set, returns (value(x), derivative(x)) bit for bit from one shared
-    evaluation; read both through `jet`.
+    evaluation; read both through `jet`. `flow`, when set, is the exact flow
+    (y, u) -> (phi, dphi/dy) of y' = sigma(y) over time u, on floats or
+    arrays, nan where it diverges or meets a non-finite argument; the
+    catalogue states it where the parameters give a closed form, and
+    `batch.doss_terminals` uses it in place of the jump-flow kernel.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     min_abs: float | None = None
     fused_jet: Callable[[float], tuple[float, float]] | None = None
+    flow: Callable[[float, float], tuple[float, float]] | None = None
 
     def jet(self, x):
         """(sigma(x), sigma'(x))."""

@@ -158,11 +158,16 @@ def test_diverging_flow_raises_no_numpy_warning():
                                  {"amplitude": 1.0, "curvature": 1.0, "center": 0.0})
     ys = np.linspace(-1.0, 1.0, 9)
     us = np.full(9, 5.0) * np.where(ys < 0.0, -1.0, 1.0)
+    # jumps of 0.8 at rate 2 carry many paths past the flow's pole
+    big = LevyTriplet(drift=0.15, jumps=FiniteAtomic(((0.8, 2.0),)), brownian_variance=0.3)
+    packed = pack_paths(draw_paths(big, 64, 53, 32), 32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         phi = flow_map_array(sigma, ys, us)
         flow_sensitivity_array(sigma, ys, us)
+        doss = doss_terminals(A_FIELD, sigma, packed, 0.2)
     assert not np.all(np.isfinite(phi))
+    assert 0 < np.count_nonzero(~np.isfinite(doss)) < doss.size
 
 
 class TestDossTerminals:
@@ -170,10 +175,33 @@ class TestDossTerminals:
         cells = 64
         paths = draw_paths(TRIPLET_BROWN, 4, 51, cells)
         packed = pack_paths(paths, cells)
-        got = doss_terminals(A_FIELD, SIGMA, packed, 0.1)
-        for p, xt in zip(paths, got):
-            scalar = doss_sussman_solve(A_FIELD, SIGMA, p, 0.1, 1.0 / cells)
-            assert xt == pytest.approx(scalar, abs=1e-6)
+        scalar = [doss_sussman_solve(A_FIELD, SIGMA, p, 0.1, 1.0 / cells) for p in paths]
+        # the closed-form flow, and the jump-flow kernel for a sigma without one
+        for sigma in (SIGMA, dataclasses.replace(SIGMA, flow=None)):
+            got = doss_terminals(A_FIELD, sigma, packed, 0.1)
+            assert got.tolist() == pytest.approx(scalar, abs=1e-6)
+
+    @pytest.mark.parametrize("name,params", [
+        ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}),
+        ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.0, "center": 0.0}),
+        ("arctan-diffusion", {"amplitude": 0.2, "curvature": 0.3, "center": 0.1}),
+        ("constant", {"level": 0.7}),
+        ("linear", {"slope": 0.5}),
+        ("affine", {"slope": -0.4, "intercept": 1.0}),
+    ])
+    def test_closed_form_sigma_never_runs_the_flow_kernel(self, monkeypatch, name, params):
+        # the kernel's cost grows with |Z_t| at every stage; a slow path back
+        # into it would show only as a timeout
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Doss engine ran the jump-flow kernel")
+
+        sigma = make_diffusion_field(name, params)
+        packed = pack_paths(draw_paths(TRIPLET_BROWN, 16, 54, 32), 32)
+        monkeypatch.setattr(batch_mod, "_flow_array", kernel)
+        assert np.isfinite(doss_terminals(A_FIELD, sigma, packed, 0.1)).all()
+        # a sigma without a closed form takes the kernel
+        with pytest.raises(AssertionError, match="jump-flow kernel"):
+            doss_terminals(A_FIELD, dataclasses.replace(sigma, flow=None), packed, 0.1)
 
     def test_matches_marcus_engine(self):
         cells = 128
@@ -321,11 +349,13 @@ def _full_sums_ode(a, packed, x0):
 
 
 def _full_sums_doss(a, sigma, packed, x0):
+    """The Doss-Sussmann engine on the full sums, with the flow the engine
+    takes for a catalogue sigma: its closed form."""
     def b(u, dz, jr, br):
-        phi, acc = flow_sensitivity_array(sigma, u, dz + jr + br)
-        return a.value(phi) * np.exp(-acc)
+        phi, slope = sigma.flow(u, dz + jr + br)
+        return a.value(phi) / slope
 
-    return flow_map_array(sigma, _full_sums_terminals(packed, x0, b), packed.z_terminal)
+    return sigma.flow(_full_sums_terminals(packed, x0, b), packed.z_terminal)[0]
 
 
 ZERO_PART_FIELDS = {

@@ -548,6 +548,43 @@ class TestCli:
         assert "reuses random streams" in err
         assert not (out / "summary.json").exists()
 
+    def test_s7_with_a_large_driver_runs_to_the_end(self, tmp_path, capsys):
+        # |Z_t| reaches about 90: the Doss flow is the field's closed form,
+        # whose cost does not grow with |Z_t| as the jump-flow kernel's does
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S7\nseed = 174687674\nhorizon = 2.842241721848201\n"
+                       "compensate = true\nreplicas = 1000\n"
+                       "[measure.atom.1]\nsize = -0.31754892522783473\n"
+                       "rate = 31.330562291225355\n"
+                       "[measure.atom.2]\nsize = -1.9\nrate = 12.23261386359438\n")
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failures"] == 0
+        assert summary["diagnostics"]["equivalence_pass"] is True
+
+    def test_s7_flow_past_its_pole_flags_replicas(self, tmp_path, capsys):
+        # arctan-diffusion's flow diverges once arctan(x) + Z_t passes pi/2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S7\nseed = 5\nreplicas = 1000\n"
+                       "[diffusion_field]\nname = arctan-diffusion\n"
+                       "amplitude = 1.0\ncurvature = 1.0\ncenter = 0.0\n"
+                       "[measure.atom.1]\nsize = 0.8\nrate = 2.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        rows = [r.split(",") for r in (out / "samples.csv").read_text().splitlines()[1:]]
+        flagged = [int(r[0]) for r in rows if r[3] == "1"]
+        assert 0 < summary["failures"] == len(flagged) < len(rows)
+        assert flagged == summary["failed_replicas"]
+        assert "numeric failures" in capsys.readouterr().err
+
     def test_huge_rate_is_rejected_before_sampling(self, tmp_path, capsys):
         # 1e12 expected jumps per path cannot fit in one chunk of packed paths
         cfg = tmp_path / "c.cfg"

@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levyreg.fields as fields_mod
 from levyreg.fields import (
     _EXP_CLIP,
     _expit_float,
@@ -12,6 +16,7 @@ from levyreg.fields import (
     make_diffusion_field,
     make_scalar_field,
 )
+from levyreg.marcus import FlowDivergence, flow_substeps, flow_with_sensitivity, jump_flow_phi
 
 
 def _bits(v) -> bytes:
@@ -229,3 +234,159 @@ class TestLogisticInPlace:
         assert x.tobytes() == kept.tobytes()
         for v in got:
             assert not np.shares_memory(v, x)
+
+
+# every closed-form flow: S7's default sigma, a decreasing logistic, and one
+# entry of each other kind
+_CLOSED_FLOWS = [
+    *_CATALOGUE_PARAMS,
+    ("logistic-slope", {"low": 1.6, "high": 0.8, "rate": -2.0, "center": 0.5}),
+]
+# parameters under which sigma is constant: the flow takes the constant form
+_DEGENERATE = [
+    ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.0, "center": 0.0}),
+    ("logistic-slope", {"low": 0.8, "high": 0.8, "rate": 2.0, "center": 0.0}),
+    ("logistic-slope", {"low": -0.5, "high": -0.5, "rate": 1.0, "center": 0.0}),
+    ("linear", {"slope": 0.0}),
+    ("affine", {"slope": 0.0, "intercept": 0.7}),
+    ("arctan-diffusion", {"amplitude": 0.5, "curvature": 0.0, "center": 0.3}),
+]
+_ORACLE_CASES = _CLOSED_FLOWS + _DEGENERATE
+_FLOW_GRID = [(y, u) for y in (-2.0, -0.3, 0.0, 0.7, 2.5)
+              for u in (-3.0, -0.8, 0.05, 1.1, 3.0)]
+_NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
+class TestClosedFlows:
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_phi_matches_the_rk4_oracle(self, name, params):
+        # where the oracle diverges (arctan-diffusion past its pole), the
+        # closed form is not finite
+        sigma = make_diffusion_field(name, params)
+        for y, u in _FLOW_GRID:
+            phi, _ = sigma.flow(y, u)
+            try:
+                want = jump_flow_phi(sigma, y, u, 1e-10)
+            except FlowDivergence:
+                assert not np.isfinite(phi), (y, u)
+                continue
+            assert abs(phi - want) <= 1e-10 * max(1.0, abs(want)), (y, u)
+
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_slope_matches_the_sensitivity_within_its_richardson_gap(self, name, params):
+        # exp(acc) is the RK4 sensitivity; its error at 2n substeps is about a
+        # fifteenth of its change from n to 2n
+        sigma = make_diffusion_field(name, params)
+        for y, u in _FLOW_GRID:
+            phi, slope = sigma.flow(y, u)
+            if not np.isfinite(phi):
+                continue
+            n = flow_substeps(u)
+            coarse = math.exp(flow_with_sensitivity(sigma, y, u, n)[1])
+            fine = math.exp(flow_with_sensitivity(sigma, y, u, 2 * n)[1])
+            assert abs(slope - fine) <= abs(fine - coarse) + 1e-14 * abs(fine), (y, u)
+
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_arrays_give_the_bits_of_floats(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        ys, us = (np.array(v) for v in zip(*_FLOW_GRID))
+        phi, slope = sigma.flow(ys, us)
+        assert phi.shape == slope.shape == ys.shape
+        for i, (y, u) in enumerate(_FLOW_GRID):
+            assert _bits(sigma.flow(y, u)) == _bits((phi[i], slope[i]))
+        # a float y against an array u broadcasts
+        assert _bits(sigma.flow(0.7, us)[0]) == _bits(
+            [sigma.flow(0.7, float(u))[0] for u in us])
+
+    @pytest.mark.parametrize("name,params", _DEGENERATE)
+    def test_degenerate_parameters_take_the_constant_form(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        level = float(sigma.value(0.0))
+        ys, us = (np.array(v) for v in zip(*_FLOW_GRID))
+        phi, slope = sigma.flow(ys, us)
+        assert _bits(phi) == _bits(ys + level * us)
+        assert np.all(slope == 1.0)
+
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_zero_time_returns_y_bit_for_bit(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        ys = np.array([-0.0, 0.0, 1.5, -2.0, *_NON_FINITE])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (0.0, -0.0):
+                phi, slope = sigma.flow(ys, u)
+                assert _bits(phi) == _bits(ys)
+                assert np.all(slope == 1.0)
+                for y in ys.tolist():
+                    assert _bits(sigma.flow(y, u)) == _bits((y, 1.0))
+
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_non_finite_arguments_give_non_finite_output(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        pairs = [(v, 0.5) for v in _NON_FINITE] + [(0.5, v) for v in _NON_FINITE] \
+            + [(v, w) for v in _NON_FINITE for w in _NON_FINITE]
+        ys, us = (np.array(v) for v in zip(*pairs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, _ = sigma.flow(ys, us)
+            assert not np.isfinite(phi).any()
+            for y, u in pairs:
+                assert not np.isfinite(sigma.flow(y, u)[0])
+
+    @pytest.mark.parametrize("params", [
+        {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 0.0},
+        {"low": 0.5, "high": -0.5, "rate": 1.0, "center": 0.0},
+        # S / (H r L) underflows to 0
+        {"low": 1.0, "high": 1e-171, "rate": 1e-171, "center": 0.0},
+    ])
+    def test_logistic_without_a_closed_form_keeps_none(self, params):
+        assert make_diffusion_field("logistic-slope", params).flow is None
+
+    def test_arctan_past_its_pole_is_not_finite(self):
+        # theta = arctan(y) + u; tan(3.5) and tan(-3.5) would wrap to finite values
+        sigma = make_diffusion_field("arctan-diffusion",
+                                     {"amplitude": 1.0, "curvature": 1.0, "center": 0.0})
+        us = np.array([1.6, 3.5, 40.0, -1.6, -3.5, 1.5, -1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, _ = sigma.flow(0.0, us)
+        assert not np.isfinite(phi[:5]).any()
+        assert phi[5:].tolist() == pytest.approx([math.tan(1.5), -math.tan(1.5)], rel=1e-14)
+
+    @pytest.mark.parametrize("params,composes", [
+        ({"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}, True),
+        # a slow rate makes S / (H r L) large
+        ({"low": 2.0, "high": 1.0, "rate": 1e-6, "center": 0.0}, True),
+        # a steep rate and a wide span make sigma change a millionfold across
+        # the center, and dphi/dy with it, so composing loses digits
+        ({"low": 1e-3, "high": 1e3, "rate": 1e3, "center": 0.0}, False),
+        ({"low": 1e3, "high": 1e-3, "rate": -1e3, "center": 5.0}, False),
+    ])
+    def test_newton_converges_far_out(self, params, composes):
+        # the flow is a group in u: phi(phi(y, u1), u2) = phi(y, u1 + u2)
+        sigma = make_diffusion_field("logistic-slope", params)
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 100.0, 1e4):
+            ys, u1, u2 = rng.uniform(-scale, scale, (3, 2000))
+            once, _ = sigma.flow(ys, u1 + u2)
+            twice, _ = sigma.flow(sigma.flow(ys, u1)[0], u2)
+            assert np.isfinite(once).all() and np.isfinite(twice).all()
+            if composes:
+                assert np.allclose(once, twice, rtol=1e-12, atol=1e-12)
+
+    def test_newton_needs_few_steps_on_s7_sigma(self, monkeypatch):
+        sigma = make_diffusion_field("logistic-slope",
+                                     {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0})
+        ys, us = np.random.default_rng(12).uniform(-100.0, 100.0, (2, 20000))
+        whole, _ = sigma.flow(ys, us)
+        monkeypatch.setattr(fields_mod, "_NEWTON_CAP", 8)
+        assert _bits(sigma.flow(ys, us)[0]) == _bits(whole)
+
+    def test_an_element_short_of_convergence_is_nan(self, monkeypatch):
+        # one Newton step is the Euler step, which must not pass for the flow
+        sigma = make_diffusion_field("logistic-slope",
+                                     {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0})
+        monkeypatch.setattr(fields_mod, "_NEWTON_CAP", 1)
+        phi, slope = sigma.flow(np.array([0.2, 0.2]), np.array([1.5, 1e-20]))
+        assert np.isnan(phi[0]) and np.isnan(slope[0])
+        assert phi[1] == 0.2 + float(sigma.value(0.2)) * 1e-20
