@@ -5,8 +5,8 @@ same algorithms elementwise across a whole batch of paths sharing one cell
 grid, so scenario-scale replica counts stay affordable. Both take their RK4
 step from flow_engine.rk4_step, which works on floats and arrays alike; the
 step itself is checked against closed forms and its step-halving order in
-the flow-engine tests. Three rules keep the
-results independent of how replicas are batched or chunked:
+the flow-engine tests. Three rules keep the results independent of how
+replicas are batched or chunked:
 
 * all state updates are elementwise (no cross-path arithmetic);
 * per-element substep counts depend only on that element's values;
@@ -44,9 +44,8 @@ running jump sum jr starts at +0.0, and IEEE addition (round to nearest) gives
 
 The jump-flow kernel fixes each element's substep count on entry, sorts the
 batch once by it (largest first, stable) and steps, at substep s, only the
-shrinking prefix of elements that still need it. With the flow sensitivity,
-each RK4 stage reads sigma and sigma' through one `DiffusionField.jet` call,
-which catalogue fields with a fused form evaluate once.
+shrinking prefix of elements that still need it, reading sigma through
+`value` and, for the flow sensitivity, sigma' through `derivative`.
 """
 
 from __future__ import annotations
@@ -102,25 +101,23 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
 
     Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
     sigma'(phi) * u over the same stages, read off the stage states as they
-    are evaluated (one `sigma.jet` call per stage); otherwise it is None and
-    sigma' is never called. Substep s runs on the prefix of the batch, sorted
-    by decreasing substep count, that still needs it; results come back in
-    input order. A diverging flow comes out inf/nan without a numpy warning.
+    are evaluated; otherwise it is None and sigma' is never called. Substep s
+    runs on the prefix of the batch, sorted by decreasing substep count, that
+    still needs it; results come back in input order. A diverging flow comes
+    out inf/nan without a numpy warning.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
     n = flow_substeps(u.ravel())
     order, live = _prefix_order(n)
     phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n[order]
     ds6 = ds / 6.0 if sensitivity else None
-    sig, jet = sigma.value, sigma.jet
+    sig, slope = sigma.value, sigma.derivative
     acc = np.zeros_like(phi) if sensitivity else None
     stages = []
 
     def f(_, p):
         if sensitivity:
-            value, slope = jet(p)
-            stages.append(slope * um)
-            return value * um
+            stages.append(slope(p) * um)
         return sig(p) * um
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -80,7 +80,6 @@ class MeasureChoice:
     levels: int = 12
     sign: float = 1.0
     rate_scale: float = 1.0
-    idealized_infinite: bool = True
     power: float = 1.5
     abs_max: float = 1.0
     two_sided: bool = True
@@ -91,8 +90,7 @@ class MeasureChoice:
         if self.kind == "family":
             if self.family == "dyadic":
                 return dyadic_family(self.levels, sign=self.sign,
-                                     rate_scale=self.rate_scale,
-                                     idealized_infinite=self.idealized_infinite)
+                                     rate_scale=self.rate_scale)
             if self.family == "sparse":
                 return sparse_family(self.levels, sign=self.sign,
                                      rate=self.rate_scale)
@@ -159,7 +157,6 @@ _SCALARS = {
     ("measure.family", "levels"): ("int", lambda v: 1 <= v <= _MAX_LEVELS, "levels"),
     ("measure.family", "sign"): ("float", lambda v: v != 0.0, "sign"),
     ("measure.family", "rate_scale"): ("float", lambda v: v > 0.0, "rate_scale"),
-    ("measure.family", "idealized_infinite"): ("bool", None, "idealized_infinite"),
     ("measure.density", "power"): ("float", lambda v: v > 0.0, "power"),
     ("measure.density", "abs_max"): ("float", lambda v: v > 0.0, "abs_max"),
     ("measure.density", "two_sided"): ("bool", None, "two_sided"),

@@ -5,43 +5,37 @@ exactly and the derivative-based formulas are honest. All callables accept
 floats or numpy float arrays (the batch engines evaluate them vectorized). A
 float, np.float64 included, takes a Python-float branch that gives the same
 bits as a one-element array, with np.exp as its only numpy call; on arrays,
-logistic-slope works in place in the one new array x - center. An entry may
-also ship a fused jet, x -> (value, derivative) from one shared evaluation
-with the same arithmetic as the two callables; diffusion fields built from it
-hand it to `DiffusionField.jet`.
+logistic-slope works in place in the one new array x - center.
 
 Each entry is a factory whose keyword arguments are the field's parameters,
-with their defaults; it returns the field and, where the parameters bound
-|value| away from 0, that bound (the ellipticity witness `min_abs`). Where
-the parameters give one, it also states the field's exact flow as a diffusion
-coefficient, (y, u) -> (phi, dphi/dy) with phi the time-u solution of
-y' = sigma(y) from y and dphi/dy = sigma(phi) / sigma(y):
+with their defaults; it returns the field as a DiffusionField with, where the
+parameters bound |value| away from 0, that bound (the ellipticity witness
+`min_abs`). Where the parameters give one, it also states the field's exact
+flow as a diffusion coefficient, (y, u) -> (phi, dphi/dy) with phi the time-u
+solution of y' = sigma(y) from y and dphi/dy = sigma(phi) / sigma(y):
 
 * constant c: phi = y + c u;
 * linear s: phi = y e^{s u};
 * affine (s, b): phi = (y + b/s) e^{s u} - b/s;
 * arctan-diffusion (A, k, c): phi = c + tan(arctan(k (y - c)) + A k u) / k,
   nan once the tan argument leaves (-pi/2, pi/2), where the flow diverges;
-* logistic-slope with low L > 0 and high H > 0: phi = h^-1(h(y) + u) with
-  h = int dx / sigma, that is x / H - S / (H r L) ln(H + L e^{-r (x - c)})
-  for span S and rate r, inverted by Newton's method (h' = 1 / sigma) from
-  the Euler step y + sigma(y) u.
+* logistic-slope with low L and high H of one sign: phi = h^-1(h(y) + u)
+  with h = int dx / sigma = x / H - S / (H r L) ln(H + L e^{-r (x - c)}) for
+  span S and rate r, by Newton's method (h' = 1 / sigma); with a zero end,
+  the same with h = (s - e^{-r s} / r) / A for sigma = A expit(r s), s = x - c.
 
 Degenerate parameters, under which sigma is constant, take the constant form:
 rate 0 or span 0 for logistic-slope, slope 0 for linear and affine, and
-curvature or amplitude 0 for arctan-diffusion. logistic-slope with low <= 0 or
-high <= 0 has no closed flow, nor has an entry whose constants b/s,
-S / (H r L) or A k overflow or underflow to 0. Each element runs its own Newton
-iteration and stops at |step| <= 2^-50 max(1, |x|); one still going after
-_NEWTON_CAP steps comes out nan, so it is flagged, never silently wrong. The
-batch-wide loop bound never enters element arithmetic.
+curvature or amplitude 0 for arctan-diffusion. A logistic-slope that changes
+sign has no closed flow, nor has an entry whose constants b/s, S / (H r L),
+A k or r A overflow or underflow to 0. An element still going after
+_NEWTON_CAP Newton steps comes out nan, so it is flagged, never silently wrong.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,14 +73,6 @@ def _expit_owned(t, rate: float):
     return np.divide(1.0, t, out=t)
 
 
-class _Entry(NamedTuple):
-    value: Callable
-    derivative: Callable
-    jet: Callable | None = None
-    min_abs: float | None = None     # |value| >= min_abs everywhere, when set
-    flow: Callable | None = None     # exact (y, u) -> (phi, dphi/dy), when set
-
-
 def _const_like(x, c: float):
     if not isinstance(x, float) and np.ndim(x):
         return np.full(np.shape(x), c)
@@ -122,10 +108,10 @@ def _constant_flow(level: float):
 
 def _constant(level: float = 0.3):
     """level."""
-    return _Entry(lambda x: _const_like(x, level),
-                  lambda x: _const_like(x, 0.0),
-                  min_abs=abs(level) if level != 0.0 else None,
-                  flow=_constant_flow(level))
+    return DiffusionField(lambda x: _const_like(x, level),
+                          lambda x: _const_like(x, 0.0),
+                          min_abs=abs(level) if level != 0.0 else None,
+                          flow=_constant_flow(level))
 
 
 def _linear(slope: float = 0.5):
@@ -134,9 +120,9 @@ def _linear(slope: float = 0.5):
         growth = np.exp(slope * u)
         return y * growth, growth
 
-    return _Entry(lambda x: slope * x,
-                  lambda x: _const_like(x, slope),
-                  flow=_flow(closed) if slope != 0.0 else _constant_flow(0.0))
+    return DiffusionField(lambda x: slope * x,
+                          lambda x: _const_like(x, slope),
+                          flow=_flow(closed) if slope != 0.0 else _constant_flow(0.0))
 
 
 def _affine(slope: float = 0.5, intercept: float = 0.0):
@@ -151,8 +137,8 @@ def _affine(slope: float = 0.5, intercept: float = 0.0):
         flow = _constant_flow(intercept)
     else:
         flow = _flow(closed) if math.isfinite(shift) else None
-    return _Entry(lambda x: slope * x + intercept,
-                  lambda x: _const_like(x, slope), flow=flow)
+    return DiffusionField(lambda x: slope * x + intercept,
+                          lambda x: _const_like(x, slope), flow=flow)
 
 
 def _logistic_slope(low: float = 0.0, high: float = 1.0,
@@ -189,27 +175,41 @@ def _logistic_slope(low: float = 0.0, high: float = 1.0,
         e *= w
         return e
 
-    def jet(x):
-        d = x - center
-        if isinstance(d, float):
-            e = _expit_float(rate * d)
-            return low + span * e, span * rate * e * (1.0 - e)
-        e = _expit_owned(d, rate)
-        slope = np.multiply(gain, e)
-        slope *= np.subtract(1.0, e)
-        e *= span
-        if add_low:
-            e += low
-        return e, slope
-
     flow = None
     if rate == 0.0 or span == 0.0:
         flow = _constant_flow(low + span * 0.5)
-    elif low > 0.0 and high > 0.0:
-        closed = _logistic_inverse(value, low, high, rate, center)
-        flow = _flow(closed) if closed is not None else None
-    return _Entry(value, derivative, jet,
-                  min(low, high) if low > 0.0 and high > 0.0 else None, flow)
+    elif min(low, high) > 0.0 or max(low, high) < 0.0:
+        flow = _logistic_flow(value, low, high, rate, center)
+    elif low == 0.0:
+        flow = _expit_flow(high, rate, center)
+    elif high == 0.0:
+        # low (1 - expit(r s)) = low expit(-r s)
+        flow = _expit_flow(low, -rate, center)
+    return DiffusionField(value, derivative,
+                          min(low, high) if low > 0.0 and high > 0.0 else None, flow)
+
+
+def _newton(x, residual, step, sigma, advance):
+    """Newton's method on R = h(x) - h(y) - u, h' = 1 / sigma, from x = y,
+    R = -u and a first step. A step d carries R to advance(R, x, d) =
+    R + h(x + d) - h(x), whose terms are of the size of d, so the rounding left
+    in R shrinks with the steps. Each element stops on its own at
+    |step| <= 2^-50 max(1, |x|), under a batch-wide loop bound."""
+    phi = np.full_like(x, np.nan)
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_CAP):
+        x_new = x - step
+        # False for a non-finite step or x_new too, which then stops as it is
+        going = np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
+        if not going.all():
+            phi[rows[~going]] = x_new[~going]
+            if not going.any():
+                break
+            rows, x, x_new, residual = (a[going] for a in (rows, x, x_new, residual))
+        residual = advance(residual, x, x_new - x)
+        x = x_new
+        step = residual * sigma(x)
+    return phi
 
 
 def _log_mix(t, v):
@@ -225,41 +225,58 @@ def _log_mix(t, v):
     return log
 
 
-def _logistic_inverse(value, low: float, high: float, rate: float, center: float):
-    """phi = h^-1(h(y) + u) for h = int dx / sigma. Newton's method carries
-    the residual R = h(x) - h(y) - u from step to step: from R = -u at x = y
-    (whose first step is the Euler step), each step d adds
-    h(x + d) - h(x) = d / H - K ln(1 - w + w e^{-r d}), with K = S / (H r L)
-    and w = 1 / (1 + (H / L) e^{r (x - c)}). Every term added is of the size
-    of its step, so the rounding left in R shrinks with the steps. None
-    where K underflows to 0 or overflows."""
+def _logistic_flow(value, low: float, high: float, rate: float, center: float):
+    """The flow for low L and high H of one sign, by `_newton` from the Euler
+    step y + sigma(y) u: h(x + d) - h(x) = d / H - K ln(1 - w + w e^{-r d}),
+    with K = S / (H r L) and w = 1 / (1 + (H / L) e^{r (x - c)}). None where K
+    underflows to 0 or overflows."""
     product = high * rate * low
     scale = (high - low) / product if product != 0.0 else math.inf
     if not 0.0 < abs(scale) < math.inf:
         return None
-    log_ratio = math.log(high) - math.log(low)
+    log_ratio = math.log(abs(high)) - math.log(abs(low))
+
+    def advance(residual, x, d):
+        return residual + d / high - scale * _log_mix(log_ratio + rate * (x - center),
+                                                      -rate * d)
 
     def closed(y, u):
-        x, residual = y, -u
-        phi = np.full_like(y, np.nan)
-        rows = np.arange(y.size)
-        for _ in range(_NEWTON_CAP):
-            step = residual * value(x)
-            x_new = x - step
-            # False for a non-finite step or x_new too, which then stops as it is
-            going = np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
-            if not going.all():
-                phi[rows[~going]] = x_new[~going]
-                if not going.any():
-                    break
-                rows, x, x_new, residual = (a[going] for a in (rows, x, x_new, residual))
-            d = x_new - x
-            residual = residual + d / high - scale * _log_mix(log_ratio + rate * (x - center),
-                                                              -rate * d)
-            x = x_new
+        phi = _newton(y, -u, -u * value(y), value, advance)
         return phi, value(phi) / value(y)
 
-    return closed
+    return _flow(closed)
+
+
+def _expit_flow(level: float, rate: float, center: float):
+    """The flow for sigma = A expit(r s), s = x - c, by `_newton` on
+    h = (s - e^{-r s} / r) / A with the unclamped sigma. In t = r s and time
+    tau = r A u, h is the increasing, concave g(t) = t - e^{-t}, so Newton's
+    method climbs to the root from below. It starts from the higher of two
+    points below it: the Euler step t + expit(t) tau and, for tau < 0,
+    t - ln(1 - tau e^t), where e^{-t} has moved by -tau. None where r A, 1 / r
+    or 1 / A overflows or underflows to 0."""
+    gain = rate * level
+    if not all(0.0 < abs(v) < math.inf for v in (gain, 1.0 / rate, 1.0 / level)):
+        return None
+
+    def sigma(x):
+        return level / (1.0 + np.exp(-rate * (x - center)))
+
+    def advance(residual, x, d):
+        # e^{-r s} expm1(-r d), with the exponential taken at the step's end
+        # of larger e^{-r s}: no factor overflows where the product is finite
+        move = rate * d
+        change = np.exp(-rate * (x - center) - np.minimum(move, 0.0)) * np.expm1(-np.abs(move))
+        return residual + (d - np.sign(move) * change / rate) / level
+
+    def closed(y, u):
+        t, tau = rate * (y - center), gain * u
+        tail = np.where(tau < 0.0, t - np.logaddexp(0.0, t + np.log(np.abs(tau))), -np.inf)
+        start = np.fmax(t + tau / (1.0 + np.exp(-t)), tail)
+        phi = _newton(y, -u, (t - start) / rate, sigma, advance)
+        return phi, np.exp(np.logaddexp(0.0, -t) - np.logaddexp(0.0, rate * (center - phi)))
+
+    return _flow(closed)
 
 
 def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
@@ -288,8 +305,8 @@ def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
         flow = _constant_flow(amplitude)
     else:
         flow = _flow(closed) if math.isfinite(gain) else None
-    return _Entry(value, derivative, min_abs=amplitude if amplitude > 0.0 else None,
-                  flow=flow)
+    return DiffusionField(value, derivative,
+                          min_abs=amplitude if amplitude > 0.0 else None, flow=flow)
 
 
 _CATALOGUE = {
@@ -319,18 +336,12 @@ def canonical_params(name: str, params: dict[str, float] | None = None) -> dict[
     return {**defaults, **(params or {})}
 
 
-def resolve_field(name: str, params: dict[str, float] | None = None) -> _Entry:
-    """(value, derivative, fused jet or None, min_abs or None, exact flow or
-    None) of a catalogue entry."""
+def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> DiffusionField:
+    """The catalogue entry with its defaults filled in: value, derivative,
+    min_abs or None, and exact flow or None."""
     return _CATALOGUE[name](**canonical_params(name, params))
 
 
 def make_scalar_field(name: str, params: dict[str, float] | None = None) -> ScalarField:
-    entry = resolve_field(name, params)
-    return ScalarField(value=entry.value, derivative=entry.derivative)
-
-
-def make_diffusion_field(name: str, params: dict[str, float] | None = None) -> DiffusionField:
-    entry = resolve_field(name, params)
-    return DiffusionField(value=entry.value, derivative=entry.derivative,
-                          min_abs=entry.min_abs, fused_jet=entry.jet, flow=entry.flow)
+    field = make_diffusion_field(name, params)
+    return ScalarField(value=field.value, derivative=field.derivative)

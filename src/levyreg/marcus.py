@@ -34,26 +34,17 @@ class DiffusionField:
     """Nonvanishing C^1 diffusion coefficient with its derivative.
 
     `min_abs`, when set, witnesses |sigma| >= min_abs on the scenario's
-    state range (the ellipticity assumption in dimension one). `fused_jet`,
-    when set, returns (value(x), derivative(x)) bit for bit from one shared
-    evaluation; read both through `jet`. `flow`, when set, is the exact flow
-    (y, u) -> (phi, dphi/dy) of y' = sigma(y) over time u, on floats or
-    arrays, nan where it diverges or meets a non-finite argument; the
-    catalogue states it where the parameters give a closed form, and
-    `batch.doss_terminals` uses it in place of the jump-flow kernel.
+    state range (the ellipticity assumption in dimension one). `flow`, when
+    set, is the exact flow (y, u) -> (phi, dphi/dy) of y' = sigma(y) over time
+    u, on floats or arrays, nan where it diverges or meets a non-finite
+    argument; the catalogue states it where the parameters give a closed form,
+    and `batch.doss_terminals` uses it in place of the jump-flow kernel.
     """
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     min_abs: float | None = None
-    fused_jet: Callable[[float], tuple[float, float]] | None = None
     flow: Callable[[float, float], tuple[float, float]] | None = None
-
-    def jet(self, x):
-        """(sigma(x), sigma'(x))."""
-        if self.fused_jet is not None:
-            return self.fused_jet(x)
-        return self.value(x), self.derivative(x)
 
     def validate(self, lo: float, hi: float, n: int = 101) -> None:
         for x in probe_derivative(self, lo, hi, n):
@@ -63,9 +54,11 @@ class DiffusionField:
 
 def flow_substeps(u):
     """Substeps of the unit-time jump flow of size u: an int for a float u,
-    an int64 array elementwise for an array u."""
+    an int64 array elementwise for an array u. A non-finite u takes the
+    minimum, 8, and its flow comes out non-finite."""
     n = np.maximum(8, np.ceil(np.abs(u) / FLOW_SUBSTEP_SCALE))
-    return n.astype(np.int64) if isinstance(n, np.ndarray) else int(n)
+    n = np.where(n < np.inf, n, 8)
+    return n.astype(np.int64) if np.ndim(u) else int(n)
 
 
 def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,
@@ -74,18 +67,15 @@ def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,
 
     Returns (phi, acc). With `sensitivity`, acc is the RK4 quadrature of
     sigma'(phi) * u over the same stages, read off the stage states as they
-    are evaluated (one `sigma.jet` call per stage); otherwise it stays 0.0
-    and sigma' is never called.
+    are evaluated; otherwise it stays 0.0 and sigma' is never called.
     """
-    sig, jet = sigma.value, sigma.jet
+    sig, slope = sigma.value, sigma.derivative
     ds = 1.0 / n
     stages = []
 
     def f(_, p):
         if sensitivity:
-            value, slope = jet(p)
-            stages.append(slope * u)
-            return value * u
+            stages.append(slope(p) * u)
         return sig(p) * u
 
     phi, acc = y, 0.0

@@ -161,8 +161,6 @@ def proportional_solution(sigma: DiffusionField, k: float, x0: float,
 def doss_sussman_drift(a: ScalarField, sigma: DiffusionField,
                        x: float, z: float) -> float:
     """b(x, z) = a(phi(x, z)) / phi_x(x, z), the random-ODE right-hand side."""
-    if z == 0.0:
-        return a.value(x)
     phi, log_sens = flow_with_sensitivity(sigma, x, z)
     return a.value(phi) * math.exp(-log_sens)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from levyreg.batch import (
 from levyreg.fields import make_diffusion_field, make_scalar_field
 from levyreg.flow_engine import solve_random_ode
 from levyreg.levy_spec import FiniteAtomic, LevyTriplet
-from levyreg.marcus import flow_with_sensitivity, jump_flow_phi, marcus_solve
+from levyreg.marcus import FlowDivergence, flow_with_sensitivity, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import path_law, sample_path
 from levyreg.rng import RngStream
 from levyreg.transforms import doss_sussman_solve
@@ -69,6 +70,24 @@ class TestFlowArrays:
                              rng.choice([-1.0, 1.0], 12) * rng.uniform(2.0, 6.0, 12)])
         phi, _ = flow_sensitivity_array(SIGMA, ys, us)
         assert np.array_equal(flow_map_array(SIGMA, ys, us), phi)
+
+    # (phi, acc) of both sensitivity kernels over a fixed (y, u) grid, whose
+    # bytes the two agree on: S7's sigma, and a sigma that changes sign
+    @pytest.mark.parametrize("params,expected", [
+        ({"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0},
+         "25e8d6563a78baee8e9f1b01e8e0f48559bee39ae6e1f38e696cd277640ec8d2"),
+        ({"low": -0.4, "high": 1.6, "rate": 0.9, "center": 0.2},
+         "cce7ef8d893092508d685d50fe1890a98e5e7e51464c6346d71d31d814da174a"),
+    ])
+    def test_sensitivity_kernels_keep_their_bytes(self, params, expected):
+        sigma = make_diffusion_field("logistic-slope", params)
+        ys, us = (a.ravel() for a in np.meshgrid(
+            np.linspace(-3.0, 3.0, 13), [-3.2, -1.1, -0.4, -0.05, 0.0, 0.05, 0.3, 1.7, 3.2]))
+        phi, acc = flow_sensitivity_array(sigma, ys, us)
+        assert hashlib.sha256(phi.tobytes() + acc.tobytes()).hexdigest() == expected
+        phi, acc = np.array([flow_with_sensitivity(sigma, y, u)
+                             for y, u in zip(ys.tolist(), us.tolist())]).T
+        assert hashlib.sha256(phi.tobytes() + acc.tobytes()).hexdigest() == expected
 
     @pytest.mark.parametrize("sigma", [
         SIGMA, make_diffusion_field("arctan-diffusion",
@@ -170,6 +189,16 @@ def test_diverging_flow_raises_no_numpy_warning():
     assert 0 < np.count_nonzero(~np.isfinite(doss)) < doss.size
 
 
+def test_non_finite_jump_size_gives_non_finite_flow_without_a_warning():
+    us = np.array([np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(flow_map_array(SIGMA, np.zeros(3), us)).any()
+        for u in us.tolist():
+            with pytest.raises(FlowDivergence):
+                jump_flow_phi(SIGMA, 0.0, u)
+
+
 class TestDossTerminals:
     def test_matches_scalar_solver(self):
         cells = 64
@@ -184,6 +213,9 @@ class TestDossTerminals:
     @pytest.mark.parametrize("name,params", [
         ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}),
         ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.0, "center": 0.0}),
+        ("logistic-slope", {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0}),
+        ("logistic-slope", {"low": 1.6, "high": 0.0, "rate": 0.9, "center": 0.0}),
+        ("logistic-slope", {"low": -0.8, "high": -1.6, "rate": 0.9, "center": 0.0}),
         ("arctan-diffusion", {"amplitude": 0.2, "curvature": 0.3, "center": 0.1}),
         ("constant", {"level": 0.7}),
         ("linear", {"slope": 0.5}),

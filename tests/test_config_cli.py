@@ -548,12 +548,16 @@ class TestCli:
         assert "reuses random streams" in err
         assert not (out / "summary.json").exists()
 
-    def test_s7_with_a_large_driver_runs_to_the_end(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sigma", [
+        "", "[diffusion_field]\nname = logistic-slope\nlow = 0.0\n",
+    ], ids=["s7-sigma", "zero-low"])
+    def test_s7_with_a_large_driver_runs_to_the_end(self, tmp_path, capsys, sigma):
         # |Z_t| reaches about 90: the Doss flow is the field's closed form,
-        # whose cost does not grow with |Z_t| as the jump-flow kernel's does
+        # whose cost does not grow with |Z_t| as the jump-flow kernel's does;
+        # with low = 0, sigma falls toward 0 where the driver carries X
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = S7\nseed = 174687674\nhorizon = 2.842241721848201\n"
-                       "compensate = true\nreplicas = 1000\n"
+                       "compensate = true\nreplicas = 1000\n" + sigma +
                        "[measure.atom.1]\nsize = -0.31754892522783473\n"
                        "rate = 31.330562291225355\n"
                        "[measure.atom.2]\nsize = -1.9\nrate = 12.23261386359438\n")

@@ -64,7 +64,6 @@ _VALUES = {
     "levels": st.integers(1, 12),
     "sign": _floats(0.1, 4.0) | _floats(-4.0, -0.1),
     "rate_scale": _floats(1e-3, 10.0),
-    "idealized_infinite": st.booleans(),
     "power": _floats(0.05, 2.0),
     "abs_max": _floats(0.05, 5.0),
     "two_sided": st.booleans(),
@@ -75,7 +74,7 @@ _VALUES = {
     "mark_low": _floats(1e-6, 0.1),
     "mark_high": _floats(0.5, 10.0),
 }
-_FAMILY_KEYS = ("family", "levels", "sign", "rate_scale", "idealized_infinite")
+_FAMILY_KEYS = ("family", "levels", "sign", "rate_scale")
 _DENSITY_KEYS = ("power", "abs_max", "two_sided")
 _FIELD_PARAMS = {"constant": ("level",), "linear": ("slope",),
                  "affine": ("slope", "intercept"),
@@ -146,7 +145,7 @@ class TestKeyTable:
          "trend_levels = 2, 4,\nscenario = S3   # trailing comment\n\n"
          "[diagnostics]\nhalfwidth = 1e-8\n"
          "spacing = 0.0078125\nthreshold = 0.1\nwindow = 1e-4\n"
-         "\n[measure.family]\nidealized_infinite = no\n"
+         "\n[measure.family]\n"
          "rate_scale = 0.8\nsign = -1\nlevels = 7\nkind = sparse\n\n"
          "[drift_field]\ncenter = 2\nname = logistic-slope\nhigh = 1\n\n"
          "[triplet]\nbrownian_variance = 0\ndrift = 0.1\n",
@@ -155,7 +154,7 @@ class TestKeyTable:
          "trend_levels = 2,4\n\n"
          "[triplet]\ndrift = 0.1\nbrownian_variance = 0.0\n\n"
          "[measure.family]\nkind = sparse\nlevels = 7\nsign = -1.0\n"
-         "rate_scale = 0.8\nidealized_infinite = false\n\n"
+         "rate_scale = 0.8\n\n"
          "[drift_field]\nname = logistic-slope\ncenter = 2.0\nhigh = 1.0\nlow = 0.0\n"
          "rate = 1.0\n\n"
          "[diagnostics]\nwindow = 0.0001\nthreshold = 0.1\nspacing = 0.0078125\n"
@@ -262,6 +261,9 @@ REJECTED = [
     ("scenario = S2\n[measure.atom.1]\nsize = 0.3\nrate = 8.0\n", 3,
      "scenario S2 does not read"),
     ("scenario = S1\n[output]\ndir = results\n", 3, "unknown key 'dir'"),
+    # the run read no value of it
+    ("scenario = S3\n[measure.family]\nlevels = 4\nidealized_infinite = no\n", 4,
+     "unknown key 'idealized_infinite'"),
     # a refused key comes before the cross-key checks (here S6's horizon)
     ("scenario = S6\nhorizon = 0.05\n[diagnostics]\nwindow = 0.1\nspacing = 0.1\n", 4,
      "scenario S6 does not read 'window'"),

@@ -116,20 +116,7 @@ _FIXED_EDGES = [-_EXP_CLIP, _EXP_CLIP, *_CLAMP_NEIGHBOURS, -1e300, 1e300,
                 -np.inf, np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324]
 
 
-class TestJet:
-    @pytest.mark.parametrize("name,params", _CATALOGUE_PARAMS)
-    def test_jet_is_value_and_derivative_bit_for_bit(self, name, params):
-        sigma = make_diffusion_field(name, params)
-        xs = np.array(_EDGE_POINTS)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for x in [*_EDGE_POINTS, xs]:
-                value, slope = sigma.jet(x)
-                assert _bits(value) == _bits(sigma.value(x))
-                assert _bits(slope) == _bits(sigma.derivative(x))
-
-    def test_logistic_jet_is_fused(self):
-        assert make_diffusion_field("logistic-slope").fused_jet is not None
-
+class TestExpitClamp:
     def test_expit_clamp_matches_clip(self):
         ts = np.array([-1e300, -61.0, -60.0, -59.9, -1.0, -0.0, 0.0, 2.5, 59.9,
                        60.0, 61.0, 1e300, np.inf, -np.inf, np.nan,
@@ -157,16 +144,14 @@ _PARAM_STRATEGIES = {
 
 
 def _assert_scalar_types_match_array(name, params, x):
-    """value, derivative and jet give the bits of a one-element array on a
-    Python float and on an np.float64."""
+    """value and derivative give the bits of a one-element array on a Python
+    float and on an np.float64."""
     sigma = make_diffusion_field(name, params)
     one = np.array([x])
     with np.errstate(over="ignore", invalid="ignore"):
-        want = [_bits(sigma.value(one)), _bits(sigma.derivative(one)),
-                *map(_bits, sigma.jet(one))]
+        want = [_bits(sigma.value(one)), _bits(sigma.derivative(one))]
         for arg in (float(x), np.float64(x)):
-            got = [_bits(sigma.value(arg)), _bits(sigma.derivative(arg)),
-                   *map(_bits, sigma.jet(arg))]
+            got = [_bits(sigma.value(arg)), _bits(sigma.derivative(arg))]
             assert got == want, (name, params, arg, type(arg))
 
 
@@ -227,20 +212,27 @@ class TestLogisticInPlace:
                       *(float(np.nextafter(e, d)) for e in edges for d in (-np.inf, np.inf))])
         kept = x.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            value, slope = sigma.jet(x)
-            got = [sigma.value(x), sigma.derivative(x), value, slope]
-            want = [old_value(x), old_derivative(x)] * 2
+            got = [sigma.value(x), sigma.derivative(x)]
+            want = [old_value(x), old_derivative(x)]
         assert [_bits(v) for v in got] == [_bits(v) for v in want]
         assert x.tobytes() == kept.tobytes()
         for v in got:
             assert not np.shares_memory(v, x)
 
 
-# every closed-form flow: S7's default sigma, a decreasing logistic, and one
-# entry of each other kind
+# every closed-form flow: S7's default sigma, a decreasing logistic, one
+# entry of each other kind, and each one-signed logistic: both ends negative,
+# or one end zero (sigma = A expit(r (x - c)), of either sign and slope)
 _CLOSED_FLOWS = [
     *_CATALOGUE_PARAMS,
     ("logistic-slope", {"low": 1.6, "high": 0.8, "rate": -2.0, "center": 0.5}),
+    ("logistic-slope", {"low": -0.8, "high": -1.6, "rate": 0.9, "center": 0.0}),
+    ("logistic-slope", {"low": -1.6, "high": -0.8, "rate": -2.0, "center": 0.5}),
+    ("logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 0.0}),
+    ("logistic-slope", {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0}),
+    ("logistic-slope", {"low": 0.0, "high": -1.5, "rate": 2.0, "center": 0.5}),
+    ("logistic-slope", {"low": 1.2, "high": 0.0, "rate": 0.7, "center": -0.3}),
+    ("logistic-slope", {"low": -0.8, "high": 0.0, "rate": -1.3, "center": 0.2}),
 ]
 # parameters under which sigma is constant: the flow takes the constant form
 _DEGENERATE = [
@@ -252,7 +244,7 @@ _DEGENERATE = [
     ("arctan-diffusion", {"amplitude": 0.5, "curvature": 0.0, "center": 0.3}),
 ]
 _ORACLE_CASES = _CLOSED_FLOWS + _DEGENERATE
-_FLOW_GRID = [(y, u) for y in (-2.0, -0.3, 0.0, 0.7, 2.5)
+_FLOW_GRID = [(y, u) for y in (-2.0, -0.3, -0.0, 0.0, 0.7, 2.5)
               for u in (-3.0, -0.8, 0.05, 1.1, 3.0)]
 _NON_FINITE = [np.inf, -np.inf, np.nan]
 
@@ -334,10 +326,14 @@ class TestClosedFlows:
                 assert not np.isfinite(sigma.flow(y, u)[0])
 
     @pytest.mark.parametrize("params", [
-        {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 0.0},
+        # sigma changes sign
         {"low": 0.5, "high": -0.5, "rate": 1.0, "center": 0.0},
+        {"low": -0.5, "high": 1.6, "rate": 0.9, "center": 0.0},
         # S / (H r L) underflows to 0
         {"low": 1.0, "high": 1e-171, "rate": 1e-171, "center": 0.0},
+        # with a zero end, r A underflows to 0, or 1 / r overflows
+        {"low": 0.0, "high": 1e-200, "rate": 1e-200, "center": 0.0},
+        {"low": 1.0, "high": 0.0, "rate": 1e-310, "center": 0.0},
     ])
     def test_logistic_without_a_closed_form_keeps_none(self, params):
         assert make_diffusion_field("logistic-slope", params).flow is None
@@ -381,6 +377,52 @@ class TestClosedFlows:
         whole, _ = sigma.flow(ys, us)
         monkeypatch.setattr(fields_mod, "_NEWTON_CAP", 8)
         assert _bits(sigma.flow(ys, us)[0]) == _bits(whole)
+
+    @pytest.mark.parametrize("params", [
+        {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": -0.8, "high": 0.0, "rate": -1.3, "center": 0.2},
+    ])
+    def test_newton_needs_few_steps_with_a_zero_end(self, monkeypatch, params):
+        # the starts below the root keep the count low where the Euler step
+        # lands far out in the tail, in which Newton's method gains about
+        # 1 / r a step
+        sigma = make_diffusion_field("logistic-slope", params)
+        ys, us = np.random.default_rng(13).uniform(-100.0, 100.0, (2, 20000))
+        whole, _ = sigma.flow(ys, us)
+        assert np.isfinite(whole).all()
+        monkeypatch.setattr(fields_mod, "_NEWTON_CAP", 12)
+        assert _bits(sigma.flow(ys, us)[0]) == _bits(whole)
+
+    @pytest.mark.parametrize("params", [
+        {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": 1.2, "high": 0.0, "rate": 0.7, "center": -0.3},
+    ])
+    def test_zero_end_matches_the_oracle_far_out(self, params):
+        # from y = 0 over u = -90 the Euler step lands some 70 units past the
+        # root, where sigma is below 1e-26; at y = -900 or 900 (one each side
+        # of the center per field) sigma is below the clamp and the flow
+        # moves y by less than an ulp
+        sigma = make_diffusion_field("logistic-slope", params)
+        for y in (-900.0, -40.0, 0.0, 40.0, 900.0):
+            for u in (-90.0, 90.0):
+                phi, _ = sigma.flow(y, u)
+                want = jump_flow_phi(sigma, y, u, 1e-10)
+                assert abs(phi - want) <= 1e-10 * max(1.0, abs(want)), (y, u)
+
+    def test_zero_end_flows_across_the_tail(self):
+        # sigma = 1.6 expit(0.9 x): in t = 0.9 x, g(t) = t - e^{-t} moves by
+        # tau = 1.44 u. From y = 0 over u = -1e30 the flow ends at t near -69,
+        # where sigma lies below the clamp at t = -60, and each Newton step
+        # needs the unclamped sigma; from y = 900, where e^{-t} underflows,
+        # over u = -700 it crosses the whole tail to t near -5
+        sigma = make_diffusion_field("logistic-slope",
+                                     {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi, _ = sigma.flow(np.array([0.0, 900.0]), np.array([-1e30, -700.0]))
+        t = 0.9 * phi
+        assert t[0] == pytest.approx(-math.log(1.44e30), rel=1e-13)
+        assert t[1] - math.exp(-t[1]) == pytest.approx(0.9 * 900.0 - 1.44 * 700.0, rel=1e-12)
 
     def test_an_element_short_of_convergence_is_nan(self, monkeypatch):
         # one Newton step is the Euler step, which must not pass for the flow

@@ -58,6 +58,11 @@ class TestJumpFlow:
         got = flow_substeps(np.array(us))
         assert got.dtype == np.int64 and got.tolist() == want
 
+    def test_non_finite_size_takes_the_minimum(self):
+        us = [math.inf, -math.inf, math.nan]
+        assert [flow_substeps(u) for u in us] == [8, 8, 8]
+        assert flow_substeps(np.array(us)).tolist() == [8, 8, 8]
+
     def test_flow_property(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
