@@ -104,15 +104,23 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     are evaluated; otherwise it is None and sigma' is never called. Substep s
     runs on the prefix of the batch, sorted by decreasing substep count, that
     still needs it; results come back in input order. A diverging flow comes
-    out inf/nan without a numpy warning.
+    out inf/nan without a numpy warning, and so does a u with 0 substeps (not
+    finite, or beyond MAX_FLOW_SUBSTEPS), which is not run.
     """
     y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
     n = flow_substeps(u.ravel())
     order, live = _prefix_order(n)
-    phi, us, ds = y.ravel()[order], u.ravel()[order], 1.0 / n[order]
+    phi, us = y.ravel()[order], u.ravel()[order]
+    # the 0-count elements sort last; 1 / 0 would warn
+    run = np.count_nonzero(n)
+    phi[run:] = np.nan
+    ds = 1.0 / np.maximum(n[order], 1)
     ds6 = ds / 6.0 if sensitivity else None
     sig, slope = sigma.value, sigma.derivative
-    acc = np.zeros_like(phi) if sensitivity else None
+    acc = None
+    if sensitivity:
+        acc = np.zeros_like(phi)
+        acc[run:] = np.nan
     stages = []
 
     def f(_, p):

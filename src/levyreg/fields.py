@@ -5,7 +5,11 @@ exactly and the derivative-based formulas are honest. All callables accept
 floats or numpy float arrays (the batch engines evaluate them vectorized). A
 float, np.float64 included, takes a Python-float branch that gives the same
 bits as a one-element array, with np.exp as its only numpy call; on arrays,
-logistic-slope works in place in the one new array x - center.
+logistic-slope works in place in the one new array x - center. A flow called
+on a float y and u takes a float branch too, with the numpy calls of the
+array path on floats, and returns Python floats with the bits of a
+one-element array: the scalar solvers of the unit-diffusion transform call it
+at every step.
 
 Each entry is a factory whose keyword arguments are the field's parameters,
 with their defaults; it returns the field as a DiffusionField with, where the
@@ -81,10 +85,20 @@ def _const_like(x, c: float):
 
 def _flow(closed):
     """The flow (y, u) -> (phi, dphi/dy) on floats or arrays, from `closed`,
-    which sees only flat arrays of finite y and finite nonzero u. A u of
-    +-0.0 gives y as it is, with slope 1.0; a y or u that is not finite gives
-    nan. No numpy warning is raised."""
+    which sees only finite y and finite nonzero u, as two floats or two flat
+    arrays. A u of +-0.0 gives y as it is, with slope 1.0; a y or u that is
+    not finite gives nan. A float y and u (np.float64 included) take the float
+    branch: Python floats with the bits of a one-element array. No numpy
+    warning is raised."""
     def flow(y, u):
+        if isinstance(y, float) and isinstance(u, float):
+            if u == 0.0:
+                return float(y), 1.0
+            if not (math.isfinite(y) and math.isfinite(u)):
+                return math.nan, math.nan
+            with np.errstate(all="ignore"):
+                phi, slope = closed(y, u)
+            return float(phi), float(slope)
         y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
         shape = y.shape
         y, u = y.ravel(), u.ravel()
@@ -103,7 +117,7 @@ def _flow(closed):
 
 
 def _constant_flow(level: float):
-    return _flow(lambda y, u: (y + level * u, np.ones_like(y)))
+    return _flow(lambda y, u: (y + level * u, _const_like(y, 1.0)))
 
 
 def _constant(level: float = 0.3):
@@ -194,7 +208,10 @@ def _newton(x, residual, step, sigma, advance):
     R = -u and a first step. A step d carries R to advance(R, x, d) =
     R + h(x + d) - h(x), whose terms are of the size of d, so the rounding left
     in R shrinks with the steps. Each element stops on its own at
-    |step| <= 2^-50 max(1, |x|), under a batch-wide loop bound."""
+    |step| <= 2^-50 max(1, |x|), under a batch-wide loop bound. A float x
+    takes a float loop with the same steps."""
+    if isinstance(x, float):
+        return _newton_float(x, residual, step, sigma, advance)
     phi = np.full_like(x, np.nan)
     rows = np.arange(x.size)
     for _ in range(_NEWTON_CAP):
@@ -212,9 +229,27 @@ def _newton(x, residual, step, sigma, advance):
     return phi
 
 
+def _newton_float(x, residual, step, sigma, advance):
+    """`_newton` on a float: max(1, |x|) keeps a nan |x| as np.maximum does."""
+    for _ in range(_NEWTON_CAP):
+        x_new = x - step
+        size = abs(x_new)
+        if not abs(step) > _NEWTON_TOL * (1.0 if size < 1.0 else size):
+            return x_new
+        residual = advance(residual, x, x_new - x)
+        x = x_new
+        step = residual * sigma(x)
+    return math.nan
+
+
 def _log_mix(t, v):
     """ln(1 - w + w e^v) for the weights w = 1 / (1 + e^t): log1p(w expm1(v))
     while |w expm1(v)| < 1/2, logaddexp(ln(1 - w), ln w + v) beyond."""
+    if isinstance(t, float):
+        arg = np.expm1(v) / (1.0 + np.exp(t))
+        if abs(arg) < 0.5:
+            return np.log1p(arg)
+        return np.logaddexp(-np.logaddexp(0.0, -t), v - np.logaddexp(0.0, t))
     arg = np.expm1(v)
     arg /= 1.0 + np.exp(t)
     log = np.log1p(arg)
@@ -241,8 +276,9 @@ def _logistic_flow(value, low: float, high: float, rate: float, center: float):
                                                       -rate * d)
 
     def closed(y, u):
-        phi = _newton(y, -u, -u * value(y), value, advance)
-        return phi, value(phi) / value(y)
+        sigma_y = value(y)
+        phi = _newton(y, -u, -u * sigma_y, value, advance)
+        return phi, value(phi) / sigma_y
 
     return _flow(closed)
 
@@ -297,9 +333,13 @@ def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
         theta = np.arctan(t) + gain * u
         tan = np.tan(theta)
         phi = center + tan / curvature
+        slope = (1.0 + tan * tan) / (1.0 + t * t)
         # past the pole the flow has diverged; tan would wrap round to a finite value
-        phi[np.abs(theta) > np.pi / 2] = np.nan
-        return phi, (1.0 + tan * tan) / (1.0 + t * t)
+        past = np.abs(theta) > np.pi / 2
+        if isinstance(phi, float):
+            return math.nan if past else phi, slope
+        phi[past] = np.nan
+        return phi, slope
 
     if gain == 0.0:
         flow = _constant_flow(amplitude)

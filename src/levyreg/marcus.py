@@ -22,6 +22,10 @@ from .path_sampler import LevyPath
 
 #: Jump size per substep of the unit-time jump flow (see flow_substeps).
 FLOW_SUBSTEP_SCALE = 0.05
+#: Most substeps one jump flow runs: a size needing more (|u| beyond
+#: MAX_FLOW_SUBSTEPS * FLOW_SUBSTEP_SCALE, about 52 429) is not run. Far
+#: below 2^63, so a count never wraps; Richardson doubling stops at it too.
+MAX_FLOW_SUBSTEPS = 2 ** 20
 _MAX_FLOW_DOUBLINGS = 12
 
 
@@ -38,7 +42,9 @@ class DiffusionField:
     set, is the exact flow (y, u) -> (phi, dphi/dy) of y' = sigma(y) over time
     u, on floats or arrays, nan where it diverges or meets a non-finite
     argument; the catalogue states it where the parameters give a closed form,
-    and `batch.doss_terminals` uses it in place of the jump-flow kernel.
+    and `batch.doss_terminals`, `transforms.unit_diffusion_transform` and
+    `transforms.proportional_solution` use it in place of the jump-flow kernel
+    or the quadrature.
     """
 
     value: Callable[[float], float]
@@ -54,11 +60,22 @@ class DiffusionField:
 
 def flow_substeps(u):
     """Substeps of the unit-time jump flow of size u: an int for a float u,
-    an int64 array elementwise for an array u. A non-finite u takes the
-    minimum, 8, and its flow comes out non-finite."""
-    n = np.maximum(8, np.ceil(np.abs(u) / FLOW_SUBSTEP_SCALE))
-    n = np.where(n < np.inf, n, 8)
+    an int64 array elementwise for an array u. A u that is not finite, or
+    that needs more than MAX_FLOW_SUBSTEPS, gets 0: its flow is not run, and
+    it comes out nan (or raises FlowDivergence)."""
+    # |u| is clamped far past the cap first, so the division cannot overflow
+    n = np.ceil(np.minimum(np.abs(u), 1e300) / FLOW_SUBSTEP_SCALE)
+    n = np.where(n <= MAX_FLOW_SUBSTEPS, np.maximum(n, 8), 0)
     return n.astype(np.int64) if np.ndim(u) else int(n)
+
+
+def _runnable_substeps(u: float) -> int:
+    """flow_substeps(u) for the scalar flows, which raise on a u not run."""
+    n = flow_substeps(u)
+    if n == 0:
+        raise FlowDivergence(f"jump flow not run: size {u} is not finite or needs "
+                             f"more than {MAX_FLOW_SUBSTEPS} substeps")
+    return n
 
 
 def _flow_once(sigma: DiffusionField, y: float, u: float, n: int,
@@ -97,15 +114,17 @@ def jump_flow_phi(sigma: DiffusionField, y: float, u: float,
     """Time-u flow of sigma from y, i.e. the Marcus jump destination.
 
     RK4 with substeps scaled to |u|, then Richardson-refined until the
-    step-halving estimate sits below tol.
+    step-halving estimate sits below tol, within MAX_FLOW_SUBSTEPS substeps.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     if u == 0.0:
         return float(y)
-    n = flow_substeps(u)
+    n = _runnable_substeps(u)
     coarse, _ = _flow_once(sigma, y, u, n)
     for _ in range(_MAX_FLOW_DOUBLINGS):
+        if 2 * n > MAX_FLOW_SUBSTEPS:
+            break
         fine, _ = _flow_once(sigma, y, u, 2 * n)
         err = abs(fine - coarse) / 15.0
         if err <= tol * max(1.0, abs(fine)):
@@ -125,7 +144,7 @@ def flow_with_sensitivity(sigma: DiffusionField, y: float, u: float,
     if u == 0.0:
         return float(y), 0.0
     if n is None:
-        n = flow_substeps(u)
+        n = _runnable_substeps(u)
     phi, acc = _flow_once(sigma, float(y), u, n, sensitivity=True)
     return float(phi), float(acc)
 

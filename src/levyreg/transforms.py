@@ -4,7 +4,10 @@ With a nonvanishing diffusion coefficient sigma, three classical devices
 turn the Marcus equation into something already solved elsewhere:
 
 * unit_diffusion_transform — f(x) = int dt/sigma from a base point conjugates
-  the equation to one with unit diffusion and drift (a/sigma) o f^-1;
+  the equation to one with unit diffusion and drift (a/sigma) o f^-1. The
+  inverse is the sigma-flow from the base point, f^-1(y) = phi(base, y): one
+  call of the exact flow for a catalogue sigma that states one, Newton's
+  method on a quadrature table of f otherwise;
 * proportional_solution — when a = k*sigma the solution is the sigma-flow
   evaluated at the linearly drifted driver, in closed form;
 * doss_sussman_solve — X_t = phi(Y_t, Z_t) with Y solving a random ODE whose
@@ -24,6 +27,9 @@ from .flow_engine import ScalarField, grid_segments, rk4_step
 from .marcus import DiffusionField, FlowDivergence, flow_with_sensitivity, jump_flow_phi
 from .path_sampler import LevyPath
 from .quadrature import adaptive_simpson
+
+#: Newton steps, and halvings of one step, that the flow-based f(x) may take.
+_FORWARD_CAP = 100
 
 
 class AssumptionHViolation(ValueError):
@@ -54,11 +60,16 @@ class Diffeomorphism:
 def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
                              range_lo: float, range_hi: float,
                              cells: int = 512) -> Diffeomorphism:
-    """Build f(x) = int_base^x dt/sigma(t) with a cumulative quadrature table.
+    """Build f(x) = int_base^x dt/sigma(t), the time the sigma-flow takes
+    from base_point to x, so that f^-1(y) = phi(base_point, y).
 
-    sigma must keep a fixed sign on [range_lo, range_hi]; the integral is
-    accumulated per table cell with adaptive Simpson (tol 1e-12 per cell) and
-    point evaluations only integrate across the enclosing cell.
+    sigma must keep a fixed sign on [range_lo, range_hi], checked at cells + 1
+    nodes. For a sigma with an exact flow (`DiffusionField.flow`), the inverse
+    is one flow call and f(x) is Newton's method on it. Otherwise f comes from
+    a cumulative quadrature table: adaptive Simpson (tol 1e-12) per table
+    cell, with point evaluations integrating only across the enclosing cell,
+    and the inverse is Newton's method on f. Either way a non-finite argument
+    or result raises FlowDivergence.
     """
     if not (range_lo < range_hi):
         raise ValueError("need range_lo < range_hi")
@@ -71,7 +82,57 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
     if np.any(np.abs(sig_vals) < floor) or np.any(np.sign(sig_vals) != np.sign(sig_vals[0])):
         raise AssumptionHViolation(
             "sigma vanishes or changes sign on the requested range")
+    if sigma.flow is not None:
+        forward, inverse = _flow_maps(sigma, float(base_point))
+    else:
+        forward, inverse = _quadrature_maps(sigma, base_point, nodes,
+                                            increasing=sig_vals[0] > 0.0)
+    return Diffeomorphism(forward=forward, inverse=inverse, base_point=base_point,
+                          range_lo=range_lo, range_hi=range_hi)
 
+
+def _flow_maps(sigma: DiffusionField, base: float):
+    """(f, f^-1) from the exact flow: f^-1(y) = phi(base, y), and f(x) the
+    root y of phi(base, y) = x by Newton's method from y = 0, with
+    dphi/dy = sigma(phi). A step whose flow diverges is halved."""
+    flow, sig = sigma.flow, sigma.value
+
+    def inverse(y: float) -> float:
+        x = flow(base, float(y))[0]
+        if not math.isfinite(x):
+            raise FlowDivergence(f"unit-diffusion transform inverse at y = {y}")
+        return x
+
+    def forward(x: float) -> float:
+        if not math.isfinite(x):
+            raise FlowDivergence(f"unit-diffusion transform at x = {x}")
+        y, p = 0.0, base
+        for _ in range(_FORWARD_CAP):
+            # a float: a step past the float range is inf, without a numpy warning
+            slope = float(sig(p))
+            if not abs(slope) > 0.0:  # the flow ran onto a zero of sigma
+                break
+            step = (x - p) / slope
+            for _ in range(_FORWARD_CAP):
+                q = flow(base, y + step)[0]
+                if math.isfinite(q):
+                    break
+                step *= 0.5
+            else:  # no finite step: an infinite one halves to itself
+                break
+            y, p = y + step, q
+            if abs(step) <= 1e-14 * (1.0 + abs(y)):
+                return y
+        raise FlowDivergence(f"unit-diffusion transform at x = {x}: no convergence")
+
+    return forward, inverse
+
+
+def _quadrature_maps(sigma: DiffusionField, base_point: float, nodes: list[float],
+                     increasing: bool):
+    """(f, f^-1) from the quadrature table on `nodes`, the oracle for a sigma
+    without an exact flow."""
+    range_lo, range_hi, cells = nodes[0], nodes[-1], len(nodes) - 1
     inv = lambda t: 1.0 / sigma.value(t)
     cell_ints = [adaptive_simpson(inv, nodes[k], nodes[k + 1], tol=1e-12)
                  for k in range(cells)]
@@ -89,7 +150,8 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
             lo = nodes[k]
         try:
             return cumulative[k] + adaptive_simpson(inv, lo, x, tol=1e-12)
-        except ValueError as exc:  # a nan or infinite x, or the evaluation budget
+        # a nan or infinite x, the evaluation budget, or a zero of sigma
+        except (ValueError, ZeroDivisionError) as exc:
             raise FlowDivergence(f"unit-diffusion transform at x = {x}: {exc}") from None
 
     base_val = forward_raw(base_point)
@@ -97,7 +159,6 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
     def forward(x: float) -> float:
         return forward_raw(x) - base_val
 
-    increasing = sig_vals[0] > 0.0
     # inverse bisects an increasing table: the negated one for a decreasing f
     table = cumulative if increasing else (-cumsum).tolist()
 
@@ -122,14 +183,7 @@ def unit_diffusion_transform(sigma: DiffusionField, base_point: float,
             x = x - r * sigma.value(x)
         return x
 
-    diffeo = Diffeomorphism(
-        forward=forward,
-        inverse=inverse,
-        base_point=base_point,
-        range_lo=range_lo,
-        range_hi=range_hi,
-    )
-    return diffeo
+    return forward, inverse
 
 
 def reduced_drift(a: ScalarField, sigma: DiffusionField,
@@ -154,8 +208,15 @@ def reduced_drift(a: ScalarField, sigma: DiffusionField,
 def proportional_solution(sigma: DiffusionField, k: float, x0: float,
                           path: LevyPath, tol: float = 1e-10) -> float:
     """Closed-form terminal value when a = k * sigma: the sigma-flow of x0
-    evaluated at Z_horizon + k * horizon."""
-    return jump_flow_phi(sigma, x0, path.terminal + k * path.horizon, tol)
+    evaluated at Z_horizon + k * horizon, exact for a sigma with a `flow`, by
+    the Richardson-refined jump flow to `tol` otherwise."""
+    u = path.terminal + k * path.horizon
+    if sigma.flow is None:
+        return jump_flow_phi(sigma, x0, u, tol)
+    x = sigma.flow(float(x0), float(u))[0]
+    if not math.isfinite(x):
+        raise FlowDivergence(f"flow diverged: start {x0}, time {u}")
+    return x
 
 
 def doss_sussman_drift(a: ScalarField, sigma: DiffusionField,

@@ -189,6 +189,19 @@ def test_diverging_flow_raises_no_numpy_warning():
     assert 0 < np.count_nonzero(~np.isfinite(doss)) < doss.size
 
 
+def test_huge_jump_size_is_not_run_and_comes_out_nan():
+    # a 1e300 size once wrapped its substep count and flowed 0.3 to -7.0e281;
+    # the exact flow is 1.6e300. The other elements keep their bits
+    ys, us = np.array([0.3, 0.3, -0.2]), np.array([1e300, 0.4, -0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = flow_map_array(SIGMA, ys, us)
+        sens = flow_sensitivity_array(SIGMA, ys, us)
+    assert np.isnan(phi[0]) and np.isnan(sens[0][0]) and np.isnan(sens[1][0])
+    assert phi[1:].tobytes() == flow_map_array(SIGMA, ys[1:], us[1:]).tobytes()
+    assert sens[1][1:].tobytes() == flow_sensitivity_array(SIGMA, ys[1:], us[1:])[1].tobytes()
+
+
 def test_non_finite_jump_size_gives_non_finite_flow_without_a_warning():
     us = np.array([np.inf, -np.inf, np.nan])
     with warnings.catch_warnings():

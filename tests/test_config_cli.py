@@ -589,6 +589,30 @@ class TestCli:
         assert flagged == summary["failed_replicas"]
         assert "numeric failures" in capsys.readouterr().err
 
+    def test_s7_huge_atom_flags_every_replica_that_jumps(self, tmp_path, capsys):
+        # a jump of 1e300 needs far more flow substeps than the Marcus engine
+        # runs; its substep count once wrapped, and replica 3 reported a
+        # finite terminal_x of 1.536 without a failure
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S7\nseed = 1\nreplicas = 1000\ncells = 8\n"
+                       "[measure.atom.1]\nsize = 1e300\nrate = 1.0\n")
+        out = tmp_path / "out"
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        rows = [r.split(",") for r in (out / "samples.csv").read_text().splitlines()[1:]]
+        jumped = [int(r[0]) for r in rows if abs(float(r[2])) > 1e299]
+        flagged = [int(r[0]) for r in rows if r[3] == "1"]
+        assert 3 in jumped and jumped == flagged
+        assert all(np.isfinite(float(r[1])) for r in rows if r[3] == "0")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_replicas"] == flagged
+        assert capsys.readouterr().err == \
+            f"numeric failures in {len(flagged)} of {len(rows)} replicas\n"
+
     def test_huge_rate_is_rejected_before_sampling(self, tmp_path, capsys):
         # 1e12 expected jumps per path cannot fit in one chunk of packed paths
         cfg = tmp_path / "c.cfg"

@@ -249,6 +249,52 @@ _FLOW_GRID = [(y, u) for y in (-2.0, -0.3, -0.0, 0.0, 0.7, 2.5)
 _NON_FINITE = [np.inf, -np.inf, np.nan]
 
 
+def _assert_flow_float_matches_array(sigma, y, u):
+    """flow on two Python floats and on two np.float64 gives Python floats with
+    the bits of a one-element array, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _bits(sigma.flow(np.array([y]), np.array([u])))
+        for args in ((float(y), float(u)), (np.float64(y), np.float64(u))):
+            got = sigma.flow(*args)
+            assert [type(v) for v in got] == [float, float], args
+            assert _bits(got) == want, (args, got)
+
+
+# signed zeros, a subnormal, times past arctan's pole and far into the
+# logistic tails, and non-finite values
+_FLOW_EDGES = [-0.0, 0.0, 5e-324, -1e-300, 0.3, -2.5, 90.0, -90.0, 1e30, -1e300,
+               np.inf, -np.inf, np.nan]
+
+
+class TestFlowFloatBranch:
+    @pytest.mark.parametrize("name,params", _ORACLE_CASES)
+    def test_edges_give_the_bits_of_a_one_element_array(self, name, params):
+        sigma = make_diffusion_field(name, params)
+        for y in _FLOW_EDGES:
+            for u in _FLOW_EDGES:
+                _assert_flow_float_matches_array(sigma, y, u)
+
+    @pytest.mark.parametrize("name", sorted(_PARAM_STRATEGIES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), y=st.floats(allow_nan=True, allow_infinity=True),
+           u=st.floats(allow_nan=True, allow_infinity=True))
+    def test_float_float64_and_array_agree(self, name, data, y, u):
+        sigma = make_diffusion_field(name, data.draw(_PARAM_STRATEGIES[name]))
+        if sigma.flow is not None:
+            _assert_flow_float_matches_array(sigma, y, u)
+
+    @pytest.mark.parametrize("params", [
+        {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0},
+    ])
+    def test_an_element_short_of_convergence_is_nan_on_floats(self, monkeypatch, params):
+        sigma = make_diffusion_field("logistic-slope", params)
+        monkeypatch.setattr(fields_mod, "_NEWTON_CAP", 1)
+        assert math.isnan(sigma.flow(0.2, 1.5)[0])
+        _assert_flow_float_matches_array(sigma, 0.2, 1.5)
+
+
 class TestClosedFlows:
     @pytest.mark.parametrize("name,params", _ORACLE_CASES)
     def test_phi_matches_the_rk4_oracle(self, name, params):

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import levyreg.marcus as marcus_mod
 from levyreg.flow_engine import ScalarField, solve_random_ode
 from levyreg.marcus import (
+    MAX_FLOW_SUBSTEPS,
     DiffusionField,
     FlowDivergence,
     _flow_once,
@@ -58,10 +61,29 @@ class TestJumpFlow:
         got = flow_substeps(np.array(us))
         assert got.dtype == np.int64 and got.tolist() == want
 
-    def test_non_finite_size_takes_the_minimum(self):
-        us = [math.inf, -math.inf, math.nan]
-        assert [flow_substeps(u) for u in us] == [8, 8, 8]
-        assert flow_substeps(np.array(us)).tolist() == [8, 8, 8]
+    def test_non_finite_or_huge_size_is_not_run(self):
+        # 1e300 / 0.05 cast to int64 wrapped to INT64_MIN; 4.6e17 is about where
+        # the cast starts to go wrong
+        edge = MAX_FLOW_SUBSTEPS * 0.05
+        us = [math.inf, -math.inf, math.nan, 1.7e308, 1e300, -4.6e17,
+              np.nextafter(edge, math.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [flow_substeps(u) for u in us] == [0] * 7
+            assert flow_substeps(np.array(us)).tolist() == [0] * 7
+            assert flow_substeps(edge) == MAX_FLOW_SUBSTEPS
+            for u in us:
+                with pytest.raises(FlowDivergence, match="not run"):
+                    jump_flow_phi(QUAD_SIGMA, 0.3, u)
+                with pytest.raises(FlowDivergence, match="not run"):
+                    flow_with_sensitivity(QUAD_SIGMA, 0.3, u)
+
+    def test_richardson_doubling_stops_at_the_cap(self, monkeypatch):
+        # size 0.5 starts at 10 substeps; the first doubling would pass 16
+        assert jump_flow_phi(QUAD_SIGMA, 0.0, 0.5) == pytest.approx(math.tan(0.5), rel=1e-10)
+        monkeypatch.setattr(marcus_mod, "MAX_FLOW_SUBSTEPS", 16)
+        with pytest.raises(FlowDivergence, match="failed to meet tol"):
+            jump_flow_phi(QUAD_SIGMA, 0.0, 0.5)
 
     def test_flow_property(self):
         rng = np.random.default_rng(3)

@@ -65,10 +65,10 @@ SUMMARY_PINNED = {
            "acaa33e91cf127fb36e885fcc5254e559bf92d1930858144ff69fd1c4d8e2f66"),
     # conjugacy diverges at horizon 40 and its worst gap is written as null
     "S6": ("scenario = S6\nseed = 707\nreplicas = 5\nhorizon = 40\n",
-           "e25140aebe0d102b4fe01be7d6ec79914698bddbbfc2218e8b025c743fe6905c"),
+           "e09c4ef596efdb349fa4d38bfca4cea04d81373db73cb7dec95f2b891cd14e4d"),
     # at the default horizon every conjugacy gap is finite and pinned
     "S6-conjugacy": ("scenario = S6\nseed = 707\nreplicas = 5\n",
-                     "0ac5c751d1aed3dbd7e8f9659ef9bbb1fe6f39fc9f1a4e241921228f98ec071f"),
+                     "499516e496d06ea23146b32e1e6c35f785cfcf39e23d762037dcc40ff101744d"),
 }
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -122,12 +124,18 @@ class _NanReached(Exception):
     pass
 
 
+def without_flow(name, params):
+    """The catalogue entry without its exact flow: the transform takes the
+    quadrature table."""
+    return dataclasses.replace(make_diffusion_field(name, params), flow=None)
+
+
 class TestCellLookup:
-    # an increasing f (sigma > 0) and a decreasing one
+    # an increasing f (sigma > 0) and a decreasing one, on the quadrature table
     SIGMAS = {
-        "increasing": make_diffusion_field("logistic-slope", {"low": 0.5, "high": 1.5,
-                                                              "rate": 1.3, "center": 0.2}),
-        "decreasing": make_diffusion_field("constant", {"level": -1.0}),
+        "increasing": without_flow("logistic-slope", {"low": 0.5, "high": 1.5,
+                                                      "rate": 1.3, "center": 0.2}),
+        "decreasing": without_flow("constant", {"level": -1.0}),
     }
     LO, HI, CELLS, BASE = -4.0, 4.0, 64, 0.3
 
@@ -204,6 +212,97 @@ class TestNonFiniteInput:
         diffeo = unit_diffusion_transform(CONST_ONE, 0.0, -1.0, 1.0, 8)
         assert diffeo.forward(3.0) == pytest.approx(3.0, abs=1e-12)
         assert diffeo.inverse(-2.5) == pytest.approx(-2.5, abs=1e-10)
+
+
+# every catalogue sigma with an exact flow, one-signed on [-4, 4]: constant of
+# either sign, affine, arctan-diffusion, and logistic-slope with both ends
+# positive, both negative, or one end zero
+EXACT_FLOWS = [
+    ("constant", {"level": 0.7}),
+    ("constant", {"level": -1.3}),
+    ("affine", {"slope": 0.4, "intercept": 2.5}),
+    ("affine", {"slope": -0.3, "intercept": -2.0}),
+    ("arctan-diffusion", {"amplitude": 1.0, "curvature": 0.5, "center": 0.0}),
+    ("arctan-diffusion", {"amplitude": -0.8, "curvature": 0.7, "center": 0.6}),
+    ("logistic-slope", {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}),
+    ("logistic-slope", {"low": 1.6, "high": 0.6, "rate": 1.2, "center": -0.4}),
+    ("logistic-slope", {"low": -0.8, "high": -1.6, "rate": 0.9, "center": 0.3}),
+    ("logistic-slope", {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0}),
+    ("logistic-slope", {"low": 1.2, "high": 0.0, "rate": 0.7, "center": -0.3}),
+]
+# S6's part (c) sigma kinds: a logistic-slope and an arctan-diffusion
+S6_SIGMAS = [
+    ("logistic-slope", {"low": 0.7, "high": 1.3, "rate": 0.8, "center": 0.2}),
+    ("arctan-diffusion", {"amplitude": 1.1, "curvature": 0.5, "center": 0.0}),
+]
+
+
+class TestExactFlowTransform:
+    LO, HI, BASE = -4.0, 4.0, 0.3
+
+    def both(self, name, params):
+        args = (self.BASE, self.LO, self.HI, 64)
+        return (unit_diffusion_transform(make_diffusion_field(name, params), *args),
+                unit_diffusion_transform(without_flow(name, params), *args))
+
+    @pytest.mark.parametrize("name,params", EXACT_FLOWS)
+    def test_matches_the_quadrature_oracle(self, name, params):
+        exact, oracle = self.both(name, params)
+        for x in np.linspace(self.LO, self.HI, 41).tolist():
+            y = oracle.forward(x)
+            assert abs(exact.forward(x) - y) <= 1e-10 * (1.0 + abs(x)), x
+            assert abs(exact.inverse(y) - oracle.inverse(y)) <= 1e-10 * (1.0 + abs(x)), x
+        exact.validate()
+
+    @pytest.mark.parametrize("name,params", EXACT_FLOWS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises_on_both_paths(self, name, params, bad):
+        for diffeo in self.both(name, params):
+            for side in (diffeo.forward, diffeo.inverse):
+                with pytest.raises(FlowDivergence):
+                    side(bad)
+
+    def test_forward_past_a_zero_of_sigma_raises_on_both_paths(self):
+        # 0.4 x + 2.5 vanishes at -6.25, outside the range: f has no value there
+        for diffeo in self.both("affine", {"slope": 0.4, "intercept": 2.5}):
+            assert diffeo.forward(-6.0) == pytest.approx(math.log(0.1 / 2.62) / 0.4, rel=1e-12)
+            for x in (-6.25, -7.0):
+                with pytest.raises(FlowDivergence):
+                    diffeo.forward(x)
+
+    @pytest.mark.parametrize("name,params", EXACT_FLOWS)
+    def test_far_targets_converge_or_raise_without_a_warning(self, name, params):
+        # sigma = 1.6 expit(0.9 x) is below 1e-26 past x = -67, where f is
+        # near -1e26 and a Newton step from there to -1e300 overflows
+        diffeo = unit_diffusion_transform(make_diffusion_field(name, params), self.BASE,
+                                          self.LO, self.HI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (-1e300, -1e30, -100.0, 100.0, 1e30, 1e300):
+                try:
+                    assert math.isfinite(diffeo.forward(x))
+                except FlowDivergence:
+                    pass
+
+    def test_a_flow_past_its_pole_raises(self):
+        # f(x) = arctan(x / 2) / 0.5 stays below pi, the time the flow from 0
+        # takes to reach infinity
+        diffeo = unit_diffusion_transform(make_diffusion_field(*EXACT_FLOWS[4]),
+                                          0.0, -4.0, 4.0)
+        assert diffeo.forward(1e6) == pytest.approx(math.atan(5e5) / 0.5, rel=1e-13)
+        with pytest.raises(FlowDivergence):
+            diffeo.inverse(3.2)
+
+    @pytest.mark.parametrize("name,params", EXACT_FLOWS + S6_SIGMAS)
+    def test_never_builds_the_quadrature_table(self, monkeypatch, name, params):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("adaptive_simpson called")
+
+        monkeypatch.setattr(transforms_mod, "adaptive_simpson", no_quadrature)
+        diffeo = unit_diffusion_transform(make_diffusion_field(name, params), self.BASE,
+                                          self.LO, self.HI)
+        for x in (-3.5, -0.4, 0.0, 0.9, 6.0):
+            assert diffeo.inverse(diffeo.forward(x)) == pytest.approx(x, abs=1e-12)
 
 
 def uncapped_simpson(f, a, b, tol=1e-10, max_depth=40):
