@@ -8,6 +8,16 @@ about infinite activity are studied along increasing truncation levels.
 The decomposition/resampling pair implements the stratification device: fix
 everything except the first jump time T landing in a marked size window;
 conditionally, T is uniform on [0, T2].
+
+The range sampler PathLaw.packed gives each replica the path that `draw`
+gives on the replica's stream, bit for bit. Philox is counter-based, so it
+computes the first words of a block of streams at once (rng.philox_words)
+and draws the block's counts, times and sizes from them as arrays. It does
+this only below POISSON_PTRS_MEAN = 10 mean jumps. There numpy's Poisson
+count multiplies uniforms, a fixed function of the words; from 10 on numpy
+switches to PTRS rejection sampling, and every path is drawn per replica. So
+is a path that needs more words than its row holds. A path depends on its
+own stream alone, so no byte depends on the block size.
 """
 
 from __future__ import annotations
@@ -19,13 +29,22 @@ import numpy as np
 
 from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
 from .quadrature import shell_integral
-from .rng import StreamGenerator
+from .rng import StreamGenerator, philox_words
 
 #: Expected jumps per chunk of packed replicas at 16 bytes a jump (a float64
 #: time and size); a chunk of atom-coded jumps holds as many bytes. A law
 #: expecting more jumps per path than this is rejected, whatever its coding.
 MAX_JUMPS_PER_CHUNK = 4_000_000
 
+
+#: numpy's Generator.poisson counts by multiplying uniforms until their
+#: product falls to e^-mean while the mean is below this, and by PTRS
+#: (Hormann's transformed rejection) from it on. Only the former is a fixed
+#: function of the stream's uniforms, which PathLaw.packed computes as arrays.
+POISSON_PTRS_MEAN = 10.0
+
+#: Replicas PathLaw.packed draws as one array block.
+PACK_BLOCK = 4096
 
 #: Draws sample_many makes for one replica before it gives up on `accept`.
 MAX_DRAWS = 1000
@@ -166,11 +185,18 @@ def pack(draws, n: int, horizon: float, drift: float, cells: int, brownian: bool
         offsets[i + 1] = pos
         if brownian:
             brown_edges[i] = np.interp(edges, *brown)
+    return _packed_paths(horizon, drift, edges, flat_times[:pos], flat_sizes[:pos],
+                         offsets, brown_edges, jump_sums, size_table)
+
+
+def _packed_paths(horizon, drift, edges, flat_times, flat_sizes, offsets, brown_edges,
+                  jump_sums, size_table) -> PackedPaths:
+    """PackedPaths of filled flat arrays, with Z_horizon from each path's jump sum."""
     z_term = drift * horizon + jump_sums
-    if brownian:
+    if brown_edges is not None:
         z_term = z_term + brown_edges[:, -1]
-    return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=cells, edges=edges,
-                       flat_times=flat_times[:pos], flat_sizes=flat_sizes[:pos],
+    return PackedPaths(horizon=horizon, drift_rate=drift, n_cells=len(edges) - 1,
+                       edges=edges, flat_times=flat_times, flat_sizes=flat_sizes,
                        offsets=offsets, brown_edges=brown_edges, z_terminal=z_term,
                        size_table=size_table)
 
@@ -277,6 +303,16 @@ def _jump_capacity(mean_jumps: float) -> int:
     return int(mean_jumps + 6.0 * math.sqrt(mean_jumps)) + 64
 
 
+def _row_words(mean_jumps: float) -> int:
+    """Philox words drawn per replica in an array block, a whole number of
+    4-word blocks: enough for a path of up to mean + 2 sd + 1 jumps (3 words
+    a jump and one more for the count). A path with more, about 2% at 2 mean
+    jumps, is drawn per replica, which costs less than the words that would
+    cover it for every row."""
+    jumps = int(mean_jumps + 2.0 * math.sqrt(mean_jumps)) + 1
+    return 4 * -(-(3 * jumps + 1) // 4)
+
+
 def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
     out = np.empty(max(need, 2 * arr.size), dtype=arr.dtype)
     out[:used] = arr[:used]
@@ -330,11 +366,13 @@ class PathLaw:
         else:
             times = np.empty(0)
             keys = np.empty(0, dtype=self.key_dtype)
-        brown = None
-        if self.brownian_grid is not None:
-            incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
-            brown = self.brownian_grid, np.concatenate([[0.0], np.cumsum(incr)])
+        brown = None if self.brownian_grid is None else self._brownian(gen)
         return times, keys, brown
+
+    def _brownian(self, gen: np.random.Generator):
+        """(grid knots, values) of the Brownian skeleton, drawn from gen."""
+        incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
+        return self.brownian_grid, np.concatenate([[0.0], np.cumsum(incr)])
 
     def path(self, gen: np.random.Generator) -> LevyPath:
         times, keys, brown = self.draw(gen)
@@ -343,15 +381,122 @@ class PathLaw:
         return LevyPath(self.horizon, self.drift, _dedupe_times(times), sizes, brownian)
 
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
-        """Replicas stream_offset + [0, n) drawn straight into flat arrays."""
+        """Replicas stream_offset + [0, n) drawn straight into flat arrays,
+        each path the one `draw` gives on its stream (see the module
+        docstring): in array blocks below POISSON_PTRS_MEAN mean jumps, per
+        replica from it on."""
         if n < 1:
             raise ValueError("need at least one path")
-        gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
-        out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
-                   self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
-                   self.size_table)
+        if self.mean_jumps < POISSON_PTRS_MEAN:
+            out = self._drawn_in_blocks(seed, stream_offset, n, cells)
+        else:
+            gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
+            out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
+                       self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
+                       self.size_table)
         _dedupe_packed(out.flat_times, out.offsets)
         return out
+
+    def _drawn_in_blocks(self, seed: int, stream_offset: int, n: int,
+                         cells: int) -> PackedPaths:
+        """packed's paths of a law below POISSON_PTRS_MEAN mean jumps, drawn
+        PACK_BLOCK replicas at a time. A block holds the few rows that run
+        out of words until it knows where they go. A Brownian skeleton's
+        normals follow the jump words on the stream, so they are drawn per
+        replica on the re-keyed generator after it skips the words that the
+        row's jumps used."""
+        edges = np.linspace(0.0, self.horizon, cells + 1)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        jump_sums = np.zeros(n)
+        brownian = self.brownian_grid is not None
+        brown_edges = np.empty((n, cells + 1)) if brownian else None
+        flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
+        flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
+        decode = size_decoder(self.size_table)
+        streams = StreamGenerator(seed)
+        for lo in range(0, n, PACK_BLOCK):
+            ids = np.arange(stream_offset + lo, stream_offset + min(n, lo + PACK_BLOCK),
+                            dtype=np.uint64)
+            counts, u = self._array_counts(seed, ids)
+            per_replica = {}
+            for r in np.flatnonzero((counts < 0) | brownian):
+                gen = streams.at(ids[r])
+                if counts[r] < 0:
+                    times, keys, brown = self.draw(gen)
+                    per_replica[r] = times, keys
+                    counts[r] = times.size
+                else:
+                    # the count, time and size words of the row's counts[r] jumps
+                    gen.bit_generator.random_raw(0 if u is None else 3 * counts[r] + 1)
+                    brown = self._brownian(gen)
+                if brownian:
+                    brown_edges[lo + r] = np.interp(edges, *brown)
+            ends = offsets[lo] + np.cumsum(counts)
+            offsets[lo + 1:lo + ids.size + 1] = ends
+            if ends[-1] > flat_times.size:
+                flat_times = _grown(flat_times, offsets[lo], ends[-1])
+                flat_sizes = _grown(flat_sizes, offsets[lo], ends[-1])
+            starts = ends - counts
+            if per_replica:
+                counts[list(per_replica)] = 0
+            jump_sums[lo:lo + ids.size] = self._array_jumps(
+                u, counts, starts, flat_times, flat_sizes, decode)
+            for r, (times, keys) in per_replica.items():
+                flat_times[starts[r]:ends[r]] = times
+                flat_sizes[starts[r]:ends[r]] = keys
+                jump_sums[lo + r] = decode(keys).sum()
+            # numpy sums 8 or more terms pairwise, not left to right as above
+            for r in np.flatnonzero(counts >= 8):
+                jump_sums[lo + r] = decode(flat_sizes[starts[r]:ends[r]]).sum()
+        return _packed_paths(self.horizon, self.drift, edges, flat_times[:offsets[-1]],
+                             flat_sizes[:offsets[-1]], offsets, brown_edges, jump_sums,
+                             self.size_table)
+
+    def _array_counts(self, seed: int, ids: np.ndarray):
+        """(jump counts, uniforms) of the replicas `ids`: the uniforms are the
+        doubles Generator.random makes of each stream's first words (None
+        when no word is drawn), and a count is what Generator.poisson counts
+        from them, or -1 where the row's words run out. Below
+        POISSON_PTRS_MEAN, Poisson counts the uniforms whose running product
+        stays above e^-mean and draws one more; a count c thus uses 3c + 1
+        words with its times and sizes."""
+        if self.sizes is None or self.mean_jumps == 0.0:
+            return np.zeros(ids.size, dtype=np.int64), None
+        words = _row_words(self.mean_jumps)
+        bits = philox_words(seed, ids, words)
+        bits >>= np.uint64(11)
+        u = bits * 2.0 ** -53
+        stop = np.multiply.accumulate(u, axis=1) <= math.exp(-self.mean_jumps)
+        counts = stop.argmax(axis=1)
+        counts[~stop[np.arange(ids.size), counts] | (3 * counts + 1 > words)] = -1
+        return counts, u
+
+    def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode):
+        """Write the jumps of the rows with counts[r] > 0, drawn from their
+        uniforms u as `draw` does, into flat_times and flat_sizes from
+        starts[r] on; the rows' jump sums, added left to right from 0.0."""
+        k = int(counts.max())
+        sums = np.zeros(counts.size)
+        if k == 0:
+            return sums
+        j = np.arange(k)
+        mask = j < counts[:, None]
+        dest = (starts[:, None] + j)[mask]
+        col = np.minimum(counts[:, None] + 1 + j, u.shape[1] - 1)
+        times = np.take_along_axis(u, col, axis=1)
+        times *= -self.horizon
+        times += self.horizon
+        times[~mask] = np.inf
+        times.sort(axis=1)
+        flat_times[dest] = times[mask]
+        col = np.minimum(col + counts[:, None], u.shape[1] - 1)
+        keys = self.sizes(np.take_along_axis(u, col, axis=1)[mask])
+        flat_sizes[dest] = keys
+        sizes = np.zeros(mask.shape)
+        sizes[mask] = decode(keys)
+        for column in sizes.T:
+            sums += column
+        return sums
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:

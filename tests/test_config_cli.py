@@ -209,23 +209,30 @@ class TestStreamIndependence:
         ids, purpose = {}, []
         real_solve = scenarios_mod._sample_and_solve
         real_at = rng_mod.StreamGenerator.at
+        real_words = path_sampler.philox_words
 
         def sample_and_solve(config, law, solver, stream_offset=0):
             purpose.append(stream_offset)
-            ids[stream_offset] = []
+            ids[stream_offset] = set()
             return real_solve(config, law, solver, stream_offset)
 
         def at(streams, stream_id):
-            ids[purpose[-1]].append(stream_id)
+            ids[purpose[-1]].add(int(stream_id))
             return real_at(streams, stream_id)
+
+        def philox_words(seed, stream_ids, k):
+            ids[purpose[-1]].update(stream_ids.tolist())
+            return real_words(seed, stream_ids, k)
 
         monkeypatch.setattr(scenarios_mod, "_sample_and_solve", sample_and_solve)
         monkeypatch.setattr(rng_mod.StreamGenerator, "at", at)
+        monkeypatch.setattr(path_sampler, "philox_words", philox_words)
+        # level 1 (2 mean jumps) draws its rows as arrays, level 3 (14) per replica
         run_scenario(parse_config("scenario = S3\nseed = 5\nreplicas = 1000\n"
                                   "trend_levels = 1,3\n[measure.family]\nlevels = 3\n"))
-        # the main run and each level draw every replica once, from their own ids
+        # the main run and each level draw the 1000 replicas from their own ids
         assert len(ids) == 3
-        assert all(len(set(used)) == len(used) == 1000 for used in ids.values())
+        assert all(len(used) == 1000 for used in ids.values())
         assert len(set().union(*ids.values())) == 3 * 1000
 
 

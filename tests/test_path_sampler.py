@@ -1,8 +1,11 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from levyreg import path_sampler
 from levyreg.batch import pack_paths
@@ -13,6 +16,7 @@ from levyreg.path_sampler import (
     _dedupe_packed,
     _dedupe_times,
     decompose_first_jump,
+    pack,
     path_law,
     resample_first_jump_time,
     sample_many,
@@ -20,7 +24,7 @@ from levyreg.path_sampler import (
     shift_jump_time,
 )
 from levyreg.quadrature import shell_integral
-from levyreg.rng import RngStream, StreamGenerator
+from levyreg.rng import TAG_BAND, RngStream, StreamGenerator, philox_words
 
 # chi-square 0.999 quantile, 9 degrees of freedom
 CHI2_CRIT_999_DF9 = 27.877
@@ -322,12 +326,32 @@ class TestStreamGenerator:
         streams = StreamGenerator(1)
         assert streams.at(0) is streams.at(5)
 
+    @pytest.mark.parametrize("sid", [np.int64(3), np.uint64(3), np.uint64((1 << 64) - 1)])
+    def test_numpy_integer_ids(self, sid):
+        got = StreamGenerator(1).at(sid).random(4)
+        assert np.array_equal(got, RngStream(1, int(sid)).generator().random(4))
+
     def test_scaled_random_is_the_uniform_draw(self):
         # the path draw uses scale * random(), the same double as uniform(0, scale)
         for sid, scale in enumerate((1.0, 0.37, 2.0, 8190.0, 1e-9, 3e5)):
             a = RngStream(9, sid).generator().uniform(0.0, scale, size=257)
             b = scale * RngStream(9, sid).generator().random(257)
             assert np.array_equal(a, b)
+
+
+class TestPhiloxWords:
+    """The array Philox against numpy's own: if numpy ever changes its
+    stream, the range sampler's array draws stop matching `draw`."""
+
+    @pytest.mark.parametrize("seed", [0, -12345, (1 << 64) - 1])
+    @pytest.mark.parametrize("k", [1, 11, 16])
+    def test_matches_numpy_philox(self, seed, k):
+        ids = np.array([0, 1, 5 * TAG_BAND, (1 << 64) - 1], dtype=np.uint64)
+        got = philox_words(seed, ids, k)
+        assert got.shape == (ids.size, k) and got.dtype == np.uint64
+        for row, sid in zip(got, ids):
+            key = np.array([seed & ((1 << 64) - 1), sid], dtype=np.uint64)
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(k)), sid
 
 
 class _CoarseUniforms:
@@ -491,6 +515,82 @@ class TestSamplePacked:
         triplet, horizon, trunc, _ = self.CASES["atoms"]
         with pytest.raises(ValueError):
             path_law(triplet, horizon, trunc).packed(1, 0, 0, 16)
+
+
+def drawn_one_by_one(law, seed, offset, n, cells):
+    """law.packed's reference: `draw` on each replica's own stream, then pack
+    and _dedupe_packed."""
+    streams = StreamGenerator(seed)
+    gens = (streams.at(offset + i) for i in range(n))
+    out = pack(map(law.draw, gens), n, law.horizon, law.drift, cells,
+               law.brownian_grid is not None, 0, law.size_table)
+    _dedupe_packed(out.flat_times, out.offsets)
+    return out
+
+
+def assert_same_bytes(got, want):
+    for name in PACKED_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        else:
+            assert a == b, name
+
+
+RANGE_LAWS = {
+    "atoms": (LevyTriplet(0.3, FiniteAtomic(((1.0, 2.0), (-0.4, 1.0), (0.37, 0.5)))), {}),
+    "density": (LevyTriplet(0.2, DensityForm(intensity=lambda z: abs(z) ** -1.5)), {}),
+    "brownian": (LevyTriplet(0.1, FiniteAtomic(((0.35, 2.0),)), brownian_variance=0.3),
+                 {"brownian_cells": 8}),
+}
+
+
+def range_law(kind, mean):
+    """A RANGE_LAWS law on [0, 2.5] with exactly `mean` jumps per path."""
+    triplet, kwargs = RANGE_LAWS[kind]
+    return replace(path_law(triplet, 2.5, 0.1, **kwargs), mean_jumps=mean)
+
+
+class TestRangeSampler:
+    """law.packed against the per-replica draw, byte for byte: array rows
+    below POISSON_PTRS_MEAN mean jumps, rows that outrun their words, rows
+    at or above the cutoff, Brownian rows, and the edges of PACK_BLOCK."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(kind=st.sampled_from(sorted(RANGE_LAWS)),
+           mean=st.floats(1e-9, 12.0),
+           n=st.sampled_from([1, 4095, 4096, 4097]),
+           offset=st.integers((1 << 48) - 5000, (1 << 48) + 5000),
+           seed=st.integers(-(1 << 63), (1 << 64) - 1))
+    @example(kind="atoms", mean=1e-9, n=4097, offset=0, seed=303)
+    @example(kind="density", mean=9.999, n=4096, offset=(1 << 48) - 4096, seed=-7)
+    @example(kind="atoms", mean=10.0, n=4095, offset=977, seed=2)
+    @example(kind="density", mean=10.001, n=1, offset=(1 << 48) - 1, seed=5)
+    @example(kind="brownian", mean=2.0, n=4097, offset=(1 << 48) - 2048, seed=11)
+    def test_equals_per_replica_draw(self, kind, mean, n, offset, seed):
+        law = range_law(kind, mean)
+        assert_same_bytes(law.packed(seed, offset, n, 16),
+                          drawn_one_by_one(law, seed, offset, n, 16))
+
+    # numpy sums fewer than 8 terms left to right and 8 or more pairwise, with
+    # a recursive split past 128
+    @pytest.mark.parametrize("mean,lengths", [(8.0, (7, 8, 9)), (128.5, (128, 129))])
+    @pytest.mark.parametrize("kind", ["atoms", "density"])
+    def test_pairwise_sum_edges(self, kind, mean, lengths):
+        law = range_law(kind, mean)
+        got = law.packed(404, 0, 300, 16)
+        assert set(lengths) <= set(np.diff(got.offsets).tolist())
+        assert_same_bytes(got, drawn_one_by_one(law, 404, 0, 300, 16))
+
+    # a row of 3.0 mean jumps holds 24 words: 7 jumps and a spare word
+    @pytest.mark.parametrize("mean", [2.0, 3.0])
+    def test_rows_that_outrun_their_words(self, mean):
+        law = range_law("atoms", mean)
+        got = law.packed(9, 0, 3000, 16)
+        counts = np.diff(got.offsets)
+        row_jumps = (path_sampler._row_words(mean) - 1) // 3
+        assert np.sum(counts > row_jumps) >= 10 and np.any(counts == row_jumps + 1)
+        assert_same_bytes(got, drawn_one_by_one(law, 9, 0, 3000, 16))
 
 
 def test_dedupe_packed_matches_per_path_across_blocks():
