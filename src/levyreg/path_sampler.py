@@ -390,6 +390,7 @@ class PathLaw:
         if self.mean_jumps < POISSON_PTRS_MEAN:
             out = self._drawn_in_blocks(seed, stream_offset, n, cells)
         else:
+            # written as drawn: a block would hold its rows' jumps twice
             gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
             out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
                        self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
