@@ -16,8 +16,10 @@ and draws the block's counts, times and sizes from them as arrays. It does
 this only below POISSON_PTRS_MEAN = 10 mean jumps. There numpy's Poisson
 count multiplies uniforms, a fixed function of the words; from 10 on numpy
 switches to PTRS rejection sampling, and every path is drawn per replica. So
-is a path that needs more words than its row holds. A path depends on its
-own stream alone, so no byte depends on the block size.
+is every path of a law with a Brownian part, whose normals follow the jump
+words on the stream, and a path that needs more words than its row holds.
+A path depends on its own stream alone, so no byte depends on the block
+size.
 """
 
 from __future__ import annotations
@@ -313,6 +315,31 @@ def _row_words(mean_jumps: float) -> int:
     return 4 * -(-(3 * jumps + 1) // 4)
 
 
+def _numpy_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's sum of its first counts[r] <= 128 terms, with the bits of
+    numpy's pairwise .sum(); terms is zero past them and a whole number of
+    8 columns wide. numpy adds fewer than 8 terms left to right from 0.0.
+    From 8 it adds the terms before the last whole eight into eight lanes
+    (term j into lane j % 8), adds the lanes as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the leftover terms in order. (Past 128 terms it splits the sum in
+    two, but a row below POISSON_PTRS_MEAN holds at most 17 jumps.) Masked
+    terms are added as +0.0: the sign of a zero partial sum changes no
+    nonzero result, and a sum of zeros comes out +0.0, as numpy's does."""
+    whole = counts - counts % 8
+    lanes = np.where(np.arange(terms.shape[1]) < whole[:, None], terms, 0.0)
+    lanes = lanes.reshape(counts.size, -1, 8)
+    r = lanes[:, 0].copy()
+    for block in range(1, lanes.shape[1]):
+        r += lanes[:, block]
+    l0, l1, l2, l3, l4, l5, l6, l7 = r.T
+    sums = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+    for j in range(7):
+        col = np.minimum(whole + j, terms.shape[1] - 1)[:, None]
+        term = np.take_along_axis(terms, col, axis=1)[:, 0]
+        sums += np.where(whole + j < counts, term, 0.0)
+    return sums
+
+
 def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
     out = np.empty(max(need, 2 * arr.size), dtype=arr.dtype)
     out[:used] = arr[:used]
@@ -366,13 +393,11 @@ class PathLaw:
         else:
             times = np.empty(0)
             keys = np.empty(0, dtype=self.key_dtype)
-        brown = None if self.brownian_grid is None else self._brownian(gen)
+        brown = None
+        if self.brownian_grid is not None:
+            incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
+            brown = self.brownian_grid, np.concatenate([[0.0], np.cumsum(incr)])
         return times, keys, brown
-
-    def _brownian(self, gen: np.random.Generator):
-        """(grid knots, values) of the Brownian skeleton, drawn from gen."""
-        incr = gen.normal(0.0, self.brownian_sd, size=self.brownian_grid.size - 1)
-        return self.brownian_grid, np.concatenate([[0.0], np.cumsum(incr)])
 
     def path(self, gen: np.random.Generator) -> LevyPath:
         times, keys, brown = self.draw(gen)
@@ -383,14 +408,13 @@ class PathLaw:
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
         """Replicas stream_offset + [0, n) drawn straight into flat arrays,
         each path the one `draw` gives on its stream (see the module
-        docstring): in array blocks below POISSON_PTRS_MEAN mean jumps, per
-        replica from it on."""
+        docstring): in array blocks for a law below POISSON_PTRS_MEAN mean
+        jumps without a Brownian part, per replica otherwise."""
         if n < 1:
             raise ValueError("need at least one path")
-        if self.mean_jumps < POISSON_PTRS_MEAN:
+        if self.mean_jumps < POISSON_PTRS_MEAN and self.brownian_grid is None:
             out = self._drawn_in_blocks(seed, stream_offset, n, cells)
         else:
-            # written as drawn: a block would hold its rows' jumps twice
             gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
             out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
                        self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
@@ -400,17 +424,12 @@ class PathLaw:
 
     def _drawn_in_blocks(self, seed: int, stream_offset: int, n: int,
                          cells: int) -> PackedPaths:
-        """packed's paths of a law below POISSON_PTRS_MEAN mean jumps, drawn
-        PACK_BLOCK replicas at a time. A block holds the few rows that run
-        out of words until it knows where they go. A Brownian skeleton's
-        normals follow the jump words on the stream, so they are drawn per
-        replica on the re-keyed generator after it skips the words that the
-        row's jumps used."""
-        edges = np.linspace(0.0, self.horizon, cells + 1)
+        """packed's paths of a law below POISSON_PTRS_MEAN mean jumps without
+        a Brownian part, drawn PACK_BLOCK replicas at a time. A block holds
+        the few rows that run out of words, drawn per replica, until it
+        knows where they go."""
         offsets = np.zeros(n + 1, dtype=np.int64)
         jump_sums = np.zeros(n)
-        brownian = self.brownian_grid is not None
-        brown_edges = np.empty((n, cells + 1)) if brownian else None
         flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
         flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
         decode = size_decoder(self.size_table)
@@ -419,19 +438,10 @@ class PathLaw:
             ids = np.arange(stream_offset + lo, stream_offset + min(n, lo + PACK_BLOCK),
                             dtype=np.uint64)
             counts, u = self._array_counts(seed, ids)
-            per_replica = {}
-            for r in np.flatnonzero((counts < 0) | brownian):
-                gen = streams.at(ids[r])
-                if counts[r] < 0:
-                    times, keys, brown = self.draw(gen)
-                    per_replica[r] = times, keys
-                    counts[r] = times.size
-                else:
-                    # the count, time and size words of the row's counts[r] jumps
-                    gen.bit_generator.random_raw(0 if u is None else 3 * counts[r] + 1)
-                    brown = self._brownian(gen)
-                if brownian:
-                    brown_edges[lo + r] = np.interp(edges, *brown)
+            per_replica = {r: self.draw(streams.at(ids[r]))[:2]
+                           for r in np.flatnonzero(counts < 0)}
+            for r, (times, _) in per_replica.items():
+                counts[r] = times.size
             ends = offsets[lo] + np.cumsum(counts)
             offsets[lo + 1:lo + ids.size + 1] = ends
             if ends[-1] > flat_times.size:
@@ -446,11 +456,9 @@ class PathLaw:
                 flat_times[starts[r]:ends[r]] = times
                 flat_sizes[starts[r]:ends[r]] = keys
                 jump_sums[lo + r] = decode(keys).sum()
-            # numpy sums 8 or more terms pairwise, not left to right as above
-            for r in np.flatnonzero(counts >= 8):
-                jump_sums[lo + r] = decode(flat_sizes[starts[r]:ends[r]]).sum()
+        edges = np.linspace(0.0, self.horizon, cells + 1)
         return _packed_paths(self.horizon, self.drift, edges, flat_times[:offsets[-1]],
-                             flat_sizes[:offsets[-1]], offsets, brown_edges, jump_sums,
+                             flat_sizes[:offsets[-1]], offsets, None, jump_sums,
                              self.size_table)
 
     def _array_counts(self, seed: int, ids: np.ndarray):
@@ -475,11 +483,10 @@ class PathLaw:
     def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode):
         """Write the jumps of the rows with counts[r] > 0, drawn from their
         uniforms u as `draw` does, into flat_times and flat_sizes from
-        starts[r] on; the rows' jump sums, added left to right from 0.0."""
+        starts[r] on; the rows' jump sums, with the bits of numpy's .sum()."""
         k = int(counts.max())
-        sums = np.zeros(counts.size)
         if k == 0:
-            return sums
+            return np.zeros(counts.size)
         j = np.arange(k)
         mask = j < counts[:, None]
         dest = (starts[:, None] + j)[mask]
@@ -493,11 +500,9 @@ class PathLaw:
         col = np.minimum(col + counts[:, None], u.shape[1] - 1)
         keys = self.sizes(np.take_along_axis(u, col, axis=1)[mask])
         flat_sizes[dest] = keys
-        sizes = np.zeros(mask.shape)
-        sizes[mask] = decode(keys)
-        for column in sizes.T:
-            sums += column
-        return sums
+        sizes = np.zeros((counts.size, 8 * -(-k // 8)))
+        sizes[:, :k][mask] = decode(keys)
+        return _numpy_sums(sizes, counts)
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:

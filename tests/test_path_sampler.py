@@ -554,7 +554,8 @@ def range_law(kind, mean):
 class TestRangeSampler:
     """law.packed against the per-replica draw, byte for byte: array rows
     below POISSON_PTRS_MEAN mean jumps, rows that outrun their words, rows
-    at or above the cutoff, Brownian rows, and the edges of PACK_BLOCK."""
+    at or above the cutoff, Brownian laws (drawn per replica), the edges of
+    PACK_BLOCK, and the jump sums of numpy's pairwise .sum()."""
 
     @settings(max_examples=6, deadline=None)
     @given(kind=st.sampled_from(sorted(RANGE_LAWS)),
@@ -581,6 +582,23 @@ class TestRangeSampler:
         got = law.packed(404, 0, 300, 16)
         assert set(lengths) <= set(np.diff(got.offsets).tolist())
         assert_same_bytes(got, drawn_one_by_one(law, 404, 0, 300, 16))
+
+    def test_sums_have_the_bits_of_numpy_sum(self):
+        # magnitudes from 1e-8 to 1e8, so that the order of the additions
+        # shows in the last bits; every length numpy sums in one block
+        rng = np.random.default_rng(21)
+        counts = np.repeat(np.arange(129), 40)
+        shape = (counts.size, 128)
+        terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        terms[np.arange(128) >= counts[:, None]] = 0.0
+        # sums of -0.0 terms: numpy starts from 0.0, so they come out +0.0
+        terms[40 * 3, :3] = terms[40 * 8, :8] = terms[40 * 13, :13] = -0.0
+        got = path_sampler._numpy_sums(terms, counts)
+        want = np.array([row[:c].sum() for row, c in zip(terms, counts)])
+        assert got.tobytes() == want.tobytes()
+        # and left to right is not numpy's sum from 8 terms on
+        in_order = np.array([sum(row[:c].tolist(), 0.0) for row, c in zip(terms, counts)])
+        assert np.any(in_order != want)
 
     # a row of 3.0 mean jumps holds 24 words: 7 jumps and a spare word
     @pytest.mark.parametrize("mean", [2.0, 3.0])
