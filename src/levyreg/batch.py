@@ -249,7 +249,8 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
 
     y = np.concatenate([_random_ode_terminals(packed.rows(lo, lo + SWEEP_WIDTH), x0, rhs)
                         for lo in range(0, packed.n_paths, SWEEP_WIDTH)])
-    return y + packed.z_terminal, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y + packed.z_terminal, y
 
 
 def marcus_terminals(a: ScalarField, sigma: DiffusionField,

@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config, serialize_config, with_overrides
+from .config import (ConfigError, decode_config, parse_config, serialize_config,
+                     with_overrides)
 from .scenarios import FAILURE_FRACTION_LIMIT, list_scenarios, run_scenario
 
 EXIT_OK = 0
@@ -59,14 +60,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.config, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        config = parse_config(text)
+        config = parse_config(decode_config(data))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,7 +30,9 @@ both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
 count below a scenario's sample floor or past rng's 2^48 replica streams, an
 S6 horizon too short for its jumps, an empty marked window, an S5 marked
-window too rare for its draw cap and lattice tubes that overlap.
+window too rare for its draw cap and lattice tubes that overlap. The CLI
+reads a document as UTF-8; a byte that is not UTF-8 is an error naming its
+line (decode_config).
 """
 
 from __future__ import annotations
@@ -277,6 +279,18 @@ def _field_choice(section: str, row: dict[str, object], line_no: int) -> FieldCh
         raise ConfigError(f"line {line_no}: [{section}] needs a 'name' key")
     # parse_config has rejected every key the named field lacks
     return FieldChoice(name=name, params=canonical_params(name, params))
+
+
+def decode_config(data: bytes) -> str:
+    """A configuration file's bytes as UTF-8 text; a byte that is not UTF-8
+    is a ConfigError on its line, numbered as parse_config numbers lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "?" stands in for it
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"line {line_no}: the file is not UTF-8 "
+                          f"(byte 0x{data[exc.start]:02x})") from None
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -182,6 +182,8 @@ def deterministic_skeleton(a: ScalarField, d: float, x0: float, t: float,
     def f(_, u):
         return a_val(u) + d
 
-    for _ in range(n_steps):
-        x = rk4_step(f, None, x, h)
+    # a skeleton that overflows comes out non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            x = rk4_step(f, None, x, h)
     return x

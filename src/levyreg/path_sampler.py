@@ -12,12 +12,15 @@ conditionally, T is uniform on [0, T2].
 The range sampler PathLaw.packed gives each replica the path that `draw`
 gives on the replica's stream, bit for bit. Philox is counter-based, so it
 computes the first words of a block of streams at once (rng.philox_words)
-and draws the block's counts, times and sizes from them as arrays. It does
-this only below POISSON_PTRS_MEAN = 10 mean jumps. There numpy's Poisson
-count multiplies uniforms, a fixed function of the words; from 10 on numpy
-switches to PTRS rejection sampling, and every path is drawn per replica. So
-is every path of a law with a Brownian part, whose normals follow the jump
-words on the stream, and a path that needs more words than its row holds.
+and draws the block's counts from them as arrays. It then writes the rows
+one jump count at a time: the rows of count c are column slices of their
+uniforms, and numpy sums their sizes along the row with the bits of each
+row's own .sum(). It does this only below POISSON_PTRS_MEAN = 10 mean
+jumps. There numpy's Poisson count multiplies uniforms, a fixed function of
+the words; from 10 on numpy switches to PTRS rejection sampling, and every
+path is drawn per replica. So is every path of a law with a Brownian part,
+whose normals follow the jump words on the stream, and a path that needs
+more words than its row holds.
 A path depends on its own stream alone, so no byte depends on the block
 size.
 """
@@ -315,31 +318,6 @@ def _row_words(mean_jumps: float) -> int:
     return 4 * -(-(3 * jumps + 1) // 4)
 
 
-def _numpy_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each row's sum of its first counts[r] <= 128 terms, with the bits of
-    numpy's pairwise .sum(); terms is zero past them and a whole number of
-    8 columns wide. numpy adds fewer than 8 terms left to right from 0.0.
-    From 8 it adds the terms before the last whole eight into eight lanes
-    (term j into lane j % 8), adds the lanes as ((0+1)+(2+3))+((4+5)+(6+7)),
-    then the leftover terms in order. (Past 128 terms it splits the sum in
-    two, but a row below POISSON_PTRS_MEAN holds at most 17 jumps.) Masked
-    terms are added as +0.0: the sign of a zero partial sum changes no
-    nonzero result, and a sum of zeros comes out +0.0, as numpy's does."""
-    whole = counts - counts % 8
-    lanes = np.where(np.arange(terms.shape[1]) < whole[:, None], terms, 0.0)
-    lanes = lanes.reshape(counts.size, -1, 8)
-    r = lanes[:, 0].copy()
-    for block in range(1, lanes.shape[1]):
-        r += lanes[:, block]
-    l0, l1, l2, l3, l4, l5, l6, l7 = r.T
-    sums = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
-    for j in range(7):
-        col = np.minimum(whole + j, terms.shape[1] - 1)[:, None]
-        term = np.take_along_axis(terms, col, axis=1)[:, 0]
-        sums += np.where(whole + j < counts, term, 0.0)
-    return sums
-
-
 def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
     out = np.empty(max(need, 2 * arr.size), dtype=arr.dtype)
     out[:used] = arr[:used]
@@ -362,9 +340,13 @@ class PathLaw:
     mean_jumps: float            # rate times horizon
     sizes: object                # uniforms -> size keys; None when the rate is 0
     size_table: np.ndarray | None    # an atomic law's sizes by key; None: keys are sizes
-    key_dtype: np.dtype          # packed dtype of the keys: _key_dtype(size_table)
     brownian_grid: np.ndarray | None   # skeleton knots; None without a Brownian part
     brownian_sd: float
+
+    @property
+    def key_dtype(self) -> np.dtype:
+        """Packed dtype of the size keys."""
+        return _key_dtype(self.size_table)
 
     @property
     def bytes_per_jump(self) -> int:
@@ -425,9 +407,10 @@ class PathLaw:
     def _drawn_in_blocks(self, seed: int, stream_offset: int, n: int,
                          cells: int) -> PackedPaths:
         """packed's paths of a law below POISSON_PTRS_MEAN mean jumps without
-        a Brownian part, drawn PACK_BLOCK replicas at a time. A block holds
-        the few rows that run out of words, drawn per replica, until it
-        knows where they go."""
+        a Brownian part, drawn PACK_BLOCK replicas at a time. A block's array
+        rows are written one jump count at a time and summed by numpy along
+        the row (_array_jumps). It holds the few rows that run out of words,
+        drawn per replica, until it knows where they go."""
         offsets = np.zeros(n + 1, dtype=np.int64)
         jump_sums = np.zeros(n)
         flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
@@ -483,26 +466,23 @@ class PathLaw:
     def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode):
         """Write the jumps of the rows with counts[r] > 0, drawn from their
         uniforms u as `draw` does, into flat_times and flat_sizes from
-        starts[r] on; the rows' jump sums, with the bits of numpy's .sum()."""
-        k = int(counts.max())
-        if k == 0:
-            return np.zeros(counts.size)
-        j = np.arange(k)
-        mask = j < counts[:, None]
-        dest = (starts[:, None] + j)[mask]
-        col = np.minimum(counts[:, None] + 1 + j, u.shape[1] - 1)
-        times = np.take_along_axis(u, col, axis=1)
-        times *= -self.horizon
-        times += self.horizon
-        times[~mask] = np.inf
-        times.sort(axis=1)
-        flat_times[dest] = times[mask]
-        col = np.minimum(col + counts[:, None], u.shape[1] - 1)
-        keys = self.sizes(np.take_along_axis(u, col, axis=1)[mask])
-        flat_sizes[dest] = keys
-        sizes = np.zeros((counts.size, 8 * -(-k // 8)))
-        sizes[:, :k][mask] = decode(keys)
-        return _numpy_sums(sizes, counts)
+        starts[r] on; the rows' jump sums. The rows of one count c are
+        drawn together: the c uniforms after the count's c + 1 are the
+        times, the next c the sizes. Their sizes are a C-contiguous (rows, c)
+        array, whose .sum(axis=1) has the bits of each row's .sum()."""
+        sums = np.zeros(counts.size)
+        for c in range(1, counts.max() + 1):
+            rows = np.flatnonzero(counts == c)
+            dest = starts[rows, None] + np.arange(c)
+            times = u[rows, c + 1:2 * c + 1]
+            times *= -self.horizon
+            times += self.horizon
+            times.sort(axis=1)
+            flat_times[dest] = times
+            keys = self.sizes(u[rows, 2 * c + 1:3 * c + 1])
+            flat_sizes[dest] = keys
+            sums[rows] = decode(keys).sum(axis=1)
+        return sums
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:
@@ -549,7 +529,6 @@ def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
         mean_jumps=rate * horizon,
         sizes=sizes,
         size_table=table,
-        key_dtype=_key_dtype(table),
         brownian_grid=grid,
         brownian_sd=sd,
     )

@@ -638,6 +638,51 @@ class TestCli:
         assert err.startswith("config error: line 4: ") and "chunk budget" in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"scenario = S1\n# \xff\xfe comment\nreplicas = 1000\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == \
+            "config error: line 2: the file is not UTF-8 (byte 0xff)\n"
+        assert not out.exists()
+
+    # the terminal X = Y + Z_horizon overflows in every replica
+    @pytest.mark.parametrize("text", [
+        "scenario = S1\nreplicas = 1000\nx0 = -1e308\n[triplet]\ndrift = -1e308\n",
+        "scenario = S5\nreplicas = 1000\nrepetitions = 2\nx0 = 1e308\n"
+        "[triplet]\ndrift = 1e308\n"], ids=["S1", "S5"])
+    def test_overflowing_terminals_are_flagged(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"numeric failures in {len(rows)} of {len(rows)} replicas\n"
+        assert all(row.endswith(",1") for row in rows)
+
+    def test_s1_skeleton_that_overflows(self, tmp_path, capsys):
+        # the no-jump skeleton x' = a(x) + 1e308 overflows before the horizon,
+        # while every replica's terminal stays finite
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S1\nreplicas = 1000\n[triplet]\ndrift = 1e308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
+        assert diagnostics["skeleton_location"] is None
+        assert diagnostics["location_within_window"] is False
+
     @pytest.mark.parametrize("levels", [20, 21])
     def test_s3_levels_at_the_jump_budget(self, tmp_path, capsys, levels):
         # atom codes change how many paths fill a chunk, never which documents

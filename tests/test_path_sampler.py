@@ -584,21 +584,27 @@ class TestRangeSampler:
         assert_same_bytes(got, drawn_one_by_one(law, 404, 0, 300, 16))
 
     def test_sums_have_the_bits_of_numpy_sum(self):
-        # magnitudes from 1e-8 to 1e8, so that the order of the additions
-        # shows in the last bits; every length numpy sums in one block
+        # the array rows of one jump count are summed by .sum(axis=1) of a
+        # C-contiguous (rows, count) array: each row must get the bits of its
+        # own .sum(), for every count a row below POISSON_PTRS_MEAN holds and
+        # blocks of one row up to PACK_BLOCK. Magnitudes from 1e-8 to 1e8
+        # show the order of the additions in the last bits.
         rng = np.random.default_rng(21)
-        counts = np.repeat(np.arange(129), 40)
-        shape = (counts.size, 128)
-        terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
-        terms[np.arange(128) >= counts[:, None]] = 0.0
-        # sums of -0.0 terms: numpy starts from 0.0, so they come out +0.0
-        terms[40 * 3, :3] = terms[40 * 8, :8] = terms[40 * 13, :13] = -0.0
-        got = path_sampler._numpy_sums(terms, counts)
-        want = np.array([row[:c].sum() for row, c in zip(terms, counts)])
-        assert got.tobytes() == want.tobytes()
-        # and left to right is not numpy's sum from 8 terms on
-        in_order = np.array([sum(row[:c].tolist(), 0.0) for row, c in zip(terms, counts)])
-        assert np.any(in_order != want)
+        most = (path_sampler._row_words(path_sampler.POISSON_PTRS_MEAN) - 1) // 3
+        assert most == 17
+        left_to_right_differs = False
+        for c in range(1, most + 1):
+            for m in (1, 8, 4095, 4096):
+                terms = rng.standard_normal((m, c)) * 10.0 ** rng.uniform(-8, 8, (m, c))
+                if m > 1:
+                    terms[-1] = -0.0
+                want = np.array([row.sum() for row in terms])
+                assert terms.sum(axis=1).tobytes() == want.tobytes(), (c, m)
+                if c >= 8:
+                    in_order = np.array([sum(row.tolist(), 0.0) for row in terms])
+                    left_to_right_differs |= bool(np.any(in_order != want))
+        # numpy sums 8 or more terms pairwise, not left to right
+        assert left_to_right_differs
 
     # a row of 3.0 mean jumps holds 24 words: 7 jumps and a spare word
     @pytest.mark.parametrize("mean", [2.0, 3.0])
