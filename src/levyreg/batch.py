@@ -54,7 +54,7 @@ import numpy as np
 
 from .flow_engine import ScalarField, rk4_step
 from .marcus import DiffusionField, flow_substeps
-from .path_sampler import LevyPath, PackedPaths, pack, size_decoder
+from .path_sampler import LevyPath, PackedPaths, _packed_paths, size_decoder
 
 #: Most paths one plain random-ODE sweep walks at once; wider batches are cut
 #: into contiguous row blocks. Picked by timing S1's sweep at 20k and 100k
@@ -67,16 +67,20 @@ def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
     range sampler gives for the same draws."""
     if not paths:
         raise ValueError("need at least one path")
-    horizon = paths[0].horizon
-    drift = paths[0].drift_rate
+    first = paths[0]
     for p in paths:
-        if p.horizon != horizon or p.drift_rate != drift:
-            raise ValueError("packed paths must share horizon and drift")
-    draws = ((p.jump_times, p.jump_sizes,
-              None if p.brownian is None else (p.brownian.times, p.brownian.values))
-             for p in paths)
-    return pack(draws, len(paths), horizon, drift, n_cells, paths[0].brownian is not None,
-                sum(p.n_jumps for p in paths))
+        if (p.horizon != first.horizon or p.drift_rate != first.drift_rate
+                or (p.brownian is None) != (first.brownian is None)):
+            raise ValueError("packed paths must share horizon, drift and whether "
+                             "they have a Brownian part")
+    edges = np.linspace(0.0, first.horizon, n_cells + 1)
+    offsets = np.cumsum([0] + [p.n_jumps for p in paths])
+    brown_edges = (None if first.brownian is None
+                   else np.array([p.brownian.value(edges) for p in paths]))
+    return _packed_paths(first.horizon, first.drift_rate, edges,
+                         np.concatenate([p.jump_times for p in paths]),
+                         np.concatenate([p.jump_sizes for p in paths]), offsets,
+                         brown_edges, np.array([p.jump_sizes.sum() for p in paths]), None)
 
 
 def _prefix_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

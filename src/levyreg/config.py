@@ -29,10 +29,10 @@ field the document's scenario does not read. Duplicate keys are errors naming
 both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
 count below a scenario's sample floor or past rng's 2^48 replica streams, an
-S6 horizon too short for its jumps, an empty marked window, an S5 marked
-window too rare for its draw cap and lattice tubes that overlap. The CLI
-reads a document as UTF-8; a byte that is not UTF-8 is an error naming its
-line (decode_config).
+S2 or S6 horizon too short for its jumps, an empty marked window, an S2
+marked window that misses S2's jump sizes, an S5 marked window too rare for
+its draw cap and lattice tubes that overlap. The CLI reads a document as
+UTF-8; a byte that is not UTF-8 is an error naming its line (decode_config).
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ _FLOORED = ("S1", "S3", "S5", "S7")
 #: S6 places its test paths' jumps at least this far from both ends of the
 #: horizon, so its horizon must exceed twice the margin.
 S6_JUMP_MARGIN = 0.05
+
+#: S2 draws each config's driver as one atom of rate S2_JUMP_RATE and a size
+#: uniform on S2_SIZE_RANGE, and differentiates at its first marked jump, which
+#: must lie at least S2_JUMP_MARGIN from both ends of the horizon.
+S2_JUMP_MARGIN = 0.02
+S2_JUMP_RATE = 5.0
+S2_SIZE_RANGE = (0.25, 0.55)
+
+_JUMP_MARGINS = {"S2": S2_JUMP_MARGIN, "S6": S6_JUMP_MARGIN}
 
 
 class ConfigError(ValueError):
@@ -408,10 +417,13 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: {reason}")
 
     reject(_replicas_problem(resolved), ("", "replicas"))
-    if config.scenario == "S6" and resolved.horizon <= 2 * S6_JUMP_MARGIN:
-        reject(f"horizon = {resolved.horizon} leaves S6 no room for its jumps, which "
-               f"it places at least {S6_JUMP_MARGIN} from both ends: need horizon > "
-               f"{2 * S6_JUMP_MARGIN}", ("", "horizon"))
+    margin = _JUMP_MARGINS.get(config.scenario, 0.0)
+    if resolved.horizon <= 2 * margin:
+        reject(f"horizon = {resolved.horizon} leaves {config.scenario} no room for its "
+               f"jumps, which it keeps at least {margin} from both ends: need horizon > "
+               f"{2 * margin}", ("", "horizon"))
+    if config.scenario == "S2":
+        reject(jump_budget_error(S2_JUMP_RATE, resolved.horizon), ("", "horizon"))
     defaults = SCENARIO_DEFAULTS[config.scenario]
     law_keys = [k for k in entries if k[0].startswith("measure.")] + [
         ("", "truncation"), ("", "horizon")]
@@ -430,6 +442,12 @@ def parse_config(text: str) -> ScenarioConfig:
     if "mark_low" in defaults:
         marks = [("diagnostics", "mark_low"), ("diagnostics", "mark_high")]
         reject(mark_window_error(resolved.mark_low, resolved.mark_high), *marks)
+        low, high = S2_SIZE_RANGE
+        if config.scenario == "S2" and (max(resolved.mark_low, low)
+                                        >= min(resolved.mark_high, high)):
+            reject(f"the marked window [{resolved.mark_low:g}, {resolved.mark_high:g}] "
+                   f"misses S2's jump sizes, drawn from [{low:g}, {high:g}): no jump "
+                   "is ever marked", *marks)
         reject(_draw_cap_problem(resolved), *law_keys, *marks, ("", "replicas"),
                ("", "repetitions"))
     if "spacing" in defaults:

@@ -9,18 +9,19 @@ The decomposition/resampling pair implements the stratification device: fix
 everything except the first jump time T landing in a marked size window;
 conditionally, T is uniform on [0, T2].
 
-The range sampler PathLaw.packed gives each replica the path that `draw`
-gives on the replica's stream, bit for bit. Philox is counter-based, so it
-computes the first words of a block of streams at once (rng.philox_words)
-and draws the block's counts from them as arrays. It then writes the rows
-one jump count at a time: the rows of count c are column slices of their
-uniforms, and numpy sums their sizes along the row with the bits of each
-row's own .sum(). It does this only below POISSON_PTRS_MEAN = 10 mean
-jumps. There numpy's Poisson count multiplies uniforms, a fixed function of
-the words; from 10 on numpy switches to PTRS rejection sampling, and every
-path is drawn per replica. So is every path of a law with a Brownian part,
-whose normals follow the jump words on the stream, and a path that needs
-more words than its row holds.
+The range sampler PathLaw.packed writes each replica the path that `draw`
+gives on the replica's stream, bit for bit, straight into the flat arrays of
+PackedPaths, one block of replicas at a time. Philox is counter-based, so
+below POISSON_PTRS_MEAN = 10 mean jumps it computes the first words of a
+block of streams at once (rng.philox_words) and draws the block's counts
+from them as arrays: there numpy's Poisson count multiplies uniforms, a
+fixed function of the words. It writes these array rows one jump count at a
+time: the rows of count c are column slices of their uniforms, and numpy
+sums their sizes along the row with the bits of each row's own .sum(). The
+other rows it draws per replica and writes as soon as each is drawn: a row
+that needs more words than it holds, every row of a law at or above the
+cutoff, where numpy switches to PTRS rejection sampling, and every row of a
+law with a Brownian part, whose normals follow the jump words on the stream.
 A path depends on its own stream alone, so no byte depends on the block
 size.
 """
@@ -48,7 +49,8 @@ MAX_JUMPS_PER_CHUNK = 4_000_000
 #: function of the stream's uniforms, which PathLaw.packed computes as arrays.
 POISSON_PTRS_MEAN = 10.0
 
-#: Replicas PathLaw.packed draws as one array block.
+#: Replicas PathLaw.packed writes as one block: first the rows it draws per
+#: replica, then the array rows of one philox_words array of this many rows.
 PACK_BLOCK = 4096
 
 #: Draws sample_many makes for one replica before it gives up on `accept`.
@@ -162,36 +164,6 @@ class PackedPaths:
 def size_decoder(table: np.ndarray | None):
     """keys -> jump sizes: table.take, or the keys themselves without a table."""
     return (lambda keys: keys) if table is None else table.take
-
-
-def pack(draws, n: int, horizon: float, drift: float, cells: int, brownian: bool,
-         capacity: int, size_table: np.ndarray | None = None) -> PackedPaths:
-    """PackedPaths of n paths on `cells` cells from `draws`, per path its
-    sorted jump times, size keys and Brownian (knots, values) or None, as
-    PathLaw.draw gives them. The flat arrays start at `capacity` jumps."""
-    edges = np.linspace(0.0, horizon, cells + 1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    jump_sums = np.zeros(n)
-    brown_edges = np.empty((n, cells + 1)) if brownian else None
-    flat_times = np.empty(capacity)
-    flat_sizes = np.empty(capacity, dtype=_key_dtype(size_table))
-    decode = size_decoder(size_table)
-    pos = 0
-    for i, (times, keys, brown) in enumerate(draws):
-        k = times.size
-        if k:
-            if pos + k > flat_times.size:
-                flat_times = _grown(flat_times, pos, pos + k)
-                flat_sizes = _grown(flat_sizes, pos, pos + k)
-            flat_times[pos:pos + k] = times
-            flat_sizes[pos:pos + k] = keys
-            jump_sums[i] = decode(keys).sum()
-            pos += k
-        offsets[i + 1] = pos
-        if brownian:
-            brown_edges[i] = np.interp(edges, *brown)
-    return _packed_paths(horizon, drift, edges, flat_times[:pos], flat_sizes[:pos],
-                         offsets, brown_edges, jump_sums, size_table)
 
 
 def _packed_paths(horizon, drift, edges, flat_times, flat_sizes, offsets, brown_edges,
@@ -318,15 +290,11 @@ def _row_words(mean_jumps: float) -> int:
     return 4 * -(-(3 * jumps + 1) // 4)
 
 
-def _grown(arr: np.ndarray, used: int, need: int) -> np.ndarray:
+def _grown(arr: np.ndarray, need: int) -> np.ndarray:
+    """arr copied to the front of an array of at least `need` elements."""
     out = np.empty(max(need, 2 * arr.size), dtype=arr.dtype)
-    out[:used] = arr[:used]
+    out[:arr.size] = arr
     return out
-
-
-def _key_dtype(table: np.ndarray | None) -> np.dtype:
-    """The smallest unsigned type that indexes `table`; float64 without one."""
-    return np.dtype(np.float64) if table is None else np.min_scalar_type(table.size - 1)
 
 
 @dataclass(frozen=True)
@@ -345,8 +313,10 @@ class PathLaw:
 
     @property
     def key_dtype(self) -> np.dtype:
-        """Packed dtype of the size keys."""
-        return _key_dtype(self.size_table)
+        """Packed dtype of the size keys: the smallest unsigned type that
+        indexes size_table; float64 without one."""
+        table = self.size_table
+        return np.dtype(np.float64) if table is None else np.min_scalar_type(table.size - 1)
 
     @property
     def bytes_per_jump(self) -> int:
@@ -389,60 +359,55 @@ class PathLaw:
 
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
         """Replicas stream_offset + [0, n) drawn straight into flat arrays,
-        each path the one `draw` gives on its stream (see the module
-        docstring): in array blocks for a law below POISSON_PTRS_MEAN mean
-        jumps without a Brownian part, per replica otherwise."""
+        PACK_BLOCK replicas at a time, each path the one `draw` gives on its
+        stream (see the module docstring). A block first draws, in replica
+        order, the rows that _array_counts leaves to `draw`, and writes each
+        where the block's counts before it end; then _array_jumps writes the
+        array rows one jump count at a time."""
         if n < 1:
             raise ValueError("need at least one path")
-        if self.mean_jumps < POISSON_PTRS_MEAN and self.brownian_grid is None:
-            out = self._drawn_in_blocks(seed, stream_offset, n, cells)
-        else:
-            gens = map(StreamGenerator(seed).at, range(stream_offset, stream_offset + n))
-            out = pack(map(self.draw, gens), n, self.horizon, self.drift, cells,
-                       self.brownian_grid is not None, _jump_capacity(self.mean_jumps * n),
-                       self.size_table)
-        _dedupe_packed(out.flat_times, out.offsets)
-        return out
-
-    def _drawn_in_blocks(self, seed: int, stream_offset: int, n: int,
-                         cells: int) -> PackedPaths:
-        """packed's paths of a law below POISSON_PTRS_MEAN mean jumps without
-        a Brownian part, drawn PACK_BLOCK replicas at a time. A block's array
-        rows are written one jump count at a time and summed by numpy along
-        the row (_array_jumps). It holds the few rows that run out of words,
-        drawn per replica, until it knows where they go."""
+        edges = np.linspace(0.0, self.horizon, cells + 1)
         offsets = np.zeros(n + 1, dtype=np.int64)
         jump_sums = np.zeros(n)
+        brown_edges = None if self.brownian_grid is None else np.empty((n, cells + 1))
         flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
         flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
         decode = size_decoder(self.size_table)
         streams = StreamGenerator(seed)
         for lo in range(0, n, PACK_BLOCK):
-            ids = np.arange(stream_offset + lo, stream_offset + min(n, lo + PACK_BLOCK),
-                            dtype=np.uint64)
+            hi = min(n, lo + PACK_BLOCK)
+            ids = np.arange(stream_offset + lo, stream_offset + hi, dtype=np.uint64)
             counts, u = self._array_counts(seed, ids)
-            per_replica = {r: self.draw(streams.at(ids[r]))[:2]
-                           for r in np.flatnonzero(counts < 0)}
-            for r, (times, _) in per_replica.items():
-                counts[r] = times.size
-            ends = offsets[lo] + np.cumsum(counts)
-            offsets[lo + 1:lo + ids.size + 1] = ends
-            if ends[-1] > flat_times.size:
-                flat_times = _grown(flat_times, offsets[lo], ends[-1])
-                flat_sizes = _grown(flat_sizes, offsets[lo], ends[-1])
-            starts = ends - counts
-            if per_replica:
-                counts[list(per_replica)] = 0
-            jump_sums[lo:lo + ids.size] = self._array_jumps(
-                u, counts, starts, flat_times, flat_sizes, decode)
-            for r, (times, keys) in per_replica.items():
-                flat_times[starts[r]:ends[r]] = times
-                flat_sizes[starts[r]:ends[r]] = keys
+            drawn = np.flatnonzero(counts < 0)
+            pos, prev = offsets[lo], 0
+            for r in drawn:
+                if r > prev:
+                    pos += counts[prev:r].sum()
+                times, keys, brown = self.draw(streams.at(ids[r]))
+                k = counts[r] = times.size
+                if pos + k > flat_times.size:
+                    flat_times = _grown(flat_times, pos + k)
+                    flat_sizes = _grown(flat_sizes, pos + k)
+                flat_times[pos:pos + k] = times
+                flat_sizes[pos:pos + k] = keys
                 jump_sums[lo + r] = decode(keys).sum()
-        edges = np.linspace(0.0, self.horizon, cells + 1)
-        return _packed_paths(self.horizon, self.drift, edges, flat_times[:offsets[-1]],
-                             flat_sizes[:offsets[-1]], offsets, None, jump_sums,
-                             self.size_table)
+                if brown is not None:
+                    brown_edges[lo + r] = np.interp(edges, *brown)
+                pos += k
+                prev = r + 1
+            ends = offsets[lo] + np.cumsum(counts)
+            offsets[lo + 1:hi + 1] = ends
+            if ends[-1] > flat_times.size:
+                flat_times = _grown(flat_times, ends[-1])
+                flat_sizes = _grown(flat_sizes, ends[-1])
+            starts = ends - counts
+            counts[drawn] = 0
+            self._array_jumps(u, counts, starts, flat_times, flat_sizes, decode,
+                              jump_sums[lo:hi])
+        flat_times, flat_sizes = flat_times[:offsets[-1]], flat_sizes[:offsets[-1]]
+        _dedupe_packed(flat_times, offsets)
+        return _packed_paths(self.horizon, self.drift, edges, flat_times, flat_sizes,
+                             offsets, brown_edges, jump_sums, self.size_table)
 
     def _array_counts(self, seed: int, ids: np.ndarray):
         """(jump counts, uniforms) of the replicas `ids`: the uniforms are the
@@ -451,7 +416,10 @@ class PathLaw:
         from them, or -1 where the row's words run out. Below
         POISSON_PTRS_MEAN, Poisson counts the uniforms whose running product
         stays above e^-mean and draws one more; a count c thus uses 3c + 1
-        words with its times and sizes."""
+        words with its times and sizes. Every row of a law at or above
+        POISSON_PTRS_MEAN or with a Brownian part is -1, whatever its rate."""
+        if self.mean_jumps >= POISSON_PTRS_MEAN or self.brownian_grid is not None:
+            return np.full(ids.size, -1, dtype=np.int64), None
         if self.sizes is None or self.mean_jumps == 0.0:
             return np.zeros(ids.size, dtype=np.int64), None
         words = _row_words(self.mean_jumps)
@@ -463,14 +431,13 @@ class PathLaw:
         counts[~stop[np.arange(ids.size), counts] | (3 * counts + 1 > words)] = -1
         return counts, u
 
-    def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode):
+    def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode, sums):
         """Write the jumps of the rows with counts[r] > 0, drawn from their
         uniforms u as `draw` does, into flat_times and flat_sizes from
-        starts[r] on; the rows' jump sums. The rows of one count c are
-        drawn together: the c uniforms after the count's c + 1 are the
+        starts[r] on, and their jump sums into sums[r]. The rows of one count
+        c are drawn together: the c uniforms after the count's c + 1 are the
         times, the next c the sizes. Their sizes are a C-contiguous (rows, c)
         array, whose .sum(axis=1) has the bits of each row's .sum()."""
-        sums = np.zeros(counts.size)
         for c in range(1, counts.max() + 1):
             rows = np.flatnonzero(counts == c)
             dest = starts[rows, None] + np.arange(c)
@@ -482,7 +449,6 @@ class PathLaw:
             keys = self.sizes(u[rows, 2 * c + 1:3 * c + 1])
             flat_sizes[dest] = keys
             sums[rows] = decode(keys).sum(axis=1)
-        return sums
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:

@@ -40,7 +40,15 @@ from .batch import doss_terminals, marcus_terminals, ode_terminals, pack_paths
 # not called here: perfbench/tracer.py patches this name in this module, until
 # the run trace of ROADMAP item 1 (PR B) replaces its patches
 from .batch import flow_map_array  # noqa: F401
-from .config import S6_JUMP_MARGIN, ScenarioConfig, trend_law, with_scenario_defaults
+from .config import (
+    S2_JUMP_MARGIN,
+    S2_JUMP_RATE,
+    S2_SIZE_RANGE,
+    S6_JUMP_MARGIN,
+    ScenarioConfig,
+    trend_law,
+    with_scenario_defaults,
+)
 from .diagnostics import (
     SampleBatch,
     TooFewSamples,
@@ -260,9 +268,9 @@ def _s2_config(config: ScenarioConfig, i: int,
     usable marked jump."""
     gen = RngStream(config.seed, i).generator()
     a, kind_name = _s2_field(i % 4, gen)
-    size = float(gen.uniform(0.25, 0.55))
+    size = float(gen.uniform(*S2_SIZE_RANGE))
     triplet = LevyTriplet(drift=float(gen.uniform(-0.2, 0.2)),
-                          jumps=FiniteAtomic(((size, 5.0),)))
+                          jumps=FiniteAtomic(((size, S2_JUMP_RATE),)))
     x0 = float(gen.uniform(-0.5, 0.5))
     mark_lo, mark_hi = config.mark_low, config.mark_high
     for _ in range(300):
@@ -277,7 +285,7 @@ def _s2_config(config: ScenarioConfig, i: int,
             else config.horizon
         if t_j - prev_t < 1e-3 or next_t - t_j < 1e-3:
             continue
-        if t_j < 0.02 or t_j > config.horizon - 0.02:
+        if t_j < S2_JUMP_MARGIN or t_j > config.horizon - S2_JUMP_MARGIN:
             continue
         sol = solve_random_ode(a, path, x0, step)
         analytic = jump_time_derivative(a, sol, t_j)

@@ -23,7 +23,7 @@ from levyreg.fields import make_diffusion_field, make_scalar_field
 from levyreg.flow_engine import solve_random_ode
 from levyreg.levy_spec import FiniteAtomic, LevyTriplet
 from levyreg.marcus import FlowDivergence, flow_with_sensitivity, jump_flow_phi, marcus_solve
-from levyreg.path_sampler import path_law, sample_path
+from levyreg.path_sampler import BrownianSkeleton, LevyPath, path_law, sample_path
 from levyreg.rng import RngStream
 from levyreg.transforms import doss_sussman_solve
 
@@ -40,6 +40,25 @@ def draw_paths(triplet, n, seed, cells):
     return [sample_path(triplet, 1.0, 0.1, gen=RngStream(seed, i).generator(),
                         brownian_cells=cells)
             for i in range(n)]
+
+
+PLAIN = LevyPath(1.0, 0.1, np.array([0.5]), np.array([1.0]))
+
+
+# a path with a Brownian part after one without lost it (z_terminal 1.1 where
+# the path's terminal is 5.1), and in the other order raised TypeError
+@pytest.mark.parametrize("other,message", [
+    (dataclasses.replace(PLAIN, horizon=2.0), "horizon"),
+    (dataclasses.replace(PLAIN, drift_rate=0.2), "drift"),
+    (dataclasses.replace(PLAIN, brownian=BrownianSkeleton(np.array([0.0, 1.0]),
+                                                          np.array([0.0, 4.0]))),
+     "Brownian part")])
+@pytest.mark.parametrize("other_first", [False, True])
+def test_pack_paths_rejects_a_mixed_batch(other, message, other_first):
+    paths = [other, PLAIN] if other_first else [PLAIN, other]
+    with pytest.raises(ValueError, match=message):
+        pack_paths(paths, 4)
+    assert pack_paths([other, other], 4).z_terminal.tolist() == [other.terminal] * 2
 
 
 class TestFlowArrays:

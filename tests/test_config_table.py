@@ -13,9 +13,9 @@ import levyreg.scenarios as scenarios_mod
 from levyreg import path_sampler
 from levyreg.cli import main as cli_main
 from levyreg.config import (
+    _JUMP_MARGINS,
     _SCALARS,
     GLOBAL_FIELDS,
-    S6_JUMP_MARGIN,
     SCENARIO_DEFAULTS,
     ConfigError,
     FieldChoice,
@@ -45,8 +45,9 @@ def _maybe(strategy):
 # lattice tube narrower than half its spacing, alone or with the scenario
 # defaults (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12,
 # halfwidth 1e-9), so each config must parse, except an S5 config whose marked
-# window is too rare for the draw cap and an S6 config whose horizon leaves no
-# room for its jumps, which must be rejected as such.
+# window is too rare for the draw cap and an S2 or S6 config whose horizon
+# leaves no room for its jumps, which must be rejected as such. Every marked
+# window meets S2's jump sizes, [0.25, 0.55).
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -127,7 +128,7 @@ class TestKeyTable:
             with pytest.raises(ConfigError, match="marked"):
                 parse_config(text)
             return
-        if config.scenario == "S6" and config.horizon <= 2 * S6_JUMP_MARGIN:
+        if config.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
             with pytest.raises(ConfigError, match="no room for its jumps"):
                 parse_config(text)
             return
@@ -248,6 +249,14 @@ REJECTED = [
     # `high - low < 0` and no line number
     ("scenario = S6\nhorizon = 0.05\n", 2, "no room for its jumps"),
     ("scenario = S6\nhorizon = 0.1\nreplicas = 3\n", 2, "no room for its jumps"),
+    # these three S2 documents validated with exit 0 and never ran: S2 needs a
+    # marked jump in [0.02, horizon - 0.02] (8 of 8 replicas failed), rate 5
+    # past the chunk budget (run failed with no line number), and an atom
+    # size from [0.25, 0.55) in the marked window (8 of 8 failed)
+    ("scenario = S2\nhorizon = 0.04\nreplicas = 8\n", 2, "no room for its jumps"),
+    ("scenario = S2\nhorizon = 800001\n", 2, "chunk budget"),
+    ("scenario = S2\nreplicas = 8\n[diagnostics]\nmark_low = 0.6\nmark_high = 1.0\n", 5,
+     "misses S2's jump sizes"),
     # these three were rejected without a line number; each names the first key
     # line of the offending section (for two measures, the second one)
     ("scenario = S1\n[drift_field]\nlow = 0.0\nhigh = 1.0\n", 3, "needs a 'name' key"),

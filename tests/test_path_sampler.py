@@ -13,10 +13,10 @@ from levyreg.levy_spec import DensityForm, FiniteAtomic, LevyTriplet, dyadic_fam
 from levyreg.path_sampler import (
     LevyPath,
     NotEnoughMarkedJumps,
+    PackedPaths,
     _dedupe_packed,
     _dedupe_times,
     decompose_first_jump,
-    pack,
     path_law,
     resample_first_jump_time,
     sample_many,
@@ -500,16 +500,19 @@ class TestSamplePacked:
             assert np.all(np.diff(got.flat_times[lo:hi]) > 0.0)
 
     def test_flat_arrays_grow_past_capacity(self, monkeypatch):
-        # grown arrays keep their dtype: uint8 or uint16 codes, float64 sizes
-        for case in ("atoms", "many-atoms", "density"):
-            triplet, horizon, trunc, n = self.CASES[case]
-            law = path_law(triplet, horizon, trunc)
-            want = law.packed(6, 0, n, 16)
-            with monkeypatch.context() as m:
-                m.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
-                got = law.packed(6, 0, n, 16)
-            assert_packed_equal(got, want)
-            assert got.flat_sizes.dtype == want.flat_sizes.dtype == law.key_dtype, case
+        # grown arrays keep their dtype (assert_same_bytes compares dtypes):
+        # uint8 or uint16 codes, float64 sizes. Rows drawn per replica grow
+        # them inside a block's loop over those rows (many-atoms and density
+        # are above POISSON_PTRS_MEAN, brownian has a Brownian part), array
+        # rows after it; at 2 mean jumps a few rows outrun their words, so
+        # one block does both.
+        laws = {case: path_law(*self.CASES[case][:3])
+                for case in ("atoms", "many-atoms", "density")}
+        laws["brownian"] = range_law("brownian", 3.0)
+        laws["outrun"] = range_law("atoms", 2.0)
+        monkeypatch.setattr(path_sampler, "_jump_capacity", lambda mean: 1)
+        for law in laws.values():
+            assert_same_bytes(law.packed(6, 0, 300, 16), drawn_one_by_one(law, 6, 0, 300, 16))
 
     def test_rejects_empty_range(self):
         triplet, horizon, trunc, _ = self.CASES["atoms"]
@@ -518,14 +521,26 @@ class TestSamplePacked:
 
 
 def drawn_one_by_one(law, seed, offset, n, cells):
-    """law.packed's reference: `draw` on each replica's own stream, then pack
-    and _dedupe_packed."""
+    """law.packed's reference: `draw` on each replica's own stream, the
+    draws joined by np.concatenate, then _dedupe_packed."""
     streams = StreamGenerator(seed)
-    gens = (streams.at(offset + i) for i in range(n))
-    out = pack(map(law.draw, gens), n, law.horizon, law.drift, cells,
-               law.brownian_grid is not None, 0, law.size_table)
-    _dedupe_packed(out.flat_times, out.offsets)
-    return out
+    draws = [law.draw(streams.at(offset + i)) for i in range(n)]
+    times = np.concatenate([t for t, _, _ in draws])
+    keys = [k for _, k, _ in draws]
+    offsets = np.cumsum([0] + [k.size for k in keys])
+    _dedupe_packed(times, offsets)
+    decode = path_sampler.size_decoder(law.size_table)
+    z_terminal = law.drift * law.horizon + np.array([decode(k).sum() for k in keys])
+    edges = np.linspace(0.0, law.horizon, cells + 1)
+    brown = None
+    if law.brownian_grid is not None:
+        brown = np.array([np.interp(edges, *b) for _, _, b in draws])
+        z_terminal = z_terminal + brown[:, -1]
+    return PackedPaths(horizon=law.horizon, drift_rate=law.drift, n_cells=cells,
+                       edges=edges, flat_times=times,
+                       flat_sizes=np.concatenate(keys).astype(law.key_dtype),
+                       offsets=offsets, brown_edges=brown, z_terminal=z_terminal,
+                       size_table=law.size_table)
 
 
 def assert_same_bytes(got, want):
@@ -554,8 +569,9 @@ def range_law(kind, mean):
 class TestRangeSampler:
     """law.packed against the per-replica draw, byte for byte: array rows
     below POISSON_PTRS_MEAN mean jumps, rows that outrun their words, rows
-    at or above the cutoff, Brownian laws (drawn per replica), the edges of
-    PACK_BLOCK, and the jump sums of numpy's pairwise .sum()."""
+    at or above the cutoff, Brownian laws (drawn per replica, also at rate
+    0), the edges of PACK_BLOCK, and the jump sums of numpy's pairwise
+    .sum()."""
 
     @settings(max_examples=6, deadline=None)
     @given(kind=st.sampled_from(sorted(RANGE_LAWS)),
@@ -605,6 +621,15 @@ class TestRangeSampler:
                     left_to_right_differs |= bool(np.any(in_order != want))
         # numpy sums 8 or more terms pairwise, not left to right
         assert left_to_right_differs
+
+    def test_rate_zero_brownian_law(self):
+        # no jumps, but every path still draws its Brownian normals
+        triplet = LevyTriplet(0.1, FiniteAtomic(((0.35, 0.0),)), brownian_variance=0.3)
+        law = path_law(triplet, 2.5, 0.1, brownian_cells=8)
+        assert law.sizes is None and law.mean_jumps == 0.0
+        got = law.packed(7, 5, 20, 16)
+        assert got.flat_times.size == 0 and np.all(got.brown_edges[:, -1] != 0.0)
+        assert_same_bytes(got, drawn_one_by_one(law, 7, 5, 20, 16))
 
     # a row of 3.0 mean jumps holds 24 words: 7 jumps and a spare word
     @pytest.mark.parametrize("mean", [2.0, 3.0])
