@@ -15,24 +15,39 @@ replicas are batched or chunked:
 Jumps are handled by an own-step sweep: each path walks its own steps, from
 its current time to its next jump when that lies in its current cell and to
 the cell's right edge otherwise, and applies each jump on arrival (exactly,
-via the jump flow, for the Marcus engine). A path takes its jumps plus cells
-steps in all, so the batch is sorted once by that count, largest first, and
-round s steps the prefix of paths with more than s steps; a batch costs the
-most steps of any one path in it, not the busiest path per cell summed over
-the cells. `_sweep` sorts a batch and returns a generator of these rounds,
-which reads the packed jump arrays in place; each engine is a loop over it.
+via the jump flow, for the Marcus engine). A path that starts at the left
+edge of cell k0 takes its jumps plus n_cells - k0 steps, so the batch is
+sorted once by that count, largest first, and round s steps the prefix of
+paths with more than s steps; a batch costs the most steps of any one path
+in it, not the busiest path per cell summed over the cells. `_sweep` sorts a
+batch and returns a generator of these rounds, which reads the packed jump
+arrays in place; each engine is a loop over it.
+
+Without a Brownian part, every path of the plain random-ODE engine follows
+the jump-free skeleton, step for step and bit for bit, until its first jump.
+The engine solves that skeleton once per call, on np.float64 scalars with
+the sweep's right-hand side and RK4 step, and starts each path at the cell
+of its first jump (the first cell whose right edge is at or after it;
+n_cells for a path without jumps, which takes no step) from the skeleton's
+state at that cell's left edge. This relies on a float contract: a field
+gives on an np.float64 the bits it gives on a one-element array, which the
+field catalogue's float branches keep. The skeleton overflows to inf or nan
+as arrays do, with no numpy warning. The Doss-Sussmann and Marcus engines
+start every path at cell 0: their right-hand sides on floats can raise
+(a zero flow slope), and S7's driver has a Brownian part.
 
 The plain random-ODE engine sweeps a batch wider than SWEEP_WIDTH paths in
-row blocks of that width. Its rounds cost a few elementwise operations per
-path, and at 4096 rows each per-round temporary is 32 KiB, below glibc's
-128-KiB mmap threshold. The Doss-Sussmann and Marcus engines sweep the whole
-batch at once. The Marcus rounds, and the Doss-Sussmann rounds for a sigma
-without a closed flow, run jump-flow kernel loops whose count is set by the
-round's largest flow, not by its width, so every extra block would repeat
-them. For a sigma with a closed flow (`DiffusionField.flow`, which the field
-catalogue states), the Doss-Sussmann engine takes phi and dphi/dy from it at
-every RK4 stage and in its final flow, and never runs the kernel; its drift
-is a(phi) / dphi/dy.
+row blocks of that width, cut from the batch's one remaining-step order, so
+that paths with few steps left share blocks that need few rounds. Its rounds
+cost a few elementwise operations per path, and at 4096 rows each per-round
+temporary is 32 KiB, below glibc's 128-KiB mmap threshold. The Doss-Sussmann
+and Marcus engines sweep the whole batch at once. The Marcus rounds, and the
+Doss-Sussmann rounds for a sigma without a closed flow, run jump-flow kernel
+loops whose count is set by the round's largest flow, not by its width, so
+every extra block would repeat them. For a sigma with a closed flow
+(`DiffusionField.flow`, which the field catalogue states), the Doss-Sussmann
+engine takes phi and dphi/dy from it at every RK4 stage and in its final
+flow, and never runs the kernel; its drift is a(phi) / dphi/dy.
 
 The random-ODE engines hand their right-hand side only the driver parts
 that are not exactly zero: drift * t is left out when drift == 0.0, and the
@@ -57,8 +72,10 @@ from .marcus import DiffusionField, flow_substeps
 from .path_sampler import LevyPath, PackedPaths, _packed_paths, size_decoder
 
 #: Most paths one plain random-ODE sweep walks at once; wider batches are cut
-#: into contiguous row blocks. Picked by timing S1's sweep at 20k and 100k
-#: paths against 8192 rows and no cap; not a setting.
+#: into row blocks of the remaining-step order. Timed on S1's sweep at 20k and
+#: 100k paths in that order: 2048 rows were slower, and 8192 swept 5-13%
+#: faster but left whole S1 runs within noise and raised their peak RSS by
+#: 0.1 MiB (20k) and 0.6 MiB (100k); not a setting.
 SWEEP_WIDTH = 4096
 
 
@@ -83,13 +100,17 @@ def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
                          brown_edges, np.array([p.jump_sizes.sum() for p in paths]), None)
 
 
+def _live(desc: np.ndarray) -> np.ndarray:
+    """live[s]: how many of the counts `desc`, sorted largest first, exceed s,
+    i.e. the length of the prefix that takes part in loop iteration s."""
+    return np.searchsorted(-desc, -np.arange(desc.max(initial=0)), side="left")
+
+
 def _prefix_order(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, live): `order` sorts `counts` largest first (stable), and
-    live[s] is how many elements have counts > s, i.e. the length of the
-    sorted prefix that takes part in loop iteration s."""
+    `live` is the `_live` of the sorted counts."""
     order = np.argsort(-counts, kind="stable")
-    desc = counts[order]
-    return order, np.searchsorted(-desc, -np.arange(desc.max(initial=0)), side="left")
+    return order, _live(counts[order])
 
 
 def _unsorted(a: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -156,39 +177,57 @@ def flow_sensitivity_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray
     return _flow_array(sigma, y, u, sensitivity=True)
 
 
-def _sweep(packed: PackedPaths):
+def _sweep(packed: PackedPaths, k0=0, width: int | None = None):
     """Own-step walk over the cell grid, as (order, rounds).
 
-    Every path takes exactly n_jumps + n_cells steps, since its jump times lie
-    in (0, horizon]. `order` sorts the paths by that count, largest first and
-    stable, and all per-path state is kept in that order. Round s yields
-    (m, k, tau, dt, jumped, sizes) for the live prefix [:m] of paths with more
-    than s steps: each steps from its own time `tau` over `dt` to its next
-    jump if that lies at or before the right edge of its cell `k`, and to that
-    edge otherwise. `jumped` marks the rows that land on a jump, to be given
-    the jump `sizes` in row order (decoded through the size table for
+    Path i starts at the left edge of its cell k0[i] (cell 0 by default) with
+    all its jumps ahead, so it takes n_jumps + n_cells - k0[i] steps: its jump
+    times lie in (edges[k0[i]], horizon]. `order` sorts the paths by those
+    steps, largest first and stable, and all per-path state is kept in that
+    order. The sorted paths are walked in blocks of `width` rows (the whole
+    batch when None), one block after the other. Round s of a block yields
+    (lo, hi, k, tau, dt, jumped, sizes) for its live rows [lo, hi), those with
+    more than s steps: each steps from its own time `tau` over `dt` to its
+    next jump if that lies at or before the right edge of its cell `k`, and to
+    that edge otherwise. `jumped` marks the rows that land on a jump, to be
+    given the jump `sizes` in row order (decoded through the size table for
     atom-coded batches); the other rows move to cell k + 1. The arrays are
-    valid until the next round.
+    valid until the next round. A block's start arrays are made as the block
+    begins, so the only per-path arrays kept for the whole sweep are `order`
+    and k0.
     """
-    order, live = _prefix_order(np.diff(packed.offsets) + packed.n_cells)
-    return order, _rounds(packed, order, live)
+    steps = np.diff(packed.offsets) + (packed.n_cells - np.asarray(k0))
+    order = np.argsort(-steps, kind="stable")
+    k0 = np.broadcast_to(k0, order.shape)
+    width = width or max(order.size, 1)
+
+    def blocks():
+        for lo in range(0, order.size, width):
+            rows = order[lo:lo + width]
+            cell = k0[rows]
+            jptr, jend = packed.offsets[rows], packed.offsets[rows + 1]
+            yield from _rounds(packed, lo, _live(jend - jptr + (packed.n_cells - cell)),
+                               jptr, jend, cell, packed.edges[cell])
+
+    return order, blocks()
 
 
-def _rounds(packed: PackedPaths, order: np.ndarray, live: np.ndarray):
+def _rounds(packed: PackedPaths, lo: int, live: np.ndarray, jptr: np.ndarray,
+            jend: np.ndarray, cell: np.ndarray, tau: np.ndarray):
+    """The rounds of the block of sorted rows from `lo` on: each row starts at
+    time tau in cell `cell` with its next jump at jptr and its last before
+    jend; live[s] rows take part in round s. The start arrays are advanced in
+    place."""
     times, keys, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
     decode = size_decoder(packed.size_table)
-    jptr = packed.offsets[:-1][order]
-    jend = packed.offsets[1:][order]
-    cell = np.zeros(order.size, dtype=np.int64)
-    tau = np.full(order.size, packed.edges[0])
-    for m in map(int, live):
+    for m in live.tolist():
         jp, k, t = jptr[:m], cell[:m], tau[:m]
         right = right_edges.take(k)
         # the next jump, read with a clipped take and kept only where there is one
         nt = times.take(jp, mode="clip") if times.size else right
         jumped = (jp < jend[:m]) & (nt <= right)
         target = np.where(jumped, nt, right)
-        yield m, k, t, target - t, jumped, decode(keys.take(jp[jumped]))
+        yield lo, lo + m, k, t, target - t, jumped, decode(keys.take(jp[jumped]))
         t[:] = target
         jp += jumped
         k += ~jumped
@@ -202,26 +241,29 @@ def _brownian(brown: np.ndarray, rows: np.ndarray, k: np.ndarray, h: float
     return b0, (brown[rows, k + 1] - b0) / h
 
 
-def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
-    """Terminal Y of the random ODE Y' = rhs(Y, dz, J_t, br) across the batch:
-    J is the running jump sum, dz = drift * t and br = B_t the Brownian
-    skeleton. dz is None when drift == 0.0 and br is None without a Brownian
-    part; with neither, the ODE is autonomous within each round and RK4 does
-    no time arithmetic. dz and br are computed once per stage time (stages 2
-    and 3 share t_mid). The driver's parts arrive unsummed, so each
-    right-hand side fixes its own summation order."""
-    order, rounds = _sweep(packed)
-    y = np.full(packed.n_paths, float(x0))
+def _random_ode_terminals(packed: PackedPaths, rhs, start: np.ndarray, k0=0,
+                          width: int | None = None) -> np.ndarray:
+    """Terminal Y of the random ODE Y' = rhs(Y, dz, J_t, br) across the batch,
+    from Y = start[k0[i]] at the left edge of path i's cell k0[i], swept by
+    `_sweep` in blocks of `width` rows: J is the running jump sum,
+    dz = drift * t and br = B_t the Brownian skeleton. dz is None when
+    drift == 0.0 and br is None without a Brownian part; with neither, the ODE
+    is autonomous within each round and RK4 does no time arithmetic. dz and br
+    are computed once per stage time (stages 2 and 3 share t_mid). The
+    driver's parts arrive unsummed, so each right-hand side fixes its own
+    summation order."""
+    order, rounds = _sweep(packed, k0, width)
+    y = start[np.broadcast_to(k0, order.shape)[order]]
     jrun = np.zeros(packed.n_paths)
     drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
     has_drift = drift != 0.0
     timed = has_drift or brown is not None
     h = packed.horizon / packed.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, k, tau, dt, jumped, sizes in rounds:
-            jr = jrun[:m]
+        for lo, hi, k, tau, dt, jumped, sizes in rounds:
+            jr = jrun[lo:hi]
             if brown is not None:
-                b0, slope = _brownian(brown, order[:m], k, h)
+                b0, slope = _brownian(brown, order[lo:hi], k, h)
                 t0 = edges.take(k)
             stage = [None, None, None]  # the last stage time, its dz and br
 
@@ -231,14 +273,41 @@ def _random_ode_terminals(packed: PackedPaths, x0: float, rhs) -> np.ndarray:
                                 None if brown is None else b0 + slope * (t - t0))
                 return rhs(u, stage[1], jr, stage[2])
 
-            y[:m] = rk4_step(f, tau if timed else None, y[:m], dt)
+            y[lo:hi] = rk4_step(f, tau if timed else None, y[lo:hi], dt)
             jr[jumped] += sizes
     return _unsorted(y, order)
 
 
+def _skeleton(packed: PackedPaths, x0: float, rhs, stop: int) -> np.ndarray:
+    """Y at edges 0 ... stop of the path without jumps, by the sweep's steps
+    from x0: tau = edges[k], dt = edges[k + 1] - edges[k], dz = drift * t at
+    the stage times (t None when drift == 0.0) and J = +0.0. It runs on
+    np.float64 scalars, which overflow to inf and nan without a numpy warning
+    here, as the sweep's arrays do."""
+    edges, drift = packed.edges, packed.drift_rate
+    timed = drift != 0.0
+
+    def f(t, u):
+        return rhs(u, None if t is None else drift * t, 0.0, None)
+
+    y = np.float64(x0)
+    out = [y]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(stop):
+            y = rk4_step(f, edges[k] if timed else None, y, edges[k + 1] - edges[k])
+            out.append(y)
+    return np.array(out)
+
+
 def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch."""
+    """Terminal (X, Y) of the random ODE Y' = a(Y + Z_t) across the batch.
+
+    Without a Brownian part every path follows the jump-free skeleton until
+    its first jump, so the skeleton is solved once and each path starts at
+    the cell of its first jump, the first whose right edge is at or after it
+    (n_cells for a path without jumps), from the skeleton's state at that
+    cell's left edge. With one, every path starts from x0 at cell 0."""
     a_val = a.value
 
     def rhs(u, dz, jr, br):
@@ -251,8 +320,14 @@ def ode_terminals(a: ScalarField, packed: PackedPaths, x0: float
             x += br
         return a_val(x)
 
-    y = np.concatenate([_random_ode_terminals(packed.rows(lo, lo + SWEEP_WIDTH), x0, rhs)
-                        for lo in range(0, packed.n_paths, SWEEP_WIDTH)])
+    k0, start = 0, np.array([float(x0)])
+    if packed.brown_edges is None:
+        has = packed.offsets[1:] > packed.offsets[:-1]
+        k0 = np.full(packed.n_paths, packed.n_cells)
+        k0[has] = np.searchsorted(packed.edges[1:],
+                                  packed.flat_times[packed.offsets[:-1][has]], side="left")
+        start = _skeleton(packed, float(x0), rhs, int(k0.max(initial=0)))
+    y = _random_ode_terminals(packed, rhs, start, k0, SWEEP_WIDTH)
     with np.errstate(over="ignore", invalid="ignore"):
         return y + packed.z_terminal, y
 
@@ -270,16 +345,16 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
         return a_val(u) + drift * sig(u)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, k, _, dt, jumped, sizes in rounds:
-            xx = x[:m]
-            db = 0.0 if brown is None else _brownian(brown, order[:m], k, h)[1] * dt
+        for lo, hi, k, _, dt, jumped, sizes in rounds:
+            xx = x[lo:hi]
+            db = 0.0 if brown is None else _brownian(brown, order[lo:hi], k, h)[1] * dt
             fx = F(xx)
             sx = sig(xx)
             xp = xx + fx * dt + sx * db
             out = xx + 0.5 * dt * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
             if sizes.size:
                 out[jumped] = flow_map_array(sigma, out[jumped], sizes)
-            x[:m] = out
+            x[lo:hi] = out
     return _unsorted(x, order)
 
 
@@ -303,5 +378,5 @@ def doss_terminals(a: ScalarField, sigma: DiffusionField,
 
     # a flow that shrinks to 0 gives a zero slope: the replica diverges
     with np.errstate(divide="ignore"):
-        y = _random_ode_terminals(packed, x0, b)
+        y = _random_ode_terminals(packed, b, np.array([float(x0)]))
     return flow(y, packed.z_terminal)[0]

@@ -29,7 +29,7 @@ size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,13 +153,6 @@ class PackedPaths:
     def n_paths(self) -> int:
         return len(self.offsets) - 1
 
-    def rows(self, lo: int, hi: int) -> "PackedPaths":
-        """Paths [lo, hi) as a batch that shares the flat jump arrays."""
-        brown = self.brown_edges
-        return replace(self, offsets=self.offsets[lo:hi + 1],
-                       z_terminal=self.z_terminal[lo:hi],
-                       brown_edges=None if brown is None else brown[lo:hi])
-
 
 def size_decoder(table: np.ndarray | None):
     """keys -> jump sizes: table.take, or the keys themselves without a table."""
@@ -270,7 +263,9 @@ def _dedupe_packed(flat_times: np.ndarray, offsets: np.ndarray,
         hi = min(lo + block, flat_times.size)
         drops = np.flatnonzero(flat_times[lo:hi] <= flat_times[lo - 1:hi - 1]) + lo
         path = np.searchsorted(offsets, drops, side="right") - 1
-        for p in np.unique(path[offsets[path] != drops]):
+        # `path` is sorted, so dict.fromkeys gives each tied path once, in
+        # order; np.unique would import numpy.ma, 1.6 MiB, on its first call
+        for p in dict.fromkeys(path[offsets[path] != drops].tolist()):
             _dedupe_times(flat_times[offsets[p]:offsets[p + 1]])
 
 

@@ -43,6 +43,7 @@ from .batch import flow_map_array  # noqa: F401
 from .config import (
     S2_JUMP_MARGIN,
     S2_JUMP_RATE,
+    S2_MAX_DRAWS,
     S2_SIZE_RANGE,
     S6_JUMP_MARGIN,
     ScenarioConfig,
@@ -273,7 +274,7 @@ def _s2_config(config: ScenarioConfig, i: int,
                           jumps=FiniteAtomic(((size, S2_JUMP_RATE),)))
     x0 = float(gen.uniform(-0.5, 0.5))
     mark_lo, mark_hi = config.mark_low, config.mark_high
-    for _ in range(300):
+    for _ in range(S2_MAX_DRAWS):
         path = sample_path(triplet, config.horizon, 0.05, gen=gen)
         marked = marked_jump_indices(path, mark_lo, mark_hi)
         if marked.size < 2:

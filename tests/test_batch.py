@@ -20,7 +20,7 @@ from levyreg.batch import (
     pack_paths,
 )
 from levyreg.fields import make_diffusion_field, make_scalar_field
-from levyreg.flow_engine import solve_random_ode
+from levyreg.flow_engine import rk4_step, solve_random_ode
 from levyreg.levy_spec import FiniteAtomic, LevyTriplet
 from levyreg.marcus import FlowDivergence, flow_with_sensitivity, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import BrownianSkeleton, LevyPath, path_law, sample_path
@@ -298,8 +298,9 @@ class TestSweep:
         paths = self.paths(False)
         order, rounds = _sweep(pack_paths(paths, self.CELLS))
         # copies: the sweep reuses its arrays from round to round
-        steps = [(m, k.copy(), tau.copy(), dt.copy(), jumped.copy(), sizes.copy())
-                 for m, k, tau, dt, jumped, sizes in rounds]
+        # one block: every round's rows start at 0
+        steps = [(hi, k.copy(), tau.copy(), dt.copy(), jumped.copy(), sizes.copy())
+                 for _, hi, k, tau, dt, jumped, sizes in rounds]
         assert order.tolist() == self.ORDER
         assert [m for m, *_ in steps] == self.WIDTHS
         # path 1 (sorted row 0): its jump at 0.25 comes before cell 0's edge
@@ -392,17 +393,17 @@ def _full_sums_terminals(packed, x0, rhs):
     drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
     h = packed.horizon / packed.n_cells
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, k, tau, dt, jumped, sizes in rounds:
-            jr = jrun[:m]
+        for lo, hi, k, tau, dt, jumped, sizes in rounds:
+            jr = jrun[lo:hi]
             if brown is not None:
-                b0, slope = _brownian(brown, order[:m], k, h)
+                b0, slope = _brownian(brown, order[lo:hi], k, h)
                 t0 = edges.take(k)
 
             def f(t, u):
                 br = 0.0 if brown is None else b0 + slope * (t - t0)
                 return rhs(u, drift * t, jr, br)
 
-            y[:m] = _full_sums_rk4(f, tau, y[:m], dt)
+            y[lo:hi] = _full_sums_rk4(f, tau, y[lo:hi], dt)
             jr[jumped] += sizes
     return _unsorted(y, order)
 
@@ -458,3 +459,120 @@ def test_zero_driver_parts_dropped_bit_for_bit(layout, size, brownian, drift, x0
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = doss_terminals(a, SIGMA, packed, x0), _full_sums_doss(a, SIGMA, packed, x0)
     assert got.tobytes() == want.tobytes()
+
+
+def cell_zero_ode_terminals(a, packed, x0):
+    """ode_terminals as it was before the jump-free prefix was shared: every
+    path walks its own steps from x0 at cell 0, the batch sorted once by jumps
+    plus cells, largest first, and swept whole. A test-local copy of that
+    sweep that shares no code with the engine but `rk4_step`, the way
+    `drawn_one_by_one` serves the range sampler's tests."""
+    n, cells, edges, brown = packed.n_paths, packed.n_cells, packed.edges, packed.brown_edges
+    times, drift = packed.flat_times, packed.drift_rate
+    sizes = packed.flat_sizes if packed.size_table is None else \
+        packed.size_table[packed.flat_sizes]
+    steps = np.diff(packed.offsets) + cells
+    order = np.argsort(-steps, kind="stable")
+    steps = steps[order]
+    jptr, jend = packed.offsets[:-1][order], packed.offsets[1:][order]
+    cell, tau = np.zeros(n, dtype=np.int64), np.zeros(n)
+    y, jrun = np.full(n, float(x0)), np.zeros(n)
+    h = packed.horizon / cells
+    timed = drift != 0.0 or brown is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(int(steps.max(initial=0))):
+            m = int(np.count_nonzero(steps > s))
+            jp, k, now, jr = jptr[:m], cell[:m], tau[:m], jrun[:m]
+            right = edges[k + 1]
+            nt = times[np.minimum(jp, times.size - 1)] if times.size else right
+            jumped = (jp < jend[:m]) & (nt <= right)
+            target = np.where(jumped, nt, right)
+            if brown is not None:
+                b0 = brown[order[:m], k]
+                slope, t0 = (brown[order[:m], k + 1] - b0) / h, edges[k]
+
+            def f(t, u):
+                x = u + jr if drift == 0.0 else (u + drift * t) + jr
+                if brown is not None:
+                    x = x + (b0 + slope * (t - t0))
+                return a.value(x)
+
+            y[:m] = rk4_step(f, now if timed else None, y[:m], target - now)
+            jr[jumped] += sizes[jp[jumped]]
+            now[:] = target
+            jp += jumped
+            k += ~jumped
+        out = np.empty(n)
+        out[order] = y
+        return out + packed.z_terminal, out
+
+
+class TestJumpFreePrefix:
+    """The plain engine solves the jump-free skeleton once and starts each
+    path at its first jump's cell; its bytes are those of the cell-0 sweep."""
+
+    CELLS = 4
+    # cells of width 0.25: first jumps in cell 0, on the edges 0.25 and 0.5,
+    # inside cell 2, on the horizon, and no jump at all
+    JUMPS = [[], [0.1, 0.6], [0.25, 0.3], [0.5], [0.6, 0.7, 0.75], [1.0], [0.2], []]
+
+    def packed(self, jumps, drift=0.15, brownian=False):
+        triplet = TRIPLET_BROWN if brownian else TRIPLET
+        law = path_law(triplet, 1.0, 0.1, brownian_cells=self.CELLS if brownian else None)
+        paths = [dataclasses.replace(law.path(RngStream(97, i).generator()), drift_rate=drift,
+                                     jump_times=np.array(t, dtype=float),
+                                     jump_sizes=0.4 * np.cos(np.arange(1.0, len(t) + 1.0)))
+                 for i, t in enumerate(jumps)]
+        return pack_paths(paths, self.CELLS)
+
+    @staticmethod
+    def assert_same_bytes(a, packed, x0):
+        got, want = ode_terminals(a, packed, x0), cell_zero_ode_terminals(a, packed, x0)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("x0", [0.0, -0.0, 0.2])
+    @pytest.mark.parametrize("drift", [0.0, 0.15])
+    @pytest.mark.parametrize("field", ["linear+1", "linear-1", "s3-default"])
+    def test_equals_the_cell_zero_sweep(self, x0, drift, field):
+        self.assert_same_bytes(ZERO_PART_FIELDS[field], self.packed(self.JUMPS, drift), x0)
+
+    @pytest.mark.parametrize("drift", [0.0, 0.15])
+    def test_batch_without_jumps(self, drift):
+        packed = self.packed([[], [], []], drift)
+        assert packed.flat_times.size == 0
+        self.assert_same_bytes(A_FIELD, packed, 0.2)
+
+    def test_overflowing_skeleton_raises_no_warning(self):
+        steep = make_scalar_field("arctan-diffusion", {"amplitude": 1.0, "curvature": 1.0})
+        packed = self.packed(self.JUMPS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _ = ode_terminals(steep, packed, 1e308)
+        assert not np.isfinite(x).any()
+        self.assert_same_bytes(steep, packed, 1e308)
+
+    def test_brownian_batch_unchanged(self):
+        self.assert_same_bytes(A_FIELD, self.packed(self.JUMPS, brownian=True), 0.2)
+
+    def test_more_paths_than_a_block(self):
+        law = path_law(TRIPLET, 1.0, 0.1)
+        packed = law.packed(59, 0, batch_mod.SWEEP_WIDTH + 900, 8)
+        assert (np.diff(packed.offsets) == 0).any()
+        self.assert_same_bytes(A_FIELD, packed, 0.2)
+
+    def test_blocks_are_cut_from_the_remaining_step_order(self, monkeypatch):
+        # remaining steps 5, 2, 5, 2, 0 (4 cells; the first jumps lie in cells
+        # 0, 3, 0 and 3): sorted, blocks of two rows take 5 + 2 + 0 rounds,
+        # and blocks in replica order would take 5 + 5 + 0
+        rounds = []
+        real = batch_mod._rounds
+
+        def counting(packed, lo, live, *starts):
+            rounds.append((lo, live.tolist()))
+            return real(packed, lo, live, *starts)
+
+        monkeypatch.setattr(batch_mod, "_rounds", counting)
+        monkeypatch.setattr(batch_mod, "SWEEP_WIDTH", 2)
+        packed = self.packed([[0.1], [0.9], [0.2], [1.0], []])
+        self.assert_same_bytes(A_FIELD, packed, 0.2)
+        assert rounds == [(0, [2] * 5), (2, [2] * 2), (4, [])]

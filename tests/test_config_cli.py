@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyreg
 import levyreg.cli as cli_mod
 import levyreg.rng as rng_mod
 import levyreg.scenarios as scenarios_mod
@@ -682,6 +687,23 @@ class TestCli:
         diagnostics = json.loads((out / "summary.json").read_text())["diagnostics"]
         assert diagnostics["skeleton_location"] is None
         assert diagnostics["location_within_window"] is False
+
+    # np.unique imported numpy.ma (1.6 MiB) on every S1, S3 and S7 chunk
+    @pytest.mark.parametrize("text", [
+        "scenario = S1\nseed = 303\nreplicas = 1000\n",
+        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n"],
+        ids=["S1", "S3"])
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path, text):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code = ("import sys\nfrom levyreg.cli import main\n"
+                f"code = main(['run', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}])\n"
+                "print(code, 'numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(levyreg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     @pytest.mark.parametrize("levels", [20, 21])
     def test_s3_levels_at_the_jump_budget(self, tmp_path, capsys, levels):

@@ -16,6 +16,7 @@ from levyreg.config import (
     _JUMP_MARGINS,
     _SCALARS,
     GLOBAL_FIELDS,
+    S2_SIZE_RANGE,
     SCENARIO_DEFAULTS,
     ConfigError,
     FieldChoice,
@@ -44,10 +45,11 @@ def _maybe(strategy):
 # and below 2^48 replica streams, every marked window nonempty and every
 # lattice tube narrower than half its spacing, alone or with the scenario
 # defaults (mark_low 0.1, mark_high 0.5 or 1, spacing at least 2^-12,
-# halfwidth 1e-9), so each config must parse, except an S5 config whose marked
-# window is too rare for the draw cap and an S2 or S6 config whose horizon
-# leaves no room for its jumps, which must be rejected as such. Every marked
-# window meets S2's jump sizes, [0.25, 0.55).
+# halfwidth 1e-9), so each config must parse, except an S2 or S6 config whose
+# horizon leaves no room for its jumps, an S2 config whose marked window misses
+# some of S2's jump sizes, [0.25, 0.55), and an S2 horizon or an S5 marked
+# window too rare for the draw cap, which must be rejected as such
+# (`_expected_rejection`).
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -114,6 +116,20 @@ _configs = st.sampled_from(sorted(SCENARIO_DEFAULTS)).flatmap(
         **{key: value for key, value in _FIELDS.items() if key in fields_read(scenario)}))
 
 
+def _expected_rejection(config: ScenarioConfig) -> str | None:
+    """What parse_config must reject a generated config for (defaults filled
+    in), in the order it checks: a horizon within the jump margins, an S2
+    marked window that misses some of S2's jump sizes, then the draw cap."""
+    if config.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
+        return "no room for its jumps"
+    low, high = S2_SIZE_RANGE
+    if config.scenario == "S2" and not config.mark_low <= low < high <= config.mark_high:
+        return "misses S2's jump sizes"
+    if _draw_cap_problem(config) is not None:
+        return "marked"
+    return None
+
+
 class TestKeyTable:
     def test_strategies_cover_every_table_key(self):
         assert set(_VALUES) == {target for _, _, target in _SCALARS.values()} \
@@ -124,12 +140,9 @@ class TestKeyTable:
     @given(_configs)
     def test_serialize_round_trips(self, config):
         text = serialize_config(config)
-        if _draw_cap_problem(with_scenario_defaults(config)) is not None:
-            with pytest.raises(ConfigError, match="marked"):
-                parse_config(text)
-            return
-        if config.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
-            with pytest.raises(ConfigError, match="no room for its jumps"):
+        reason = _expected_rejection(with_scenario_defaults(config))
+        if reason is not None:
+            with pytest.raises(ConfigError, match=reason):
                 parse_config(text)
             return
         again = parse_config(text)
@@ -257,6 +270,14 @@ REJECTED = [
     ("scenario = S2\nhorizon = 800001\n", 2, "chunk budget"),
     ("scenario = S2\nreplicas = 8\n[diagnostics]\nmark_low = 0.6\nmark_high = 1.0\n", 5,
      "misses S2's jump sizes"),
+    # and these two ran with 6 of 8 replicas failed: a window that holds only
+    # part of [0.25, 0.55) never marks a config whose atom size it misses, and
+    # at horizon 0.05 a draw has its first jump in [0.02, 0.03] and another
+    # after it with probability at most 0.0052, so 300 draws may all miss
+    ("scenario = S2\nreplicas = 8\n[diagnostics]\nmark_low = 0.5\nmark_high = 1.0\n", 5,
+     "misses S2's jump sizes"),
+    ("scenario = S2\nhorizon = 0.05\nreplicas = 8\n", 3,
+     "no such path in 300 draws"),
     # these three were rejected without a line number; each names the first key
     # line of the offending section (for two measures, the second one)
     ("scenario = S1\n[drift_field]\nlow = 0.0\nhigh = 1.0\n", 3, "needs a 'name' key"),
@@ -379,7 +400,7 @@ SAMPLE_LINES = {
     "spacing": [("diagnostics", "spacing = 0.5")],
     "halfwidth": [("diagnostics", "halfwidth = 1e-9")],
     "mark_low": [("diagnostics", "mark_low = 0.1")],
-    "mark_high": [("diagnostics", "mark_high = 0.5")],
+    "mark_high": [("diagnostics", "mark_high = 0.6")],
     "window": [("diagnostics", "window = 0.01")],
     "threshold": [("diagnostics", "threshold = 0.1")],
 }
