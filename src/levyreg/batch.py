@@ -340,18 +340,15 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
     drift, brown = packed.drift_rate, packed.brown_edges
     h = packed.horizon / packed.n_cells
     a_val, sig = a.value, sigma.value
-
-    def F(u):
-        return a_val(u) + drift * sig(u)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, k, _, dt, jumped, sizes in rounds:
             xx = x[lo:hi]
             db = 0.0 if brown is None else _brownian(brown, order[lo:hi], k, h)[1] * dt
-            fx = F(xx)
             sx = sig(xx)
+            fx = a_val(xx) + drift * sx
             xp = xx + fx * dt + sx * db
-            out = xx + 0.5 * dt * (fx + F(xp)) + 0.5 * db * (sx + sig(xp))
+            sp = sig(xp)
+            out = xx + 0.5 * dt * (fx + (a_val(xp) + drift * sp)) + 0.5 * db * (sx + sp)
             if sizes.size:
                 out[jumped] = flow_map_array(sigma, out[jumped], sizes)
             x[lo:hi] = out

@@ -30,10 +30,9 @@ both lines, and range violations are errors naming the key. So are a
 jump law that expects more jumps per path than one chunk holds, a replica
 count below a scenario's sample floor or past rng's 2^48 replica streams, an
 S2 or S6 horizon too short for its jumps, an empty marked window, an S2
-marked window that misses some of S2's jump sizes, an S2 horizon or an S5
-marked window too rare for its draw cap and lattice tubes that overlap. The
-CLI reads a document as UTF-8; a byte that is not UTF-8 is an error naming
-its line (decode_config).
+horizon or an S5 marked window too rare for its draw cap and lattice tubes
+that overlap. The CLI reads a document as UTF-8; a byte that is not UTF-8 is
+an error naming its line (decode_config).
 """
 
 from __future__ import annotations
@@ -62,13 +61,12 @@ _FLOORED = ("S1", "S3", "S5", "S7")
 #: horizon, so its horizon must exceed twice the margin.
 S6_JUMP_MARGIN = 0.05
 
-#: S2 draws each config's driver as one atom of rate S2_JUMP_RATE and a size
-#: uniform on S2_SIZE_RANGE, and differentiates at its first marked jump, which
-#: must lie at least S2_JUMP_MARGIN from both ends of the horizon and have
-#: another marked jump after it; a config gives up after S2_MAX_DRAWS paths.
+#: S2 draws each config's driver as one atom of rate S2_JUMP_RATE and
+#: differentiates at its first jump, which must lie at least S2_JUMP_MARGIN
+#: from both ends of the horizon and have another jump after it; a config
+#: gives up after S2_MAX_DRAWS paths.
 S2_JUMP_MARGIN = 0.02
 S2_JUMP_RATE = 5.0
-S2_SIZE_RANGE = (0.25, 0.55)
 S2_MAX_DRAWS = 300
 
 _JUMP_MARGINS = {"S2": S2_JUMP_MARGIN, "S6": S6_JUMP_MARGIN}
@@ -203,7 +201,7 @@ SCENARIO_DEFAULTS: dict[str, dict[str, object]] = {
            "drift_field": FieldChoice("logistic-slope", {
                "low": 0.0, "high": 1.0, "rate": 1.2, "center": 0.5}),
            "window": None, "threshold": None},
-    "S2": {"replicas": 100, "cells": 512, "mark_low": 0.1, "mark_high": 1.0},
+    "S2": {"replicas": 100, "cells": 512},
     "S3": {"replicas": 10_000, "cells": 256, "x0": 0.0, "truncation": _dyadic_lattice,
            "compensate": False, "trend_levels": (), "drift": 0.0,
            "brownian_variance": 0.0,
@@ -442,18 +440,11 @@ def parse_config(text: str) -> ScenarioConfig:
             except (ValueError, ArithmeticError) as exc:
                 reason = f"cannot compute the jump rate: {exc}"
             reject(reason, *keys)
+    marks = [("diagnostics", "mark_low"), ("diagnostics", "mark_high")]
     if "mark_low" in defaults:
-        marks = [("diagnostics", "mark_low"), ("diagnostics", "mark_high")]
         reject(mark_window_error(resolved.mark_low, resolved.mark_high), *marks)
-        low, high = S2_SIZE_RANGE
-        if config.scenario == "S2" and not (resolved.mark_low <= low
-                                            and high <= resolved.mark_high):
-            reject(f"the marked window [{resolved.mark_low:g}, {resolved.mark_high:g}] "
-                   "misses S2's jump sizes: each config draws one atom size from "
-                   f"[{low:g}, {high:g}), and a size outside the window is never "
-                   f"marked; need mark_low <= {low:g} and mark_high >= {high:g}", *marks)
-        reject(_draw_cap_problem(resolved), *law_keys, *marks, ("", "replicas"),
-               ("", "repetitions"))
+    reject(_draw_cap_problem(resolved), *law_keys, *marks, ("", "replicas"),
+           ("", "repetitions"))
     if "spacing" in defaults:
         # S3's default spacing is the lattice of its family's levels
         levels = [("measure.family", "levels")] if config.scenario == "S3" else []
@@ -494,9 +485,9 @@ def _draw_cap_problem(config: ScenarioConfig) -> str | None:
 
 def _s2_draw_problem(horizon: float, configs: int) -> str | None:
     """Why `configs` S2 configs may run out of S2_MAX_DRAWS draws with
-    probability above 1e-9, or None, by draw_cap_error's rule. With the whole
-    of S2_SIZE_RANGE marked, a draw is usable only if its first jump lies in
-    [m, h - m] and another follows it, which has probability
+    probability above 1e-9, or None, by draw_cap_error's rule. A draw is
+    usable only if its first jump lies in [m, h - m] and another follows it,
+    which has probability
     P = e^{-l m} - e^{-l (h - m)} - l (h - 2m) e^{-l h} for rate l, margin m
     and horizon h. P leaves out S2's jump spacing and derivative tests, so it
     bounds a draw's chance from above and the risk from below."""
@@ -506,7 +497,7 @@ def _s2_draw_problem(horizon: float, configs: int) -> str | None:
     risk = configs * (1.0 - hit) ** S2_MAX_DRAWS
     if risk > 1e-9:
         return (f"horizon = {h:g} gives an S2 draw a chance of at most {hit:.3g} of a "
-                f"first marked jump in [{m:g}, horizon - {m:g}] with another after it, "
+                f"first jump in [{m:g}, horizon - {m:g}] with another after it, "
                 f"so {configs} configs may find no such path in {S2_MAX_DRAWS} draws "
                 f"(probability up to {min(risk, 1.0):.3g})")
     return None

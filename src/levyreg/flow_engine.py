@@ -66,7 +66,9 @@ def segment_knots(path: LevyPath) -> np.ndarray:
     pts.extend(float(t) for t in path.jump_times)
     if path.brownian is not None:
         pts.extend(float(t) for t in path.brownian.times if 0.0 < t < path.horizon)
-    return np.unique(np.asarray(pts))
+    # every point is finite and none is -0.0, so this is np.unique's array;
+    # np.unique would import numpy.ma, 1.6 MiB, on its first call
+    return np.array(sorted(set(pts)))
 
 
 def substep_count(length: float, step: float) -> int:

@@ -688,11 +688,14 @@ class TestCli:
         assert diagnostics["skeleton_location"] is None
         assert diagnostics["location_within_window"] is False
 
-    # np.unique imported numpy.ma (1.6 MiB) on every S1, S3 and S7 chunk
+    # np.unique imported numpy.ma (1.6 MiB) on every S1, S3 and S7 chunk, and
+    # in the scalar solvers' segment knots (S2, S6)
     @pytest.mark.parametrize("text", [
         "scenario = S1\nseed = 303\nreplicas = 1000\n",
-        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n"],
-        ids=["S1", "S3"])
+        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n",
+        "scenario = S2\nseed = 101\nreplicas = 4\n",
+        "scenario = S6\nseed = 707\nreplicas = 5\n"],
+        ids=["S1", "S3", "S2", "S6"])
     def test_run_leaves_numpy_ma_unimported(self, tmp_path, text):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)

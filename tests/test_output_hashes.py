@@ -19,7 +19,9 @@ from levyreg.scenarios import run_scenario
 PINNED = {
     "S1": ("scenario = S1\nseed = 303\nreplicas = 5000\n",
            "470a44d3fa616ad6544556c505d1208d6e79ceae2fba1f56739fb2d1e6fe87be"),
-    # the density sampler: size table and compensated drift
+    # the density sampler's size table; the law is two-sided, so its compensator
+    # is exactly 0 and `compensate = true` changes nothing (the compensated
+    # density drift is TestSamplePacked::test_compensated_drift_density's)
     "S1-density": ("scenario = S1\nseed = 9\nreplicas = 1000\ntruncation = 0.001\n"
                    "compensate = true\n[measure.density]\npower = 1.5\n",
                    "a3b24d03eeebec7d278e8d565dff49132f6e55e30dac7405fd8f697f849d880c"),
