@@ -14,7 +14,11 @@ import json
 import pytest
 
 from levyreg.config import parse_config
+from levyreg.levy_spec import kallenberg_b_profile
 from levyreg.scenarios import run_scenario
+
+SPARSE_S3 = ("scenario = S3\nseed = 404\nreplicas = 2000\n"
+             "[measure.family]\nkind = sparse\nlevels = 12\n")
 
 PINNED = {
     "S1": ("scenario = S1\nseed = 303\nreplicas = 5000\n",
@@ -29,6 +33,10 @@ PINNED = {
            "204d3e3141fe18b6cf6e766cc5c3644daf6ea1f2e64e64407a8a9ffc688c401d"),
     "S3": ("scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 8\n",
            "66a1e15a48cfef5d53b2a5a5eddfa329950c6616d8bf73f5bb70168ae07ec6ba"),
+    # the paper's Orey-type case: S3 on the sparse family, a second plain
+    # engine pin for S3 (its condition-(b) check is below)
+    "S3-sparse": (SPARSE_S3,
+                  "acaa8ee5669b3159964daf59bcc1ad80b4790ba51d71ca58701084e89b5c6e85"),
     "S4": ("scenario = S4\nseed = 44\nreplicas = 1000\n",
            "d3fb7deffdde1b9d253bc4964f1f7fa414b9abe6e701f852225be3909dd809f7"),
     "S5": ("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n",
@@ -57,6 +65,23 @@ def test_samples_csv_hash(scenario, tmp_path):
     run_scenario(parse_config(text), out_dir=tmp_path)
     got = hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest()
     assert got == expected
+
+
+def test_sparse_s3_regularizes_a_driver_that_fails_condition_b(tmp_path):
+    # sizes 2^-n at one rate per level: mu(-eps, eps) / (eps^2 |log eps|)
+    # stays bounded down to the smallest atom (2^-12 > 10^-3.75), so the
+    # Kallenberg-Sato criterion does not make Z_t absolutely continuous, yet
+    # the drift still spreads X_t off the lattice
+    config = parse_config(SPARSE_S3)
+    grid = [10.0 ** (-i / 2.0) for i in range(2, 8)]
+    profile = kallenberg_b_profile(config.measure.build(), grid)
+    assert grid[-1] > 2.0 ** -12 and not profile.diverging
+    assert all(0.07 <= r <= 0.38 for r in profile.ratios())
+    run_scenario(config, out_dir=tmp_path)
+    diagnostics = json.loads((tmp_path / "summary.json").read_text())["diagnostics"]
+    assert diagnostics["regularization_pass"] is True
+    assert diagnostics["lattice_concentration_z"] == 1.0
+    assert not diagnostics["atoms_detected_x"]
 
 
 # S2's and S6's diagnostics live only in summary.json: S6 parts (a), (c), (d)
