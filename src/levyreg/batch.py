@@ -21,7 +21,10 @@ sorted once by that count, largest first, and round s steps the prefix of
 paths with more than s steps; a batch costs the most steps of any one path
 in it, not the busiest path per cell summed over the cells. `_sweep` sorts a
 batch and returns a generator of these rounds, which reads the packed jump
-arrays in place; each engine is a loop over it.
+arrays in place; each engine is a loop over it. A round's jump sizes are full
+width: the decoded size of each row's next jump where the row lands on it,
+and +0.0 where it does not, so the random-ODE engines add them to the running
+jump sum in one `jr += sizes` (see below for why + 0.0 keeps jr's bits).
 
 Without a Brownian part, every path of the plain random-ODE engine follows
 the jump-free skeleton, step for step and bit for bit, until its first jump.
@@ -54,8 +57,9 @@ that are not exactly zero: drift * t is left out when drift == 0.0, and the
 Brownian part when there is none. This keeps the bits of the full sums. The
 running jump sum jr starts at +0.0, and IEEE addition (round to nearest) gives
 -0.0 only when both addends are -0.0, so jr is never -0.0, and neither are
-(u + dz) + jr and dz + jr. A trailing scalar + 0.0 is then the identity. A
-+-0.0 dz changes u only in the sign of a zero u, which + jr then erases.
+(u + dz) + jr and dz + jr. A trailing scalar + 0.0 is then the identity, and
+so is the + 0.0 a round adds to the rows that do not jump. A +-0.0 dz
+changes u only in the sign of a zero u, which + jr then erases.
 
 The jump-flow kernel fixes each element's substep count on entry, sorts the
 batch once by it (largest first, stable) and steps, at substep s, only the
@@ -189,12 +193,12 @@ def _sweep(packed: PackedPaths, k0=0, width: int | None = None):
     (lo, hi, k, tau, dt, jumped, sizes) for its live rows [lo, hi), those with
     more than s steps: each steps from its own time `tau` over `dt` to its
     next jump if that lies at or before the right edge of its cell `k`, and to
-    that edge otherwise. `jumped` marks the rows that land on a jump, to be
-    given the jump `sizes` in row order (decoded through the size table for
-    atom-coded batches); the other rows move to cell k + 1. The arrays are
-    valid until the next round. A block's start arrays are made as the block
-    begins, so the only per-path arrays kept for the whole sweep are `order`
-    and k0.
+    that edge otherwise. `jumped` marks the rows that land on a jump, and
+    `sizes` holds, for every live row, the size of its jump where `jumped`
+    (decoded through the size table for atom-coded batches) and +0.0
+    elsewhere; the other rows move to cell k + 1. The arrays are valid until
+    the next round. A block's start arrays are made as the block begins, so
+    the only per-path arrays kept for the whole sweep are `order` and k0.
     """
     steps = np.diff(packed.offsets) + (packed.n_cells - np.asarray(k0))
     order = np.argsort(-steps, kind="stable")
@@ -217,17 +221,24 @@ def _rounds(packed: PackedPaths, lo: int, live: np.ndarray, jptr: np.ndarray,
     """The rounds of the block of sorted rows from `lo` on: each row starts at
     time tau in cell `cell` with its next jump at jptr and its last before
     jend; live[s] rows take part in round s. The start arrays are advanced in
-    place."""
+    place. The flat arrays end where the last path's jumps do, as
+    `_packed_paths` leaves them, so the clipped takes of a row past its last
+    jump read a real key, which the mask then drops."""
     times, keys, right_edges = packed.flat_times, packed.flat_sizes, packed.edges[1:]
     decode = size_decoder(packed.size_table)
     for m in live.tolist():
         jp, k, t = jptr[:m], cell[:m], tau[:m]
         right = right_edges.take(k)
-        # the next jump, read with a clipped take and kept only where there is one
-        nt = times.take(jp, mode="clip") if times.size else right
+        # the next jump and its size, read with clipped takes and kept only
+        # where there is one
+        if times.size:
+            nt = times.take(jp, mode="clip")
+            sizes = decode(keys.take(jp, mode="clip"))
+        else:
+            nt, sizes = right, 0.0
         jumped = (jp < jend[:m]) & (nt <= right)
         target = np.where(jumped, nt, right)
-        yield lo, lo + m, k, t, target - t, jumped, decode(keys.take(jp[jumped]))
+        yield lo, lo + m, k, t, target - t, jumped, np.where(jumped, sizes, 0.0)
         t[:] = target
         jp += jumped
         k += ~jumped
@@ -274,7 +285,7 @@ def _random_ode_terminals(packed: PackedPaths, rhs, start: np.ndarray, k0=0,
                 return rhs(u, stage[1], jr, stage[2])
 
             y[lo:hi] = rk4_step(f, tau if timed else None, y[lo:hi], dt)
-            jr[jumped] += sizes
+            jr += sizes
     return _unsorted(y, order)
 
 
@@ -349,8 +360,8 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
             xp = xx + fx * dt + sx * db
             sp = sig(xp)
             out = xx + 0.5 * dt * (fx + (a_val(xp) + drift * sp)) + 0.5 * db * (sx + sp)
-            if sizes.size:
-                out[jumped] = flow_map_array(sigma, out[jumped], sizes)
+            if jumped.any():
+                out[jumped] = flow_map_array(sigma, out[jumped], sizes[jumped])
             x[lo:hi] = out
     return _unsorted(x, order)
 

@@ -64,11 +64,13 @@ def _expit_float(t):
 
 def _expit_owned(t, rate: float):
     """expit(rate * t) for an array t that the caller owns, computed in place
-    in it. np.minimum/np.maximum clamp like np.clip (nan and +-inf included)
-    without np.clip's Python wrapper."""
-    t *= rate
-    np.maximum(t, -_EXP_CLIP, out=t)
-    np.minimum(t, _EXP_CLIP, out=t)
+    in it. A rate of exactly 1.0 skips the multiply, which would return t's
+    bits. The clamp is one in-place `t.clip`, which gives the bits of
+    np.maximum then np.minimum: nan (sign and payload kept), +-inf and -0.0
+    included."""
+    if rate != 1.0:
+        t *= rate
+    t.clip(-_EXP_CLIP, _EXP_CLIP, out=t)
     # the negation stays its own step: folded into the rate, it would keep
     # the sign bit of a nan that the float branch flips
     np.negative(t, out=t)
@@ -173,7 +175,8 @@ def _logistic_slope(low: float = 0.0, high: float = 1.0,
         if isinstance(d, float):
             return low + span * _expit_float(rate * d)
         v = _expit_owned(d, rate)
-        v *= span
+        if span != 1.0:
+            v *= span
         if add_low:
             v += low
         return v

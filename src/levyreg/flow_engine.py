@@ -121,7 +121,9 @@ def rk4_step(f, t, y, h):
 
     t = None marks an autonomous f: it is called as f(None, y) and no time
     arithmetic is done. y may be a float or a numpy array. Stages 2 and 3
-    receive the same t_mid object.
+    receive the same t_mid object. The weighted sum is the bits of
+    y + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4), accumulated in one new array
+    (addition and multiplication are commutative); on floats, `+=` rebinds.
     """
     half = 0.5 * h
     if t is None:
@@ -135,7 +137,12 @@ def rk4_step(f, t, y, h):
     # last stage's peak
     del half
     k4 = f(t_end, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = 2.0 * k2
+    acc += k1
+    acc += 2.0 * k3
+    acc += k4
+    acc *= h / 6.0
+    return y + acc
 
 
 @dataclass(frozen=True)

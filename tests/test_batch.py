@@ -21,7 +21,7 @@ from levyreg.batch import (
 )
 from levyreg.fields import make_diffusion_field, make_scalar_field
 from levyreg.flow_engine import rk4_step, solve_random_ode
-from levyreg.levy_spec import FiniteAtomic, LevyTriplet
+from levyreg.levy_spec import DensityForm, FiniteAtomic, LevyTriplet
 from levyreg.marcus import FlowDivergence, flow_with_sensitivity, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import BrownianSkeleton, LevyPath, path_law, sample_path
 from levyreg.rng import RngStream
@@ -374,6 +374,86 @@ def test_sweep_blocks_equal_one_path_at_a_time(brownian, layout, size):
         assert whole == alone == narrow, name
 
 
+def _first_jump_cells(packed):
+    """ode_terminals' start cells: each path's first jump cell, n_cells
+    without a jump."""
+    k0 = np.full(packed.n_paths, packed.n_cells)
+    has = np.diff(packed.offsets) > 0
+    k0[has] = np.searchsorted(packed.edges[1:], packed.flat_times[packed.offsets[:-1][has]])
+    return k0
+
+
+def assert_round_contract(packed, k0, width):
+    """Each round's `sizes` are full width, the decoded size of the row's next
+    jump where it jumps and +0.0 elsewhere, and `jr += sizes` keeps the bits
+    of the boolean-indexed `jr[jumped] += size_table[keys[jp[jumped]]]`, with
+    each row's jump index counted independently of the sweep."""
+    order, rounds = _sweep(packed, k0, width)
+    sizes_of = packed.flat_sizes if packed.size_table is None else \
+        packed.size_table[packed.flat_sizes]
+    taken = np.zeros(packed.n_paths, dtype=np.int64)
+    jr, want = np.zeros(packed.n_paths), np.zeros(packed.n_paths)
+    for lo, hi, _, _, _, jumped, sizes in rounds:
+        assert sizes.shape == jumped.shape == (hi - lo,)
+        assert not np.signbit(sizes[~jumped]).any() and not sizes[~jumped].any()
+        index = packed.offsets[order[lo:hi]] + taken[lo:hi]
+        assert sizes[jumped].tobytes() == sizes_of[index[jumped]].tobytes()
+        jr[lo:hi] += sizes
+        w = want[lo:hi]
+        w[jumped] += sizes_of[index[jumped]]
+        taken[lo:hi] += jumped
+        assert jr.tobytes() == want.tobytes()
+    assert (taken == np.diff(packed.offsets)[order]).all()
+
+
+TABLE = np.array([0.4, -0.3, 1e-300, -2.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=jump_layouts(), data=st.data(), coded=st.booleans(),
+       first_jump=st.booleans())
+# no jumps at all: the flat arrays are empty
+@example(layout=(2, [[], [], []]), data=None, coded=True, first_jump=False)
+# at width 1 the last block is the jump-free last path, whose jump pointer is
+# the end of the flat arrays
+@example(layout=(2, [[0.3, 0.5, 1.0], [0.5], []]), data=None, coded=True, first_jump=True)
+def test_full_width_sizes_keep_the_boolean_index_sums(layout, data, coded, first_jump):
+    cells, times = layout
+    n_jumps = sum(map(len, times))
+    if data is None:
+        codes = np.arange(n_jumps) % TABLE.size
+        floats, width = TABLE[codes], 1
+    else:
+        codes = np.array(data.draw(st.lists(st.integers(0, TABLE.size - 1),
+                                            min_size=n_jumps, max_size=n_jumps)), dtype=int)
+        floats = np.array(data.draw(st.lists(st.floats(-2.0, 2.0).filter(bool),
+                                             min_size=n_jumps, max_size=n_jumps)), dtype=float)
+        width = data.draw(st.integers(1, len(times)))
+    sizes = TABLE[codes] if coded else floats
+    ends = np.cumsum([len(t) for t in times])
+    paths = [dataclasses.replace(PLAIN, jump_times=np.array(t, dtype=float),
+                                 jump_sizes=sizes[end - len(t):end])
+             for t, end in zip(times, ends)]
+    packed = pack_paths(paths, cells)
+    if coded:
+        packed = dataclasses.replace(packed, flat_sizes=codes.astype(np.uint8),
+                                     size_table=TABLE)
+    assert_round_contract(packed, _first_jump_cells(packed) if first_jump else 0, width)
+
+
+@pytest.mark.parametrize("triplet", [
+    TRIPLET, LevyTriplet(0.2, DensityForm(intensity=lambda z: abs(z) ** -1.5))])
+@pytest.mark.parametrize("width", [1, 3, None])
+def test_drawn_laws_keep_the_boolean_index_sums(triplet, width):
+    # an atom-coded law (uint8 codes) and a density law (float64 keys), drawn
+    # into flat arrays by the range sampler, with jump-free paths among them
+    packed = path_law(triplet, 1.0, 0.3).packed(29, 0, 40, 4)
+    assert (packed.size_table is None) == isinstance(triplet.jumps, DensityForm)
+    assert (np.diff(packed.offsets) == 0).any() and packed.offsets[-1] > 0
+    for k0 in (0, _first_jump_cells(packed)):
+        assert_round_contract(packed, k0, width)
+
+
 def _full_sums_rk4(f, t, y, h):
     """The RK4 step written out with `0.5 * h` formed at each use."""
     k1 = f(t, y)
@@ -404,7 +484,7 @@ def _full_sums_terminals(packed, x0, rhs):
                 return rhs(u, drift * t, jr, br)
 
             y[lo:hi] = _full_sums_rk4(f, tau, y[lo:hi], dt)
-            jr[jumped] += sizes
+            jr += sizes
     return _unsorted(y, order)
 
 

@@ -220,6 +220,56 @@ class TestLogisticInPlace:
             assert not np.shares_memory(v, x)
 
 
+_NEG_NAN = math.copysign(math.nan, -1.0)
+_SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308]
+
+
+class TestUnitShortcuts:
+    """On arrays, logistic-slope skips `t *= rate` at rate 1.0 and `v *= span`
+    at span 1.0, and clamps with one `clip`: x * 1.0 has x's bits, so S3's
+    drift field (rate 1, span 1, low 0) and S7's sigma (rate 0.9) keep the
+    bits of the old out-of-place formulas."""
+
+    S3_DRIFT = {"low": 0.0, "high": 1.0, "rate": 1.0, "center": 12.0}
+    S7_SIGMA = {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}
+
+    @staticmethod
+    def points(params):
+        center, rate = params["center"], params["rate"]
+        # the clamp's edges in x, with their float neighbours, and x values
+        # whose rate * (x - center) is a signed zero or a subnormal
+        edges = [center + e / rate for e in (-_EXP_CLIP, _EXP_CLIP)]
+        return np.array([
+            *_FIXED_EDGES, _NEG_NAN, *_SUBNORMALS, *edges,
+            *(float(np.nextafter(e, d)) for e in edges for d in (-np.inf, np.inf)),
+            *(center + s for s in (0.0, -0.0, *_SUBNORMALS))])
+
+    @pytest.mark.parametrize("params", [S3_DRIFT, S7_SIGMA])
+    def test_arrays_match_old_formulas(self, params):
+        sigma = make_diffusion_field("logistic-slope", params)
+        old_value, old_derivative = _old_logistic_slope(**params)
+        x = self.points(params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [sigma.value(x), sigma.derivative(x)]
+            want = [old_value(x), old_derivative(x)]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @pytest.mark.parametrize("params", [S3_DRIFT, S7_SIGMA])
+    def test_float_float64_and_array_agree(self, params):
+        for x in self.points(params).tolist():
+            _assert_scalar_types_match_array("logistic-slope", params, x)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.9, -1.0])
+    def test_expit_owned_matches_the_two_sided_clamp(self, rate):
+        ts = np.array([*_FIXED_EDGES, _NEG_NAN, *_SUBNORMALS, 61.0, -61.0, 2.5])
+
+        def old(t):
+            return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(rate * t, -_EXP_CLIP),
+                                                    _EXP_CLIP)))
+
+        assert _bits(_expit_owned(ts.copy(), rate)) == _bits(old(ts))
+
+
 # every closed-form flow: S7's default sigma, a decreasing logistic, one
 # entry of each other kind, and each one-signed logistic: both ends negative,
 # or one end zero (sigma = A expit(r (x - c)), of either sign and slope)

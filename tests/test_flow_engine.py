@@ -154,6 +154,64 @@ class TestStep:
             run(affine_field(-1.0), path, 2.0 / 4096)
 
 
+def _written_out_rk4(f, t, y, h):
+    """rk4_step's formula as written: y + (h / 6) (k1 + 2 k2 + 2 k3 + k4)."""
+    half = 0.5 * h
+    t_mid, t_end = (None, None) if t is None else (t + half, t + h)
+    k1 = f(t, y)
+    k2 = f(t_mid, y + half * k1)
+    k3 = f(t_mid, y + half * k2)
+    k4 = f(t_end, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_LOGISTIC = make_scalar_field("logistic-slope", {"low": 0.0, "high": 1.0, "rate": 1.0,
+                                                 "center": 0.3})
+_STATES = [0.0, -0.0, 0.7, -2.5, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+
+
+class TestRk4Sum:
+    """rk4_step accumulates its weighted sum in one new array, with the bits
+    of the formula as written, on every state type a solver hands it."""
+
+    FIELDS = {
+        "logistic": lambda t, y: _LOGISTIC.value(y),
+        "timed": lambda t, y: _LOGISTIC.value(y if t is None else y + 0.4 * t) - 0.2 * y,
+        "cubic": lambda t, y: y * y * y - y,
+        # a Python float or np.float64 whatever y is
+        "float": lambda t, y: 0.35,
+        "float64": lambda t, y: np.float64(-1.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    @pytest.mark.parametrize("t", [None, 0.25])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_scalars(self, name, t, kind):
+        f = self.FIELDS[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in _STATES:
+                for h in (0.1, 1.0 / 3.0):
+                    got, want = (step(f, t, kind(y), kind(h))
+                                 for step in (rk4_step, _written_out_rk4))
+                    assert type(got) is type(want)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    @pytest.mark.parametrize("t", [None, 0.25, "array"])
+    @pytest.mark.parametrize("h", [0.1, "array"])
+    def test_arrays(self, name, t, h):
+        f = self.FIELDS[name]
+        y = np.array(_STATES)
+        steps = np.linspace(0.0, 0.5, y.size)
+        h = steps if h == "array" else h
+        t = 1.0 - steps if t == "array" else t
+        kept = y.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = rk4_step(f, t, y, h), _written_out_rk4(f, t, y, h)
+        assert got.tobytes() == want.tobytes()
+        assert y.tobytes() == kept.tobytes() and not np.shares_memory(got, y)
+
+
 class TestFlowDerivative:
     def test_zero_field(self):
         sol = solve_random_ode(ScalarField(lambda x: 0.0, lambda x: 0.0),

@@ -69,9 +69,10 @@ def test_samples_csv_hash(scenario, tmp_path):
 
 def test_sparse_s3_regularizes_a_driver_that_fails_condition_b(tmp_path):
     # sizes 2^-n at one rate per level: mu(-eps, eps) / (eps^2 |log eps|)
-    # stays bounded down to the smallest atom (2^-12 > 10^-3.75), so the
-    # Kallenberg-Sato criterion does not make Z_t absolutely continuous, yet
-    # the drift still spreads X_t off the lattice
+    # stays bounded on the half-decade grid down to 10^-3.5, its last point
+    # above the smallest atom 2^-12, so the Kallenberg-Sato criterion does not
+    # make Z_t absolutely continuous; the drift still spreads X_t off the
+    # lattice
     config = parse_config(SPARSE_S3)
     grid = [10.0 ** (-i / 2.0) for i in range(2, 8)]
     profile = kallenberg_b_profile(config.measure.build(), grid)
