@@ -51,7 +51,13 @@ from .levy_spec import (
     sparse_family,
     total_rate,
 )
-from .path_sampler import draw_cap_error, jump_budget_error, mark_window_error, marked_rate
+from .path_sampler import (
+    draw_cap_error,
+    grid_budget_error,
+    jump_budget_error,
+    mark_window_error,
+    marked_rate,
+)
 from .rng import TAG_BAND
 
 #: Scenarios whose atom detection or KS test needs MIN_SAMPLES replicas.
@@ -418,6 +424,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: {reason}")
 
     reject(_replicas_problem(resolved), ("", "replicas"))
+    reject(grid_budget_error(resolved.cells), ("", "cells"))
     margin = _JUMP_MARGINS.get(config.scenario, 0.0)
     if resolved.horizon <= 2 * margin:
         reject(f"horizon = {resolved.horizon} leaves {config.scenario} no room for its "

@@ -29,6 +29,7 @@ size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ POISSON_PTRS_MEAN = 10.0
 #: Replicas PathLaw.packed writes as one block: first the rows it draws per
 #: replica, then the array rows of one philox_words array of this many rows.
 PACK_BLOCK = 4096
+
+#: Buckets of an atomic law's IndexedSearch. A key in a bucket that holds
+#: at most one cumulative rate costs one gather and one compare: 4096 buckets
+#: hold S3's dyadic table (2, 6, ..., 8190) one to a bucket, in a guide of a
+#: few KiB.
+_GUIDE_BUCKETS = 4096
 
 #: Draws sample_many makes for one replica before it gives up on `accept`.
 MAX_DRAWS = 1000
@@ -159,6 +166,12 @@ def size_decoder(table: np.ndarray | None):
     return (lambda keys: keys) if table is None else table.take
 
 
+def _key_dtype(table: np.ndarray | None) -> np.dtype:
+    """Dtype of the size keys: the smallest unsigned type that indexes
+    table; float64 without one, whose keys are the sizes."""
+    return np.dtype(np.float64) if table is None else np.min_scalar_type(table.size - 1)
+
+
 def _packed_paths(horizon, drift, edges, flat_times, flat_sizes, offsets, brown_edges,
                   jump_sums, size_table) -> PackedPaths:
     """PackedPaths of filled flat arrays, with Z_horizon from each path's jump sum."""
@@ -224,18 +237,74 @@ def _density_size_table(spec: DensityForm, trunc: float, nodes: int = 4096):
     return xs, cdf
 
 
+@dataclass(frozen=True)
+class IndexedSearch:
+    """u -> cum.searchsorted(total * u, side="right"), in the guide's dtype,
+    by an indexed ("guide table") search: Chen & Asau (1974); Devroye (1986),
+    section III.2.4.
+
+    x = total * u falls in bucket b(x) = int(x * scale). guide[b] counts the
+    cum values whose own bucket, by the same float expression, is below b,
+    and one pass adds 1 where x >= ext[key], `ext` being cum followed by
+    +inf. The keys are exact by construction:
+    - b is monotone in x, so a value in a lower bucket than x lies below x,
+      and a value in a higher one lies above it. guide[b(x)] never passes
+      the key, and falls short of it by at most the values in x's bucket;
+    - x >= cum[key] holds exactly while key is below the true key, so in a
+      bucket that holds at most one value the pass gives the key;
+    - a key whose bucket holds two or more values (`crowded`; None when no
+      bucket does) is cum.searchsorted's own. A bucket is 1 / 4096 of
+      [0, total], so about that share of the keys per crowded bucket.
+    This holds at bucket edges, for repeated cum values, and for x = total,
+    whose key is one past the last value: the size table's extra entry.
+    """
+
+    total: float
+    scale: float
+    guide: np.ndarray     # (int(total * scale) + 1,) keys of the bucket starts
+    ext: np.ndarray       # cum followed by +inf
+    crowded: np.ndarray | None   # by bucket: holds two or more cum values
+
+    @classmethod
+    def of(cls, cum: np.ndarray, dtype: np.dtype) -> "IndexedSearch":
+        """The search of positive, nondecreasing cumulative rates `cum`,
+        with keys of `dtype`."""
+        total = float(cum[-1])
+        # a tiny total clamps the scale, which then puts every value in bucket 0
+        scale = min(_GUIDE_BUCKETS / total, sys.float_info.max)
+        buckets = (cum * scale).astype(np.intp)
+        guide = buckets.searchsorted(np.arange(buckets[-1] + 1)).astype(dtype)
+        crowded = np.bincount(buckets) > 1
+        return cls(total, scale, guide, np.append(cum, np.inf),
+                   crowded if crowded.any() else None)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self.keys(self.total * u)
+
+    def keys(self, x: np.ndarray) -> np.ndarray:
+        """cum.searchsorted(x, side="right") for x in [0, total]."""
+        buckets = (x * self.scale).astype(np.intp)
+        keys = self.guide.take(buckets)
+        keys += x >= self.ext.take(keys)
+        if self.crowded is not None:
+            rest = np.flatnonzero(self.crowded.take(buckets))
+            keys.reshape(-1)[rest] = self.ext[:-1].searchsorted(x.reshape(-1)[rest],
+                                                               side="right")
+        return keys
+
+
 def _size_sampler(spec, trunc: float):
     """(u -> size keys, size table) for spec restricted to |z| >= trunc, one
     key per uniform u in [0, 1), by the inverse CDF of the atom rates or of
-    the density table. An atomic law's keys index its size table; a density
-    law's keys are the sizes and its table is None."""
+    the density table. An atomic law's keys index its size table, as the
+    smallest unsigned type that does, by an IndexedSearch of the cumulative
+    rates; a density law's keys are the sizes and its table is None."""
     if isinstance(spec, FiniteAtomic):
         kept = [(s, r) for s, r in spec.atoms if abs(s) >= trunc and r > 0.0]
-        cum = np.cumsum([r for _, r in kept])
-        total = float(cum[-1])
         # a draw that rounds up to the total rate lands one past the end: the last atom
         table = np.array([s for s, _ in kept] + [kept[-1][0]])
-        return (lambda u: cum.searchsorted(total * u, side="right")), table
+        cum = np.cumsum([r for _, r in kept])
+        return IndexedSearch.of(cum, _key_dtype(table)), table
     xs, cdf = _density_size_table(spec, trunc)
     total = float(cdf[-1])
     return (lambda u: np.interp(total * u, cdf, xs)), None
@@ -308,15 +377,21 @@ class PathLaw:
 
     @property
     def key_dtype(self) -> np.dtype:
-        """Packed dtype of the size keys: the smallest unsigned type that
-        indexes size_table; float64 without one."""
-        table = self.size_table
-        return np.dtype(np.float64) if table is None else np.min_scalar_type(table.size - 1)
+        """Packed dtype of the size keys (see _key_dtype)."""
+        return _key_dtype(self.size_table)
 
     @property
     def bytes_per_jump(self) -> int:
         """Packed bytes of one jump: a float64 time and its size key."""
         return 8 + self.key_dtype.itemsize
+
+    @property
+    def bytes_per_path(self) -> float:
+        """Packed bytes a path is expected to take: its jumps, counted as one
+        at least, and, with a Brownian part, its float64 values at the cell
+        edges of the skeleton's grid."""
+        grid = 0 if self.brownian_grid is None else 8 * self.brownian_grid.size
+        return self.bytes_per_jump * max(1.0, self.mean_jumps) + grid
 
     def draw(self, gen: np.random.Generator):
         """(times, size keys, Brownian (grid knots, values) or None) of one
@@ -454,6 +529,15 @@ def jump_budget_error(rate: float, horizon: float) -> str | None:
     if rate * horizon > MAX_JUMPS_PER_CHUNK:
         return (f"expected jumps per path (rate {rate:g} x horizon {horizon:g}) "
                 f"exceed the chunk budget of {MAX_JUMPS_PER_CHUNK} jumps")
+    return None
+
+
+def grid_budget_error(cells: int) -> str | None:
+    """Why one path's float64 values at the edges of `cells` cells do not fit
+    one chunk of 16 * MAX_JUMPS_PER_CHUNK bytes, or None."""
+    if 8 * (cells + 1) > 16 * MAX_JUMPS_PER_CHUNK:
+        return (f"cell edges per path (cells {cells} + 1, 8 bytes each) exceed "
+                f"the chunk budget of {16 * MAX_JUMPS_PER_CHUNK} bytes")
     return None
 
 

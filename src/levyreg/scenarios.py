@@ -156,12 +156,12 @@ def _chunk_sizes(n: int, per_chunk: int) -> list[int]:
 def _sample_and_solve(config: ScenarioConfig, law: PathLaw, solve,
                       stream_offset: int = 0) -> list[np.ndarray]:
     """Replicas stream_offset + [0, config.replicas) of `law` on config.cells
-    cells, sampled into PackedPaths in even chunks of at most the expected
-    jumps that fill 16 * MAX_JUMPS_PER_CHUNK bytes at the law's bytes per jump
-    (16 for float64 sizes, 9 for uint8 atom codes); solve(packed)'s arrays,
-    each concatenated over the chunks."""
-    per_chunk = max(1, int(16 * MAX_JUMPS_PER_CHUNK
-                           // (law.bytes_per_jump * max(1.0, law.mean_jumps))))
+    cells, sampled into PackedPaths in even chunks of at most the paths that
+    fill 16 * MAX_JUMPS_PER_CHUNK bytes at the law's bytes per path (its
+    expected jumps at 16 bytes for float64 sizes or 9 for uint8 atom codes,
+    plus its Brownian values at the cell edges); solve(packed)'s arrays, each
+    concatenated over the chunks."""
+    per_chunk = max(1, int(16 * MAX_JUMPS_PER_CHUNK // law.bytes_per_path))
     parts, lo = [], stream_offset
     for size in _chunk_sizes(config.replicas, per_chunk):
         parts.append(solve(law.packed(config.seed, lo, size, config.cells)))

@@ -316,16 +316,18 @@ class TestRunScenarioOutputs:
     DEFAULT_CHUNKS = {"S3": [500, 500]}
 
     # A budget of B jumps is 16 * B bytes; a chunk holds 16 * B // (bytes per
-    # jump * mean jumps) paths. S1 and S7 expect 2 jumps per path and S4 12,
-    # all at 9 bytes (uint8 atom codes); the density expects about 122.5 at
-    # 16 bytes; S3 8190 at 9. One path per chunk would cost S7 over a minute,
-    # so S7 gets only four chunks; S3 gets the three chunks of 16-byte jumps.
+    # jump * mean jumps + Brownian bytes) paths. S1 and S7 expect 2 jumps per
+    # path and S4 12, all at 9 bytes (uint8 atom codes); the density expects
+    # about 122.5 at 16 bytes; S3 8190 at 9. S7 adds 8 bytes for each of its
+    # 9 cell edges: at B = 300 its jumps alone would cut four chunks (4800 //
+    # 18 = 266 paths), and its 90 bytes a path cut 19. One path per chunk
+    # would cost S7 over a minute; S3 gets the three chunks of 16-byte jumps.
     @pytest.mark.parametrize("scenario,budget,chunks", [
         ("S1", 1, [1] * 1000),          # 16 // 18 = 0 paths: one per chunk
         ("S1", 300, [250] * 4),         # 4800 // 18 = 266
         ("S4", 1, [1] * 1000),
         ("S4", 2000, [250] * 4),        # 32000 // 108 = 296
-        ("S7", 300, [250] * 4),
+        ("S7", 300, [53] * 12 + [52] * 7),   # 4800 // 90 = 53
         ("S1-density", 30000, [200] * 5),
         ("S1", 400, [334, 333, 333]),   # 6400 // 18 = 355
         ("S3", 2_000_000, [334, 333, 333])])  # 32e6 // 73710 = 434
@@ -375,6 +377,29 @@ class TestRunScenarioOutputs:
         monkeypatch.setattr(path_sampler.PathLaw, "packed", spy)
         assert chunks(1000) == [500, 500]
         assert chunks(10_000) == [834] * 4 + [833] * 8
+
+    def test_s7_chunks_count_the_brownian_grid(self, monkeypatch):
+        # 2 jumps per path at 9 bytes, and 129 float64 cell edges: 1050 bytes a
+        # path fit 60 952 paths in 16 * MAX_JUMPS_PER_CHUNK bytes. Counting the
+        # jumps alone put all 100 000 in one chunk, with 103 MB of edges.
+        config = with_scenario_defaults(parse_config("scenario = S7\n"))
+        law = scenarios_mod._driver_law(config)
+        assert law.bytes_per_path == 9 * 2.0 + 8 * 129
+        seen = []
+
+        def spy(law, seed, stream_offset, n, cells):
+            seen.append(n)
+            return n
+
+        def chunks(replicas):
+            seen.clear()
+            scenarios_mod._sample_and_solve(replace(config, replicas=replicas), law,
+                                            lambda n: (np.zeros(n),))
+            return list(seen)
+
+        monkeypatch.setattr(path_sampler.PathLaw, "packed", spy)
+        assert chunks(1000) == [1000]
+        assert chunks(100_000) == [50_000, 50_000]
 
     def test_chunks_are_even(self):
         # S3 at seed 404: 488 paths per chunk made chunks of 488/488/24 rows

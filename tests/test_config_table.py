@@ -267,6 +267,9 @@ REJECTED = [
     # marked window, an atom size from [0.25, 0.55) in it (8 of 8 failed)
     ("scenario = S2\nhorizon = 0.04\nreplicas = 8\n", 2, "no room for its jumps"),
     ("scenario = S2\nhorizon = 800001\n", 2, "chunk budget"),
+    # validate exited 0, and a run would allocate 8 GB of cell edges
+    ("scenario = S3\ncells = 1000000000\n", 2, "cell edges per path"),
+    ("scenario = S6\ncells = 8000000\n", 2, "cell edges per path"),
     ("scenario = S2\nreplicas = 8\n[diagnostics]\nmark_low = 0.6\nmark_high = 1.0\n", 4,
      "scenario S2 does not read 'mark_low'"),
     # and these two ran with 6 of 8 replicas failed: a window that held only
@@ -338,7 +341,9 @@ class TestValidateAgreesWithRun:
         "scenario = S3\nreplicas = 1000\n[measure.family]\nlevels = 20\n",
         "scenario = S2\nreplicas = 5\n",
         "scenario = S4\nreplicas = 5\n",
-        "scenario = S6\nreplicas = 5\n"])
+        "scenario = S6\nreplicas = 5\n",
+        # 8 * (7999999 + 1) bytes of cell edges fill the chunk budget exactly
+        "scenario = S6\ncells = 7999999\n"])
     def test_at_the_limits_accepted(self, text):
         assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
 

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyreg import path_sampler
+import levyreg.scenarios as scenarios_mod
 from levyreg.batch import pack_paths
+from levyreg.config import parse_config, with_scenario_defaults
 from levyreg.levy_spec import DensityForm, FiniteAtomic, LevyTriplet, dyadic_family
 from levyreg.path_sampler import (
     LevyPath,
@@ -652,3 +654,47 @@ def test_dedupe_packed_matches_per_path_across_blocks():
     want = np.concatenate([_dedupe_times(p.copy()) for p in paths])
     _dedupe_packed(flat, offsets, block=5)
     assert np.array_equal(flat, want)
+
+
+class TestIndexedSearch:
+    @staticmethod
+    def _search(rates):
+        atoms = tuple((0.5 + i, r) for i, r in enumerate(rates))
+        return path_sampler._size_sampler(FiniteAtomic(atoms), 0.5)[0]
+
+    # [1e5, 10]: total * scale rounds below 4096, so both values share the
+    # crowded bucket 4095 (a guide built by cum / total * 4096 puts the total
+    # in bucket 4096 and crowds no bucket); [1e12, 1e-12, 1e-12]: cumsum
+    # repeats its first value; 5e-324 twice: 4096 / total overflows, and the
+    # clamped scale puts both values in bucket 0
+    @given(st.lists(st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e),
+                    min_size=1, max_size=300))
+    @example([1e5, 10.0])
+    @example([1e12, 1e-12, 1e-12])
+    @example([5e-324, 5e-324])
+    @settings(max_examples=200, deadline=None)
+    def test_keys_equal_searchsorted(self, rates):
+        search = self._search(rates)
+        cum = np.cumsum(rates)
+        total = cum[-1]
+        xs = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+                             [0.0, total, total * (1.0 - 2.0 ** -53)]])
+        xs = xs[xs <= total]     # total * u for u in [0, 1) never passes total
+        dtype = np.min_scalar_type(len(rates))
+        want = cum.searchsorted(xs, side="right")
+        keys = search.keys(xs)
+        assert keys.dtype == dtype and np.array_equal(keys, want)
+        # _array_jumps draws the keys of a jump count's rows as one 2-D array
+        keys = search.keys(np.stack([xs, xs[::-1]]))
+        assert np.array_equal(keys, np.stack([want, want[::-1]]))
+        u = np.array([0.0, 1.0 - 2.0 ** -53])
+        keys = search(u)
+        assert keys.dtype == dtype
+        assert np.array_equal(keys, cum.searchsorted(total * u, side="right"))
+
+    def test_s3_default_law_takes_one_pass(self):
+        # S3 defaults to the 12-level dyadic family: cumulative rates 2, 6,
+        # ..., 8190, one to a bucket, so no key falls back to searchsorted
+        config = with_scenario_defaults(parse_config("scenario = S3\n"))
+        law = scenarios_mod._driver_law(config)
+        assert law.sizes.crowded is None and law.sizes.ext.size == 13
