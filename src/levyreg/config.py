@@ -26,13 +26,21 @@ that value (with_scenario_defaults), so a minimal document is just
 
 Unknown keys are errors (with line numbers), and so is a key or section whose
 field the document's scenario does not read. Duplicate keys are errors naming
-both lines, and range violations are errors naming the key. So are a
-jump law that expects more jumps per path than one chunk holds, a replica
-count below a scenario's sample floor or past rng's 2^48 replica streams, an
-S2 or S6 horizon too short for its jumps, an empty marked window, an S2
-horizon or an S5 marked window too rare for its draw cap and lattice tubes
-that overlap. The CLI reads a document as UTF-8; a byte that is not UTF-8 is
-an error naming its line (decode_config).
+both lines, and range violations are errors naming the key. The CLI reads a
+document as UTF-8; a byte that is not UTF-8 is an error naming its line
+(decode_config).
+
+plan_run is the one door to a run: parse_config, with_overrides and
+scenarios.run_scenario all go through it, and it alone fills in defaults,
+refuses a run and builds the laws the run samples (a RunPlan). It refuses, in
+this order, a replica count below a scenario's sample floor, past rng's 2^48
+replica streams or with more samples.csv rows than MAX_RESULT_BYTES holds; a
+grid past the chunk budget; an S2 or S6 horizon too short for its jumps; a
+jump law that expects more jumps per path than one chunk holds; an empty
+marked window; an S2 horizon or an S5 marked window too rare for its draw
+cap; and lattice tubes that overlap. Its PlanError names the fields at fault:
+parse_config reports the last line that sets one of them, with_overrides
+the override.
 """
 
 from __future__ import annotations
@@ -47,18 +55,23 @@ from .levy_spec import (
     DensityForm,
     FiniteAtomic,
     JumpMeasureSpec,
+    LevyTriplet,
     dyadic_family,
     sparse_family,
     total_rate,
 )
 from .path_sampler import (
-    draw_cap_error,
-    grid_budget_error,
+    MAX_DRAWS,
+    MAX_JUMPS_PER_CHUNK,
+    MAX_RESULT_BYTES,
+    RESULT_BYTES_PER_ROW,
+    PathLaw,
     jump_budget_error,
     mark_window_error,
     marked_rate,
+    path_law,
 )
-from .rng import TAG_BAND
+from .rng import TAG_BAND, RngStream
 
 #: Scenarios whose atom detection or KS test needs MIN_SAMPLES replicas.
 _FLOORED = ("S1", "S3", "S5", "S7")
@@ -80,6 +93,15 @@ _JUMP_MARGINS = {"S2": S2_JUMP_MARGIN, "S6": S6_JUMP_MARGIN}
 
 class ConfigError(ValueError):
     """Configuration document rejected; message carries line context."""
+
+
+class PlanError(ConfigError):
+    """A run that plan_run refuses: `fields` are the config fields its reason
+    belongs to (a measure's levels are "measure.levels")."""
+
+    def __init__(self, reason: str, fields: tuple[str, ...]):
+        super().__init__(reason)
+        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -253,12 +275,6 @@ def with_scenario_defaults(config: ScenarioConfig) -> ScenarioConfig:
     return replace(config, **{k: v(config) for k, v in unset.items() if callable(v)})
 
 
-def trend_law(level: int) -> tuple[MeasureChoice, float]:
-    """S3's law at trend level `level`: the dyadic family of that many levels,
-    truncated at its lattice 2^-level."""
-    return MeasureChoice(kind="family", family="dyadic", levels=level), 2.0 ** (-level)
-
-
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.]+)\]$")
 #: an atom index has at most 9 digits: int() raises past 4300
 _ATOM_RE = re.compile(r"^measure\.atom\.(\d{1,9})$")
@@ -355,6 +371,7 @@ def parse_config(text: str) -> ScenarioConfig:
     atom_rows: dict[int, dict[str, float]] = {}
     field_rows: dict[str, dict[str, object]] = {}
     first_line: dict[str, int] = {}   # a section, or a measure kind: its first key line
+    set_on: dict[str, int] = {}       # a PlanError field: the last line that sets it
     for (section, key), (raw_value, line_no) in entries.items():
         head = section.partition(".")[0]
         if head in ("measure", "drift_field", "diffusion_field"):
@@ -364,6 +381,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if key not in ("size", "rate"):
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}]")
             idx = int(atom_m.group(1))
+            set_on["measure"] = line_no
             first_line.setdefault(section, line_no)
             first_line.setdefault("atoms", line_no)
             atom_rows.setdefault(idx, {})[key] = \
@@ -379,6 +397,7 @@ def parse_config(text: str) -> ScenarioConfig:
             elif key != "name" and key not in canonical_params(name):
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in [{section}] "
                                   f"for field {name!r}")
+            set_on[section] = line_no
             field_rows.setdefault(section, {})[key] = raw_value if key == "name" \
                 else _parse_value("float", raw_value, key, line_no)
             continue
@@ -394,8 +413,10 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: value out of range for {key!r}: {raw_value}")
         if section.startswith("measure."):
             measure_rows.setdefault(section.partition(".")[2], {})[target] = value
+            set_on["measure"] = set_on[f"measure.{target}"] = line_no
         else:
             values[target] = value
+            set_on[target] = line_no
 
     for idx in sorted(atom_rows):
         if set(atom_rows[idx]) != {"size", "rate"}:
@@ -413,101 +434,113 @@ def parse_config(text: str) -> ScenarioConfig:
     for section, row in field_rows.items():
         values[section] = _field_choice(section, row, first_line[section])
     config = ScenarioConfig(**values)
-
-    resolved = with_scenario_defaults(config)
-
-    def reject(reason: str | None, *keys) -> None:
-        """Raise `reason`, if any, on the last line of `keys` the document sets."""
-        if reason is not None:
-            line_no = max((entries[k][1] for k in keys if k in entries),
-                          default=entries[("", "scenario")][1])
-            raise ConfigError(f"line {line_no}: {reason}")
-
-    reject(_replicas_problem(resolved), ("", "replicas"))
-    reject(grid_budget_error(resolved.cells), ("", "cells"))
-    margin = _JUMP_MARGINS.get(config.scenario, 0.0)
-    if resolved.horizon <= 2 * margin:
-        reject(f"horizon = {resolved.horizon} leaves {config.scenario} no room for its "
-               f"jumps, which it keeps at least {margin} from both ends: need horizon > "
-               f"{2 * margin}", ("", "horizon"))
-    if config.scenario == "S2":
-        reject(jump_budget_error(S2_JUMP_RATE, resolved.horizon), ("", "horizon"))
-    defaults = SCENARIO_DEFAULTS[config.scenario]
-    law_keys = [k for k in entries if k[0].startswith("measure.")] + [
-        ("", "truncation"), ("", "horizon")]
-    if "measure" in defaults:
-        laws = [(resolved.measure, resolved.truncation, law_keys)]
-        if config.scenario == "S3":
-            laws += [(*trend_law(lv), [("", "trend_levels")])
-                     for lv in resolved.trend_levels]
-        for measure, truncation, keys in laws:
-            try:
-                reason = jump_budget_error(total_rate(measure.build(), truncation),
-                                           resolved.horizon)
-            except (ValueError, ArithmeticError) as exc:
-                reason = f"cannot compute the jump rate: {exc}"
-            reject(reason, *keys)
-    marks = [("diagnostics", "mark_low"), ("diagnostics", "mark_high")]
-    if "mark_low" in defaults:
-        reject(mark_window_error(resolved.mark_low, resolved.mark_high), *marks)
-    reject(_draw_cap_problem(resolved), *law_keys, *marks, ("", "replicas"),
-           ("", "repetitions"))
-    if "spacing" in defaults:
-        # S3's default spacing is the lattice of its family's levels
-        levels = [("measure.family", "levels")] if config.scenario == "S3" else []
-        reject(lattice_tube_error(resolved.spacing, resolved.halfwidth),
-               ("diagnostics", "spacing"), ("diagnostics", "halfwidth"), *levels)
+    try:
+        plan_run(config)
+    except PlanError as exc:
+        line_no = max((set_on[f] for f in exc.fields if f in set_on),
+                      default=scenario_line)
+        raise ConfigError(f"line {line_no}: {exc}") from None
     return config
 
 
-def _replicas_problem(config: ScenarioConfig) -> str | None:
-    """Why config's replica count (defaults filled in) cannot run, or None:
-    too few samples for its diagnostics, or replica stream ids past
-    rng.TAG_BAND, where they would share streams with child draws."""
-    n = config.replicas
-    if config.scenario in _FLOORED and n < MIN_SAMPLES:
-        return (f"replicas = {n} is below the {MIN_SAMPLES} samples that "
-                f"{config.scenario}'s diagnostics need")
-    streams = n * (config.repetitions if config.scenario == "S5" else 1)
-    if streams > TAG_BAND:
-        return (f"replicas = {n} reuses random streams: a run draws from at most "
-                f"2^48 replica streams, and this one needs {streams}")
-    return None
+@dataclass(frozen=True)
+class RunPlan:
+    """A run that may go ahead: its config with the defaults filled in, and the
+    (law, first replica stream id) of its driver, then of each S3 trend level
+    (none in S2 and S6, which draw a law per replica)."""
+
+    config: ScenarioConfig
+    laws: tuple[tuple[PathLaw, int], ...]
 
 
-def _draw_cap_problem(config: ScenarioConfig) -> str | None:
-    """Why S2 or S5 (defaults filled in) may not find a usable path within its
-    draw cap on every replica, or None."""
-    if config.scenario == "S2":
-        return _s2_draw_problem(config.horizon, config.replicas)
-    if config.scenario != "S5":
-        return None
-    try:
-        rate = marked_rate(config.measure.build(), config.truncation,
-                           config.mark_low, config.mark_high)
-    except (ValueError, ArithmeticError) as exc:
-        return f"cannot compute the marked-window rate: {exc}"
-    return draw_cap_error(rate * config.horizon, config.replicas * config.repetitions)
+def plan_run(config: ScenarioConfig) -> RunPlan:
+    """config's run, its defaults filled in and its laws built, or a
+    PlanError for the first check it fails, in the module docstring's order.
+    Replica stream ids past rng.TAG_BAND would share streams with child draws."""
+    c = with_scenario_defaults(config)
+    scenario, n, defaults = c.scenario, c.replicas, SCENARIO_DEFAULTS[config.scenario]
 
+    def refuse(reason: str | None, *fields: str) -> None:
+        if reason is not None:
+            raise PlanError(reason, fields)
 
-def _s2_draw_problem(horizon: float, configs: int) -> str | None:
-    """Why `configs` S2 configs may run out of S2_MAX_DRAWS draws with
-    probability above 1e-9, or None, by draw_cap_error's rule. A draw is
-    usable only if its first jump lies in [m, h - m] and another follows it,
-    which has probability
-    P = e^{-l m} - e^{-l (h - m)} - l (h - 2m) e^{-l h} for rate l, margin m
-    and horizon h. P leaves out S2's jump spacing and derivative tests, so it
-    bounds a draw's chance from above and the risk from below."""
-    rate, m, h = S2_JUMP_RATE, S2_JUMP_MARGIN, horizon
-    hit = (math.exp(-rate * m) - math.exp(-rate * (h - m))
-           - rate * (h - 2 * m) * math.exp(-rate * h))
-    risk = configs * (1.0 - hit) ** S2_MAX_DRAWS
-    if risk > 1e-9:
-        return (f"horizon = {h:g} gives an S2 draw a chance of at most {hit:.3g} of a "
-                f"first jump in [{m:g}, horizon - {m:g}] with another after it, "
-                f"so {configs} configs may find no such path in {S2_MAX_DRAWS} draws "
-                f"(probability up to {min(risk, 1.0):.3g})")
-    return None
+    if scenario in _FLOORED and n < MIN_SAMPLES:
+        refuse(f"replicas = {n} is below the {MIN_SAMPLES} samples that "
+               f"{scenario}'s diagnostics need", "replicas")
+    rows = n * (c.repetitions if scenario == "S5" else 1)
+    if rows > TAG_BAND:
+        refuse(f"replicas = {n} reuses random streams: a run draws from at most "
+               f"2^48 replica streams, and this one needs {rows}", "replicas")
+    if rows * RESULT_BYTES_PER_ROW > MAX_RESULT_BYTES:
+        what = "replicas x repetitions" if scenario == "S5" else "replicas"
+        refuse(f"{rows} samples.csv rows ({what}) pass the result budget: "
+               f"{MAX_RESULT_BYTES} bytes hold {MAX_RESULT_BYTES // RESULT_BYTES_PER_ROW} "
+               f"at {RESULT_BYTES_PER_ROW} bytes a row", "replicas", "repetitions")
+    if 8 * (c.cells + 1) > 16 * MAX_JUMPS_PER_CHUNK:   # one path's cell edges
+        refuse(f"cell edges per path (cells {c.cells} + 1, 8 bytes each) exceed "
+               f"the chunk budget of {16 * MAX_JUMPS_PER_CHUNK} bytes", "cells")
+    margin = _JUMP_MARGINS.get(scenario, 0.0)
+    if c.horizon <= 2 * margin:
+        refuse(f"horizon = {c.horizon} leaves {scenario} no room for its jumps, which "
+               f"it keeps at least {margin} from both ends: need horizon > {2 * margin}",
+               "horizon")
+    if scenario == "S2":
+        refuse(jump_budget_error(S2_JUMP_RATE, c.horizon), "horizon")
+    laws = []
+    if "measure" in defaults:
+        # the driver, then S3's trend level lv: the lv-level dyadic family above 2^-lv
+        levels = [(c.measure, c.truncation, 0, ("measure", "truncation", "horizon"))] + [
+            (MeasureChoice(kind="family", levels=lv), 2.0 ** -lv,
+             RngStream(c.seed).child(lv).stream_id, ("trend_levels",))
+            for lv in c.trend_levels or ()]
+        for measure, truncation, first_stream, fields in levels:
+            try:
+                spec = measure.build()
+                reason = jump_budget_error(total_rate(spec, truncation), c.horizon)
+                if reason is None:
+                    laws.append((path_law(LevyTriplet(c.drift, spec, c.brownian_variance),
+                                          c.horizon, truncation, c.compensate, c.cells),
+                                 first_stream))
+            except (ValueError, ArithmeticError) as exc:
+                reason = f"cannot compute the jump rate: {exc}"
+            refuse(reason, *fields)
+    if "mark_low" in defaults:
+        refuse(mark_window_error(c.mark_low, c.mark_high), "mark_low", "mark_high")
+    # S2 redraws a config's path, S5 a replica's, until one is usable, up to a
+    # cap; either is refused where some row may miss every draw with
+    # probability above 1e-9: (chance a draw misses, cap, what is missed)
+    cap, cap_fields = None, ("measure", "truncation", "horizon", "mark_low",
+                             "mark_high", "replicas", "repetitions")
+    if scenario == "S2":
+        # a usable draw has its first jump in [m, h - m] and another after it:
+        # P = e^{-l m} - e^{-l (h - m)} - l (h - 2m) e^{-l h} at rate l. P leaves
+        # out S2's jump spacing and derivative tests, so it bounds a draw's
+        # chance from above and the risk from below
+        rate, m, h = S2_JUMP_RATE, S2_JUMP_MARGIN, c.horizon
+        hit = (math.exp(-rate * m) - math.exp(-rate * (h - m))
+               - rate * (h - 2 * m) * math.exp(-rate * h))
+        cap = (1.0 - hit, S2_MAX_DRAWS, f"horizon = {h:g} gives an S2 draw a chance of "
+               f"at most {hit:.3g} of a first jump in [{m:g}, horizon - {m:g}] with "
+               f"another after it, so {n} configs may find no such path")
+    if scenario == "S5":   # a draw needs two marked jumps: it misses w.p. e^-m (1 + m)
+        try:
+            m = marked_rate(c.measure.build(), c.truncation, c.mark_low,
+                            c.mark_high) * c.horizon
+        except (ValueError, ArithmeticError) as exc:
+            refuse(f"cannot compute the marked-window rate: {exc}", *cap_fields)
+        cap = (math.exp(-m) * (1.0 + m), MAX_DRAWS, f"the marked window expects {m:g} "
+               f"jumps per path, so {rows} replicas may find no path with two marked jumps")
+    if cap is not None:
+        miss, draws, what = cap
+        risk = rows * miss ** draws
+        if risk > 1e-9:
+            refuse(f"{what} in {draws} draws (probability up to {min(risk, 1.0):.3g})",
+                   *cap_fields)
+    if "spacing" in defaults:
+        # S3's default spacing is the lattice of its family's levels
+        refuse(lattice_tube_error(c.spacing, c.halfwidth), "spacing", "halfwidth",
+               *(("measure.levels",) if scenario == "S3" else ()))
+    return RunPlan(c, tuple(laws))
 
 
 def _text(value) -> str:
@@ -550,7 +583,7 @@ def serialize_config(config: ScenarioConfig) -> str:
 def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
                    replicas: int | None = None) -> ScenarioConfig:
     """config with the given keys replaced; they pass the same range checks as
-    the document's keys, and the replica count the same parse_config checks."""
+    the document's keys, and the result the same plan_run as the document."""
     updates = {key: value for key, value in (("seed", seed), ("replicas", replicas))
                if value is not None}
     for key, value in updates.items():
@@ -558,8 +591,8 @@ def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
         if check is not None and not check(value):
             raise ConfigError(f"override out of range for {key!r}: {value}")
     updated = replace(config, **updates) if updates else config
-    resolved = with_scenario_defaults(updated)
-    reason = _replicas_problem(resolved) or _draw_cap_problem(resolved)
-    if reason is not None:
-        raise ConfigError(f"override {reason}")
+    try:
+        plan_run(updated)
+    except PlanError as exc:
+        raise ConfigError(f"override {exc}") from None
     return updated

@@ -43,6 +43,15 @@ from .rng import StreamGenerator, philox_words
 #: expecting more jumps per path than this is rejected, whatever its coding.
 MAX_JUMPS_PER_CHUNK = 4_000_000
 
+#: A run holds every samples.csv row in memory until it writes them: the
+#: diagnostics need all terminal values. Peak RSS grows by about 75 bytes a
+#: row in S1 (1M to 3M replicas), 64 in S7 (at equal chunks) and 55 in S5
+#: (20 to 200 repetitions), so a run of more rows than MAX_RESULT_BYTES holds
+#: at the largest, RESULT_BYTES_PER_ROW, is refused rather than started: 4 GiB
+#: is half of an 8-GiB machine, 57 266 230 rows.
+RESULT_BYTES_PER_ROW = 75
+MAX_RESULT_BYTES = 2 ** 32
+
 
 #: numpy's Generator.poisson counts by multiplying uniforms until their
 #: product falls to e^-mean while the mean is below this, and by PTRS
@@ -532,15 +541,6 @@ def jump_budget_error(rate: float, horizon: float) -> str | None:
     return None
 
 
-def grid_budget_error(cells: int) -> str | None:
-    """Why one path's float64 values at the edges of `cells` cells do not fit
-    one chunk of 16 * MAX_JUMPS_PER_CHUNK bytes, or None."""
-    if 8 * (cells + 1) > 16 * MAX_JUMPS_PER_CHUNK:
-        return (f"cell edges per path (cells {cells} + 1, 8 bytes each) exceed "
-                f"the chunk budget of {16 * MAX_JUMPS_PER_CHUNK} bytes")
-    return None
-
-
 def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
              compensate: bool = False, brownian_cells: int | None = None) -> PathLaw:
     """The truncated-compound-Poisson driver on [0, horizon]: jumps above
@@ -621,19 +621,6 @@ def marked_rate(spec, trunc: float, eta: float, upper: float) -> float:
         return float(sum(r for s, r in spec.atoms if abs(s) >= trunc and eta <= s <= upper))
     return shell_integral(spec.intensity, max(eta, trunc, spec.abs_min),
                           min(upper, spec.abs_max))
-
-
-def draw_cap_error(marked_mean: float, paths: int) -> str | None:
-    """Why `paths` replicas that each redraw until a path has two marked
-    jumps, marked_mean expected per path, may run out of MAX_DRAWS draws with
-    probability above 1e-9, or None. One draw misses with probability
-    e^-m (1 + m), m = marked_mean."""
-    risk = paths * (math.exp(-marked_mean) * (1.0 + marked_mean)) ** MAX_DRAWS
-    if risk > 1e-9:
-        return (f"the marked window expects {marked_mean:g} jumps per path, so "
-                f"{paths} replicas may find no path with two marked jumps in "
-                f"{MAX_DRAWS} draws (probability up to {min(risk, 1.0):.3g})")
-    return None
 
 
 def marked_jump_indices(path: LevyPath, eta: float, upper: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +45,9 @@ from .config import (
     S2_JUMP_RATE,
     S2_MAX_DRAWS,
     S6_JUMP_MARGIN,
+    RunPlan,
     ScenarioConfig,
-    trend_law,
-    with_scenario_defaults,
+    plan_run,
 )
 from .diagnostics import (
     SampleBatch,
@@ -67,7 +67,6 @@ from .path_sampler import (
     PathLaw,
     decompose_first_jump,
     marked_jump_indices,
-    path_law,
     reinsert_marked_jump,
     resample_first_jump_time,
     sample_many,
@@ -175,18 +174,8 @@ def _ode_solver(a: ScalarField, x0: float):
 
 
 # --------------------------------------------------------------------------
-# scenario runners; each first fills in its defaults (config.SCENARIO_DEFAULTS)
-
-
-def _triplet(config: ScenarioConfig) -> LevyTriplet:
-    return LevyTriplet(drift=config.drift, jumps=config.measure.build(),
-                       brownian_variance=config.brownian_variance)
-
-
-def _driver_law(config: ScenarioConfig) -> PathLaw:
-    """The config's driver law, its Brownian skeleton on the run's own cells."""
-    return path_law(_triplet(config), config.horizon, config.truncation,
-                    config.compensate, config.cells)
+# scenario runners; each runs a config.RunPlan: the config with its defaults
+# filled in, and the laws it samples
 
 
 def _if_enough(diagnostic, *args):
@@ -208,9 +197,9 @@ def _unless_diverged(solve, fallback):
             return fallback
 
 
-def run_s1(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
-    law, x0 = _driver_law(config), config.x0
+def run_s1(plan: RunPlan) -> ScenarioResult:
+    config, ((law, _),) = plan.config, plan.laws
+    x0 = config.x0
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     x, z = _sample_and_solve(config, law, _ode_solver(a, x0))
     failed = ~np.isfinite(x)
@@ -305,8 +294,8 @@ def _s2_config(config: ScenarioConfig, i: int,
     return kind_name, sol.terminal_x, path.terminal, worst
 
 
-def run_s2(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
+def run_s2(plan: RunPlan) -> ScenarioResult:
+    config = plan.config
     step = config.horizon / config.cells
     rel_tol = 1e-4
     rows_x, rows_z, failed = [], [], []
@@ -337,9 +326,9 @@ def run_s2(config: ScenarioConfig) -> ScenarioResult:
                           np.asarray(failed))
 
 
-def run_s3(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
-    law, spacing, halfwidth = _driver_law(config), config.spacing, config.halfwidth
+def run_s3(plan: RunPlan) -> ScenarioResult:
+    config, ((law, _), *trend_laws) = plan.config, plan.laws
+    spacing, halfwidth = config.spacing, config.halfwidth
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     solve = _ode_solver(a, config.x0)
     x, z = _sample_and_solve(config, law, solve)
@@ -362,10 +351,7 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     }
     if config.trend_levels:
         trend = {}
-        for lv in config.trend_levels:
-            measure, cut = trend_law(lv)
-            law_lv = _driver_law(replace(config, measure=measure, truncation=cut))
-            band = RngStream(config.seed).child(lv).stream_id
+        for lv, (law_lv, band) in zip(config.trend_levels, trend_laws):
             xs_lv, _ = _sample_and_solve(config, law_lv, solve, stream_offset=band)
             ok_lv = np.isfinite(xs_lv)
             trend[str(lv)] = lattice_concentration(
@@ -374,11 +360,11 @@ def run_s3(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(diagnostics, x, z, failed)
 
 
-def run_s4(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
+def run_s4(plan: RunPlan) -> ScenarioResult:
+    config, ((law, _),) = plan.config, plan.laws
     x0, spacing, halfwidth = config.x0, config.spacing, config.halfwidth
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
-    x, z = _sample_and_solve(config, _driver_law(config), _ode_solver(a, x0))
+    x, z = _sample_and_solve(config, law, _ode_solver(a, x0))
     failed = ~np.isfinite(x)
     shift = x0 + a.value(x0) * config.horizon
     lattice_shifted = lattice_concentration(SampleBatch(x[~failed] - shift),
@@ -395,11 +381,10 @@ def run_s4(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(diagnostics, x, z, failed)
 
 
-def run_s5(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
+def run_s5(plan: RunPlan) -> ScenarioResult:
+    config, ((law, _),) = plan.config, plan.laws
     n, reps, x0, cells = config.replicas, config.repetitions, config.x0, config.cells
     mark_lo, mark_hi = config.mark_low, config.mark_high
-    law = _driver_law(config)
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
 
     def has_two_marked(p: LevyPath) -> bool:
@@ -484,8 +469,8 @@ def _s6_path(gen: np.random.Generator, horizon: float) -> LevyPath:
     return LevyPath(horizon, float(gen.uniform(-0.2, 0.2)), times, sizes)
 
 
-def run_s6(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
+def run_s6(plan: RunPlan) -> ScenarioResult:
+    config = plan.config
     step = config.horizon / config.cells
     a_default = make_scalar_field("logistic-slope",
                                   {"low": 0.0, "high": 0.8, "rate": 1.1, "center": 0.3})
@@ -599,14 +584,14 @@ def run_s6(config: ScenarioConfig) -> ScenarioResult:
                           np.asarray(failed))
 
 
-def run_s7(config: ScenarioConfig) -> ScenarioResult:
-    config = with_scenario_defaults(config)
+def run_s7(plan: RunPlan) -> ScenarioResult:
+    config, ((law, _),) = plan.config, plan.laws
     x0 = config.x0
     a = make_scalar_field(config.drift_field.name, config.drift_field.params)
     sigma = make_diffusion_field(config.diffusion_field.name,
                                  config.diffusion_field.params)
     x_doss, x_marc, z = _sample_and_solve(
-        config, _driver_law(config),
+        config, law,
         lambda packed: (doss_terminals(a, sigma, packed, x0),
                         marcus_terminals(a, sigma, packed, x0), packed.z_terminal))
     ok = np.isfinite(x_doss) & np.isfinite(x_marc)
@@ -707,11 +692,13 @@ def run_scenario(config: ScenarioConfig,
                  out_dir: str | Path | None = None) -> RunSummary:
     """Execute a scenario single-threaded and write its outputs to out_dir,
     if given; the `threads` key is only recorded in the summary, so outputs
-    are bit-identical for any thread count."""
+    are bit-identical for any thread count. The run goes through plan_run,
+    as `validate` and `--replicas` do: a config it refuses raises its
+    PlanError before anything is sampled."""
     if config.scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario id {config.scenario!r}")
     t0 = time.perf_counter()
-    result = SCENARIOS[config.scenario].runner(config)
+    result = SCENARIOS[config.scenario].runner(plan_run(config))
     wall = time.perf_counter() - t0
     summary = RunSummary(
         scenario=config.scenario, seed=config.seed, replicas=len(result.terminal_x),

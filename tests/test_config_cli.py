@@ -15,12 +15,13 @@ import levyreg.rng as rng_mod
 import levyreg.scenarios as scenarios_mod
 from levyreg import path_sampler
 from levyreg.cli import main as cli_main
+from levyreg import config as config_mod
 from levyreg.config import (
     ConfigError,
     parse_config,
+    plan_run,
     serialize_config,
     with_overrides,
-    with_scenario_defaults,
 )
 from levyreg.levy_spec import DensityForm, FiniteAtomic
 from levyreg.scenarios import RunSummary, list_scenarios, run_scenario
@@ -177,18 +178,27 @@ class TestParseConfig:
         "scenario = S6\nreplicas = 100001\n",
         "scenario = S3\ntrend_levels = 4\nreplicas = 10000001\n",
         "scenario = S3\nreplicas = 10000001\n",
-        "scenario = S1\nreplicas = 10000001\n",
-        f"scenario = S6\nreplicas = {2 ** 48}\n",
-        f"scenario = S5\nreplicas = {2 ** 47}\nrepetitions = 2\n"])
+        "scenario = S1\nreplicas = 10000001\n"])
     def test_replica_streams_within_the_tag_band_accepted(self, text):
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
         assert with_overrides(config, seed=1).replicas == config.replicas
 
+    # the result budget refuses runs long before the band's edge: these two
+    # documents at the edge were accepted, and their 2^48 samples.csv rows
+    # alone would need about 40 PB
+    @pytest.mark.parametrize("text,line", [
+        (f"scenario = S6\nreplicas = {2 ** 48}\n", 2),
+        (f"scenario = S5\nreplicas = {2 ** 47}\nrepetitions = 2\n", 3)])
+    def test_replica_streams_at_the_tag_band_pass_the_result_budget(self, text, line):
+        with pytest.raises(ConfigError, match=f"^line {line}: .*the result budget"):
+            parse_config(text)
+
     @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
     def test_override_past_the_tag_band_rejected(self, text):
         config = parse_config(text)
-        assert with_overrides(config, replicas=2 ** 48).replicas == 2 ** 48
+        with pytest.raises(ConfigError, match="^override .*the result budget"):
+            with_overrides(config, replicas=2 ** 48)
         with pytest.raises(ConfigError, match="reuses random streams"):
             with_overrides(config, replicas=2 ** 48 + 1)
 
@@ -359,8 +369,8 @@ class TestRunScenarioOutputs:
         # 8190 jumps per path at 9 bytes (a float64 time and a uint8 code) fit
         # 868 paths in 16 * MAX_JUMPS_PER_CHUNK bytes, where 16-byte jumps fit
         # 488: 2 chunks instead of 3 at 1000 replicas, 12 instead of 21 at 10 000
-        config = with_scenario_defaults(parse_config("scenario = S3\n"))
-        law = scenarios_mod._driver_law(config)
+        plan = plan_run(parse_config("scenario = S3\n"))
+        config, ((law, _),) = plan.config, plan.laws
         assert (law.mean_jumps, law.bytes_per_jump) == (8190.0, 9)
         seen = []
 
@@ -382,8 +392,8 @@ class TestRunScenarioOutputs:
         # 2 jumps per path at 9 bytes, and 129 float64 cell edges: 1050 bytes a
         # path fit 60 952 paths in 16 * MAX_JUMPS_PER_CHUNK bytes. Counting the
         # jumps alone put all 100 000 in one chunk, with 103 MB of edges.
-        config = with_scenario_defaults(parse_config("scenario = S7\n"))
-        law = scenarios_mod._driver_law(config)
+        plan = plan_run(parse_config("scenario = S7\n"))
+        config, ((law, _),) = plan.config, plan.laws
         assert law.bytes_per_path == 9 * 2.0 + 8 * 129
         seen = []
 
@@ -412,7 +422,8 @@ class TestRunScenarioOutputs:
                 assert max(sizes) - min(sizes) <= 1
 
     def test_driver_law_built_once_per_run(self, monkeypatch):
-        # parsed first: validation computes the rate too
+        # parsed first: validation plans the run too; plan_run checks the
+        # rate with its own import of total_rate, then builds the law once
         config = parse_config(self.CHUNKED["S1-density"])
         calls = {"total_rate": 0, "_density_size_table": 0, "packed": 0}
         for module, name in ((path_sampler, "total_rate"),
@@ -423,7 +434,7 @@ class TestRunScenarioOutputs:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", 30000)
-        scenarios_mod.run_s1(config)
+        scenarios_mod.run_s1(plan_run(config))
         assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
 
     def test_s5_driver_law_built_once_for_all_repetitions(self, monkeypatch):
@@ -437,38 +448,33 @@ class TestRunScenarioOutputs:
             decomps.append(args)
             return _real(*args)
 
-        for module in (path_sampler, scenarios_mod):
+        for module in (path_sampler, config_mod):
             monkeypatch.setattr(module, "path_law", counted)
         monkeypatch.setattr(scenarios_mod, "decompose_first_jump", decompose)
         config = parse_config("scenario = S5\nseed = 55\nreplicas = 1000\nrepetitions = 3\n")
-        scenarios_mod.run_s5(config)
+        builds.clear()   # parse_config plans the run too
+        scenarios_mod.run_s5(plan_run(config))
         assert len(builds) == 1
         # the monotonicity check reuses repetition 0's decompositions
         assert len(decomps) == 3 * 1000
 
-    def test_s3_trend_laws_keep_the_brownian_part(self, monkeypatch):
-        laws = []
-        real = scenarios_mod._sample_and_solve
-
-        def spy(config, law, solve, stream_offset=0):
-            laws.append(law)
-            return real(config, law, solve, stream_offset)
-
-        monkeypatch.setattr(scenarios_mod, "_sample_and_solve", spy)
-        config = parse_config("scenario = S3\nseed = 5\nreplicas = 1000\n"
-                              "trend_levels = 3,5\n[triplet]\nbrownian_variance = 0.01\n"
-                              "[measure.family]\nlevels = 6\n")
-        scenarios_mod.run_s3(config)
+    def test_s3_trend_laws_keep_the_brownian_part(self):
+        plan = plan_run(parse_config(
+            "scenario = S3\nseed = 5\nreplicas = 1000\ntrend_levels = 3,5\n"
+            "[triplet]\nbrownian_variance = 0.01\n[measure.family]\nlevels = 6\n"))
+        laws = [law for law, _ in plan.laws]
         assert len(laws) == 3
         assert all(law.brownian_grid is not None for law in laws)
         assert all(law.brownian_sd == laws[0].brownian_sd > 0.0 for law in laws)
+        # trend level lv draws its replicas from child tag lv
+        assert [first for _, first in plan.laws] == [
+            0, *(rng_mod.RngStream(5).child(lv).stream_id for lv in (3, 5))]
 
     @pytest.mark.parametrize("scenario", ["S1", "S3", "S4", "S5", "S7"])
     def test_brownian_skeleton_is_drawn_on_the_cells(self, scenario):
-        config = with_scenario_defaults(parse_config(
-            f"scenario = {scenario}\nhorizon = 1.5\ncells = 25\n"
-            "[triplet]\nbrownian_variance = 0.3\n"))
-        law = scenarios_mod._driver_law(config)
+        plan = plan_run(parse_config(f"scenario = {scenario}\nhorizon = 1.5\ncells = 25\n"
+                                     "[triplet]\nbrownian_variance = 0.3\n"))
+        config, ((law, _),) = plan.config, plan.laws
         packed = law.packed(config.seed, 0, 2, config.cells)
         assert np.array_equal(law.brownian_grid, packed.edges)
         path = law.path(rng_mod.RngStream(config.seed, 1).generator())
@@ -477,8 +483,8 @@ class TestRunScenarioOutputs:
     def test_compensate_shifts_no_jump_terminals(self):
         # the atom (1.0, rate 2) above trunc 0.5 compensates by 2.0 per unit time
         text = "scenario = S1\nreplicas = 2000\nseed = 8\nhorizon = 1.5\n"
-        plain = scenarios_mod.run_s1(parse_config(text))
-        comp = scenarios_mod.run_s1(parse_config(text + "compensate = true\n"))
+        plain = scenarios_mod.run_s1(plan_run(parse_config(text)))
+        comp = scenarios_mod.run_s1(plan_run(parse_config(text + "compensate = true\n")))
         no_jump = plain.terminal_z == 0.3 * 1.5
         assert no_jump.sum() > 50
         assert np.allclose(comp.terminal_z[no_jump] - plain.terminal_z[no_jump],

@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,15 +24,17 @@ from levyreg.config import (
     ConfigError,
     FieldChoice,
     MeasureChoice,
+    PlanError,
     ScenarioConfig,
-    _draw_cap_problem,
     fields_read,
     parse_config,
+    plan_run,
     serialize_config,
     with_overrides,
     with_scenario_defaults,
 )
 from levyreg.fields import canonical_params
+from levyreg.path_sampler import MAX_RESULT_BYTES, RESULT_BYTES_PER_ROW
 from levyreg.scenarios import run_scenario
 
 
@@ -48,9 +51,11 @@ def _maybe(strategy):
 # and below 2^48 replica streams, every marked window nonempty and every
 # lattice tube narrower than half its spacing, alone or with the scenario
 # defaults (mark_low 0.1, mark_high 0.5, spacing at least 2^-12, halfwidth
-# 1e-9), so each config must parse, except an S2 or S6 config whose horizon
-# leaves no room for its jumps, and an S2 horizon or an S5 marked window too
-# rare for the draw cap, which must be rejected as such (`_expected_rejection`).
+# 1e-9), so each config must parse, except an S5 config of more samples.csv
+# rows (up to 10^8) than the result budget holds, an S2 or S6 config whose
+# horizon leaves no room for its jumps, and an S2 horizon or an S5 marked
+# window too rare for the draw cap, which must be rejected as such
+# (`_expected_rejection`).
 _VALUES = {
     "replicas": st.integers(1000, 100_000),
     "seed": st.integers(0, 2 ** 40),
@@ -119,12 +124,18 @@ _configs = st.sampled_from(sorted(SCENARIO_DEFAULTS)).flatmap(
 
 def _expected_rejection(config: ScenarioConfig) -> str | None:
     """What parse_config must reject a generated config for (defaults filled
-    in), in the order it checks: a horizon within the jump margins, then the
-    draw cap."""
+    in), in the order it checks: the result budget, a horizon within the jump
+    margins, then the draw cap."""
+    rows = config.replicas * (config.repetitions if config.scenario == "S5" else 1)
+    if rows * RESULT_BYTES_PER_ROW > MAX_RESULT_BYTES:
+        return "pass the result budget"
     if config.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
         return "no room for its jumps"
-    if _draw_cap_problem(config) is not None:
-        return r"draws \(probability up to"
+    try:
+        plan_run(config)
+    except PlanError as exc:
+        if "draws (probability up to" in str(exc):
+            return r"draws \(probability up to"
     return None
 
 
@@ -299,6 +310,13 @@ REJECTED = [
     # a refused key comes before the cross-key checks (here S6's horizon)
     ("scenario = S6\nhorizon = 0.05\n[diagnostics]\nwindow = 0.1\nspacing = 0.1\n", 4,
      "scenario S6 does not read 'window'"),
+    # these four validated with exit 0, and their samples.csv rows alone would
+    # not fit in memory: S5's rows are replicas times repetitions, and the
+    # later of the two lines is named
+    ("scenario = S1\nreplicas = 1000000000\n", 2, "the result budget"),
+    ("scenario = S5\nreplicas = 100000000\nrepetitions = 1000\n", 3, "the result budget"),
+    (f"scenario = S6\nreplicas = {2 ** 48}\n", 2, "the result budget"),
+    ("scenario = S7\nreplicas = 100000000\n", 2, "the result budget"),
 ]
 
 
@@ -383,6 +401,62 @@ class TestValidateAgreesWithRun:
         assert with_overrides(config, replicas=1000).replicas == 1000
         with pytest.raises(ConfigError, match=r"^override replicas = 999 is below"):
             with_overrides(config, replicas=999)
+
+
+# Every refusal that depends on `replicas`: (the document without its replicas
+# line, a replica count it runs with, one it is refused for, the reason).
+REPLICA_REFUSALS = [
+    ("scenario = S7\n", 1000, 999, "is below the 1000 samples"),
+    ("scenario = S6\n", 5, 2 ** 48 + 1, "reuses random streams"),
+    ("scenario = S2\nhorizon = 0.119\n", 8, 100, "no such path in 300 draws"),
+    ("scenario = S5\nhorizon = 0.034\nrepetitions = 1\n", 1000, 100_000,
+     "no path with two marked jumps"),
+    ("scenario = S1\n", 1000, 10 ** 8, "the result budget"),
+    # REJECTED's four documents past the result budget, by --replicas too
+    ("scenario = S1\n", 1000, 10 ** 9, "the result budget"),
+    ("scenario = S5\nrepetitions = 1000\n", 1000, 10 ** 8, "the result budget"),
+    ("scenario = S6\n", 5, 2 ** 48, "the result budget"),
+    ("scenario = S7\n", 1000, 10 ** 8, "the result budget"),
+]
+
+
+class TestOneDoor:
+    """plan_run is the one door to a run: a document, `run --replicas` and
+    run_scenario on a replaced config are refused for the same reason, and
+    none of them reaches the sampler."""
+
+    @pytest.mark.parametrize("head,ok,bad,message", REPLICA_REFUSALS)
+    def test_refused_alike_three_ways(self, tmp_path, capsys, monkeypatch,
+                                      head, ok, bad, message):
+        def must_not_sample(*args, **kwargs):
+            raise AssertionError("a refused run reached the sampler")
+
+        monkeypatch.setattr(path_sampler.PathLaw, "packed", must_not_sample)
+        monkeypatch.setattr(scenarios_mod, "sample_many", must_not_sample)
+        monkeypatch.setattr(scenarios_mod, "sample_path", must_not_sample)
+        reasons = []
+        bad_cfg, cfg = tmp_path / "bad.cfg", tmp_path / "c.cfg"
+        bad_cfg.write_text(f"{head}replicas = {bad}\n")
+        cfg.write_text(f"{head}replicas = {ok}\n")
+        prefix = f"config error: line {head.count(chr(10)) + 1}: "
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "a")]):
+            assert cli_main(argv + ["--config", str(bad_cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(prefix)
+            reasons.append(err[len(prefix):].rstrip("\n"))
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                         "--replicas", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: override ")
+        reasons.append(err.removeprefix("config error: override ").rstrip("\n"))
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(replace(parse_config(cfg.read_text()), replicas=bad))
+        reasons.append(str(exc.value))
+        assert message in reasons[0]
+        assert reasons == [reasons[0]] * 4
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 # One valid line for each key or section a row of README's scenario-defaults

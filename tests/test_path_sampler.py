@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levyreg import path_sampler
-import levyreg.scenarios as scenarios_mod
 from levyreg.batch import pack_paths
-from levyreg.config import parse_config, with_scenario_defaults
+from levyreg.config import parse_config, plan_run
 from levyreg.levy_spec import DensityForm, FiniteAtomic, LevyTriplet, dyadic_family
 from levyreg.path_sampler import (
     LevyPath,
@@ -695,6 +694,5 @@ class TestIndexedSearch:
     def test_s3_default_law_takes_one_pass(self):
         # S3 defaults to the 12-level dyadic family: cumulative rates 2, 6,
         # ..., 8190, one to a bucket, so no key falls back to searchsorted
-        config = with_scenario_defaults(parse_config("scenario = S3\n"))
-        law = scenarios_mod._driver_law(config)
+        (law, _), = plan_run(parse_config("scenario = S3\n")).laws
         assert law.sizes.crowded is None and law.sizes.ext.size == 13
