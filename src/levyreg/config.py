@@ -496,11 +496,12 @@ def plan_run(config: ScenarioConfig) -> RunPlan:
         for measure, truncation, first_stream, fields in levels:
             try:
                 spec = measure.build()
-                reason = jump_budget_error(total_rate(spec, truncation), c.horizon)
+                rate = total_rate(spec, truncation)
+                reason = jump_budget_error(rate, c.horizon)
                 if reason is None:
                     laws.append((path_law(LevyTriplet(c.drift, spec, c.brownian_variance),
-                                          c.horizon, truncation, c.compensate, c.cells),
-                                 first_stream))
+                                          c.horizon, truncation, c.compensate, c.cells,
+                                          rate=rate), first_stream))
             except (ValueError, ArithmeticError) as exc:
                 reason = f"cannot compute the jump rate: {exc}"
             refuse(reason, *fields)

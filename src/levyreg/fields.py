@@ -2,14 +2,23 @@
 
 Every field ships an analytic derivative, so the probe-grid invariants hold
 exactly and the derivative-based formulas are honest. All callables accept
-floats or numpy float arrays (the batch engines evaluate them vectorized). A
-float, np.float64 included, takes a Python-float branch that gives the same
-bits as a one-element array, with np.exp as its only numpy call; on arrays,
-logistic-slope works in place in the one new array x - center. A flow called
-on a float y and u takes a float branch too, with the numpy calls of the
-array path on floats, and returns Python floats with the bits of a
-one-element array: the scalar solvers of the unit-diffusion transform call it
-at every step.
+floats or numpy float arrays (the batch engines evaluate them vectorized).
+
+On floats the contract is: a float in gives a Python float out. A float,
+np.float64 included, takes a Python-float branch that gives the same bits as
+a one-element array, with np.exp as its only numpy call and its result made a
+Python float at once, so the scalar solvers' states never become np.float64,
+whose arithmetic costs about twice as much. On arrays, logistic-slope works
+in place in the one new array x - center. A flow called on a float y and u
+takes a float branch too, with the numpy calls of the array path on floats,
+each result made a Python float, and returns Python floats with the bits of
+a one-element array: the scalar solvers of the unit-diffusion transform call
+it at every step. It raises no numpy warning, and where sigma(y) rounds to 0
+its slope is numpy's +-inf or nan, not a ZeroDivisionError. All closed forms
+but the zero-end logistic-slope run on floats without an errstate, which
+costs more than their arithmetic: they enter one only for an np.exp or
+np.expm1 argument of 709 or more, where these may overflow, an np.tan of an
+infinite angle, or an np.logaddexp that would meet nan.
 
 Each entry is a factory whose keyword arguments are the field's parameters,
 with their defaults; it returns the field as a DiffusionField with, where the
@@ -43,23 +52,45 @@ import math
 
 import numpy as np
 
-from .flow_engine import ScalarField
+from .flow_engine import ScalarField, divide
 from .marcus import DiffusionField
 
 _EXP_CLIP = 60.0
 _NEWTON_TOL = 2.0 ** -50
 _NEWTON_CAP = 50
+# np.exp and np.expm1 overflow, with a numpy warning, only above
+# ln(DBL_MAX) = 709.78...; below this they are quiet
+_QUIET_EXP = 709.0
+_HALF_PI = math.pi / 2
 
 
 def _expit_float(t):
-    """expit(t) on a float (np.float64 included), the scalar solvers' states:
-    Python comparisons clamp with the bits of the array clamp and let nan
-    through; np.exp stays, since math.exp rounds some values differently."""
+    """expit(t) on a float (np.float64 included), the scalar solvers' states,
+    as a Python float: Python comparisons clamp with the bits of the array
+    clamp and let nan through; np.exp stays, since math.exp rounds some values
+    differently."""
     if t > _EXP_CLIP:
         t = _EXP_CLIP
     elif t < -_EXP_CLIP:
         t = -_EXP_CLIP
-    return 1.0 / (1.0 + np.exp(-t))
+    return 1.0 / (1.0 + float(np.exp(-t)))
+
+
+def _exp(v, fn=np.exp):
+    """fn(v) for fn np.exp or np.expm1: on an array as it is; on a float as a
+    Python float, with no numpy warning (an argument that may overflow takes
+    an errstate)."""
+    if not isinstance(v, float):
+        return fn(v)
+    if not v >= _QUIET_EXP:
+        return float(fn(v))
+    with np.errstate(over="ignore"):
+        return float(fn(v))
+
+
+def _scalar(v):
+    """v, with a numpy scalar made a Python float."""
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def _expit_owned(t, rate: float):
@@ -87,20 +118,21 @@ def _const_like(x, c: float):
 
 def _flow(closed):
     """The flow (y, u) -> (phi, dphi/dy) on floats or arrays, from `closed`,
-    which sees only finite y and finite nonzero u, as two floats or two flat
-    arrays. A u of +-0.0 gives y as it is, with slope 1.0; a y or u that is
-    not finite gives nan. A float y and u (np.float64 included) take the float
-    branch: Python floats with the bits of a one-element array. No numpy
-    warning is raised."""
+    which sees only finite y and finite nonzero u, as two Python floats or two
+    flat arrays, and returns Python floats on floats. A u of +-0.0 gives y as
+    it is, with slope 1.0; a y or u that is not finite gives nan. A float y
+    and u (np.float64 included) take the float branch: Python floats with the
+    bits of a one-element array. No numpy warning is raised: arrays run under
+    an errstate, and on floats `closed` keeps its own numpy calls quiet, since
+    an errstate costs more than the arithmetic of most closed forms."""
     def flow(y, u):
         if isinstance(y, float) and isinstance(u, float):
+            y, u = float(y), float(u)
             if u == 0.0:
-                return float(y), 1.0
+                return y, 1.0
             if not (math.isfinite(y) and math.isfinite(u)):
                 return math.nan, math.nan
-            with np.errstate(all="ignore"):
-                phi, slope = closed(y, u)
-            return float(phi), float(slope)
+            return closed(y, u)
         y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
         shape = y.shape
         y, u = y.ravel(), u.ravel()
@@ -133,7 +165,7 @@ def _constant(level: float = 0.3):
 def _linear(slope: float = 0.5):
     """slope * x."""
     def closed(y, u):
-        growth = np.exp(slope * u)
+        growth = _exp(slope * u)
         return y * growth, growth
 
     return DiffusionField(lambda x: slope * x,
@@ -146,7 +178,7 @@ def _affine(slope: float = 0.5, intercept: float = 0.0):
     shift = intercept / slope if slope != 0.0 else 0.0
 
     def closed(y, u):
-        growth = np.exp(slope * u)
+        growth = _exp(slope * u)
         return (y + shift) * growth - shift, growth
 
     if slope == 0.0:
@@ -249,10 +281,16 @@ def _log_mix(t, v):
     """ln(1 - w + w e^v) for the weights w = 1 / (1 + e^t): log1p(w expm1(v))
     while |w expm1(v)| < 1/2, logaddexp(ln(1 - w), ln w + v) beyond."""
     if isinstance(t, float):
-        arg = np.expm1(v) / (1.0 + np.exp(t))
+        arg = _exp(v, np.expm1) / (1.0 + _exp(t))
         if abs(arg) < 0.5:
-            return np.log1p(arg)
-        return np.logaddexp(-np.logaddexp(0.0, -t), v - np.logaddexp(0.0, t))
+            return float(np.log1p(arg))
+        # np.logaddexp warns on a nan argument: t, from a finite Newton
+        # state, is never nan, and `far` is nan only where v and t are +inf
+        near, far = -float(np.logaddexp(0.0, -t)), v - float(np.logaddexp(0.0, t))
+        if far == far:
+            return float(np.logaddexp(near, far))
+        with np.errstate(invalid="ignore"):
+            return float(np.logaddexp(near, far))
     arg = np.expm1(v)
     arg /= 1.0 + np.exp(t)
     log = np.log1p(arg)
@@ -281,7 +319,8 @@ def _logistic_flow(value, low: float, high: float, rate: float, center: float):
     def closed(y, u):
         sigma_y = value(y)
         phi = _newton(y, -u, -u * sigma_y, value, advance)
-        return phi, value(phi) / sigma_y
+        # sigma rounds to 0 far out when |low| << |high| or the reverse
+        return phi, divide(value(phi), sigma_y)
 
     return _flow(closed)
 
@@ -299,21 +338,25 @@ def _expit_flow(level: float, rate: float, center: float):
         return None
 
     def sigma(x):
-        return level / (1.0 + np.exp(-rate * (x - center)))
+        return level / (1.0 + _exp(-rate * (x - center)))
 
     def advance(residual, x, d):
         # e^{-r s} expm1(-r d), with the exponential taken at the step's end
         # of larger e^{-r s}: no factor overflows where the product is finite
         move = rate * d
         change = np.exp(-rate * (x - center) - np.minimum(move, 0.0)) * np.expm1(-np.abs(move))
-        return residual + (d - np.sign(move) * change / rate) / level
+        return residual + _scalar(d - np.sign(move) * change / rate) / level
 
     def closed(y, u):
-        t, tau = rate * (y - center), gain * u
-        tail = np.where(tau < 0.0, t - np.logaddexp(0.0, t + np.log(np.abs(tau))), -np.inf)
-        start = np.fmax(t + tau / (1.0 + np.exp(-t)), tail)
-        phi = _newton(y, -u, (t - start) / rate, sigma, advance)
-        return phi, np.exp(np.logaddexp(0.0, -t) - np.logaddexp(0.0, rate * (center - phi)))
+        # its own errstate, floats too: np.log(0.0) where tau underflows,
+        # overflow in the exponentials and a nan phi in np.logaddexp
+        with np.errstate(all="ignore"):
+            t, tau = rate * (y - center), gain * u
+            tail = np.where(tau < 0.0, t - np.logaddexp(0.0, t + np.log(np.abs(tau))), -np.inf)
+            start = _scalar(np.fmax(t + tau / (1.0 + np.exp(-t)), tail))
+            phi = _newton(y, -u, (t - start) / rate, sigma, advance)
+            return phi, _scalar(np.exp(np.logaddexp(0.0, -t)
+                                       - np.logaddexp(0.0, rate * (center - phi))))
 
     return _flow(closed)
 
@@ -333,15 +376,22 @@ def _arctan_diffusion(amplitude: float = 1.0, curvature: float = 1.0,
 
     def closed(y, u):
         t = curvature * (y - center)
-        theta = np.arctan(t) + gain * u
-        tan = np.tan(theta)
+        if isinstance(t, float):
+            theta = float(np.arctan(t)) + gain * u
+            if math.isfinite(theta):
+                tan = float(np.tan(theta))
+            else:   # np.tan warns at +-inf
+                with np.errstate(invalid="ignore"):
+                    tan = float(np.tan(theta))
+        else:
+            theta = np.arctan(t) + gain * u
+            tan = np.tan(theta)
         phi = center + tan / curvature
         slope = (1.0 + tan * tan) / (1.0 + t * t)
         # past the pole the flow has diverged; tan would wrap round to a finite value
-        past = np.abs(theta) > np.pi / 2
         if isinstance(phi, float):
-            return math.nan if past else phi, slope
-        phi[past] = np.nan
+            return math.nan if abs(theta) > _HALF_PI else phi, slope
+        phi[np.abs(theta) > _HALF_PI] = np.nan
         return phi, slope
 
     if gain == 0.0:

@@ -50,7 +50,7 @@ def probe_derivative(field, lo: float, hi: float, n: int = 101) -> np.ndarray:
     """Probe-grid check that `field.derivative` really differentiates
     `field.value` on [lo, hi]; returns the probe grid."""
     grid = np.linspace(lo, hi, n)
-    for x in grid:
+    for x in grid.tolist():
         h = 1e-5 * (1.0 + abs(x))
         fd = (field.value(x + h) - field.value(x - h)) / (2.0 * h)
         d = field.derivative(x)
@@ -69,6 +69,15 @@ def segment_knots(path: LevyPath) -> np.ndarray:
     # every point is finite and none is -0.0, so this is np.unique's array;
     # np.unique would import numpy.ma, 1.6 MiB, on its first call
     return np.array(sorted(set(pts)))
+
+
+def divide(a, b):
+    """a / b on floats or arrays. A float b of 0.0 gives numpy's quiet +-inf or
+    nan, as a Python float, where Python would raise ZeroDivisionError."""
+    if isinstance(b, float) and b == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.divide(a, b))
+    return a / b
 
 
 def substep_count(length: float, step: float) -> int:
@@ -92,7 +101,8 @@ def grid_segments(path: LevyPath, step: float | None):
     the driver is Z_t = drift * t + base + slope * t, `size` is the jump at t1
     (None if there is none) and `substeps` yields the (t, t_next, h) RK4
     substeps covering the segment, the last ending exactly at t1. Substeps
-    are at most `step` long; None means horizon / 2^12.
+    are at most `step` long; None means horizon / 2^12. Every number yielded
+    is a Python float, so a solver that starts from floats stays on them.
     """
     if step is None:
         step = path.horizon / 4096.0
@@ -101,7 +111,7 @@ def grid_segments(path: LevyPath, step: float | None):
     brown = path.brownian
     jump_at = {float(t): float(s)
                for t, s in zip(path.jump_times, path.jump_sizes)}
-    knots = segment_knots(path)
+    knots = segment_knots(path).tolist()
     jump_sum = 0.0
     for t0, t1 in zip(knots[:-1], knots[1:]):
         if brown is None:
@@ -209,7 +219,7 @@ def solve_random_ode(a: ScalarField, path: LevyPath, x0: float,
 
 def flow_derivative_exponential(a: ScalarField, solution: FlowSolution) -> float:
     """exp of the trapezoid quadrature of a'(X_s) along the stored grid."""
-    vals = np.asarray([a.derivative(x) for x in solution.x_values])
+    vals = np.asarray([a.derivative(x) for x in solution.x_values.tolist()])
     return float(np.exp(np.trapezoid(vals, solution.times)))
 
 
@@ -257,6 +267,6 @@ def jump_time_derivative(a: ScalarField, solution: FlowSolution, T: float) -> fl
     _, x_left, x_right, _ = record
     i0 = int(np.searchsorted(solution.times, T, side="left"))
     times = solution.times[i0:]
-    vals = np.asarray([a.derivative(x) for x in solution.x_values[i0:]])
+    vals = np.asarray([a.derivative(x) for x in solution.x_values[i0:].tolist()])
     quad = float(np.trapezoid(vals, times))
     return (a.value(x_left) - a.value(x_right)) * math.exp(quad)

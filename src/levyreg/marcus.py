@@ -257,11 +257,11 @@ def chain_rule_residual(f: ScalarField, a: ScalarField, sigma: DiffusionField,
     hi = float(np.max(traj.x_values))
     if hi <= lo:
         hi = lo + 1.0
-    for x in np.linspace(lo, hi, 101):
+    for x in np.linspace(lo, hi, 101).tolist():
         if abs(f.derivative(x) * sigma.value(x) - k) > 1e-8:
             raise ValueError("f' * sigma is not the constant k on the probe grid")
     times = traj.times
-    g = np.asarray([f.derivative(x) * a.value(x) for x in traj.x_values])
+    g = np.asarray([f.derivative(x) * a.value(x) for x in traj.x_values.tolist()])
     running = _segmented_running_integral(times, g)
     f0 = f.value(traj.x0)
     worst = 0.0

@@ -542,18 +542,21 @@ def jump_budget_error(rate: float, horizon: float) -> str | None:
 
 
 def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
-             compensate: bool = False, brownian_cells: int | None = None) -> PathLaw:
+             compensate: bool = False, brownian_cells: int | None = None,
+             rate: float | None = None) -> PathLaw:
     """The truncated-compound-Poisson driver on [0, horizon]: jumps above
     `trunc` at rate total_rate(spec, trunc), times iid uniform on (0, horizon],
     sizes iid from the normalized restriction. With `compensate`, the drift
     absorbs minus the mean of jumps in (trunc, 1]. A Brownian part is sampled
     on `brownian_cells` cells, which a triplet with brownian_variance > 0
-    must give."""
+    must give. A caller that has computed total_rate(spec, trunc) passes it
+    as `rate`, and it is not computed again."""
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
     if trunc <= 0.0:
         raise ValueError("truncation level must be > 0")
-    rate = total_rate(triplet.jumps, trunc)
+    if rate is None:
+        rate = total_rate(triplet.jumps, trunc)
     reason = jump_budget_error(rate, horizon)
     if reason is not None:
         raise ValueError(reason)

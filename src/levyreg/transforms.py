@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow_engine import ScalarField, grid_segments, rk4_step
+from .flow_engine import ScalarField, divide, grid_segments, rk4_step
 from .marcus import DiffusionField, FlowDivergence, flow_with_sensitivity, jump_flow_phi
 from .path_sampler import LevyPath
 from .quadrature import adaptive_simpson
@@ -193,14 +193,16 @@ def reduced_drift(a: ScalarField, sigma: DiffusionField,
     a_val, a_dot = a.value, a.derivative
     s_val, s_dot = sigma.value, sigma.derivative
 
+    # f^-1(y) may leave the range where sigma was checked and meet a zero of
+    # it: the drift is then +-inf or nan, and the solver flags the state
     def value(y: float) -> float:
         x = inv(y)
-        return a_val(x) / s_val(x)
+        return divide(a_val(x), s_val(x))
 
     def derivative(y: float) -> float:
         # chain rule with (f^-1)'(y) = sigma(f^-1(y))
         x = inv(y)
-        return (a_dot(x) * s_val(x) - a_val(x) * s_dot(x)) / s_val(x)
+        return divide(a_dot(x) * s_val(x) - a_val(x) * s_dot(x), s_val(x))
 
     return ScalarField(value=value, derivative=derivative)
 
@@ -223,7 +225,11 @@ def doss_sussman_drift(a: ScalarField, sigma: DiffusionField,
                        x: float, z: float) -> float:
     """b(x, z) = a(phi(x, z)) / phi_x(x, z), the random-ODE right-hand side."""
     phi, log_sens = flow_with_sensitivity(sigma, x, z)
-    return a.value(phi) * math.exp(-log_sens)
+    try:
+        growth = math.exp(-log_sens)
+    except OverflowError:   # the sensitivity underflows to 0: b is infinite
+        growth = math.inf
+    return a.value(phi) * growth
 
 
 def doss_sussman_solve(a: ScalarField, sigma: DiffusionField, path: LevyPath,

@@ -40,6 +40,7 @@ def test_criterion_1_jump_time_derivative_agreement():
 
 
 def test_criterion_2_flow_derivative_agreement():
+    t0 = time.perf_counter()
     rng = np.random.default_rng(202)
     step = 1.0 / 4096
     worst_fd = 0.0
@@ -78,10 +79,12 @@ def test_criterion_2_flow_derivative_agreement():
         worst_fd = max(worst_fd, abs(got - fd) / abs(fd))
         var = flow_derivative_variational(a, path, x0, step)
         worst_var = max(worst_var, abs(got - var) / abs(var))
+    wall = time.perf_counter() - t0
     ok = worst_fd <= 1e-5 and worst_var <= 1e-8
     _verdict(2, "flow derivative: exponential vs oracles", ok,
              f"central-difference rel err {worst_fd:.2e} <= 1e-5 and "
-             f"variational rel err {worst_var:.2e} <= 1e-8 over 100 configs")
+             f"variational rel err {worst_var:.2e} <= 1e-8 over 100 configs, "
+             f"{wall:.1f}s")
     assert worst_fd <= 1e-5
     assert worst_var <= 1e-8
 

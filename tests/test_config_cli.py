@@ -422,11 +422,13 @@ class TestRunScenarioOutputs:
                 assert max(sizes) - min(sizes) <= 1
 
     def test_driver_law_built_once_per_run(self, monkeypatch):
-        # parsed first: validation plans the run too; plan_run checks the
-        # rate with its own import of total_rate, then builds the law once
+        # parsed first: validation plans the run too; plan_run computes the
+        # rate with its own import of total_rate, hands it to path_law and
+        # builds the law once
         config = parse_config(self.CHUNKED["S1-density"])
         calls = {"total_rate": 0, "_density_size_table": 0, "packed": 0}
-        for module, name in ((path_sampler, "total_rate"),
+        for module, name in ((config_mod, "total_rate"),
+                             (path_sampler, "total_rate"),
                              (path_sampler, "_density_size_table"),
                              (path_sampler.PathLaw, "packed")):
             def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
@@ -436,6 +438,22 @@ class TestRunScenarioOutputs:
         monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", 30000)
         scenarios_mod.run_s1(plan_run(config))
         assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
+
+    @pytest.mark.parametrize("text,laws", [
+        (CHUNKED["S1-density"], 1),
+        ("scenario = S3\nreplicas = 1000\ntrend_levels = 2, 3\n", 3),
+        ("scenario = S6\n", 0),
+    ])
+    def test_each_law_rate_computed_once_per_plan(self, monkeypatch, text, laws):
+        config = parse_config(text)
+        calls = []
+        for module in (config_mod, path_sampler):
+            def counted(*args, _real=module.total_rate):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, "total_rate", counted)
+        assert len(plan_run(config).laws) == laws
+        assert len(calls) == laws
 
     def test_s5_driver_law_built_once_for_all_repetitions(self, monkeypatch):
         builds, decomps = [], []

@@ -325,6 +325,26 @@ class TestFlowFloatBranch:
             for u in _FLOW_EDGES:
                 _assert_flow_float_matches_array(sigma, y, u)
 
+    # high - low rounds to -low, so sigma rounds to 0 past x = 60: there the
+    # slope sigma(phi) / sigma(y) is 0 / 0
+    @pytest.mark.parametrize("name,params", [
+        *_ORACLE_CASES,
+        ("logistic-slope", {"low": 1.0, "high": 1e-17, "rate": 1.0, "center": 0.0}),
+    ])
+    def test_floats_raise_no_floating_point_error(self, name, params):
+        """The float branch, which enters no errstate of its own, neither
+        trips numpy's error flags nor raises a Python error
+        (ZeroDivisionError, OverflowError), and keeps the bits."""
+        sigma = make_diffusion_field(name, params)
+        for y in _FIXED_EDGES:
+            for u in (-0.0, 0.0, 1e-300, -1e-300, 0.37, 1e300, -1e300,
+                      math.inf, -math.inf, math.nan):
+                want = _bits(sigma.flow(np.array([y]), np.array([u])))
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    got = sigma.flow(y, u)
+                assert [type(v) for v in got] == [float, float], (y, u)
+                assert _bits(got) == want, (y, u, got)
+
     @pytest.mark.parametrize("name", sorted(_PARAM_STRATEGIES))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), y=st.floats(allow_nan=True, allow_infinity=True),

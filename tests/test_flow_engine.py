@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from levyreg.fields import make_scalar_field
+from levyreg.batch import _skeleton, pack_paths
+from levyreg.diagnostics import deterministic_skeleton
+from levyreg.fields import make_diffusion_field, make_scalar_field
 from levyreg.flow_engine import (
     NonDifferentiablePoint,
     ScalarField,
@@ -21,7 +24,7 @@ from levyreg.path_sampler import (
     decompose_first_jump,
     shift_jump_time,
 )
-from levyreg.transforms import doss_sussman_solve
+from levyreg.transforms import doss_sussman_solve, unit_diffusion_transform
 
 
 def make_path(jumps, horizon=1.0, drift=0.0):
@@ -401,3 +404,64 @@ class TestChainRuleZeroSlopeIdentity:
         lhs = val(sol.terminal_x) - val(sol.x0)
         rhs = sum(val(xr) - val(xl) for _, xl, xr, _ in sol.jump_records)
         assert abs(lhs - rhs) <= 1e-10
+
+
+def _recording(field, seen):
+    """`field` with every callable adding the types of its arguments to `seen`."""
+    def record(fn):
+        def call(*args):
+            seen.update(type(v) for v in args)
+            return fn(*args)
+        return call
+
+    if isinstance(field, DiffusionField):
+        return DiffusionField(record(field.value), record(field.derivative), field.min_abs,
+                              None if field.flow is None else record(field.flow))
+    return ScalarField(record(field.value), record(field.derivative))
+
+
+class TestPythonFloatStates:
+    """The scalar solvers step Python floats: no np.float64 reaches a field,
+    and the catalogue hands Python floats back. The batch skeleton steps
+    np.float64 scalars, which overflow quietly under its errstate."""
+
+    A = {"low": -0.2, "high": 0.5, "rate": 1.1, "center": 0.3}
+    SIGMA = {"low": 0.7, "high": 1.4, "rate": 0.8, "center": -0.2}
+    JUMPS = [(0.3, 0.25), (0.55, -0.4), (0.8, 0.15)]
+
+    def paths(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        brownian = BrownianSkeleton(grid, 0.3 * np.sin(7.0 * grid))
+        plain = make_path(self.JUMPS, drift=0.2)
+        return plain, LevyPath(1.0, 0.2, plain.jump_times, plain.jump_sizes, brownian)
+
+    @pytest.mark.parametrize("brownian", [False, True])
+    def test_solvers_hand_fields_python_floats(self, brownian):
+        path = self.paths()[brownian]
+        seen = set()
+        a = _recording(make_scalar_field("logistic-slope", self.A), seen)
+        sigmas = [_recording(make_diffusion_field(name, params), seen)
+                  for name, params in (("logistic-slope", self.SIGMA),
+                                       ("arctan-diffusion", {"curvature": 0.5}))]
+        step = 1.0 / 64
+        solve_random_ode(a, path, 0.1, step)
+        flow_derivative_variational(a, path, 0.1, step)
+        deterministic_skeleton(a, 0.2, 0.1, 1.0, 256)
+        for sigma in sigmas:
+            marcus_solve(a, sigma, path, 0.1, step)
+            for exact in (sigma, dataclasses.replace(sigma, flow=None)):
+                diffeo = unit_diffusion_transform(exact, 0.0, -3.0, 3.0, cells=32)
+                diffeo.inverse(diffeo.forward(0.7))
+        assert float in seen
+        assert np.float64 not in seen
+
+    def test_batch_skeleton_steps_float64(self):
+        a = make_scalar_field("logistic-slope", self.A)
+        seen = set()
+
+        def rhs(u, dz, jr, br):
+            seen.add(type(u))
+            return a.value(u + jr)
+
+        _skeleton(pack_paths([self.paths()[0]], 16), 0.1, rhs, 16)
+        assert seen == {np.float64}

@@ -8,13 +8,14 @@ import pytest
 
 import levyreg.quadrature as quadrature_mod
 import levyreg.transforms as transforms_mod
-from levyreg.fields import make_diffusion_field
-from levyreg.flow_engine import ScalarField, solve_random_ode
+from levyreg.fields import make_diffusion_field, make_scalar_field
+from levyreg.flow_engine import ScalarField, SolverBlowUp, solve_random_ode
 from levyreg.marcus import DiffusionField, FlowDivergence, jump_flow_phi, marcus_solve
 from levyreg.path_sampler import LevyPath
 from levyreg.quadrature import adaptive_simpson
 from levyreg.transforms import (
     AssumptionHViolation,
+    doss_sussman_drift,
     doss_sussman_solve,
     proportional_solution,
     reduced_drift,
@@ -409,6 +410,18 @@ class TestReducedDrift:
             unit_term = solve_random_ode(red, path, diffeo.forward(x0), step).terminal_x
             assert diffeo.forward(marcus_term) == pytest.approx(unit_term, abs=1e-5)
 
+    def test_a_zero_of_sigma_gives_a_non_finite_drift(self):
+        # f^-1(y) = e^y underflows to 0.0, the zero of sigma(x) = x, past the
+        # checked range: the drift is a / 0, which the solver flags
+        sigma = make_diffusion_field("linear", {"slope": 1.0})
+        diffeo = unit_diffusion_transform(sigma, 1.0, 0.5, 3.0)
+        assert diffeo.inverse(-800.0) == 0.0
+        red = reduced_drift(make_scalar_field("constant", {"level": 0.3}), sigma, diffeo)
+        assert red.value(-800.0) == math.inf
+        assert red.derivative(-800.0) == -math.inf
+        with pytest.raises((SolverBlowUp, FlowDivergence)):
+            solve_random_ode(red, make_path([(0.5, 0.1)]), -800.0, 1.0 / 16)
+
     def test_monotonicity_transport(self):
         # b = a / sigma strictly increasing near x transfers to the reduced drift
         a = ScalarField(lambda x: math.atan(x) * (1.0 + x * x),
@@ -464,6 +477,14 @@ class TestDossSussman:
         got = doss_sussman_solve(a, CONST_ONE, path, 0.4, 1.0 / 128)
         sol = solve_random_ode(a, path, 0.4, 1.0 / 128)
         assert got == pytest.approx(sol.terminal_x, abs=1e-6)
+
+    def test_underflowing_sensitivity_diverges(self):
+        # sigma(x) = -x over a jump of 800: dphi/dy = e^-800 underflows to 0
+        sigma = make_diffusion_field("linear", {"slope": -1.0})
+        a = make_scalar_field("constant", {"level": 0.3})
+        assert doss_sussman_drift(a, sigma, 1.0, 800.0) == math.inf
+        with pytest.raises(FlowDivergence):
+            doss_sussman_solve(a, sigma, make_path([(0.5, 800.0)]), 1.0, 1.0 / 16)
 
     def test_matches_marcus_pathwise(self):
         rng = np.random.default_rng(44)
