@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow_engine import ScalarField, rk4_step
+from .flow_engine import ScalarField, operand, rk4_step
 from .marcus import DiffusionField, flow_substeps
 from .path_sampler import LevyPath, PackedPaths, _packed_paths, size_decoder
 
@@ -81,6 +81,11 @@ from .path_sampler import LevyPath, PackedPaths, _packed_paths, size_decoder
 #: faster but left whole S1 runs within noise and raised their peak RSS by
 #: 0.1 MiB (20k) and 0.6 MiB (100k); not a setting.
 SWEEP_WIDTH = 4096
+# The rounds follow the field catalogue's operand rule: constant operands are
+# 0-d float64 arrays (flow_engine.operand), and no call goes through a
+# Python-level numpy wrapper (.any, np.broadcast_arrays); `_skeleton`, on
+# np.float64 scalars, keeps Python floats.
+_ZERO, _HALF, _TWO = (operand(v) for v in (0.0, 0.5, 2.0))
 
 
 def pack_paths(paths: list[LevyPath], n_cells: int) -> PackedPaths:
@@ -136,7 +141,9 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
     out inf/nan without a numpy warning, and so does a u with 0 substeps (not
     finite, or beyond MAX_FLOW_SUBSTEPS), which is not run.
     """
-    y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
+    y, u = np.asarray(y, dtype=float), np.asarray(u, dtype=float)
+    if y.shape != u.shape:
+        y, u = np.broadcast_arrays(y, u)
     n = flow_substeps(u.ravel())
     order, live = _prefix_order(n)
     phi, us = y.ravel()[order], u.ravel()[order]
@@ -164,7 +171,7 @@ def _flow_array(sigma: DiffusionField, y: np.ndarray, u: np.ndarray,
             if sensitivity:
                 d1, d2, d3, d4 = stages
                 stages.clear()
-                acc[:m] += ds6[:m] * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                acc[:m] += ds6[:m] * (d1 + _TWO * d2 + _TWO * d3 + d4)
 
     return (_unsorted(phi, order).reshape(y.shape),
             _unsorted(acc, order).reshape(y.shape) if sensitivity else None)
@@ -238,7 +245,7 @@ def _rounds(packed: PackedPaths, lo: int, live: np.ndarray, jptr: np.ndarray,
             nt, sizes = right, 0.0
         jumped = (jp < jend[:m]) & (nt <= right)
         target = np.where(jumped, nt, right)
-        yield lo, lo + m, k, t, target - t, jumped, np.where(jumped, sizes, 0.0)
+        yield lo, lo + m, k, t, target - t, jumped, np.where(jumped, sizes, _ZERO)
         t[:] = target
         jp += jumped
         k += ~jumped
@@ -266,25 +273,32 @@ def _random_ode_terminals(packed: PackedPaths, rhs, start: np.ndarray, k0=0,
     order, rounds = _sweep(packed, k0, width)
     y = start[np.broadcast_to(k0, order.shape)[order]]
     jrun = np.zeros(packed.n_paths)
-    drift, edges, brown = packed.drift_rate, packed.edges, packed.brown_edges
-    has_drift = drift != 0.0
+    drift, edges, brown = operand(packed.drift_rate), packed.edges, packed.brown_edges
+    has_drift = packed.drift_rate != 0.0
     timed = has_drift or brown is not None
     h = packed.horizon / packed.n_cells
+
+    def untimed(_, u):
+        return rhs(u, None, jr, None)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, k, tau, dt, jumped, sizes in rounds:
             jr = jrun[lo:hi]
-            if brown is not None:
-                b0, slope = _brownian(brown, order[lo:hi], k, h)
-                t0 = edges.take(k)
-            stage = [None, None, None]  # the last stage time, its dz and br
+            if timed:
+                if brown is not None:
+                    b0, slope = _brownian(brown, order[lo:hi], k, h)
+                    t0 = edges.take(k)
+                stage = [None, None, None]  # the last stage time, its dz and br
 
-            def f(t, u):
-                if t is not stage[0]:
-                    stage[:] = (t, drift * t if has_drift else None,
-                                None if brown is None else b0 + slope * (t - t0))
-                return rhs(u, stage[1], jr, stage[2])
+                def f(t, u):
+                    if t is not stage[0]:
+                        stage[:] = (t, drift * t if has_drift else None,
+                                    None if brown is None else b0 + slope * (t - t0))
+                    return rhs(u, stage[1], jr, stage[2])
 
-            y[lo:hi] = rk4_step(f, tau if timed else None, y[lo:hi], dt)
+                y[lo:hi] = rk4_step(f, tau, y[lo:hi], dt)
+            else:
+                y[lo:hi] = rk4_step(untimed, None, y[lo:hi], dt)
             jr += sizes
     return _unsorted(y, order)
 
@@ -348,19 +362,19 @@ def marcus_terminals(a: ScalarField, sigma: DiffusionField,
     """Marcus terminal values: Heun cells + exact jump flows, vectorized."""
     order, rounds = _sweep(packed)
     x = np.full(packed.n_paths, float(x0))
-    drift, brown = packed.drift_rate, packed.brown_edges
+    drift, brown = operand(packed.drift_rate), packed.brown_edges
     h = packed.horizon / packed.n_cells
     a_val, sig = a.value, sigma.value
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, k, _, dt, jumped, sizes in rounds:
             xx = x[lo:hi]
-            db = 0.0 if brown is None else _brownian(brown, order[lo:hi], k, h)[1] * dt
+            db = _ZERO if brown is None else _brownian(brown, order[lo:hi], k, h)[1] * dt
             sx = sig(xx)
             fx = a_val(xx) + drift * sx
             xp = xx + fx * dt + sx * db
             sp = sig(xp)
-            out = xx + 0.5 * dt * (fx + (a_val(xp) + drift * sp)) + 0.5 * db * (sx + sp)
-            if jumped.any():
+            out = xx + _HALF * dt * (fx + (a_val(xp) + drift * sp)) + _HALF * db * (sx + sp)
+            if np.count_nonzero(jumped):
                 out[jumped] = flow_map_array(sigma, out[jumped], sizes[jumped])
             x[lo:hi] = out
     return _unsorted(x, order)

@@ -76,11 +76,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(serialize_config(config))
         return EXIT_OK
 
-    try:
-        config = with_overrides(config, seed=args.seed, replicas=args.replicas)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # parse_config has planned the document already; only an override plans again
+    if args.seed is not None or args.replicas is not None:
+        try:
+            config = with_overrides(config, seed=args.seed, replicas=args.replicas)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         summary = run_scenario(config, args.out)
     except (ValueError, RuntimeError) as exc:

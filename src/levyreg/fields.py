@@ -9,12 +9,15 @@ np.float64 included, takes a Python-float branch that gives the same bits as
 a one-element array, with np.exp as its only numpy call and its result made a
 Python float at once, so the scalar solvers' states never become np.float64,
 whose arithmetic costs about twice as much. On arrays, logistic-slope works
-in place in the one new array x - center. A flow called on a float y and u
+in place in the one new array x - center, and the array branches of its
+value, derivative and one-signed flow follow the operand rule stated beside
+the module's constants: 0-d float64 operands and bare numpy calls, no Python
+float and no Python-level numpy wrapper. A flow called on a float y and u
 takes a float branch too, with the numpy calls of the array path on floats,
 each result made a Python float, and returns Python floats with the bits of
 a one-element array: the scalar solvers of the unit-diffusion transform call
-it at every step. It raises no numpy warning, and where sigma(y) rounds to 0
-its slope is numpy's +-inf or nan, not a ZeroDivisionError. All closed forms
+it at every step. It raises no numpy warning and no Python arithmetic error
+(ZeroDivisionError, OverflowError). All closed forms
 but the zero-end logistic-slope run on floats without an errstate, which
 costs more than their arithmetic: they enter one only for an np.exp or
 np.expm1 argument of 709 or more, where these may overflow, an np.tan of an
@@ -32,7 +35,8 @@ solution of y' = sigma(y) from y and dphi/dy = sigma(phi) / sigma(y):
 * affine (s, b): phi = (y + b/s) e^{s u} - b/s;
 * arctan-diffusion (A, k, c): phi = c + tan(arctan(k (y - c)) + A k u) / k,
   nan once the tan argument leaves (-pi/2, pi/2), where the flow diverges;
-* logistic-slope with low L and high H of one sign: phi = h^-1(h(y) + u)
+* logistic-slope with low L and high H of one sign, neither more than
+  _RATIO_CAP times the other: phi = h^-1(h(y) + u)
   with h = int dx / sigma = x / H - S / (H r L) ln(H + L e^{-r (x - c)}) for
   span S and rate r, by Newton's method (h' = 1 / sigma); with a zero end,
   the same with h = (s - e^{-r s} / r) / A for sigma = A expit(r s), s = x - c.
@@ -40,8 +44,9 @@ solution of y' = sigma(y) from y and dphi/dy = sigma(phi) / sigma(y):
 Degenerate parameters, under which sigma is constant, take the constant form:
 rate 0 or span 0 for logistic-slope, slope 0 for linear and affine, and
 curvature or amplitude 0 for arctan-diffusion. A logistic-slope that changes
-sign has no closed flow, nor has an entry whose constants b/s, S / (H r L),
-A k or r A overflow or underflow to 0. An element still going after
+sign has no closed flow, nor has one whose ends lie more than _RATIO_CAP
+apart, nor an entry whose constants b/s, S / (H r L), A k or r A overflow or
+underflow to 0. An element still going after
 _NEWTON_CAP Newton steps comes out nan, so it is flagged, never silently wrong.
 """
 
@@ -51,13 +56,32 @@ import inspect
 import math
 
 import numpy as np
+from numpy import ndarray
 
-from .flow_engine import ScalarField, divide
+from .flow_engine import ScalarField, operand
 from .marcus import DiffusionField
 
 _EXP_CLIP = 60.0
 _NEWTON_TOL = 2.0 ** -50
 _NEWTON_CAP = 50
+# Most |H / L| or |L / H| for which a one-signed logistic-slope states its
+# closed flow. d / H and K ln(...) in a Newton step are about that ratio
+# times the h-change they sum to, so about eps times the ratio is lost to
+# cancellation. Measured against a 60-digit solve of h(phi) = h(y) + u, over
+# y in [-40, 40], u in [-30, 30] and rates 0.3 to 3: 2.6e-13 worst relative
+# error at ratio 1e3, 5.8e-12 at 1e4, 1.7e-10 at 1e6, against the kernel's
+# 1e-10 tolerance; at 1e17 the flow ran backwards. Past the cap the field
+# states no flow: the jump-flow kernel and the transforms' quadrature run.
+_RATIO_CAP = 2.0 ** 10
+# The operand rule. An array branch hands numpy arrays only: its constants
+# are 0-d operands (flow_engine.operand), built once, and it calls no
+# Python-level numpy wrapper (ndarray.clip, .all, .any, np.broadcast_arrays,
+# np.full_like), so each call costs numpy's floor at the sweep's widths. A
+# float branch keeps Python floats, since a 0-d operand would make its
+# results np.float64.
+_ZERO, _HALF, _ONE, _NAN = (operand(v) for v in (0.0, 0.5, 1.0, math.nan))
+_CLAMP = operand(-_EXP_CLIP)
+_TOL = operand(_NEWTON_TOL)
 # np.exp and np.expm1 overflow, with a numpy warning, only above
 # ln(DBL_MAX) = 709.78...; below this they are quiet
 _QUIET_EXP = 709.0
@@ -93,21 +117,22 @@ def _scalar(v):
     return v if isinstance(v, np.ndarray) else float(v)
 
 
-def _expit_owned(t, rate: float):
+def _expit_owned(t, rate):
     """expit(rate * t) for an array t that the caller owns, computed in place
-    in it. A rate of exactly 1.0 skips the multiply, which would return t's
-    bits. The clamp is one in-place `t.clip`, which gives the bits of
-    np.maximum then np.minimum: nan (sign and payload kept), +-inf and -0.0
-    included."""
-    if rate != 1.0:
+    in it; rate is a 0-d operand, or None for a rate of exactly 1.0, whose
+    multiply would return t's bits. The clamp is one-sided, np.maximum at
+    -60, which keeps a nan's sign and payload: above 60, 1 + e^-t rounds to 1
+    as it does at 60, so the float branch's upper clamp changes no bit (e^-t
+    may underflow there, quietly under numpy's default errstate)."""
+    if rate is not None:
         t *= rate
-    t.clip(-_EXP_CLIP, _EXP_CLIP, out=t)
+    np.maximum(t, _CLAMP, out=t)
     # the negation stays its own step: folded into the rate, it would keep
     # the sign bit of a nan that the float branch flips
     np.negative(t, out=t)
     np.exp(t, out=t)
-    t += 1.0
-    return np.divide(1.0, t, out=t)
+    t += _ONE
+    return np.reciprocal(t, out=t)
 
 
 def _const_like(x, c: float):
@@ -133,17 +158,21 @@ def _flow(closed):
             if not (math.isfinite(y) and math.isfinite(u)):
                 return math.nan, math.nan
             return closed(y, u)
-        y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
+        y, u = np.asarray(y, dtype=float), np.asarray(u, dtype=float)
+        if y.shape != u.shape:
+            y, u = np.broadcast_arrays(y, u)
         shape = y.shape
         y, u = y.ravel(), u.ravel()
-        live = np.isfinite(y) & np.isfinite(u) & (u != 0.0)
+        live = np.isfinite(y) & np.isfinite(u) & (u != _ZERO)
+        n_live = np.count_nonzero(live)
         with np.errstate(all="ignore"):
-            if live.all():
+            if n_live == live.size:
                 phi, slope = closed(y, u)
             else:
-                phi = np.where(u == 0.0, y, np.nan)
-                slope = np.where(u == 0.0, 1.0, np.nan)
-                if live.any():
+                still = u == _ZERO
+                phi = np.where(still, y, _NAN)
+                slope = np.where(still, _ONE, _NAN)
+                if n_live:
                     phi[live], slope[live] = closed(y[live], u[live])
         return phi.reshape(shape)[()], slope.reshape(shape)[()]
 
@@ -200,27 +229,32 @@ def _logistic_slope(low: float = 0.0, high: float = 1.0,
     # span > 0.0, so a zero low is dropped there; the float branch keeps it
     add_low = not (low == 0.0 and span > 0.0)
 
-    # a float x takes the float branch; on a float array, x - center is the
-    # one new array and the rest runs in place in it
+    # a float x (or a 0-d array) takes the float branch, tested first as the
+    # cheaper test for the scalar solvers; on an array x, x - center is the
+    # one new array and the rest runs in place in it, with a unit rate or
+    # span skipping its multiply (x * 1.0 has x's bits)
+    center0, gain0 = operand(center), operand(gain)
+    rate0 = operand(rate) if rate != 1.0 else None
+    span0 = operand(span) if span != 1.0 else None
+    low0 = operand(low) if add_low else None
+
     def value(x):
-        d = x - center
-        if isinstance(d, float):
-            return low + span * _expit_float(rate * d)
-        v = _expit_owned(d, rate)
-        if span != 1.0:
-            v *= span
-        if add_low:
-            v += low
+        if isinstance(x, float) or not (isinstance(x, ndarray) and x.ndim):
+            return low + span * _expit_float(rate * (x - center))
+        v = _expit_owned(x - center0, rate0)
+        if span0 is not None:
+            v *= span0
+        if low0 is not None:
+            v += low0
         return v
 
     def derivative(x):
-        d = x - center
-        if isinstance(d, float):
-            e = _expit_float(rate * d)
+        if isinstance(x, float) or not (isinstance(x, ndarray) and x.ndim):
+            e = _expit_float(rate * (x - center))
             return span * rate * e * (1.0 - e)
-        e = _expit_owned(d, rate)
-        w = np.subtract(1.0, e)
-        e *= gain
+        e = _expit_owned(x - center0, rate0)
+        w = _ONE - e
+        e *= gain0
         e *= w
         return e
 
@@ -247,15 +281,18 @@ def _newton(x, residual, step, sigma, advance):
     takes a float loop with the same steps."""
     if isinstance(x, float):
         return _newton_float(x, residual, step, sigma, advance)
-    phi = np.full_like(x, np.nan)
+    phi = np.empty_like(x)
+    phi.fill(math.nan)
     rows = np.arange(x.size)
     for _ in range(_NEWTON_CAP):
         x_new = x - step
         # False for a non-finite step or x_new too, which then stops as it is
-        going = np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
-        if not going.all():
-            phi[rows[~going]] = x_new[~going]
-            if not going.any():
+        going = np.abs(step) > _TOL * np.maximum(_ONE, np.abs(x_new))
+        n_going = np.count_nonzero(going)
+        if n_going < going.size:
+            stop = ~going
+            phi[rows[stop]] = x_new[stop]
+            if not n_going:
                 break
             rows, x, x_new, residual = (a[going] for a in (rows, x, x_new, residual))
         residual = advance(residual, x, x_new - x)
@@ -292,12 +329,14 @@ def _log_mix(t, v):
         with np.errstate(invalid="ignore"):
             return float(np.logaddexp(near, far))
     arg = np.expm1(v)
-    arg /= 1.0 + np.exp(t)
+    weight = np.exp(t)
+    weight += _ONE
+    arg /= weight
     log = np.log1p(arg)
-    far = ~(np.abs(arg) < 0.5)
-    if far.any():
+    far = ~(np.abs(arg) < _HALF)
+    if np.count_nonzero(far):
         t = t[far]
-        log[far] = np.logaddexp(-np.logaddexp(0.0, -t), v[far] - np.logaddexp(0.0, t))
+        log[far] = np.logaddexp(-np.logaddexp(_ZERO, -t), v[far] - np.logaddexp(_ZERO, t))
     return log
 
 
@@ -305,22 +344,40 @@ def _logistic_flow(value, low: float, high: float, rate: float, center: float):
     """The flow for low L and high H of one sign, by `_newton` from the Euler
     step y + sigma(y) u: h(x + d) - h(x) = d / H - K ln(1 - w + w e^{-r d}),
     with K = S / (H r L) and w = 1 / (1 + (H / L) e^{r (x - c)}). None where K
-    underflows to 0 or overflows."""
+    underflows to 0 or overflows, or where H / L or L / H passes _RATIO_CAP."""
     product = high * rate * low
     scale = (high - low) / product if product != 0.0 else math.inf
-    if not 0.0 < abs(scale) < math.inf:
+    if not 0.0 < abs(scale) < math.inf or max(abs(high / low), abs(low / high)) > _RATIO_CAP:
         return None
     log_ratio = math.log(abs(high)) - math.log(abs(low))
+    center0, rate0, turn0 = operand(center), operand(rate), operand(-rate)
+    high0, scale0, log_ratio0 = operand(high), operand(scale), operand(log_ratio)
 
     def advance(residual, x, d):
         return residual + d / high - scale * _log_mix(log_ratio + rate * (x - center),
                                                       -rate * d)
 
+    # advance on arrays with the same bits: 0-d operands, and in place in its
+    # own new arrays (the sums and products commute)
+    def advance_array(residual, x, d):
+        t = x - center0
+        t *= rate0
+        t += log_ratio0
+        mix = _log_mix(t, turn0 * d)
+        mix *= scale0
+        out = d / high0
+        out += residual
+        out -= mix
+        return out
+
     def closed(y, u):
         sigma_y = value(y)
-        phi = _newton(y, -u, -u * sigma_y, value, advance)
-        # sigma rounds to 0 far out when |low| << |high| or the reverse
-        return phi, divide(value(phi), sigma_y)
+        start = -u
+        phi = _newton(y, start, start * sigma_y, value,
+                      advance if isinstance(y, float) else advance_array)
+        # sigma is never 0 here: that needs high - low to round to -low, with
+        # the ends some 2^53 apart, far past _RATIO_CAP
+        return phi, value(phi) / sigma_y
 
     return _flow(closed)
 

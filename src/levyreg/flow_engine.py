@@ -80,6 +80,17 @@ def divide(a, b):
     return a / b
 
 
+def operand(v: float) -> np.ndarray:
+    """v as a read-only 0-d float64 array: the form of a constant operand in
+    an array branch. numpy takes it in fewer steps than a Python float or an
+    np.float64 (NEP 50 scalar rules), with the same bits on float64 arrays;
+    a float branch keeps Python floats, since a 0-d operand would make its
+    results np.float64."""
+    a = np.array(v, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def substep_count(length: float, step: float) -> int:
     """Even number of RK4 substeps covering `length` at granularity <= step."""
     return 2 * max(1, math.ceil(length / (2.0 * step)))

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,3 +660,72 @@ class TestJumpFreePrefix:
         packed = self.packed([[0.1], [0.9], [0.2], [1.0], []])
         self.assert_same_bytes(A_FIELD, packed, 0.2)
         assert rounds == [(0, [2] * 5), (2, [2] * 2), (4, [])]
+
+
+# numpy's Python-level wrappers for ndarray.clip, .all and .any, patched to
+# raise while the engines run. ndarray caches each wrapper on its first call,
+# so the patch goes in before any, in a fresh process, and is checked to bite.
+_WRAPPER_GUARD = r"""
+import numpy as np
+import numpy._core._methods as methods
+
+armed = []
+
+
+def guard(name):
+    real = getattr(methods, name)
+
+    def call(*args, **kwargs):
+        if armed:
+            raise AssertionError(f"numpy._core._methods.{name} ran in an engine")
+        return real(*args, **kwargs)
+
+    setattr(methods, name, call)
+
+
+for name in ("_clip", "_all", "_any"):
+    guard(name)
+armed.append(True)
+for probe in (lambda: np.ones(2, dtype=bool).all(), lambda: np.ones(2, dtype=bool).any(),
+              lambda: np.ones(2).clip(0.0, 1.0)):
+    try:
+        probe()
+    except AssertionError:
+        continue
+    raise SystemExit("the guard does not bite")
+armed.clear()
+
+from levyreg.batch import doss_terminals, marcus_terminals, ode_terminals
+from levyreg.config import parse_config, plan_run
+from levyreg.fields import make_diffusion_field, make_scalar_field
+
+
+def small(text):
+    plan = plan_run(parse_config(text))
+    config, ((law, _), *_) = plan.config, plan.laws
+    return (config, make_scalar_field(config.drift_field.name, config.drift_field.params),
+            law.packed(config.seed, 0, 12, config.cells))
+
+
+s3, a3, s3_paths = small("scenario = S3\n[measure.family]\nlevels = 6\n")
+s7, a7, s7_paths = small("scenario = S7\ncells = 16\n")
+closed = make_diffusion_field(s7.diffusion_field.name, s7.diffusion_field.params)
+# a sigma that changes sign has no closed flow: Doss runs the jump-flow kernel
+kernel = make_diffusion_field("logistic-slope",
+                              {"low": -0.4, "high": 1.6, "rate": 0.9, "center": 0.0})
+armed.append(True)
+out = [ode_terminals(a3, s3_paths, s3.x0)[0],
+       doss_terminals(a7, closed, s7_paths, s7.x0),
+       doss_terminals(a7, kernel, s7_paths, s7.x0),
+       marcus_terminals(a7, closed, s7_paths, s7.x0)]
+armed.clear()
+print([bool(np.isfinite(x).all()) for x in out])
+"""
+
+
+def test_engines_call_no_python_level_numpy_wrapper():
+    env = {**os.environ, "PYTHONPATH": str(Path(batch_mod.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _WRAPPER_GUARD], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[True, True, True, True]"

@@ -600,6 +600,35 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
         assert json.loads(capsys.readouterr().out)["threads"] == 4
 
+    @pytest.mark.parametrize("argv,text,code,plans,message", [
+        # parse_config's plan, then run_scenario's
+        ([], "scenario = S2\nreplicas = 5\n", 0, 2, None),
+        (["--seed", "5"], "scenario = S2\nreplicas = 5\n", 0, 3, None),
+        # the range check refuses before with_overrides plans
+        (["--replicas", "0"], "scenario = S2\n", 1, 1,
+         "config error: override out of range for 'replicas': 0\n"),
+        (["--replicas", str(2 ** 48 + 1)], "scenario = S6\n", 1, 2,
+         "config error: override replicas = "),
+    ])
+    def test_a_run_plans_again_only_for_an_override(self, tmp_path, capsys, monkeypatch,
+                                                    argv, text, code, plans, message):
+        calls = []
+        real = config_mod.plan_run
+
+        def spy(config):
+            calls.append(config)
+            return real(config)
+
+        monkeypatch.setattr(config_mod, "plan_run", spy)
+        monkeypatch.setattr(scenarios_mod, "plan_run", spy)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+                        + argv) == code
+        assert len(calls) == plans
+        if message is not None:
+            assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
     def test_override_past_the_tag_band_exit_code(self, tmp_path, capsys, monkeypatch, text):
         def must_not_run(*args):

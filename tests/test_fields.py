@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import levyreg.fields as fields_mod
+from levyreg.batch import flow_map_array
 from levyreg.fields import (
     _EXP_CLIP,
     _expit_float,
@@ -16,6 +17,7 @@ from levyreg.fields import (
     make_diffusion_field,
     make_scalar_field,
 )
+from levyreg.flow_engine import operand
 from levyreg.marcus import FlowDivergence, flow_substeps, flow_with_sensitivity, jump_flow_phi
 
 
@@ -125,7 +127,7 @@ class TestExpitClamp:
         def clipped(t):
             return 1.0 / (1.0 + np.exp(-np.clip(t, -_EXP_CLIP, _EXP_CLIP)))
 
-        assert _bits(_expit_owned(ts.copy(), 1.0)) == _bits(clipped(ts))
+        assert _bits(_expit_owned(ts.copy(), None)) == _bits(clipped(ts))
         # Python floats, then np.float64 scalars
         for t in [*ts.tolist(), *ts]:
             assert _bits(_expit_float(t)) == _bits(clipped(t))
@@ -226,7 +228,7 @@ _SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-30
 
 class TestUnitShortcuts:
     """On arrays, logistic-slope skips `t *= rate` at rate 1.0 and `v *= span`
-    at span 1.0, and clamps with one `clip`: x * 1.0 has x's bits, so S3's
+    at span 1.0, and clamps with one np.maximum: x * 1.0 has x's bits, so S3's
     drift field (rate 1, span 1, low 0) and S7's sigma (rate 0.9) keep the
     bits of the old out-of-place formulas."""
 
@@ -267,7 +269,8 @@ class TestUnitShortcuts:
             return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(rate * t, -_EXP_CLIP),
                                                     _EXP_CLIP)))
 
-        assert _bits(_expit_owned(ts.copy(), rate)) == _bits(old(ts))
+        assert _bits(_expit_owned(ts.copy(), None if rate == 1.0 else operand(rate))) \
+            == _bits(old(ts))
 
 
 # every closed-form flow: S7's default sigma, a decreasing logistic, one
@@ -325,11 +328,10 @@ class TestFlowFloatBranch:
             for u in _FLOW_EDGES:
                 _assert_flow_float_matches_array(sigma, y, u)
 
-    # high - low rounds to -low, so sigma rounds to 0 past x = 60: there the
-    # slope sigma(phi) / sigma(y) is 0 / 0
+    # ends as far apart as a closed flow allows (fields._RATIO_CAP)
     @pytest.mark.parametrize("name,params", [
         *_ORACLE_CASES,
-        ("logistic-slope", {"low": 1.0, "high": 1e-17, "rate": 1.0, "center": 0.0}),
+        ("logistic-slope", {"low": 1.0, "high": 2.0 ** -10, "rate": 1.0, "center": 0.0}),
     ])
     def test_floats_raise_no_floating_point_error(self, name, params):
         """The float branch, which enters no errstate of its own, neither
@@ -469,10 +471,11 @@ class TestClosedFlows:
         ({"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0}, True),
         # a slow rate makes S / (H r L) large
         ({"low": 2.0, "high": 1.0, "rate": 1e-6, "center": 0.0}, True),
-        # a steep rate and a wide span make sigma change a millionfold across
-        # the center, and dphi/dy with it, so composing loses digits
-        ({"low": 1e-3, "high": 1e3, "rate": 1e3, "center": 0.0}, False),
-        ({"low": 1e3, "high": 1e-3, "rate": -1e3, "center": 5.0}, False),
+        # a steep rate and ends _RATIO_CAP apart make sigma change a
+        # thousandfold across the center, and dphi/dy with it, so composing
+        # loses digits
+        ({"low": 2.0 ** -5, "high": 2.0 ** 5, "rate": 1e3, "center": 0.0}, False),
+        ({"low": 2.0 ** 5, "high": 2.0 ** -5, "rate": -1e3, "center": 5.0}, False),
     ])
     def test_newton_converges_far_out(self, params, composes):
         # the flow is a group in u: phi(phi(y, u1), u2) = phi(y, u1 + u2)
@@ -548,3 +551,231 @@ class TestClosedFlows:
         phi, slope = sigma.flow(np.array([0.2, 0.2]), np.array([1.5, 1e-20]))
         assert np.isnan(phi[0]) and np.isnan(slope[0])
         assert phi[1] == 0.2 + float(sigma.value(0.2)) * 1e-20
+
+
+# The array formulas as they were before the operand rule: Python-float
+# operands, ndarray.clip and np.divide(1.0, .). The rewritten array branches
+# must keep their bits.
+def _ref_expit_owned(t, rate):
+    if rate != 1.0:
+        t *= rate
+    t.clip(-_EXP_CLIP, _EXP_CLIP, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
+def _ref_logistic(low, high, rate, center):
+    span = high - low
+    gain = span * rate
+    add_low = not (low == 0.0 and span > 0.0)
+
+    def value(x):
+        v = _ref_expit_owned(x - center, rate)
+        if span != 1.0:
+            v *= span
+        if add_low:
+            v += low
+        return v
+
+    def derivative(x):
+        e = _ref_expit_owned(x - center, rate)
+        w = np.subtract(1.0, e)
+        e *= gain
+        e *= w
+        return e
+
+    return value, derivative
+
+
+def _ref_log_mix(t, v):
+    arg = np.expm1(v)
+    arg /= 1.0 + np.exp(t)
+    log = np.log1p(arg)
+    far = ~(np.abs(arg) < 0.5)
+    if far.any():
+        t = t[far]
+        log[far] = np.logaddexp(-np.logaddexp(0.0, -t), v[far] - np.logaddexp(0.0, t))
+    return log
+
+
+def _ref_newton(x, residual, step, sigma, advance):
+    phi = np.full_like(x, np.nan)
+    rows = np.arange(x.size)
+    for _ in range(fields_mod._NEWTON_CAP):
+        x_new = x - step
+        going = np.abs(step) > fields_mod._NEWTON_TOL * np.maximum(1.0, np.abs(x_new))
+        if not going.all():
+            phi[rows[~going]] = x_new[~going]
+            if not going.any():
+                break
+            rows, x, x_new, residual = (a[going] for a in (rows, x, x_new, residual))
+        residual = advance(residual, x, x_new - x)
+        x = x_new
+        step = residual * sigma(x)
+    return phi
+
+
+def _ref_one_signed_flow(low, high, rate, center):
+    """The one-signed logistic-slope flow on arrays: `_flow`'s array branch
+    around the closed form."""
+    value, _ = _ref_logistic(low, high, rate, center)
+    scale = (high - low) / (high * rate * low)
+    log_ratio = math.log(abs(high)) - math.log(abs(low))
+
+    def advance(residual, x, d):
+        return residual + d / high - scale * _ref_log_mix(log_ratio + rate * (x - center),
+                                                          -rate * d)
+
+    def closed(y, u):
+        sigma_y = value(y)
+        phi = _ref_newton(y, -u, -u * sigma_y, value, advance)
+        return phi, value(phi) / sigma_y
+
+    def flow(y, u):
+        y, u = np.broadcast_arrays(np.asarray(y, dtype=float), np.asarray(u, dtype=float))
+        shape = y.shape
+        y, u = y.ravel(), u.ravel()
+        live = np.isfinite(y) & np.isfinite(u) & (u != 0.0)
+        with np.errstate(all="ignore"):
+            if live.all():
+                phi, slope = closed(y, u)
+            else:
+                phi = np.where(u == 0.0, y, np.nan)
+                slope = np.where(u == 0.0, 1.0, np.nan)
+                if live.any():
+                    phi[live], slope[live] = closed(y[live], u[live])
+        return phi.reshape(shape)[()], slope.reshape(shape)[()]
+
+    return flow, advance
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# signed zeros, infinities, nans of both signs with payloads (quiet and
+# signalling), subnormals and the expit clamp's edges with their neighbours
+_SPECIALS = np.array([
+    -0.0, 0.0, np.inf, -np.inf, np.nan, _NEG_NAN,
+    _nan(0x7FF8000000000123), _nan(0xFFF8000000000456), _nan(0x7FF0000000000001),
+    _nan(0xFFF4000000000789), *_SUBNORMALS, -_EXP_CLIP, _EXP_CLIP, *_CLAMP_NEIGHBOURS])
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+_drawn = st.lists(_any_float, min_size=1, max_size=24)
+_unit = st.floats(-10.0, 10.0)
+# S3's drift, S7's drift and sigma, the unit-rate and unit-span shortcuts,
+# then drawn parameters
+_VALUE_PARAMS = st.sampled_from([
+    (0.0, 1.0, 1.0, 12.0), (0.0, 0.5, 1.0, 0.0), (0.8, 1.6, 0.9, 0.0),
+    (0.3, 1.3, 1.0, -0.5), (-0.2, -1.2, -1.0, 0.25)]) | st.tuples(_unit, _unit, _unit, _unit)
+# one-signed ends within a factor 100 of each other
+_end = st.floats(0.01, 1.0)
+_ONE_SIGNED = st.tuples(_end, _end, st.sampled_from([1.0, -1.0]),
+                        st.floats(0.05, 5.0) | st.floats(-5.0, -0.05), st.floats(-3.0, 3.0))
+
+
+def _points(values, low, high, rate, center):
+    """values, the specials, and the specials moved onto the clamp's edges in x."""
+    extra = [center + t / rate for t in _SPECIALS.tolist()] if rate != 0.0 else []
+    return np.array([*values, *_SPECIALS, *extra])
+
+
+class TestOperandRule:
+    """The array branches keep the bits of the formulas they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=_VALUE_PARAMS, values=_drawn)
+    def test_value_and_derivative(self, params, values):
+        sigma = make_diffusion_field("logistic-slope", dict(zip(
+            ("low", "high", "rate", "center"), params)))
+        ref_value, ref_derivative = _ref_logistic(*params)
+        x = _points(values, *params)
+        with np.errstate(all="ignore"):
+            got = [sigma.value(x), sigma.derivative(x)]
+            want = [ref_value(x), ref_derivative(x)]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(_any_float, _any_float), min_size=1, max_size=24))
+    def test_log_mix(self, pairs):
+        t = np.array([p[0] for p in pairs] + [*_SPECIALS] + [0.3] * _SPECIALS.size)
+        v = np.array([p[1] for p in pairs] + [0.3] * _SPECIALS.size + [*_SPECIALS])
+        with np.errstate(all="ignore"):
+            assert _bits(fields_mod._log_mix(t, v)) == _bits(_ref_log_mix(t.copy(), v.copy()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ends=_ONE_SIGNED, ys=_drawn, us=_drawn)
+    def test_one_signed_flow(self, ends, ys, us):
+        a, b, sign, rate, center = ends
+        assume(a != b)
+        params = {"low": sign * a, "high": sign * b, "rate": rate, "center": center}
+        sigma = make_diffusion_field("logistic-slope", params)
+        ref_flow, _ = _ref_one_signed_flow(*params.values())
+        n = min(len(ys), len(us))
+        y = np.array([*ys[:n], *_SPECIALS, *[0.7] * _SPECIALS.size])
+        u = np.array([*us[:n], *[1.3] * _SPECIALS.size, *_SPECIALS])
+        assert _bits(sigma.flow(y, u)) == _bits(ref_flow(y, u))
+
+    @pytest.mark.parametrize("params", [
+        {"low": 0.8, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": 0.0, "high": 1.6, "rate": 0.9, "center": 0.0},
+        {"low": -0.8, "high": 0.0, "rate": -1.3, "center": 0.2},
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(ys=_drawn, us=_drawn)
+    def test_newton_loop(self, params, ys, us):
+        # each entry's own Newton solve, run once by the loop and once by the
+        # reference loop
+        sigma = make_diffusion_field("logistic-slope", params)
+        n = min(len(ys), len(us))
+        y = np.array([*ys[:n], *_SPECIALS, *[0.7] * _SPECIALS.size, -80.0, 80.0])
+        u = np.array([*us[:n], *[1.3] * _SPECIALS.size, *_SPECIALS, 90.0, -90.0])
+        got = sigma.flow(y, u)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fields_mod, "_newton", _ref_newton)
+            want = sigma.flow(y, u)
+        assert _bits(got) == _bits(want)
+
+    def test_newton_solve_with_the_same_callables(self):
+        ref_value, _ = _ref_logistic(0.8, 1.6, 0.9, 0.0)
+        _, advance = _ref_one_signed_flow(0.8, 1.6, 0.9, 0.0)
+        y = np.array([*np.linspace(-90.0, 90.0, 41), *_SPECIALS])
+        u = np.resize([2.5, -0.7, 40.0, -1e-12, 1e300], y.size)
+        with np.errstate(all="ignore"):
+            got = fields_mod._newton(y, -u, -u * ref_value(y), ref_value, advance)
+            want = _ref_newton(y, -u, -u * ref_value(y), ref_value, advance)
+        assert _bits(got) == _bits(want)
+
+
+# ends far apart: the closed form loses about eps times their ratio
+_FAR_APART = [(1.0, 1e-17), (1.0, 1e-8), (1.0, 1e-3), (1e-3, 1.0), (-1e-8, -1.0),
+              (1.0, 2.0 ** -10), (1.0, 2.0 ** -10 * (1.0 - 2.0 ** -52))]
+
+
+class TestRatioCap:
+    @pytest.mark.parametrize("low,high", _FAR_APART)
+    def test_closed_only_within_the_cap(self, low, high):
+        sigma = make_diffusion_field("logistic-slope",
+                                     {"low": low, "high": high, "rate": 1.0, "center": 0.0})
+        within = max(abs(high / low), abs(low / high)) <= fields_mod._RATIO_CAP
+        assert (sigma.flow is not None) == within
+
+    @pytest.mark.parametrize("low,high", _FAR_APART)
+    def test_flows_match_the_rk4_oracle_on_floats_and_arrays(self, low, high):
+        # low = 1, high = 1e-17 gave phi = -16.21 from 0 over 30, a flow of a
+        # positive sigma running backwards; the oracle gives 3.3207. Past the
+        # cap the kernel runs: jump_flow_phi on floats, flow_map_array on arrays
+        sigma = make_diffusion_field("logistic-slope",
+                                     {"low": low, "high": high, "rate": 1.0, "center": 0.0})
+        ys, us = np.array([0.0, 0.0, -5.0, 5.0]), np.array([3.0, 30.0, 20.0, -20.0])
+        pairs = list(zip(ys.tolist(), us.tolist()))
+        want = [jump_flow_phi(sigma, y, u, 1e-11) for y, u in pairs]
+        if sigma.flow is None:
+            # the array kernel runs fixed substeps, without Richardson steps
+            runs, tol = [flow_map_array(sigma, ys, us)], 1e-6
+        else:
+            runs, tol = [[sigma.flow(y, u)[0] for y, u in pairs], sigma.flow(ys, us)[0]], 1e-10
+        for got in runs:
+            for g, w in zip(np.asarray(got).tolist(), want):
+                assert abs(g - w) <= tol * max(1.0, abs(w)), (g, w)
