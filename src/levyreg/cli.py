@@ -6,7 +6,9 @@
 
 Exit codes: 0 success, 1 configuration error (a malformed or unknown flag
 included), 2 numeric failures beyond the failure-fraction limit, 3 I/O error.
-Runs are single-threaded; the `threads` config key is only recorded in
+`validate` and `run` read the document through config.plan_document, which
+plans the run once, `--seed` and `--replicas` included; `run` then runs that
+plan. Runs are single-threaded; the `threads` config key is only recorded in
 summary.json.
 """
 
@@ -15,9 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import (ConfigError, decode_config, parse_config, serialize_config,
-                     with_overrides)
-from .scenarios import FAILURE_FRACTION_LIMIT, list_scenarios, run_scenario
+from .config import ConfigError, decode_config, plan_document, serialize_config
+from .scenarios import FAILURE_FRACTION_LIMIT, list_scenarios, run_plan
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,8 +67,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    overrides = {"seed": args.seed, "replicas": args.replicas} if args.command == "run" else {}
     try:
-        config = parse_config(decode_config(data))
+        config, plan = plan_document(decode_config(data), **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -76,15 +78,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(serialize_config(config))
         return EXIT_OK
 
-    # parse_config has planned the document already; only an override plans again
-    if args.seed is not None or args.replicas is not None:
-        try:
-            config = with_overrides(config, seed=args.seed, replicas=args.replicas)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
-        summary = run_scenario(config, args.out)
+        summary = run_plan(plan, args.out)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_NUMERIC

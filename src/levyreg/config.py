@@ -30,17 +30,19 @@ both lines, and range violations are errors naming the key. The CLI reads a
 document as UTF-8; a byte that is not UTF-8 is an error naming its line
 (decode_config).
 
-plan_run is the one door to a run: parse_config, with_overrides and
-scenarios.run_scenario all go through it, and it alone fills in defaults,
-refuses a run and builds the laws the run samples (a RunPlan). It refuses, in
-this order, a replica count below a scenario's sample floor, past rng's 2^48
+plan_run is the one door to a run: plan_document (and so parse_config) and
+scenarios.run_scenario go through it, and it alone fills in defaults, refuses
+a run and builds the laws the run samples (a RunPlan). It refuses, in this
+order, a replica count below a scenario's sample floor, past rng's 2^48
 replica streams or with more samples.csv rows than MAX_RESULT_BYTES holds; a
-grid past the chunk budget; an S2 or S6 horizon too short for its jumps; a
-jump law that expects more jumps per path than one chunk holds; an empty
-marked window; an S2 horizon or an S5 marked window too rare for its draw
-cap; and lattice tubes that overlap. Its PlanError names the fields at fault:
-parse_config reports the last line that sets one of them, with_overrides
-the override.
+grid past path_sampler's CHUNK_BYTES; an S2 or S6 horizon too short for its
+jumps; a jump law that expects more jumps per path than one chunk holds; an
+atom that the config gives (not a scenario default) below truncation, which
+the run would drop; an empty marked window; an S2 horizon or an S5 marked
+window too rare for its draw cap; and lattice tubes that overlap. Its
+PlanError names the fields at fault (an atom's is "measure.atom.i", i its
+place in the measure): plan_document reports a `--seed` or `--replicas`
+override among them, or else the last line that sets one of them.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ from .levy_spec import (
     total_rate,
 )
 from .path_sampler import (
+    CHUNK_BYTES,
     MAX_DRAWS,
-    MAX_JUMPS_PER_CHUNK,
     MAX_RESULT_BYTES,
     RESULT_BYTES_PER_ROW,
     PathLaw,
@@ -325,8 +327,11 @@ def decode_config(data: bytes) -> str:
                           f"(byte 0x{data[exc.start]:02x})") from None
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse a configuration document into a validated ScenarioConfig."""
+def plan_document(text: str, *, seed: int | None = None,
+                  replicas: int | None = None) -> tuple[ScenarioConfig, RunPlan]:
+    """(the document's config, the plan of its run with `seed` and `replicas`
+    overriding the document's): the overrides pass the same range checks as
+    the document's keys, and the run is planned once."""
     entries: dict[tuple[str, str], tuple[str, int]] = {}
     section = ""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -418,10 +423,11 @@ def parse_config(text: str) -> ScenarioConfig:
             values[target] = value
             set_on[target] = line_no
 
-    for idx in sorted(atom_rows):
+    for i, idx in enumerate(sorted(atom_rows)):   # atom i of the measure
         if set(atom_rows[idx]) != {"size", "rate"}:
             raise ConfigError(f"line {first_line[f'measure.atom.{idx}']}: "
                               f"[measure.atom.{idx}] needs both size and rate")
+        set_on[f"measure.atom.{i}"] = entries[(f"measure.atom.{idx}", "size")][1]
     if atom_rows:
         measure_rows["atoms"] = {"atoms": tuple(
             (atom_rows[i]["size"], atom_rows[i]["rate"]) for i in sorted(atom_rows))}
@@ -434,13 +440,24 @@ def parse_config(text: str) -> ScenarioConfig:
     for section, row in field_rows.items():
         values[section] = _field_choice(section, row, first_line[section])
     config = ScenarioConfig(**values)
+    overrides = {key: value for key, value in (("seed", seed), ("replicas", replicas))
+                 if value is not None}
+    for key, value in overrides.items():
+        if not _SCALARS[("", key)][1](value):
+            raise ConfigError(f"override out of range for {key!r}: {value}")
     try:
-        plan_run(config)
+        return config, plan_run(replace(config, **overrides))
     except PlanError as exc:
+        if overrides.keys() & set(exc.fields):
+            raise ConfigError(f"override {exc}") from None
         line_no = max((set_on[f] for f in exc.fields if f in set_on),
                       default=scenario_line)
         raise ConfigError(f"line {line_no}: {exc}") from None
-    return config
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse a configuration document into a validated ScenarioConfig."""
+    return plan_document(text)[0]
 
 
 @dataclass(frozen=True)
@@ -476,9 +493,9 @@ def plan_run(config: ScenarioConfig) -> RunPlan:
         refuse(f"{rows} samples.csv rows ({what}) pass the result budget: "
                f"{MAX_RESULT_BYTES} bytes hold {MAX_RESULT_BYTES // RESULT_BYTES_PER_ROW} "
                f"at {RESULT_BYTES_PER_ROW} bytes a row", "replicas", "repetitions")
-    if 8 * (c.cells + 1) > 16 * MAX_JUMPS_PER_CHUNK:   # one path's cell edges
+    if 8 * (c.cells + 1) > CHUNK_BYTES:   # one path's cell edges
         refuse(f"cell edges per path (cells {c.cells} + 1, 8 bytes each) exceed "
-               f"the chunk budget of {16 * MAX_JUMPS_PER_CHUNK} bytes", "cells")
+               f"the chunk budget of {CHUNK_BYTES} bytes", "cells")
     margin = _JUMP_MARGINS.get(scenario, 0.0)
     if c.horizon <= 2 * margin:
         refuse(f"horizon = {c.horizon} leaves {scenario} no room for its jumps, which "
@@ -505,6 +522,11 @@ def plan_run(config: ScenarioConfig) -> RunPlan:
             except (ValueError, ArithmeticError) as exc:
                 reason = f"cannot compute the jump rate: {exc}"
             refuse(reason, *fields)
+    if config.measure is not None and config.measure.kind == "atoms":
+        for i, (size, _) in enumerate(config.measure.atoms):
+            if abs(size) < c.truncation:
+                refuse(f"atom size = {size} is below truncation = {c.truncation}: "
+                       "the run would drop it", f"measure.atom.{i}", "truncation")
     if "mark_low" in defaults:
         refuse(mark_window_error(c.mark_low, c.mark_high), "mark_low", "mark_high")
     # S2 redraws a config's path, S5 a replica's, until one is usable, up to a
@@ -579,21 +601,3 @@ def serialize_config(config: ScenarioConfig) -> str:
             blocks[section] = [f"[{section}]", f"name = {choice.name}"] + [
                 f"{k} = {choice.params[k]}" for k in sorted(choice.params)]
     return "\n\n".join("\n".join(block) for block in blocks.values() if block) + "\n"
-
-
-def with_overrides(config: ScenarioConfig, *, seed: int | None = None,
-                   replicas: int | None = None) -> ScenarioConfig:
-    """config with the given keys replaced; they pass the same range checks as
-    the document's keys, and the result the same plan_run as the document."""
-    updates = {key: value for key, value in (("seed", seed), ("replicas", replicas))
-               if value is not None}
-    for key, value in updates.items():
-        check = next(check for _, check, target in _SCALARS.values() if target == key)
-        if check is not None and not check(value):
-            raise ConfigError(f"override out of range for {key!r}: {value}")
-    updated = replace(config, **updates) if updates else config
-    try:
-        plan_run(updated)
-    except PlanError as exc:
-        raise ConfigError(f"override {exc}") from None
-    return updated

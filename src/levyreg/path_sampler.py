@@ -43,6 +43,9 @@ from .rng import StreamGenerator, philox_words
 #: expecting more jumps per path than this is rejected, whatever its coding.
 MAX_JUMPS_PER_CHUNK = 4_000_000
 
+#: Packed bytes per chunk of replicas: MAX_JUMPS_PER_CHUNK jumps at 16 bytes.
+CHUNK_BYTES = 16 * MAX_JUMPS_PER_CHUNK
+
 #: A run holds every samples.csv row in memory until it writes them: the
 #: diagnostics need all terminal values. Peak RSS grows by about 75 bytes a
 #: row in S1 (1M to 3M replicas), 64 in S7 (at equal chunks) and 55 in S5
@@ -401,6 +404,14 @@ class PathLaw:
         edges of the skeleton's grid."""
         grid = 0 if self.brownian_grid is None else 8 * self.brownian_grid.size
         return self.bytes_per_jump * max(1.0, self.mean_jumps) + grid
+
+    def chunk_sizes(self, n: int) -> list[int]:
+        """n replicas cut into the fewest chunks of at most the paths that
+        fill CHUNK_BYTES at bytes_per_path (one path at least), with sizes
+        that differ by at most one, larger chunks first."""
+        k = -(-n // max(1, int(CHUNK_BYTES // self.bytes_per_path)))
+        q, r = divmod(n, k)
+        return [q + 1] * r + [q] * (k - r)
 
     def draw(self, gen: np.random.Generator):
         """(times, size keys, Brownian (grid knots, values) or None) of one

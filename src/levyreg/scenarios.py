@@ -62,7 +62,6 @@ from .flow_engine import ScalarField, SolverBlowUp, jump_time_derivative, solve_
 from .levy_spec import FiniteAtomic, LevyTriplet
 from .marcus import DiffusionField, FlowDivergence, chain_rule_residual, marcus_solve
 from .path_sampler import (
-    MAX_JUMPS_PER_CHUNK,
     LevyPath,
     PathLaw,
     decompose_first_jump,
@@ -109,15 +108,6 @@ class RunSummary:
         }
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
-    @staticmethod
-    def from_json(text: str) -> "RunSummary":
-        d = json.loads(text)
-        return RunSummary(
-            scenario=d["scenario"], seed=d["seed"], replicas=d["replicas"],
-            threads=d["threads"], failed_replicas=tuple(d["failed_replicas"]),
-            wall_time_s=d["wall_time_s"], diagnostics=d["diagnostics"],
-            version=d["version"])
-
 
 @dataclass
 class ScenarioResult:
@@ -144,25 +134,13 @@ def _json_safe(value):
     return value
 
 
-def _chunk_sizes(n: int, per_chunk: int) -> list[int]:
-    """n rows cut into the fewest chunks of at most per_chunk rows, with
-    sizes that differ by at most one, larger chunks first."""
-    k = -(-n // per_chunk)
-    q, r = divmod(n, k)
-    return [q + 1] * r + [q] * (k - r)
-
-
 def _sample_and_solve(config: ScenarioConfig, law: PathLaw, solve,
                       stream_offset: int = 0) -> list[np.ndarray]:
     """Replicas stream_offset + [0, config.replicas) of `law` on config.cells
-    cells, sampled into PackedPaths in even chunks of at most the paths that
-    fill 16 * MAX_JUMPS_PER_CHUNK bytes at the law's bytes per path (its
-    expected jumps at 16 bytes for float64 sizes or 9 for uint8 atom codes,
-    plus its Brownian values at the cell edges); solve(packed)'s arrays, each
-    concatenated over the chunks."""
-    per_chunk = max(1, int(16 * MAX_JUMPS_PER_CHUNK // law.bytes_per_path))
+    cells, sampled into PackedPaths in the law's chunk_sizes; solve(packed)'s
+    arrays, each concatenated over the chunks."""
     parts, lo = [], stream_offset
-    for size in _chunk_sizes(config.replicas, per_chunk):
+    for size in law.chunk_sizes(config.replicas):
         parts.append(solve(law.packed(config.seed, lo, size, config.cells)))
         lo += size
     return [np.concatenate(column) for column in zip(*parts)]
@@ -688,17 +666,13 @@ def write_outputs(result: ScenarioResult, summary: RunSummary, out_dir: Path) ->
     (out_dir / "summary.json").write_text(summary.to_json() + "\n")
 
 
-def run_scenario(config: ScenarioConfig,
-                 out_dir: str | Path | None = None) -> RunSummary:
-    """Execute a scenario single-threaded and write its outputs to out_dir,
+def run_plan(plan: RunPlan, out_dir: str | Path | None = None) -> RunSummary:
+    """Execute a planned run single-threaded and write its outputs to out_dir,
     if given; the `threads` key is only recorded in the summary, so outputs
-    are bit-identical for any thread count. The run goes through plan_run,
-    as `validate` and `--replicas` do: a config it refuses raises its
-    PlanError before anything is sampled."""
-    if config.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario id {config.scenario!r}")
+    are bit-identical for any thread count."""
+    config = plan.config
     t0 = time.perf_counter()
-    result = SCENARIOS[config.scenario].runner(plan_run(config))
+    result = SCENARIOS[config.scenario].runner(plan)
     wall = time.perf_counter() - t0
     summary = RunSummary(
         scenario=config.scenario, seed=config.seed, replicas=len(result.terminal_x),
@@ -707,3 +681,12 @@ def run_scenario(config: ScenarioConfig,
     if out_dir is not None:
         write_outputs(result, summary, out_dir)
     return summary
+
+
+def run_scenario(config: ScenarioConfig,
+                 out_dir: str | Path | None = None) -> RunSummary:
+    """run_plan of config's plan_run: a config it refuses raises its PlanError
+    before anything is sampled, as `validate` and `levyreg run` refuse it."""
+    if config.scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario id {config.scenario!r}")
+    return run_plan(plan_run(config), out_dir)

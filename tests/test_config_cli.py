@@ -19,9 +19,9 @@ from levyreg import config as config_mod
 from levyreg.config import (
     ConfigError,
     parse_config,
+    plan_document,
     plan_run,
     serialize_config,
-    with_overrides,
 )
 from levyreg.levy_spec import DensityForm, FiniteAtomic
 from levyreg.scenarios import RunSummary, list_scenarios, run_scenario
@@ -141,27 +141,41 @@ class TestParseConfig:
         assert parse_config(serialize_config(config)) == config
 
     def test_overrides(self):
-        config = parse_config("scenario = S1\nreplicas = 1000\n")
-        updated = with_overrides(config, seed=5, replicas=2000)
-        assert (updated.seed, updated.replicas) == (5, 2000)
+        text = "scenario = S1\nreplicas = 1000\n"
+        config, plan = plan_document(text, seed=5, replicas=2000)
+        assert config == parse_config(text)
+        assert (plan.config.seed, plan.config.replicas) == (5, 2000)
         # the output directory is only `levyreg run --out`, run_scenario's argument
-        assert not hasattr(updated, "out_dir")
+        assert not hasattr(plan.config, "out_dir")
         with pytest.raises(TypeError):
-            with_overrides(config, out_dir="results")
+            plan_document(text, out_dir="results")
 
     def test_threads_is_set_only_by_its_key(self):
-        config = parse_config("scenario = S2\nthreads = 3\n")
+        text = "scenario = S2\nthreads = 3\n"
+        config = parse_config(text)
         assert config.threads == 3
         with pytest.raises(TypeError):
-            with_overrides(config, threads=2)
+            plan_document(text, threads=2)
         with pytest.raises(TypeError):
             run_scenario(config, threads=2)
 
     @pytest.mark.parametrize("key,value", [("replicas", 0), ("seed", -1)])
     def test_override_range_error_names_key(self, key, value):
-        config = parse_config("scenario = S2\n")
         with pytest.raises(ConfigError, match=repr(key)):
-            with_overrides(config, **{key: value})
+            plan_document("scenario = S2\n", **{key: value})
+
+    def test_only_atoms_the_config_gives_are_held_to_truncation(self):
+        # an atom at truncation is kept; an atom below it is refused, also
+        # when run_scenario is handed the config; S1's truncation may still
+        # drop the scenario's own default atom
+        text = "scenario = S1\ntruncation = 0.5\n[measure.atom.1]\nsize = -0.5\nrate = 2.0\n"
+        (law, _), = plan_run(parse_config(text)).laws
+        assert law.rate == 2.0
+        config = replace(parse_config(text), truncation=0.75)
+        with pytest.raises(ConfigError, match="^atom size = -0.5 is below truncation"):
+            run_scenario(config)
+        (law, _), = plan_run(parse_config("scenario = S1\ntruncation = 1.5\n")).laws
+        assert law.rate == 0.0
 
     # the replica stream ids of a run must stay below rng.TAG_BAND = 2^48,
     # the first id of child tag 1; for S5 that is replicas * repetitions
@@ -182,7 +196,7 @@ class TestParseConfig:
     def test_replica_streams_within_the_tag_band_accepted(self, text):
         config = parse_config(text)
         assert parse_config(serialize_config(config)) == config
-        assert with_overrides(config, seed=1).replicas == config.replicas
+        assert plan_document(text, seed=1)[1].config.replicas == config.replicas
 
     # the result budget refuses runs long before the band's edge: these two
     # documents at the edge were accepted, and their 2^48 samples.csv rows
@@ -196,11 +210,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("text", ["scenario = S6\n", "scenario = S3\ntrend_levels = 4\n"])
     def test_override_past_the_tag_band_rejected(self, text):
-        config = parse_config(text)
         with pytest.raises(ConfigError, match="^override .*the result budget"):
-            with_overrides(config, replicas=2 ** 48)
+            plan_document(text, replicas=2 ** 48)
         with pytest.raises(ConfigError, match="reuses random streams"):
-            with_overrides(config, replicas=2 ** 48 + 1)
+            plan_document(text, replicas=2 ** 48 + 1)
 
 
 class TestStreamIndependence:
@@ -260,12 +273,15 @@ class TestStreamIndependence:
 
 
 class TestRunSummary:
-    def test_json_round_trip(self):
+    def test_json_carries_every_field(self):
         s = RunSummary(scenario="S1", seed=3, replicas=100, threads=2,
                        failed_replicas=(4, 7), wall_time_s=1.25,
                        diagnostics={"a": 1.0, "b": True, "c": [1, 2]})
-        again = RunSummary.from_json(s.to_json())
-        assert again == s
+        assert json.loads(s.to_json()) == {
+            "scenario": "S1", "seed": 3, "replicas": 100, "threads": 2,
+            "failures": 2, "failed_replicas": [4, 7], "wall_time_s": 1.25,
+            "diagnostics": {"a": 1.0, "b": True, "c": [1, 2]},
+            "version": levyreg.__version__}
 
 
 class TestListScenarios:
@@ -359,7 +375,7 @@ class TestRunScenarioOutputs:
 
         monkeypatch.setattr(path_sampler.PathLaw, "packed", spy)
         default = run(tmp_path / "default")
-        monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", budget)
+        monkeypatch.setattr(path_sampler, "CHUNK_BYTES", 16 * budget)
         small = run(tmp_path / "small")
         assert default[2] == self.DEFAULT_CHUNKS.get(scenario, [1000])
         assert small[2] == chunks
@@ -367,8 +383,8 @@ class TestRunScenarioOutputs:
 
     def test_s3_chunks_fill_the_byte_budget(self, monkeypatch):
         # 8190 jumps per path at 9 bytes (a float64 time and a uint8 code) fit
-        # 868 paths in 16 * MAX_JUMPS_PER_CHUNK bytes, where 16-byte jumps fit
-        # 488: 2 chunks instead of 3 at 1000 replicas, 12 instead of 21 at 10 000
+        # 868 paths in path_sampler.CHUNK_BYTES, where 16-byte jumps fit 488:
+        # 2 chunks instead of 3 at 1000 replicas, 12 instead of 21 at 10 000
         plan = plan_run(parse_config("scenario = S3\n"))
         config, ((law, _),) = plan.config, plan.laws
         assert (law.mean_jumps, law.bytes_per_jump) == (8190.0, 9)
@@ -390,8 +406,8 @@ class TestRunScenarioOutputs:
 
     def test_s7_chunks_count_the_brownian_grid(self, monkeypatch):
         # 2 jumps per path at 9 bytes, and 129 float64 cell edges: 1050 bytes a
-        # path fit 60 952 paths in 16 * MAX_JUMPS_PER_CHUNK bytes. Counting the
-        # jumps alone put all 100 000 in one chunk, with 103 MB of edges.
+        # path fit 60 952 paths in path_sampler.CHUNK_BYTES. Counting the jumps
+        # alone put all 100 000 in one chunk, with 103 MB of edges.
         plan = plan_run(parse_config("scenario = S7\n"))
         config, ((law, _),) = plan.config, plan.laws
         assert law.bytes_per_path == 9 * 2.0 + 8 * 129
@@ -411,12 +427,19 @@ class TestRunScenarioOutputs:
         assert chunks(1000) == [1000]
         assert chunks(100_000) == [50_000, 50_000]
 
-    def test_chunks_are_even(self):
+    def test_chunks_are_even(self, monkeypatch):
+        (law, _), = plan_run(parse_config("scenario = S1\n")).laws
+        assert law.bytes_per_path == 18.0
+
+        def chunk_sizes(n, per_chunk):
+            monkeypatch.setattr(path_sampler, "CHUNK_BYTES", 18 * per_chunk)
+            return law.chunk_sizes(n)
+
         # S3 at seed 404: 488 paths per chunk made chunks of 488/488/24 rows
-        assert scenarios_mod._chunk_sizes(1000, 488) == [334, 333, 333]
+        assert chunk_sizes(1000, 488) == [334, 333, 333]
         for n in (1, 2, 3, 999, 1000, 1001, 10_000):
             for per_chunk in (1, 2, 7, 300, 488, 1000, 20_000):
-                sizes = scenarios_mod._chunk_sizes(n, per_chunk)
+                sizes = chunk_sizes(n, per_chunk)
                 assert sum(sizes) == n and max(sizes) <= per_chunk
                 assert len(sizes) == -(-n // per_chunk)
                 assert max(sizes) - min(sizes) <= 1
@@ -435,7 +458,7 @@ class TestRunScenarioOutputs:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(scenarios_mod, "MAX_JUMPS_PER_CHUNK", 30000)
+        monkeypatch.setattr(path_sampler, "CHUNK_BYTES", 16 * 30000)
         scenarios_mod.run_s1(plan_run(config))
         assert calls == {"total_rate": 1, "_density_size_table": 1, "packed": 5}
 
@@ -601,17 +624,25 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["threads"] == 4
 
     @pytest.mark.parametrize("argv,text,code,plans,message", [
-        # parse_config's plan, then run_scenario's
-        ([], "scenario = S2\nreplicas = 5\n", 0, 2, None),
-        (["--seed", "5"], "scenario = S2\nreplicas = 5\n", 0, 3, None),
-        # the range check refuses before with_overrides plans
-        (["--replicas", "0"], "scenario = S2\n", 1, 1,
+        (["run"], "scenario = S2\nreplicas = 5\n", 0, 1, None),
+        (["run", "--seed", "5"], "scenario = S2\nreplicas = 5\n", 0, 1, None),
+        # the range check refuses before anything is planned
+        (["run", "--replicas", "0"], "scenario = S2\n", 1, 0,
          "config error: override out of range for 'replicas': 0\n"),
-        (["--replicas", str(2 ** 48 + 1)], "scenario = S6\n", 1, 2,
+        (["run", "--replicas", str(2 ** 48 + 1)], "scenario = S6\n", 1, 1,
          "config error: override replicas = "),
+        (["validate"], "scenario = S2\nreplicas = 5\n", 0, 1, None),
+        # refused for its own replicas alone, the document runs with an
+        # override that the plan accepts; validate still refuses it
+        (["run", "--replicas", "1000"], "scenario = S1\nreplicas = 999\n", 0, 1, None),
+        (["validate"], "scenario = S1\nreplicas = 999\n", 1, 1,
+         "config error: line 2: replicas = 999 is below"),
+        # a refusal for a key the override does not set names the key's line
+        (["run", "--replicas", "2000"], "scenario = S1\ncells = 8000000\n", 1, 1,
+         "config error: line 2: cell edges per path "),
     ])
-    def test_a_run_plans_again_only_for_an_override(self, tmp_path, capsys, monkeypatch,
-                                                    argv, text, code, plans, message):
+    def test_a_command_plans_once(self, tmp_path, capsys, monkeypatch,
+                                  argv, text, code, plans, message):
         calls = []
         real = config_mod.plan_run
 
@@ -623,8 +654,8 @@ class TestCli:
         monkeypatch.setattr(scenarios_mod, "plan_run", spy)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
-        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
-                        + argv) == code
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "run" else []
+        assert cli_main(argv[:1] + ["--config", str(cfg)] + out + argv[1:]) == code
         assert len(calls) == plans
         if message is not None:
             assert capsys.readouterr().err.startswith(message)
@@ -634,7 +665,7 @@ class TestCli:
         def must_not_run(*args):
             raise AssertionError("a config past the tag band reached the runner")
 
-        monkeypatch.setattr(cli_mod, "run_scenario", must_not_run)
+        monkeypatch.setattr(cli_mod, "run_plan", must_not_run)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text)
         out = tmp_path / "out"

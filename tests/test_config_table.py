@@ -1,8 +1,10 @@
-"""The key table behind parse_config / serialize_config / with_overrides, the
-scenario defaults, and the checks that make `validate` agree with `run`."""
+"""The key table behind parse_config / serialize_config / plan_document's
+overrides, the scenario defaults, and the checks that make `validate` agree
+with `run`."""
 
 import functools
 import json
+import math
 import re
 import tempfile
 import time
@@ -28,9 +30,9 @@ from levyreg.config import (
     ScenarioConfig,
     fields_read,
     parse_config,
+    plan_document,
     plan_run,
     serialize_config,
-    with_overrides,
     with_scenario_defaults,
 )
 from levyreg.fields import canonical_params
@@ -115,21 +117,36 @@ _FIELDS = {"measure": _maybe(_measures), "drift_field": _maybe(_field_choices())
               if key not in _FAMILY_KEYS + _DENSITY_KEYS}}
 
 
-# a scenario's config sets only fields the scenario reads
+def _atoms_kept(config: ScenarioConfig) -> ScenarioConfig:
+    """config with each atom below the run's truncation raised to it: the plan
+    refuses an atom that the run would drop."""
+    m = config.measure
+    if m is None or m.kind != "atoms":
+        return config
+    cut = with_scenario_defaults(config).truncation
+    return replace(config, measure=replace(m, atoms=tuple(
+        (math.copysign(max(abs(size), cut), size), rate) for size, rate in m.atoms)))
+
+
+# a scenario's config sets only fields the scenario reads, and no atom below
+# its truncation
 _configs = st.sampled_from(sorted(SCENARIO_DEFAULTS)).flatmap(
     lambda scenario: st.builds(
         ScenarioConfig, scenario=st.just(scenario),
-        **{key: value for key, value in _FIELDS.items() if key in fields_read(scenario)}))
+        **{key: value for key, value in _FIELDS.items() if key in fields_read(scenario)})
+).map(_atoms_kept)
 
 
 def _expected_rejection(config: ScenarioConfig) -> str | None:
-    """What parse_config must reject a generated config for (defaults filled
-    in), in the order it checks: the result budget, a horizon within the jump
-    margins, then the draw cap."""
-    rows = config.replicas * (config.repetitions if config.scenario == "S5" else 1)
+    """What parse_config must reject a generated config for, in the order it
+    checks: the result budget, a horizon within the jump margins, then the
+    draw cap. The plan checks the atoms the config gives, not the scenario's
+    default ones, so it plans the config as generated."""
+    resolved = with_scenario_defaults(config)
+    rows = resolved.replicas * (resolved.repetitions if config.scenario == "S5" else 1)
     if rows * RESULT_BYTES_PER_ROW > MAX_RESULT_BYTES:
         return "pass the result budget"
-    if config.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
+    if resolved.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
         return "no room for its jumps"
     try:
         plan_run(config)
@@ -149,7 +166,7 @@ class TestKeyTable:
     @given(_configs)
     def test_serialize_round_trips(self, config):
         text = serialize_config(config)
-        reason = _expected_rejection(with_scenario_defaults(config))
+        reason = _expected_rejection(config)
         if reason is not None:
             with pytest.raises(ConfigError, match=reason):
                 parse_config(text)
@@ -247,6 +264,13 @@ REJECTED = [
      "[measure.density]\npower = 2\n", 6, "chunk budget"),
     ("scenario = S1\n[measure.atom.1]\nsize = 0.0\nrate = 1.0\n", 4,
      "atom sizes must be nonzero"),
+    # an atom below truncation validated with exit 0, and the run dropped it:
+    # this S1 ran with no jumps at all and reported an atom of mass 1.0. The
+    # error names the atom's size line, not its later rate line
+    ("scenario = S1\nreplicas = 2000\n[measure.atom.1]\nsize = 0.3\nrate = 2.0\n", 4,
+     "atom size = 0.3 is below truncation = 0.5: the run would drop it"),
+    ("scenario = S7\ntruncation = 0.5\n[measure.atom.1]\nsize = 1.0\nrate = 2.0\n"
+     "[measure.atom.4]\nsize = -0.3\nrate = 1.0\n", 7, "atom size = -0.3 is below"),
     ("scenario = S1\nreplicas = 300\n", 2, "below the 1000 samples"),
     ("scenario = S3\nreplicas = 999\n", 2, "below the 1000 samples"),
     ("scenario = S5\nseed = 1\nreplicas = 200\n", 3, "below the 1000 samples"),
@@ -390,17 +414,17 @@ class TestValidateAgreesWithRun:
         assert parse_config(serialize_config(parse_config(text))) == parse_config(text)
 
     def test_override_past_the_draw_cap_rejected(self):
-        config = parse_config("scenario = S5\nhorizon = 0.034\nrepetitions = 1\n")
-        assert with_overrides(config, replicas=10_000).replicas == 10_000
+        text = "scenario = S5\nhorizon = 0.034\nrepetitions = 1\n"
+        assert plan_document(text, replicas=10_000)[1].config.replicas == 10_000
         with pytest.raises(ConfigError, match="^override the marked window expects"):
-            with_overrides(config, replicas=100_000)
+            plan_document(text, replicas=100_000)
 
     @pytest.mark.parametrize("scenario", ["S1", "S3", "S5", "S7"])
     def test_override_below_sample_floor_rejected(self, scenario):
-        config = parse_config(f"scenario = {scenario}\n")
-        assert with_overrides(config, replicas=1000).replicas == 1000
+        text = f"scenario = {scenario}\n"
+        assert plan_document(text, replicas=1000)[1].config.replicas == 1000
         with pytest.raises(ConfigError, match=r"^override replicas = 999 is below"):
-            with_overrides(config, replicas=999)
+            plan_document(text, replicas=999)
 
 
 # Every refusal that depends on `replicas`: (the document without its replicas
@@ -471,7 +495,7 @@ SAMPLE_LINES = {
     "trend_levels": [("", "trend_levels = 4")],
     "[triplet] drift": [("triplet", "drift = 0.1")],
     "[triplet] brownian_variance": [("triplet", "brownian_variance = 0.0")],
-    "measure": [("measure.atom.1", "size = 0.3\nrate = 8.0"),
+    "measure": [("measure.atom.1", "size = 0.5\nrate = 8.0"),
                 ("measure.family", "levels = 4"), ("measure.density", "power = 1.5")],
     "[drift_field]": [("drift_field", "name = constant")],
     "[diffusion_field]": [("diffusion_field", "name = constant")],
