@@ -11,19 +11,20 @@ conditionally, T is uniform on [0, T2].
 
 The range sampler PathLaw.packed writes each replica the path that `draw`
 gives on the replica's stream, bit for bit, straight into the flat arrays of
-PackedPaths, one block of replicas at a time. Philox is counter-based, so
-below POISSON_PTRS_MEAN = 10 mean jumps it computes the first words of a
+PackedPaths. Philox is counter-based, so for a law below POISSON_PTRS_MEAN =
+10 mean jumps and without a Brownian part it computes the first words of a
 block of streams at once (rng.philox_words) and draws the block's counts
 from them as arrays: there numpy's Poisson count multiplies uniforms, a
-fixed function of the words. It writes these array rows one jump count at a
-time: the rows of count c are column slices of their uniforms, and numpy
-sums their sizes along the row with the bits of each row's own .sum(). The
-other rows it draws per replica and writes as soon as each is drawn: a row
-that needs more words than it holds, every row of a law at or above the
-cutoff, where numpy switches to PTRS rejection sampling, and every row of a
-law with a Brownian part, whose normals follow the jump words on the stream.
-A path depends on its own stream alone, so no byte depends on the block
-size.
+fixed function of the words. A row that needs more words than it holds is
+computed again with four times the words, which begin with the ones it had,
+until it has enough, so no row of such a law goes through `draw`, and
+packing it never loads numpy.random. It writes these array rows one jump
+count at a time: the rows of count c are column slices of their uniforms,
+and numpy sums their sizes along the row with the bits of each row's own
+.sum(). Every row of a law at or above the cutoff, where numpy switches to
+PTRS rejection sampling, or with a Brownian part, whose normals follow the
+jump words on the stream, it draws per replica with `draw`. A path depends
+on its own stream alone, so no byte depends on the block size.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ CHUNK_BYTES = 16 * MAX_JUMPS_PER_CHUNK
 RESULT_BYTES_PER_ROW = 75
 MAX_RESULT_BYTES = 2 ** 32
 
+#: S5 also holds, within each repetition, every replica's LevyPath, its
+#: decomposition and its resample as Python objects: peak RSS grew by 2424 to
+#: 2464 bytes a replica (its row included) from 2000 to 40 000 replicas at
+#: one repetition, so S5 is refused more replicas than MAX_RESULT_BYTES holds
+#: at this many bytes each: 1 789 569.
+S5_BYTES_PER_REPLICA = 2400
+
 
 #: numpy's Generator.poisson counts by multiplying uniforms until their
 #: product falls to e^-mean while the mean is below this, and by PTRS
@@ -62,8 +70,8 @@ MAX_RESULT_BYTES = 2 ** 32
 #: function of the stream's uniforms, which PathLaw.packed computes as arrays.
 POISSON_PTRS_MEAN = 10.0
 
-#: Replicas PathLaw.packed writes as one block: first the rows it draws per
-#: replica, then the array rows of one philox_words array of this many rows.
+#: Replicas whose counts PathLaw.packed draws from one philox_words array,
+#: for a law it draws as arrays.
 PACK_BLOCK = 4096
 
 #: Buckets of an atomic law's IndexedSearch. A key in a bucket that holds
@@ -215,9 +223,10 @@ class PathDecomposition:
 
 
 def _compensator(spec, trunc: float) -> float:
-    """integral of z over {trunc < |z| <= 1}."""
+    """integral of z over {trunc <= |z| <= 1}: the kept jumps (total_rate
+    and _size_sampler keep |z| >= trunc) of size at most 1."""
     if isinstance(spec, FiniteAtomic):
-        return float(sum(s * r for s, r in spec.atoms if trunc < abs(s) <= 1.0))
+        return float(sum(s * r for s, r in spec.atoms if trunc <= abs(s) <= 1.0))
     return spec._band_integral(lambda z: z, trunc, 1.0, tol=1e-10)
 
 
@@ -360,8 +369,8 @@ def _row_words(mean_jumps: float) -> int:
     """Philox words drawn per replica in an array block, a whole number of
     4-word blocks: enough for a path of up to mean + 2 sd + 1 jumps (3 words
     a jump and one more for the count). A path with more, about 2% at 2 mean
-    jumps, is drawn per replica, which costs less than the words that would
-    cover it for every row."""
+    jumps, is computed again with 4 times the words, which costs less than
+    the words that would cover it for every row."""
     jumps = int(mean_jumps + 2.0 * math.sqrt(mean_jumps)) + 1
     return 4 * -(-(3 * jumps + 1) // 4)
 
@@ -449,11 +458,12 @@ class PathLaw:
 
     def packed(self, seed: int, stream_offset: int, n: int, cells: int) -> PackedPaths:
         """Replicas stream_offset + [0, n) drawn straight into flat arrays,
-        PACK_BLOCK replicas at a time, each path the one `draw` gives on its
-        stream (see the module docstring). A block first draws, in replica
-        order, the rows that _array_counts leaves to `draw`, and writes each
-        where the block's counts before it end; then _array_jumps writes the
-        array rows one jump count at a time."""
+        each path the one `draw` gives on its stream (see the module
+        docstring). A law at or above POISSON_PTRS_MEAN or with a Brownian
+        part draws every row with `draw`, in replica order. A lighter law
+        takes PACK_BLOCK replicas at a time: _array_counts gives the block's
+        counts, and so where each row starts, and _array_jumps writes the
+        rows of each width of uniforms one jump count at a time."""
         if n < 1:
             raise ValueError("need at least one path")
         edges = np.linspace(0.0, self.horizon, cells + 1)
@@ -463,72 +473,80 @@ class PathLaw:
         flat_times = np.empty(_jump_capacity(self.mean_jumps * n))
         flat_sizes = np.empty(flat_times.size, dtype=self.key_dtype)
         decode = size_decoder(self.size_table)
-        streams = StreamGenerator(seed)
-        for lo in range(0, n, PACK_BLOCK):
-            hi = min(n, lo + PACK_BLOCK)
-            ids = np.arange(stream_offset + lo, stream_offset + hi, dtype=np.uint64)
-            counts, u = self._array_counts(seed, ids)
-            drawn = np.flatnonzero(counts < 0)
-            pos, prev = offsets[lo], 0
-            for r in drawn:
-                if r > prev:
-                    pos += counts[prev:r].sum()
-                times, keys, brown = self.draw(streams.at(ids[r]))
-                k = counts[r] = times.size
+        if self.mean_jumps >= POISSON_PTRS_MEAN or self.brownian_grid is not None:
+            streams, pos = StreamGenerator(seed), 0
+            for i in range(n):
+                times, keys, brown = self.draw(streams.at(stream_offset + i))
+                k = times.size
                 if pos + k > flat_times.size:
                     flat_times = _grown(flat_times, pos + k)
                     flat_sizes = _grown(flat_sizes, pos + k)
                 flat_times[pos:pos + k] = times
                 flat_sizes[pos:pos + k] = keys
-                jump_sums[lo + r] = decode(keys).sum()
+                jump_sums[i] = decode(keys).sum()
                 if brown is not None:
-                    brown_edges[lo + r] = np.interp(edges, *brown)
+                    brown_edges[i] = np.interp(edges, *brown)
                 pos += k
-                prev = r + 1
-            ends = offsets[lo] + np.cumsum(counts)
-            offsets[lo + 1:hi + 1] = ends
-            if ends[-1] > flat_times.size:
-                flat_times = _grown(flat_times, ends[-1])
-                flat_sizes = _grown(flat_sizes, ends[-1])
-            starts = ends - counts
-            counts[drawn] = 0
-            self._array_jumps(u, counts, starts, flat_times, flat_sizes, decode,
-                              jump_sums[lo:hi])
+                offsets[i + 1] = pos
+        else:
+            for lo in range(0, n, PACK_BLOCK):
+                hi = min(n, lo + PACK_BLOCK)
+                ids = np.arange(stream_offset + lo, stream_offset + hi, dtype=np.uint64)
+                counts, groups = self._array_counts(seed, ids)
+                ends = offsets[lo] + np.cumsum(counts)
+                offsets[lo + 1:hi + 1] = ends
+                if ends[-1] > flat_times.size:
+                    flat_times = _grown(flat_times, ends[-1])
+                    flat_sizes = _grown(flat_sizes, ends[-1])
+                starts = ends - counts
+                for rows, u in groups:
+                    jump_sums[lo + rows] = self._array_jumps(
+                        u, counts[rows], starts[rows], flat_times, flat_sizes, decode)
         flat_times, flat_sizes = flat_times[:offsets[-1]], flat_sizes[:offsets[-1]]
         _dedupe_packed(flat_times, offsets)
         return _packed_paths(self.horizon, self.drift, edges, flat_times, flat_sizes,
                              offsets, brown_edges, jump_sums, self.size_table)
 
     def _array_counts(self, seed: int, ids: np.ndarray):
-        """(jump counts, uniforms) of the replicas `ids`: the uniforms are the
-        doubles Generator.random makes of each stream's first words (None
-        when no word is drawn), and a count is what Generator.poisson counts
-        from them, or -1 where the row's words run out. Below
-        POISSON_PTRS_MEAN, Poisson counts the uniforms whose running product
-        stays above e^-mean and draws one more; a count c thus uses 3c + 1
-        words with its times and sizes. Every row of a law at or above
-        POISSON_PTRS_MEAN or with a Brownian part is -1, whatever its rate."""
-        if self.mean_jumps >= POISSON_PTRS_MEAN or self.brownian_grid is not None:
-            return np.full(ids.size, -1, dtype=np.int64), None
+        """(jump counts, [(rows, uniforms), ...]) of the replicas `ids` of a
+        law below POISSON_PTRS_MEAN without a Brownian part. The uniforms of
+        a row are the doubles Generator.random makes of its stream's first
+        words, and its count is what Generator.poisson counts from them: the
+        uniforms whose running product stays above e^-mean, after which it
+        draws one more, so a count c uses 3c + 1 words with its times and
+        sizes. Every row first gets _row_words(mean) words; the rows that
+        need more are computed again with 4 times the words, until each has
+        enough. Philox is counter-based, so a longer row starts with the
+        words of the shorter one. Each (rows, uniforms) pair holds the rows,
+        as indices into `ids`, that one width resolved, and their uniforms;
+        a law without jumps draws no words, and its counts are 0."""
+        counts = np.zeros(ids.size, dtype=np.int64)
+        groups = []
         if self.sizes is None or self.mean_jumps == 0.0:
-            return np.zeros(ids.size, dtype=np.int64), None
-        words = _row_words(self.mean_jumps)
-        bits = philox_words(seed, ids, words)
-        bits >>= np.uint64(11)
-        u = bits * 2.0 ** -53
-        stop = np.multiply.accumulate(u, axis=1) <= math.exp(-self.mean_jumps)
-        counts = stop.argmax(axis=1)
-        counts[~stop[np.arange(ids.size), counts] | (3 * counts + 1 > words)] = -1
-        return counts, u
+            return counts, groups
+        rows, words = np.arange(ids.size), _row_words(self.mean_jumps)
+        floor = math.exp(-self.mean_jumps)
+        while rows.size:
+            bits = philox_words(seed, ids[rows], words)
+            bits >>= np.uint64(11)
+            u = bits * 2.0 ** -53
+            stop = np.multiply.accumulate(u, axis=1) <= floor
+            c = stop.argmax(axis=1)
+            done = stop[np.arange(rows.size), c] & (3 * c + 1 <= words)
+            counts[rows[done]] = c[done]
+            groups.append((rows[done], u[done]))
+            rows, words = rows[~done], 4 * words
+        return counts, groups
 
-    def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode, sums):
-        """Write the jumps of the rows with counts[r] > 0, drawn from their
-        uniforms u as `draw` does, into flat_times and flat_sizes from
-        starts[r] on, and their jump sums into sums[r]. The rows of one count
-        c are drawn together: the c uniforms after the count's c + 1 are the
-        times, the next c the sizes. Their sizes are a C-contiguous (rows, c)
-        array, whose .sum(axis=1) has the bits of each row's .sum()."""
-        for c in range(1, counts.max() + 1):
+    def _array_jumps(self, u, counts, starts, flat_times, flat_sizes, decode):
+        """The jump sums of the rows of uniforms u, after writing the jumps
+        of those with counts[r] > 0, drawn as `draw` does, into flat_times
+        and flat_sizes from starts[r] on. The rows of one count c are drawn
+        together: the c uniforms after the count's c + 1 are the times, the
+        next c the sizes. Their sizes are a C-contiguous (rows, c) array,
+        whose .sum(axis=1) has the bits of each row's .sum()."""
+        sums = np.zeros(counts.size)
+        for c in range(1, counts.max(initial=0) + 1):
             rows = np.flatnonzero(counts == c)
             dest = starts[rows, None] + np.arange(c)
             times = u[rows, c + 1:2 * c + 1]
@@ -539,6 +557,7 @@ class PathLaw:
             keys = self.sizes(u[rows, 2 * c + 1:3 * c + 1])
             flat_sizes[dest] = keys
             sums[rows] = decode(keys).sum(axis=1)
+        return sums
 
 
 def jump_budget_error(rate: float, horizon: float) -> str | None:
@@ -555,13 +574,14 @@ def jump_budget_error(rate: float, horizon: float) -> str | None:
 def path_law(triplet: LevyTriplet, horizon: float, trunc: float,
              compensate: bool = False, brownian_cells: int | None = None,
              rate: float | None = None) -> PathLaw:
-    """The truncated-compound-Poisson driver on [0, horizon]: jumps above
-    `trunc` at rate total_rate(spec, trunc), times iid uniform on (0, horizon],
-    sizes iid from the normalized restriction. With `compensate`, the drift
-    absorbs minus the mean of jumps in (trunc, 1]. A Brownian part is sampled
-    on `brownian_cells` cells, which a triplet with brownian_variance > 0
-    must give. A caller that has computed total_rate(spec, trunc) passes it
-    as `rate`, and it is not computed again."""
+    """The truncated-compound-Poisson driver on [0, horizon]: jumps with
+    |z| >= `trunc` at rate total_rate(spec, trunc), times iid uniform on
+    (0, horizon], sizes iid from the normalized restriction. With
+    `compensate`, the drift absorbs minus the mean of the kept jumps with
+    |z| <= 1. A Brownian part is sampled on `brownian_cells` cells, which a
+    triplet with brownian_variance > 0 must give. A caller that has computed
+    total_rate(spec, trunc) passes it as `rate`, and it is not computed
+    again."""
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
     if trunc <= 0.0:

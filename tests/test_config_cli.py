@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -177,6 +179,20 @@ class TestParseConfig:
         (law, _), = plan_run(parse_config("scenario = S1\ntruncation = 1.5\n")).laws
         assert law.rate == 0.0
 
+    # an atom at truncation is sampled, so it is compensated too: 0.3 - 0.5 * 2.0
+    # at truncation 0.5 as at 0.49; S3's default truncation 2^-12 keeps all 12
+    # levels, each 2^-k at rate 2^k
+    @pytest.mark.parametrize("text,drift", [
+        ("scenario = S1\ntruncation = 0.5\ncompensate = true\n"
+         "[measure.atom.1]\nsize = 0.5\nrate = 2.0\n", -0.7),
+        ("scenario = S1\ntruncation = 0.49\ncompensate = true\n"
+         "[measure.atom.1]\nsize = 0.5\nrate = 2.0\n", -0.7),
+        ("scenario = S3\ncompensate = true\n", -12.0)],
+        ids=["S1-atom-at-truncation", "S1-atom-above-truncation", "S3"])
+    def test_compensator_covers_every_kept_atom(self, text, drift):
+        (law, _), = plan_run(parse_config(text)).laws
+        assert law.drift == drift
+
     # the replica stream ids of a run must stay below rng.TAG_BAND = 2^48,
     # the first id of child tag 1; for S5 that is replicas * repetitions
     @pytest.mark.parametrize("text,line", [
@@ -258,18 +274,20 @@ class TestStreamIndependence:
         # level 1 (2 mean jumps) draws its rows as arrays, level 3 (14) per replica
         run_scenario(parse_config("scenario = S3\nseed = 5\nreplicas = 1000\n"
                                   "trend_levels = 1,3\n[measure.family]\nlevels = 3\n"))
-        # the main run and each level draw every replica once, from their own
-        # ids: an array row meets its id once in philox_words, and again in
-        # `at` only if it runs out of words (about 2% of rows at 2 mean jumps)
+        # the main run and each level draw every replica from their own ids:
+        # an array row meets its id in philox_words once, or twice when it
+        # outruns its words and is computed again with more; a row drawn per
+        # replica meets it once in `at`
         assert len(ids) == 3
         drawn = []
         for seen in ids.values():
-            assert all(len(set(used)) == len(used) for used in seen.values())
-            assert len(set(seen["words"]) & set(seen["at"])) <= len(seen["words"]) // 10
+            assert len(set(seen["at"])) == len(seen["at"])
+            assert max(Counter(seen["words"]).values(), default=0) <= 2
             drawn.append(set(seen["words"]) | set(seen["at"]))
         assert [len(d) for d in drawn] == [1000] * 3
         assert len(set().union(*drawn)) == 3 * 1000
-        assert any(seen["words"] for seen in ids.values())
+        level_1 = list(ids.values())[1]
+        assert level_1["at"] == [] and len(level_1["words"]) > 1000
 
 
 class TestRunSummary:
@@ -797,6 +815,21 @@ class TestCli:
         assert diagnostics["skeleton_location"] is None
         assert diagnostics["location_within_window"] is False
 
+    @staticmethod
+    def _run_leaves_unimported(tmp_path, text, module):
+        """A `levyreg run` of the document `text` in a fresh interpreter, and
+        whether it exits 0 without importing `module`."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        code = ("import sys\nfrom levyreg.cli import main\n"
+                f"code = main(['run', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}])\n"
+                f"print(code, {module!r} in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(levyreg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        return done.stdout.splitlines()[-1] == "0 False"
+
     # np.unique imported numpy.ma (1.6 MiB) on every S1, S3 and S7 chunk, and
     # in the scalar solvers' segment knots (S2, S6)
     @pytest.mark.parametrize("text", [
@@ -806,16 +839,45 @@ class TestCli:
         "scenario = S6\nseed = 707\nreplicas = 5\n"],
         ids=["S1", "S3", "S2", "S6"])
     def test_run_leaves_numpy_ma_unimported(self, tmp_path, text):
+        assert self._run_leaves_unimported(tmp_path, text, "numpy.ma")
+
+    # S6's remainder fit once evaluated its 332 100-point grid in one piece,
+    # a tracemalloc peak of 21.2 MiB; in row blocks the whole run peaks near
+    # 3.5 MiB
+    def test_s6_run_holds_no_whole_remainder_grid(self):
+        plan = plan_run(parse_config("scenario = S6\nseed = 707\nreplicas = 5\n"))
+        tracemalloc.start()
+        try:
+            scenarios_mod.run_plan(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+
+    # a law below 10 mean jumps without a Brownian part computes a row that
+    # outruns its words again with more words; numpy.random brings in
+    # _hashlib, secrets and hmac, about 6 MiB of RSS
+    @pytest.mark.parametrize("text", [
+        "scenario = S1\nseed = 303\nreplicas = 1000\n",
+        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 2\n"],
+        ids=["S1", "S3-2-levels"])
+    def test_light_law_run_leaves_numpy_random_unimported(self, tmp_path, text):
+        assert self._run_leaves_unimported(tmp_path, text, "numpy.random")
+
+    # S5 holds about 2.4 KB of paths per replica within a repetition: 2 000 000
+    # replicas at one repetition need about 4.8 GB, past the 4 GiB budget
+    @pytest.mark.parametrize("replicas", [1_000_000, 2_000_000])
+    def test_s5_replicas_at_the_path_budget(self, tmp_path, capsys, replicas):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(text)
-        code = ("import sys\nfrom levyreg.cli import main\n"
-                f"code = main(['run', '--config', {str(cfg)!r}, '--out', "
-                f"{str(tmp_path / 'out')!r}])\n"
-                "print(code, 'numpy.ma' in sys.modules)\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(levyreg.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
-        assert done.stdout.splitlines()[-1] == "0 False"
+        cfg.write_text(f"scenario = S5\nreplicas = {replicas}\nrepetitions = 1\n")
+        code = cli_main(["validate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        if replicas == 1_000_000:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert err.startswith("config error: line 2: 2000000 S5 replicas pass the "
+                                  "result budget")
 
     @pytest.mark.parametrize("levels", [20, 21])
     def test_s3_levels_at_the_jump_budget(self, tmp_path, capsys, levels):

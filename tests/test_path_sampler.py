@@ -603,14 +603,14 @@ class TestRangeSampler:
     def test_sums_have_the_bits_of_numpy_sum(self):
         # the array rows of one jump count are summed by .sum(axis=1) of a
         # C-contiguous (rows, count) array: each row must get the bits of its
-        # own .sum(), for every count a row below POISSON_PTRS_MEAN holds and
-        # blocks of one row up to PACK_BLOCK. Magnitudes from 1e-8 to 1e8
-        # show the order of the additions in the last bits.
+        # own .sum(), for blocks of one row up to PACK_BLOCK and the counts a
+        # row below POISSON_PTRS_MEAN holds once it has words enough: a path
+        # of 9.999 mean jumps has 40 or more with probability 7e-13.
+        # Magnitudes from 1e-8 to 1e8 show the order of the additions in the
+        # last bits.
         rng = np.random.default_rng(21)
-        most = (path_sampler._row_words(path_sampler.POISSON_PTRS_MEAN) - 1) // 3
-        assert most == 17
         left_to_right_differs = False
-        for c in range(1, most + 1):
+        for c in range(1, 41):
             for m in (1, 8, 4095, 4096):
                 terms = rng.standard_normal((m, c)) * 10.0 ** rng.uniform(-8, 8, (m, c))
                 if m > 1:
@@ -631,6 +631,22 @@ class TestRangeSampler:
         got = law.packed(7, 5, 20, 16)
         assert got.flat_times.size == 0 and np.all(got.brown_edges[:, -1] != 0.0)
         assert_same_bytes(got, drawn_one_by_one(law, 7, 5, 20, 16))
+
+    # a law below POISSON_PTRS_MEAN without a Brownian part never reaches
+    # `draw`: a row that outruns its words is computed again with more
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    @pytest.mark.parametrize("kind,mean", [("atoms", 2.0), ("density", 9.999)])
+    def test_light_laws_build_no_stream_generator(self, monkeypatch, kind, mean, n):
+        law = range_law(kind, mean)
+        want = drawn_one_by_one(law, 31, (1 << 48) - 4096, n, 16)
+
+        def refuse(seed):
+            raise AssertionError("a light law built a StreamGenerator")
+
+        monkeypatch.setattr(path_sampler, "StreamGenerator", refuse)
+        got = law.packed(31, (1 << 48) - 4096, n, 16)
+        assert np.diff(got.offsets).max() > (path_sampler._row_words(mean) - 1) // 3
+        assert_same_bytes(got, want)
 
     # a row of 3.0 mean jumps holds 24 words: 7 jumps and a spare word
     @pytest.mark.parametrize("mean", [2.0, 3.0])
