@@ -35,15 +35,16 @@ scenarios.run_scenario go through it, and it alone fills in defaults, refuses
 a run and builds the laws the run samples (a RunPlan). It refuses, in this
 order, a replica count below a scenario's sample floor, past rng's 2^48
 replica streams or with more samples.csv rows than MAX_RESULT_BYTES holds;
-an S5 run of more replicas than it holds at S5_BYTES_PER_REPLICA; a grid
-past path_sampler's CHUNK_BYTES; an S2 or S6 horizon too short for its
-jumps; a jump law that expects more jumps per path than one chunk holds; an
-atom that the config gives (not a scenario default) below truncation, which
-the run would drop; an empty marked window; an S2 horizon or an S5 marked
-window too rare for its draw cap; and lattice tubes that overlap. Its
-PlanError names the fields at fault (an atom's is "measure.atom.i", i its
-place in the measure): plan_document reports a `--seed` or `--replicas`
-override among them, or else the last line that sets one of them.
+an S5 run whose rows and one repetition's paths (S5_BYTES_PER_REPLICA a
+replica) together pass it; a grid past path_sampler's CHUNK_BYTES; an S2 or
+S6 horizon too short for its jumps; a jump law that expects more jumps per
+path than one chunk holds; an atom that the config gives (not a scenario
+default) below truncation, which the run would drop; an empty marked window;
+an S2 horizon or an S5 marked window too rare for its draw cap; and lattice
+tubes that overlap. Its PlanError names the fields at fault (an atom's is
+"measure.atom.i", i its place in the measure): plan_document reports a
+`--seed` or `--replicas` override among them, or else the last line that
+sets one of them.
 """
 
 from __future__ import annotations
@@ -495,11 +496,12 @@ def plan_run(config: ScenarioConfig) -> RunPlan:
         refuse(f"{rows} samples.csv rows ({what}) pass the result budget: "
                f"{MAX_RESULT_BYTES} bytes hold {MAX_RESULT_BYTES // RESULT_BYTES_PER_ROW} "
                f"at {RESULT_BYTES_PER_ROW} bytes a row", "replicas", "repetitions")
-    if scenario == "S5" and n * S5_BYTES_PER_REPLICA > MAX_RESULT_BYTES:
-        refuse(f"{n} S5 replicas pass the result budget: a repetition holds every "
-               f"replica's paths, and {MAX_RESULT_BYTES} bytes hold "
-               f"{MAX_RESULT_BYTES // S5_BYTES_PER_REPLICA} at {S5_BYTES_PER_REPLICA} "
-               "bytes a replica", "replicas")
+    held = rows * RESULT_BYTES_PER_ROW + n * S5_BYTES_PER_REPLICA
+    if scenario == "S5" and held > MAX_RESULT_BYTES:
+        refuse(f"S5 (replicas = {n}, repetitions = {c.repetitions}) passes the result "
+               f"budget: {rows} rows at {RESULT_BYTES_PER_ROW} bytes and one "
+               f"repetition's paths at {S5_BYTES_PER_REPLICA} bytes a replica need "
+               f"{held} bytes, and it holds {MAX_RESULT_BYTES}", "replicas", "repetitions")
     if 8 * (c.cells + 1) > CHUNK_BYTES:   # one path's cell edges
         refuse(f"cell edges per path (cells {c.cells} + 1, 8 bytes each) exceed "
                f"the chunk budget of {CHUNK_BYTES} bytes", "cells")

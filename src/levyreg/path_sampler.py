@@ -37,7 +37,7 @@ import numpy as np
 
 from .levy_spec import DensityForm, FiniteAtomic, LevyTriplet, total_rate
 from .quadrature import shell_integral
-from .rng import StreamGenerator, philox_words
+from .rng import StreamGenerator, philox_words, unit_doubles
 
 #: Expected jumps per chunk of packed replicas at 16 bytes a jump (a float64
 #: time and size); a chunk of atom-coded jumps holds as many bytes. A law
@@ -59,8 +59,9 @@ MAX_RESULT_BYTES = 2 ** 32
 #: S5 also holds, within each repetition, every replica's LevyPath, its
 #: decomposition and its resample as Python objects: peak RSS grew by 2424 to
 #: 2464 bytes a replica (its row included) from 2000 to 40 000 replicas at
-#: one repetition, so S5 is refused more replicas than MAX_RESULT_BYTES holds
-#: at this many bytes each: 1 789 569.
+#: one repetition, so S5 is refused a run whose rows at RESULT_BYTES_PER_ROW
+#: and one repetition at this many bytes a replica pass MAX_RESULT_BYTES
+#: together: at most 1 735 340 replicas at one repetition.
 S5_BYTES_PER_REPLICA = 2400
 
 
@@ -527,9 +528,7 @@ class PathLaw:
         rows, words = np.arange(ids.size), _row_words(self.mean_jumps)
         floor = math.exp(-self.mean_jumps)
         while rows.size:
-            bits = philox_words(seed, ids[rows], words)
-            bits >>= np.uint64(11)
-            u = bits * 2.0 ** -53
+            u = unit_doubles(philox_words(seed, ids[rows], words))
             stop = np.multiply.accumulate(u, axis=1) <= floor
             c = stop.argmax(axis=1)
             done = stop[np.arange(rows.size), c] & (3 * c + 1 <= words)

@@ -6,6 +6,9 @@ the draw sequence of a stream depends only on its identity — never on
 evaluation order, thread count, or how replicas are batched.
 StreamGenerator walks many streams of one seed with a single generator, and
 philox_words computes the raw words of many streams at once as arrays.
+stream_draws reads Generator.uniform and Generator.integers, bit for bit,
+off such arrays (PhiloxDraws), so a run that draws only those never loads
+numpy.random.
 
 Independent draws of one run never share a key: replica i uses stream id i,
 and a draw for another purpose uses `child(tag)`, which adds tag * 2^48. So
@@ -16,7 +19,9 @@ below 2^16.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +36,13 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
+_11 = np.uint64(11)
+
+#: Streams whose words stream_draws computes in one philox_words call, and
+#: the words it first computes for each: a draw that runs past them computes
+#: its stream again with 4 times the words.
+DRAWS_BLOCK = 1024
+DRAWS_WORDS = 32
 
 
 @dataclass(frozen=True)
@@ -106,3 +118,84 @@ def philox_words(seed: int, stream_ids: np.ndarray, k: int) -> np.ndarray:
         key0 = (key0 + _PHILOX_W[0]) & _MASK64
         key1 = key1 + np.uint64(_PHILOX_W[1])
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(key1), -1)[:, :k]
+
+
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that Generator.random makes of 64-bit words:
+    the top 53 bits of each, times 2^-53. Shifts `words` in place."""
+    words >>= _11
+    return words * 2.0 ** -53
+
+
+class PhiloxDraws:
+    """Generator.uniform and Generator.integers read off the words of one
+    stream, bit for bit what RngStream(seed, stream_id).generator() gives for
+    the same calls in the same order.
+
+    uniform(low, high) is low + (high - low) * u, u a word's unit double, and
+    a sized call does this element by element. integers(low, high) draws
+    32-bit halves as numpy's Philox does, low half first and the high half
+    kept for the next 32-bit draw, and maps them into the range by Lemire's
+    method (ACM TOMACS 2019) as numpy does: it draws nothing when
+    high - low == 1, and takes a half as it is when high - low == 2^32.
+    A wider range would need numpy's 64-bit method, so it raises.
+    """
+
+    def __init__(self, seed: int, stream_id: int, words: np.ndarray):
+        self.seed, self.stream_id = seed, stream_id
+        self._set(words)
+        self._pos, self._half = 0, None
+
+    def _set(self, words: np.ndarray) -> None:
+        self._words = words.tolist()
+        self._units = unit_doubles(words.copy()).tolist()
+
+    def _take(self, k: int) -> int:
+        """Index of the next k words, which the stream then has used; it may
+        replace the word lists, so read them after it returns."""
+        while self._pos + k > len(self._words):
+            # Philox is counter-based: the longer row starts with these words
+            ids = np.array([self.stream_id], dtype=np.uint64)
+            self._set(philox_words(self.seed, ids, 4 * len(self._words))[0])
+        pos, self._pos = self._pos, self._pos + k
+        return pos
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size: int | None = None):
+        pos = self._take(1 if size is None else size)
+        if size is None:
+            return low + (high - low) * self._units[pos]
+        return low + (high - low) * np.array(self._units[pos:pos + size])
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        pos = self._take(1)
+        word = self._words[pos]
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"integers reads ranges of 1 to 2^32 values, not {span}")
+        if span == 1:
+            return low
+        if span == 1 << 32:
+            return low + self._uint32()
+        m = self._uint32() * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = (1 << 32) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+
+def stream_draws(seed: int, stream_ids: Iterable[int]) -> Iterator[PhiloxDraws]:
+    """A PhiloxDraws for each of stream_ids in turn, the first DRAWS_WORDS
+    words of DRAWS_BLOCK streams at a time from one philox_words call."""
+    ids = iter(stream_ids)
+    while (block := np.fromiter(islice(ids, DRAWS_BLOCK), dtype=np.uint64)).size:
+        words = philox_words(seed, block, DRAWS_WORDS)
+        for stream_id, row in zip(block.tolist(), words):
+            yield PhiloxDraws(seed, stream_id, row)

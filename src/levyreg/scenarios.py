@@ -72,7 +72,7 @@ from .path_sampler import (
     sample_path,
     shift_jump_time,
 )
-from .rng import RngStream, StreamGenerator
+from .rng import PhiloxDraws, RngStream, StreamGenerator, stream_draws
 from .transforms import proportional_solution, reduced_drift, unit_diffusion_transform
 
 #: Failed-replica fraction beyond which a run reports numeric failure.
@@ -430,26 +430,25 @@ def run_s5(plan: RunPlan) -> ScenarioResult:
     return ScenarioResult(diagnostics, x, z, ~np.isfinite(x))
 
 
-def _s6_sigma(kind: int, gen: np.random.Generator) -> DiffusionField:
+def _s6_sigma(kind: int, gen: PhiloxDraws) -> DiffusionField:
     if kind == 0:
-        return make_diffusion_field("constant",
-                                    {"level": float(gen.uniform(0.6, 1.8))})
+        return make_diffusion_field("constant", {"level": gen.uniform(0.6, 1.8)})
     if kind == 1:
-        low = float(gen.uniform(0.5, 0.9))
+        low = gen.uniform(0.5, 0.9)
         return make_diffusion_field("logistic-slope", {
-            "low": low, "high": low + float(gen.uniform(0.3, 0.9)),
-            "rate": float(gen.uniform(0.4, 1.2)),
-            "center": float(gen.uniform(-0.5, 0.5))})
+            "low": low, "high": low + gen.uniform(0.3, 0.9),
+            "rate": gen.uniform(0.4, 1.2),
+            "center": gen.uniform(-0.5, 0.5)})
     return make_diffusion_field("arctan-diffusion", {
-        "amplitude": float(gen.uniform(0.7, 1.3)),
-        "curvature": float(gen.uniform(0.3, 0.7)), "center": 0.0})
+        "amplitude": gen.uniform(0.7, 1.3),
+        "curvature": gen.uniform(0.3, 0.7), "center": 0.0})
 
 
-def _s6_path(gen: np.random.Generator, horizon: float) -> LevyPath:
-    k = int(gen.integers(1, 4))
+def _s6_path(gen: PhiloxDraws, horizon: float) -> LevyPath:
+    k = gen.integers(1, 4)
     times = np.sort(gen.uniform(S6_JUMP_MARGIN, horizon - S6_JUMP_MARGIN, k))
     sizes = gen.uniform(0.08, 0.3, k) * np.where(gen.uniform(size=k) < 0.5, -1.0, 1.0)
-    return LevyPath(horizon, float(gen.uniform(-0.2, 0.2)), times, sizes)
+    return LevyPath(horizon, gen.uniform(-0.2, 0.2), times, sizes)
 
 
 def run_s6(plan: RunPlan) -> ScenarioResult:
@@ -461,10 +460,10 @@ def run_s6(plan: RunPlan) -> ScenarioResult:
     # (a) unit-diffusion reduction against the random-ODE solver
     ones = make_diffusion_field("constant", {"level": 1.0})
     worst_reduction = 0.0
-    for i in range(5):
-        gen = RngStream(config.seed, i).child(1).generator()
+    checks = [RngStream(config.seed, i).child(1).stream_id for i in range(5)]
+    for gen in stream_draws(config.seed, checks):
         path = _s6_path(gen, config.horizon)
-        x0 = float(gen.uniform(-0.5, 0.5))
+        x0 = gen.uniform(-0.5, 0.5)
         gap = _unless_diverged(
             lambda: abs(marcus_solve(a_default, ones, path, x0, step).terminal
                         - solve_random_ode(a_default, path, x0, step).terminal_x),
@@ -474,14 +473,13 @@ def run_s6(plan: RunPlan) -> ScenarioResult:
     # (b) proportional closed form vs the integrator
     worst_prop = 0.0
     rows_x, rows_z, failed = [], [], []
-    for i in range(config.replicas):
-        gen = RngStream(config.seed, i).generator()
+    for i, gen in enumerate(stream_draws(config.seed, range(config.replicas))):
         sigma = _s6_sigma(i % 3, gen)
-        k = float(gen.uniform(-0.5, 0.5))
+        k = gen.uniform(-0.5, 0.5)
         a_prop = ScalarField(value=lambda x, s=sigma, k=k: k * s.value(x),
                              derivative=lambda x, s=sigma, k=k: k * s.derivative(x))
         path = _s6_path(gen, config.horizon)
-        x0 = float(gen.uniform(-0.3, 0.3))
+        x0 = gen.uniform(-0.3, 0.3)
         closed, terminal = _unless_diverged(
             lambda: (proportional_solution(sigma, k, x0, path),
                      marcus_solve(a_prop, sigma, path, x0, step).terminal),
@@ -495,16 +493,16 @@ def run_s6(plan: RunPlan) -> ScenarioResult:
 
     # (c) unit-diffusion conjugacy between the two solvers
     worst_conj = 0.0
-    for i in range(config.replicas):
-        gen = RngStream(config.seed, i).child(2).generator()
+    configs = (RngStream(config.seed, i).child(2).stream_id for i in range(config.replicas))
+    for i, gen in enumerate(stream_draws(config.seed, configs)):
         sigma = _s6_sigma(1 + (i % 2), gen)
         a = make_scalar_field("logistic-slope", {
-            "low": float(gen.uniform(-0.3, 0.0)),
-            "high": float(gen.uniform(0.2, 0.6)),
-            "rate": float(gen.uniform(0.5, 1.2)),
-            "center": float(gen.uniform(-0.5, 0.5))})
+            "low": gen.uniform(-0.3, 0.0),
+            "high": gen.uniform(0.2, 0.6),
+            "rate": gen.uniform(0.5, 1.2),
+            "center": gen.uniform(-0.5, 0.5)})
         path = _s6_path(gen, config.horizon)
-        x0 = float(gen.uniform(-0.5, 0.5))
+        x0 = gen.uniform(-0.5, 0.5)
         diffeo = unit_diffusion_transform(sigma, 0.0, -8.0, 8.0)
         red = reduced_drift(a, sigma, diffeo)
 
@@ -519,7 +517,7 @@ def run_s6(plan: RunPlan) -> ScenarioResult:
     f_log = ScalarField(lambda x: math.log(x), lambda x: 1.0 / x)
     sig_lin = DiffusionField(lambda x: x, lambda x: 1.0, min_abs=None)
     zero = ScalarField(lambda x: 0.0, lambda x: 0.0)
-    gen = RngStream(config.seed).child(3).generator()
+    (gen,) = stream_draws(config.seed, [RngStream(config.seed).child(3).stream_id])
     path = _s6_path(gen, config.horizon)
     f_id = ScalarField(lambda x: x, lambda x: 1.0)
 

@@ -237,13 +237,14 @@ class TestStreamIndependence:
 
     def test_s6_checks_draw_from_distinct_streams(self, monkeypatch):
         ids = []
-        real = rng_mod.RngStream.generator
+        real = scenarios_mod.stream_draws
 
-        def spy(stream):
-            ids.append((stream.seed, stream.stream_id))
-            return real(stream)
+        def spy(seed, stream_ids):
+            stream_ids = list(stream_ids)
+            ids.extend((seed, stream_id) for stream_id in stream_ids)
+            return real(seed, stream_ids)
 
-        monkeypatch.setattr(rng_mod.RngStream, "generator", spy)
+        monkeypatch.setattr(scenarios_mod, "stream_draws", spy)
         run_scenario(parse_config("scenario = S6\nseed = 707\nreplicas = 7\n"))
         # check (a) 5 paths, (b) and (c) one config per replica, (d) one path
         assert len(ids) == 5 + 7 + 7 + 1
@@ -855,17 +856,20 @@ class TestCli:
         assert peak < 6 * 2 ** 20
 
     # a law below 10 mean jumps without a Brownian part computes a row that
-    # outruns its words again with more words; numpy.random brings in
-    # _hashlib, secrets and hmac, about 6 MiB of RSS
+    # outruns its words again with more words, and S6 reads its configs' draws
+    # off Philox words; numpy.random brings in _hashlib, secrets and hmac,
+    # about 6 MiB of RSS
     @pytest.mark.parametrize("text", [
         "scenario = S1\nseed = 303\nreplicas = 1000\n",
-        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 2\n"],
-        ids=["S1", "S3-2-levels"])
+        "scenario = S3\nseed = 404\nreplicas = 1000\n[measure.family]\nlevels = 2\n",
+        "scenario = S6\nseed = 707\nreplicas = 5\n"],
+        ids=["S1", "S3-2-levels", "S6"])
     def test_light_law_run_leaves_numpy_random_unimported(self, tmp_path, text):
         assert self._run_leaves_unimported(tmp_path, text, "numpy.random")
 
     # S5 holds about 2.4 KB of paths per replica within a repetition: 2 000 000
-    # replicas at one repetition need about 4.8 GB, past the 4 GiB budget
+    # replicas at one repetition need about 4.8 GB, past the 4 GiB budget; the
+    # budget counts both replicas and repetitions, so it names the later line
     @pytest.mark.parametrize("replicas", [1_000_000, 2_000_000])
     def test_s5_replicas_at_the_path_budget(self, tmp_path, capsys, replicas):
         cfg = tmp_path / "c.cfg"
@@ -876,8 +880,30 @@ class TestCli:
             assert code == 0 and err == ""
         else:
             assert code == 1
-            assert err.startswith("config error: line 2: 2000000 S5 replicas pass the "
-                                  "result budget")
+            assert err.startswith("config error: line 3: S5 (replicas = 2000000, "
+                                  "repetitions = 1) passes the result budget")
+
+    # rows and paths were once budgeted apart: 1 500 000 x 10 passed both
+    # (1.13 GB of rows, 3.6 GB of paths) while holding about 4.7 GB; a plan
+    # that let it through must fail here, not start that run
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_s5_rows_and_paths_share_one_budget(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        def run_plan(plan, out_dir):
+            raise AssertionError("an S5 run past the result budget was started")
+
+        monkeypatch.setattr(cli_mod, "run_plan", run_plan)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = S5\nrepetitions = 10\nreplicas = 1500000\n")
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli_main([command, "--config", str(cfg), *out]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: line 3: S5 (replicas = 1500000, repetitions = 10) passes the "
+            "result budget: 15000000 rows at 75 bytes and one repetition's paths at "
+            "2400 bytes a replica need 4725000000 bytes")
+        assert not (tmp_path / "out").exists()
+        cfg.write_text("scenario = S5\nrepetitions = 1\nreplicas = 1000000\n")
+        assert cli_main(["validate", "--config", str(cfg)]) == 0
 
     @pytest.mark.parametrize("levels", [20, 21])
     def test_s3_levels_at_the_jump_budget(self, tmp_path, capsys, levels):

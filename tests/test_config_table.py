@@ -36,7 +36,7 @@ from levyreg.config import (
     with_scenario_defaults,
 )
 from levyreg.fields import canonical_params
-from levyreg.path_sampler import MAX_RESULT_BYTES, RESULT_BYTES_PER_ROW
+from levyreg.path_sampler import MAX_RESULT_BYTES, RESULT_BYTES_PER_ROW, S5_BYTES_PER_REPLICA
 from levyreg.scenarios import run_scenario
 
 
@@ -143,9 +143,12 @@ def _expected_rejection(config: ScenarioConfig) -> str | None:
     draw cap. The plan checks the atoms the config gives, not the scenario's
     default ones, so it plans the config as generated."""
     resolved = with_scenario_defaults(config)
-    rows = resolved.replicas * (resolved.repetitions if config.scenario == "S5" else 1)
-    if rows * RESULT_BYTES_PER_ROW > MAX_RESULT_BYTES:
-        return "pass the result budget"
+    s5 = config.scenario == "S5"
+    rows = resolved.replicas * (resolved.repetitions if s5 else 1)
+    # S5 also holds one repetition's paths within the same budget
+    paths = resolved.replicas * S5_BYTES_PER_REPLICA if s5 else 0
+    if rows * RESULT_BYTES_PER_ROW + paths > MAX_RESULT_BYTES:
+        return "the result budget"
     if resolved.horizon <= 2 * _JUMP_MARGINS.get(config.scenario, 0.0):
         return "no room for its jumps"
     try:

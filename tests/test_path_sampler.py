@@ -25,7 +25,15 @@ from levyreg.path_sampler import (
     shift_jump_time,
 )
 from levyreg.quadrature import shell_integral
-from levyreg.rng import TAG_BAND, RngStream, StreamGenerator, philox_words
+from levyreg import rng
+from levyreg.rng import (
+    TAG_BAND,
+    PhiloxDraws,
+    RngStream,
+    StreamGenerator,
+    philox_words,
+    stream_draws,
+)
 
 # chi-square 0.999 quantile, 9 degrees of freedom
 CHI2_CRIT_999_DF9 = 27.877
@@ -353,6 +361,83 @@ class TestPhiloxWords:
         for row, sid in zip(got, ids):
             key = np.array([seed & ((1 << 64) - 1), sid], dtype=np.uint64)
             assert np.array_equal(row, np.random.Philox(key=key).random_raw(k)), sid
+
+
+_BOUNDS = st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 5.0)).map(
+    lambda b: (b[0], b[0] + b[1]))
+# high - low of 1 draws no word; 2^31 + 1 has a Lemire threshold of 2^31 - 1,
+# so about half its draws are rejected; 2^32 - 1 is the widest range Lemire's
+# method maps, and 2^32 takes a 32-bit half as it is
+_SPANS = (1, 2, 3, 10, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32)
+_DRAW_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("uniform"), _BOUNDS),
+    st.tuples(st.just("sized"), _BOUNDS, st.integers(0, 6)),
+    st.tuples(st.just("unit"), st.integers(0, 6)),
+    st.tuples(st.just("integers"), st.integers(-10, 10), st.sampled_from(_SPANS))),
+    max_size=40)
+
+
+def _draw(gen, call):
+    kind, *args = call
+    if kind == "uniform":
+        return gen.uniform(*args[0])
+    if kind == "sized":
+        return gen.uniform(*args[0], args[1])
+    if kind == "unit":
+        return gen.uniform(size=args[0])
+    return gen.integers(args[0], args[0] + args[1])
+
+
+class TestPhiloxDraws:
+    """The uniform and integers draws S6 reads off Philox words, against
+    numpy's Generator on the same stream, call for call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, (1 << 64) - 1), stream_id=st.integers(0, (1 << 64) - 1),
+           calls=_DRAW_CALLS)
+    def test_matches_numpy_generator(self, seed, stream_id, calls):
+        gen = RngStream(seed, stream_id).generator()
+        # four words at first, so most call lists outrun them and recompute the row
+        words = philox_words(seed, np.array([stream_id], dtype=np.uint64), 4)[0]
+        draws = PhiloxDraws(seed, stream_id, words)
+        for call in calls + [("uniform", (0.0, 1.0))]:
+            want, got = _draw(gen, call), _draw(draws, call)
+            if call[0] in ("sized", "unit"):
+                assert got.dtype == np.float64 and np.array_equal(got, want), call
+            else:
+                assert type(got) is (int if call[0] == "integers" else float)
+                assert got == want, call
+
+    # 64 draws at 2^31 + 1 all pass the threshold with probability about
+    # 2^-64, so rejection runs; the uniform after them checks the word count
+    def test_lemire_rejection_keeps_the_stream_in_step(self):
+        gen = RngStream(17, 3).generator()
+        (draws,) = stream_draws(17, [3])
+        for _ in range(64):
+            assert draws.integers(5, 5 + 2 ** 31 + 1) == gen.integers(5, 5 + 2 ** 31 + 1)
+        assert draws.uniform() == gen.uniform()
+
+    @pytest.mark.parametrize("high", [0, -1, 2 ** 32 + 1, 2 ** 40])
+    def test_ranges_it_cannot_read_raise(self, high):
+        (draws,) = stream_draws(17, [3])
+        with pytest.raises(ValueError, match="ranges of 1 to 2\\^32 values"):
+            draws.integers(0, high)
+
+    def test_stream_draws_computes_a_block_of_streams_at_once(self, monkeypatch):
+        calls = []
+        real = rng.philox_words
+
+        def spy(seed, ids, k):
+            calls.append(ids.tolist())
+            return real(seed, ids, k)
+
+        monkeypatch.setattr(rng, "DRAWS_BLOCK", 3)
+        monkeypatch.setattr(rng, "philox_words", spy)
+        ids = [0, 1, 2, 5 * TAG_BAND, 7, (1 << 64) - 1, 9]
+        drawn = [(d.stream_id, d.uniform(size=5)) for d in stream_draws(8, iter(ids))]
+        assert calls == [ids[:3], ids[3:6], ids[6:]]
+        for sid, u in drawn:
+            assert np.array_equal(u, RngStream(8, sid).generator().uniform(size=5))
 
 
 class _CoarseUniforms:
